@@ -326,6 +326,10 @@ pub struct Pod {
     /// Persistent sharded-execution driver for [`Pod::run`] (single shard);
     /// carries the window cursor and pooled buffers across calls.
     shard_runner: Option<ShardedRunner<UplinkMsg>>,
+    /// [`Pod::run_local`]'s scheduler and actor table, cleared and refilled
+    /// every window so their allocations are reused.
+    window_sched: Scheduler,
+    window_kinds: Vec<ActorKind>,
     pending: EventQueue<PodEvent>,
     ra: RegionAllocator,
     /// Per-instance TX-area region, kept so a host-failure reclaim can
@@ -708,6 +712,8 @@ impl PodBuilder {
             uplink_port: Vec::new(),
             uplink_out: Vec::new(),
             shard_runner: None,
+            window_sched: Scheduler::new(),
+            window_kinds: Vec::new(),
             pending: EventQueue::new(),
             ra,
             inst_region: Vec::new(),
@@ -1486,13 +1492,15 @@ impl Pod {
     /// One window of the co-simulation on this pod's own scheduler.
     ///
     /// Every component — device engines, the allocator, endpoints, the
-    /// fault event queue — is registered as an actor on a fresh
+    /// fault event queue — is registered as an actor on a cleared
     /// [`Scheduler`]; the scheduler dispatches whichever actor has the
     /// earliest wake time, breaking ties by registration order (the same
     /// order the legacy earliest-clock scan considered components in, so
     /// the timeline is byte-identical). Components with clocks at or past
     /// `until` simply re-arm without running, which a fresh registration
-    /// per call makes uniform. Returns the number of actor dispatches.
+    /// per call makes uniform (the scheduler and actor table themselves are
+    /// kept in the pod and only cleared). Returns the number of actor
+    /// dispatches.
     pub(crate) fn run_local(&mut self, until: SimTime) -> u64 {
         // The legacy scan stepped components with clocks strictly below
         // `until`; the scheduler deadline is inclusive, so it sits 1 ns
@@ -1500,8 +1508,10 @@ impl Pod {
         let Some(deadline) = until.as_nanos().checked_sub(1).map(SimTime::from_nanos) else {
             return 0;
         };
-        let mut sched = Scheduler::new();
-        let mut kinds: Vec<ActorKind> = Vec::new();
+        let mut sched = std::mem::take(&mut self.window_sched);
+        let mut kinds = std::mem::take(&mut self.window_kinds);
+        sched.clear();
+        kinds.clear();
 
         let driver_base = sched.actor_count();
         for (host, drv) in self.drivers.iter().enumerate() {
@@ -1603,6 +1613,8 @@ impl Pod {
             pod.dispatch(&kinds, &map, actor, at, until, ctx)
         });
         self.obs.fold_sched(&sched);
+        self.window_sched = sched;
+        self.window_kinds = kinds;
         self.now = self.now.max(until);
         dispatches
     }

@@ -139,6 +139,24 @@ impl Scheduler {
         }
     }
 
+    /// Forget every actor and queued wake and rewind to time zero, keeping
+    /// the allocations: a world that re-registers the same actors in the same
+    /// order afterwards behaves exactly as on a scheduler fresh from
+    /// [`Scheduler::new`].
+    pub fn clear(&mut self) {
+        self.queue.clear();
+        self.pending.clear();
+        self.now = SimTime::ZERO;
+        #[cfg(feature = "obs")]
+        {
+            self.wake_origin.clear();
+            self.stats.dispatches = 0;
+            self.stats.stale_skips = 0;
+            self.stats.actor_polls.clear();
+            self.stats.wake_to_poll.clear();
+        }
+    }
+
     /// Telemetry collected so far (per-actor polls, stale skips,
     /// wake-to-poll latency).
     #[cfg(feature = "obs")]
@@ -323,6 +341,34 @@ mod tests {
         assert_eq!(b_count, 5);
         // Log must be sorted by time.
         assert!(world.log.windows(2).all(|w| w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn cleared_scheduler_replays_like_a_fresh_one() {
+        let run = |sched: &mut Scheduler| {
+            sched.add_actor(SimTime::from_nanos(3));
+            sched.add_idle_actor();
+            sched.add_actor(SimTime::from_nanos(3));
+            let mut log = Vec::new();
+            sched.run_until_with(
+                &mut log,
+                SimTime::from_nanos(40),
+                |l: &mut Vec<(usize, u64)>, id, now, ctx| {
+                    l.push((id, now.as_nanos()));
+                    if id == 0 {
+                        ctx.wake(1, now + SimDuration::from_nanos(1));
+                    }
+                    StepOutcome::WakeAt(now + SimDuration::from_nanos(7 + id as u64))
+                },
+            );
+            (log, sched.now(), sched.actor_count())
+        };
+        let fresh = run(&mut Scheduler::new());
+        let mut reused = Scheduler::new();
+        run(&mut reused);
+        reused.clear();
+        assert_eq!(reused.actor_count(), 0);
+        assert_eq!(run(&mut reused), fresh);
     }
 
     #[test]
