@@ -46,9 +46,7 @@ fn bench_ops(c: &mut Criterion) {
         let mut out = [0u8; 1500];
         b.iter(|| {
             host.read_stream(&mut pool, 4096, &mut out);
-            for la in oasis_cxl::lines_covering(4096, 1500) {
-                host.clflushopt(&mut pool, la);
-            }
+            host.clflushopt_range(&mut pool, 4096, 1500);
         });
     });
 
@@ -64,6 +62,22 @@ fn bench_ops(c: &mut Criterion) {
                 8192,
                 &data,
             );
+        });
+    });
+
+    // The engines' payload path (§3.2.1): stage a buffer, write it back,
+    // let the device DMA it, release the buffer.
+    group.throughput(Throughput::Bytes(32 << 10));
+    group.bench_function("writeback_32k", |b| {
+        let (mut pool, mut host) = setup();
+        let data = vec![5u8; 32 << 10];
+        let mut out = vec![0u8; 32 << 10];
+        b.iter(|| {
+            host.write(&mut pool, 1 << 16, &data);
+            host.clwb_range(&mut pool, 1 << 16, data.len() as u64);
+            host.mfence(&mut pool);
+            pool.dma_read(host.clock, host.port, 1 << 16, &mut out);
+            host.clflushopt_range(&mut pool, 1 << 16, data.len() as u64);
         });
     });
     group.finish();

@@ -13,7 +13,7 @@
 
 use oasis_cxl::dma::{DmaMemory, MemRef};
 use oasis_cxl::pool::TrafficClass;
-use oasis_cxl::{lines_covering, CxlPool, HostCtx, Region, RegionAllocator};
+use oasis_cxl::{CxlPool, HostCtx, Region, RegionAllocator};
 use oasis_net::addr::Ipv4Addr;
 use oasis_net::nic::{Nic, RxDesc, TxDesc};
 use oasis_net::packet::Frame;
@@ -197,9 +197,7 @@ impl LocalDriver {
         match self.placement {
             BufferPlacement::CxlPool => {
                 self.core.write(pool, addr, bytes);
-                for la in lines_covering(addr, bytes.len() as u64) {
-                    self.core.clwb(pool, la);
-                }
+                self.core.clwb_range(pool, addr, bytes.len() as u64);
                 // SFENCE before the doorbell: the NIC's DMA read must not
                 // overtake the posted write-backs (there is no ordering
                 // between pool writes and the MMIO doorbell otherwise).
@@ -216,9 +214,7 @@ impl LocalDriver {
             BufferPlacement::CxlPool => {
                 self.core.expect_fresh(pool, addr, out.len() as u64);
                 self.core.read_stream(pool, addr, out);
-                for la in lines_covering(addr, out.len() as u64) {
-                    self.core.clflushopt(pool, la);
-                }
+                self.core.clflushopt_range(pool, addr, out.len() as u64);
             }
             BufferPlacement::LocalDdr => self.core.local_read(addr, out),
         }

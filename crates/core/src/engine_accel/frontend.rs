@@ -3,7 +3,7 @@
 
 use oasis_accel::{AccelCommand, AccelCompletion, AccelOp, AccelStatus};
 use oasis_channel::{Receiver, RetryPolicy, RetryState, Sender};
-use oasis_cxl::{lines_covering, CxlPool, HostCtx};
+use oasis_cxl::{CxlPool, HostCtx};
 use oasis_sim::detmap::DetMap;
 use oasis_sim::time::{SimDuration, SimTime};
 
@@ -127,13 +127,10 @@ impl AccelFrontend {
     /// next occupant's data arrives by device DMA, so stale cached lines
     /// must go).
     fn release_bufs(&mut self, pool: &mut CxlPool, p: &PendingJob) {
-        for la in lines_covering(p.in_buf, p.cmd.input_len as u64) {
-            self.core.clflushopt(pool, la);
-        }
+        self.core
+            .clflushopt_range(pool, p.in_buf, p.cmd.input_len as u64);
         self.data_area.free(p.in_buf);
-        for la in lines_covering(p.out_buf, p.out_bytes) {
-            self.core.clflushopt(pool, la);
-        }
+        self.core.clflushopt_range(pool, p.out_buf, p.out_bytes);
         self.data_area.free(p.out_buf);
     }
 
@@ -189,9 +186,7 @@ impl AccelFrontend {
         // Stage the input in shared CXL memory and write it back so the
         // device's DMA sees it (§3.2.1).
         self.core.write(pool, in_buf, input);
-        for la in lines_covering(in_buf, bytes) {
-            self.core.clwb(pool, la);
-        }
+        self.core.clwb_range(pool, in_buf, bytes);
         self.core.publish(pool, in_buf, bytes);
         let cid = self.next_cid;
         self.next_cid = self.next_cid.wrapping_add(1);

@@ -2,7 +2,7 @@
 
 use oasis_channel::{Receiver, Sender};
 use oasis_cxl::dma::{DmaMemory, MemRef};
-use oasis_cxl::{lines_covering, CxlPool, HostCtx};
+use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::Ipv4Addr;
 use oasis_net::nic::{Nic, RxDesc, TxDesc};
 use oasis_net::packet::Frame;
@@ -283,9 +283,7 @@ impl BackendDriver {
                     let mut hdr = [0u8; 42];
                     let n = (c.len as usize).min(42);
                     self.core.read(pool, ptr, &mut hdr[..n]);
-                    for la in lines_covering(ptr, n as u64) {
-                        self.core.clflushopt(pool, la);
-                    }
+                    self.core.clflushopt_range(pool, ptr, n as u64);
                     let ethertype = u16::from_be_bytes([hdr[12], hdr[13]]);
                     let dst = if ethertype == oasis_net::packet::ETHERTYPE_ARP && n >= 42 {
                         Ipv4Addr([hdr[38], hdr[39], hdr[40], hdr[41]])

@@ -1,7 +1,7 @@
 //! The network-engine frontend driver (§3.3).
 
 use oasis_channel::{Receiver, Sender};
-use oasis_cxl::{lines_covering, CxlPool, HostCtx};
+use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::Ipv4Addr;
 use oasis_net::packet::Frame;
 use oasis_sim::time::{SimDuration, SimTime};
@@ -228,9 +228,7 @@ impl FrontendDriver {
             &patched
         };
         self.core.write(pool, buf, bytes);
-        for la in lines_covering(buf, bytes.len() as u64) {
-            self.core.clwb(pool, la);
-        }
+        self.core.clwb_range(pool, buf, bytes.len() as u64);
         self.core.publish(pool, buf, bytes.len() as u64);
         let nic = self.insts[slot].serving_nic;
         let msg = NetMsg {
@@ -393,9 +391,7 @@ impl FrontendDriver {
                         let mut pkt = vec![0u8; len];
                         self.core.expect_fresh(pool, msg.ptr, len as u64);
                         self.core.read_stream(pool, msg.ptr, &mut pkt);
-                        for la in lines_covering(msg.ptr, len as u64) {
-                            self.core.clflushopt(pool, la);
-                        }
+                        self.core.clflushopt_range(pool, msg.ptr, len as u64);
                         self.core.advance(self.cfg.ipc_cost_ns);
                         if let Some(fe_inst) = self.insts.iter().find(|i| i.ip == msg.ip) {
                             self.stats.rx_packets += 1;

@@ -2,7 +2,7 @@
 //! see.
 
 use oasis_channel::{Receiver, RetryPolicy, RetryState, Sender};
-use oasis_cxl::{lines_covering, CxlPool, HostCtx};
+use oasis_cxl::{CxlPool, HostCtx};
 use oasis_sim::detmap::DetMap;
 use oasis_sim::time::{SimDuration, SimTime};
 use oasis_storage::command::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};
@@ -146,9 +146,7 @@ impl StorageFrontend {
             self.data_area.free(p.buf);
             return;
         }
-        for la in lines_covering(p.buf, p.bytes) {
-            self.core.clflushopt(pool, la);
-        }
+        self.core.clflushopt_range(pool, p.buf, p.bytes);
         self.data_area.free(p.buf);
     }
 
@@ -198,9 +196,7 @@ impl StorageFrontend {
         if let Some(data) = data {
             debug_assert_eq!(data.len() as u64, bytes);
             self.core.write(pool, buf, data);
-            for la in lines_covering(buf, bytes) {
-                self.core.clwb(pool, la);
-            }
+            self.core.clwb_range(pool, buf, bytes);
             self.core.publish(pool, buf, bytes);
         }
         let cid = self.next_cid;

@@ -69,6 +69,12 @@ pub struct HostCtx {
     /// Scratch buffer for bulk streaming fetches (reused across calls so
     /// the hot path never allocates).
     stream_buf: Vec<u8>,
+    /// Write-backs staged for the pool: the bytes of consecutive dirty
+    /// lines starting at `wb_first`, the first visible at `wb_visible0`.
+    /// Empty between operations.
+    wb_buf: Vec<u8>,
+    wb_first: u64,
+    wb_visible0: SimTime,
     /// Hardware next-line prefetcher depth (0 = disabled, the default).
     /// When two consecutive lines miss in ascending order, the next
     /// `hw_prefetch_depth` lines are prefetched — and, like all prefetches,
@@ -96,6 +102,9 @@ impl HostCtx {
             stats: MemStats::default(),
             local: vec![0; local_mem as usize],
             stream_buf: Vec::new(),
+            wb_buf: Vec::new(),
+            wb_first: 0,
+            wb_visible0: SimTime::ZERO,
             pending_visible: SimTime::ZERO,
             hw_prefetch_depth: 0,
             last_miss_line: u64::MAX,
@@ -114,12 +123,46 @@ impl HostCtx {
         self.clock += SimDuration::from_nanos(ns);
     }
 
+    /// The one way a dirty line leaves this cache (`clwb`, `clflushopt`,
+    /// eviction): it becomes visible in pool memory `cxl_write_visible_ns`
+    /// after the current clock, and `mfence` waits for that. The line is
+    /// staged behind the lines already staged — the caller stages only
+    /// consecutive lines — and [`Self::post_staged`] posts them as one run.
+    #[inline]
+    fn stage_writeback(&mut self, pool: &mut CxlPool, la: u64, data: &[u8; LINE as usize]) {
+        let visible = self.clock + SimDuration::from_nanos(self.costs.cxl_write_visible_ns);
+        self.pending_visible = self.pending_visible.max(visible);
+        pool.note_posted_line(self.port, la, visible);
+        if self.wb_buf.is_empty() {
+            self.wb_first = la;
+            self.wb_visible0 = visible;
+        }
+        debug_assert_eq!(la, self.wb_first + self.wb_buf.len() as u64);
+        self.wb_buf.extend_from_slice(data);
+    }
+
+    /// Post the staged lines, if any, as one run whose lines become visible
+    /// `step_ns` apart (the clock step between the flushes that staged
+    /// them).
+    #[inline]
+    fn post_staged(&mut self, pool: &mut CxlPool, step_ns: u64) {
+        if !self.wb_buf.is_empty() {
+            pool.post_writeback_run(
+                self.port,
+                self.wb_first,
+                &self.wb_buf,
+                self.wb_visible0,
+                step_ns,
+            );
+            self.wb_buf.clear();
+        }
+    }
+
     fn evict(&mut self, pool: &mut CxlPool, victim: crate::cache::Evicted) {
         if victim.line.dirty {
             self.stats.evict_writebacks += 1;
-            let visible = self.clock + SimDuration::from_nanos(self.costs.cxl_write_visible_ns);
-            self.pending_visible = self.pending_visible.max(visible);
-            pool.post_writeback(self.port, victim.addr, victim.line.data, visible);
+            self.stage_writeback(pool, victim.addr, &victim.line.data);
+            self.post_staged(pool, 0);
         }
     }
 
@@ -312,54 +355,90 @@ impl HostCtx {
         self.write(pool, addr, &value.to_le_bytes());
     }
 
-    /// `CLWB`: write a dirty line back to the pool but keep it cached. The
-    /// data becomes visible in pool memory after the propagation delay.
-    pub fn clwb(&mut self, pool: &mut CxlPool, addr: u64) {
-        let la = line_base(addr);
+    /// One line's `CLWB`; a dirty line is staged, not yet posted. Returns
+    /// whether it was dirty.
+    #[inline]
+    fn clwb_line(&mut self, pool: &mut CxlPool, la: u64) -> bool {
         self.stats.writebacks += 1;
         self.clock += SimDuration::from_nanos(self.costs.clwb_ns);
-        #[cfg(feature = "sanitize")]
         let mut was_dirty = false;
         if let Some(line) = self.cache.touch(la) {
-            if line.dirty {
-                #[cfg(feature = "sanitize")]
-                {
-                    was_dirty = true;
-                }
-                line.dirty = false;
+            was_dirty = std::mem::replace(&mut line.dirty, false);
+            if was_dirty {
                 let data = line.data;
-                let visible = self.clock + SimDuration::from_nanos(self.costs.cxl_write_visible_ns);
-                self.pending_visible = self.pending_visible.max(visible);
-                pool.post_writeback(self.port, la, data, visible);
+                self.stage_writeback(pool, la, &data);
             }
         }
         #[cfg(feature = "sanitize")]
         pool.san.on_clwb(self.port, la, was_dirty, self.clock);
+        was_dirty
     }
 
-    /// `CLFLUSHOPT`: write back if dirty, then evict the line so the next
-    /// access fetches fresh data from the pool.
-    pub fn clflushopt(&mut self, pool: &mut CxlPool, addr: u64) {
-        let la = line_base(addr);
+    /// One line's `CLFLUSHOPT`; a dirty line is staged, not yet posted.
+    /// Returns whether it was dirty.
+    #[inline]
+    fn clflushopt_line(&mut self, pool: &mut CxlPool, la: u64) -> bool {
         self.stats.flushes += 1;
         self.clock += SimDuration::from_nanos(self.costs.clflushopt_ns);
-        #[cfg(feature = "sanitize")]
         let (mut was_present, mut was_dirty) = (false, false);
         if let Some(line) = self.cache.remove(la) {
-            #[cfg(feature = "sanitize")]
-            {
-                was_present = true;
-                was_dirty = line.dirty;
-            }
+            was_present = true;
             if line.dirty {
-                let visible = self.clock + SimDuration::from_nanos(self.costs.cxl_write_visible_ns);
-                self.pending_visible = self.pending_visible.max(visible);
-                pool.post_writeback(self.port, la, line.data, visible);
+                was_dirty = true;
+                self.stage_writeback(pool, la, &line.data);
             }
         }
         #[cfg(feature = "sanitize")]
         pool.san
             .on_clflush(self.port, la, was_present, was_dirty, self.clock);
+        #[cfg(not(feature = "sanitize"))]
+        let _ = was_present;
+        was_dirty
+    }
+
+    /// `CLWB`: write a dirty line back to the pool but keep it cached. The
+    /// data becomes visible in pool memory after the propagation delay.
+    pub fn clwb(&mut self, pool: &mut CxlPool, addr: u64) {
+        if self.clwb_line(pool, line_base(addr)) {
+            self.post_staged(pool, 0);
+        }
+    }
+
+    /// `CLWB` of every line of `[addr, addr+len)`, in address order (a
+    /// zero-length range still covers its containing line): per line
+    /// exactly [`Self::clwb`], but each maximal stretch of consecutive
+    /// dirty lines is posted to the pool as one run instead of line by
+    /// line.
+    pub fn clwb_range(&mut self, pool: &mut CxlPool, addr: u64, len: u64) {
+        let step = self.costs.clwb_ns;
+        for la in lines_covering(addr, len) {
+            if !self.clwb_line(pool, la) {
+                self.post_staged(pool, step);
+            }
+        }
+        self.post_staged(pool, step);
+    }
+
+    /// `CLFLUSHOPT`: write back if dirty, then evict the line so the next
+    /// access fetches fresh data from the pool.
+    pub fn clflushopt(&mut self, pool: &mut CxlPool, addr: u64) {
+        if self.clflushopt_line(pool, line_base(addr)) {
+            self.post_staged(pool, 0);
+        }
+    }
+
+    /// `CLFLUSHOPT` of every line of `[addr, addr+len)`, in address order
+    /// (a zero-length range still covers its containing line): per line
+    /// exactly [`Self::clflushopt`], with consecutive dirty lines posted as
+    /// one run like [`Self::clwb_range`].
+    pub fn clflushopt_range(&mut self, pool: &mut CxlPool, addr: u64, len: u64) {
+        let step = self.costs.clflushopt_ns;
+        for la in lines_covering(addr, len) {
+            if !self.clflushopt_line(pool, la) {
+                self.post_staged(pool, step);
+            }
+        }
+        self.post_staged(pool, step);
     }
 
     /// `MFENCE`: ordering point. Stalls until this host's posted

@@ -68,7 +68,7 @@ pub fn lines_covering(addr: u64, len: u64) -> impl Iterator<Item = u64> {
     } else {
         line_base(addr + len - 1)
     };
-    (first..=last).step_by(LINE as usize)
+    (first..last + LINE).step_by(LINE as usize)
 }
 
 #[cfg(test)]

@@ -13,8 +13,7 @@
 //! Every transfer is metered per host port and per [`TrafficClass`], so
 //! experiments can reproduce Table 3's payload/message bandwidth split.
 
-use oasis_sim::addrmap::AddrMap;
-use oasis_sim::time::SimTime;
+use oasis_sim::time::{SimDuration, SimTime};
 
 use crate::LINE;
 
@@ -93,22 +92,110 @@ impl LinkMeter {
     }
 }
 
-/// Queue entry for a posted write-back: ordering metadata only. The data
-/// itself lives in the per-line index (`pending_by_line`), whose per-line
-/// order mirrors the queue order restricted to that line.
-struct QueuedWrite {
-    visible_at: SimTime,
-    addr: u64,
-}
-
-/// A write-back posted by a CPU cache, indexed by line.
-struct LineWrite {
-    visible_at: SimTime,
+/// A posted write-back *run*: `n` consecutive lines from one port, line `i`
+/// becoming visible at `visible0 + i·step`. This is what one `clwb_range` /
+/// `clflushopt_range` over consecutive dirty lines posts; a single `clwb`,
+/// `clflushopt` or eviction is a 1-line run. Lines that have landed are
+/// trimmed off the front, so the fields always describe what is still in
+/// flight.
+struct Run {
+    /// Visibility time of the first line still in flight.
+    visible0: SimTime,
+    /// Address of the first line still in flight.
+    first_line: u64,
+    /// Lines still in flight.
+    n: u64,
+    /// Nanoseconds between consecutive lines' visibility times.
+    step: u64,
+    /// Posting order; breaks visibility-time ties between runs.
+    seq: u64,
     /// Port that posted it: the memory device serializes same-source,
     /// same-address streams, so a *fetch* from this port observes it even
     /// before global visibility.
     port: PortId,
-    data: [u8; LINE as usize],
+    /// Offset in `data` of the first line still in flight.
+    off: usize,
+    data: Vec<u8>,
+}
+
+impl Run {
+    /// One past the last line still in flight.
+    #[inline]
+    fn end(&self) -> u64 {
+        self.first_line + self.n * LINE
+    }
+
+    #[inline]
+    fn covers(&self, line_addr: u64) -> bool {
+        line_addr.wrapping_sub(self.first_line) < self.n * LINE
+    }
+
+    /// When the in-flight line at `line_addr` becomes visible.
+    #[inline]
+    fn visible_at(&self, line_addr: u64) -> SimTime {
+        self.visible0 + SimDuration::from_nanos((line_addr - self.first_line) / LINE * self.step)
+    }
+
+    /// Bytes of the in-flight line at `line_addr`.
+    #[inline]
+    fn line(&self, line_addr: u64) -> &[u8] {
+        let at = self.off + (line_addr - self.first_line) as usize;
+        &self.data[at..at + LINE as usize]
+    }
+
+    /// How many leading lines are visible by `now`. Counted from the time
+    /// difference, so `now == SimTime::MAX` cannot overflow.
+    #[inline]
+    fn due(&self, now: SimTime) -> u64 {
+        if self.visible0 > now {
+            return 0;
+        }
+        // A zero step makes every line visible at once.
+        match (now - self.visible0).as_nanos().checked_div(self.step) {
+            Some(steps) => steps.min(self.n - 1) + 1,
+            None => self.n,
+        }
+    }
+
+    /// Drop the first `k` lines (they have landed).
+    #[inline]
+    fn trim(&mut self, k: u64) {
+        self.first_line += k * LINE;
+        self.off += (k * LINE) as usize;
+        self.n -= k;
+        self.visible0 += SimDuration::from_nanos(k * self.step);
+    }
+}
+
+/// The lines of one run that an `apply_pending` call lands: `[start, end)`.
+struct Due {
+    start: u64,
+    end: u64,
+    /// Index into `CxlPool::runs`.
+    run: usize,
+    /// Some line is also landed from another run in the same call.
+    shared: bool,
+}
+
+/// Set `shared` on every entry that has a line in common with another one.
+///
+/// Sorted by start, an entry shares a line with an earlier entry exactly
+/// when it starts before the furthest end seen so far; and an entry that
+/// shares lines only with later entries is still the one holding that
+/// furthest end when the first of them arrives (anything reaching further
+/// would have to start before it ends, and so share a line with it).
+fn mark_shared(due: &mut [Due]) {
+    due.sort_unstable_by_key(|d| d.start);
+    let mut furthest = 0;
+    for i in 1..due.len() {
+        if due[i].start < due[furthest].end {
+            due[i].shared = true;
+            due[furthest].shared = true;
+        }
+        if due[i].end > due[furthest].end {
+            furthest = i;
+        }
+    }
 }
 
 /// The shared pool: flat memory + meters + class registry + posted writes.
@@ -119,13 +206,29 @@ pub struct CxlPool {
     /// kept sorted by `start` and pairwise disjoint so classification is a
     /// binary search.
     class_ranges: Vec<(u64, u64, TrafficClass)>,
-    /// Posted write-backs not yet visible, kept sorted by `visible_at`
-    /// (ties in posting order). Holds ordering only; see `pending_by_line`.
-    pending: Vec<QueuedWrite>,
-    /// Line address → this line's still-pending writes, in queue order.
-    /// Lets `fetch_line`'s own-port overlay look at one short vector
-    /// instead of scanning the whole queue.
-    pending_by_line: AddrMap<Vec<LineWrite>>,
+    /// Posted write-back runs with lines still in flight, in no particular
+    /// order: the order writes land in is carried by `(visible_at, seq)`.
+    runs: Vec<Run>,
+    /// Earliest `visible0` in `runs` (`SimTime::MAX` when empty): the O(1)
+    /// nothing-is-due test on hot paths.
+    next_due: SimTime,
+    /// Lines in flight across all runs.
+    pending_lines: usize,
+    /// Next run's `seq`.
+    next_seq: u64,
+    /// Data buffers of retired runs, `[1-line, multi-line]`: a post takes
+    /// one instead of allocating, so there are never more buffers than the
+    /// peak number of concurrent runs, and a payload-sized buffer is never
+    /// parked under a 64 B message line.
+    free_bufs: [Vec<Vec<u8>>; 2],
+    /// Scratch for `apply_pending`: what each run lands in this call, and
+    /// the `(visible_at, seq, run, line)` order of the lines that more than
+    /// one run lands.
+    due: Vec<Due>,
+    land_order: Vec<(SimTime, u64, usize, u64)>,
+    /// Scratch for `fetch_lines`: per fetched line, the `(visible_at, seq)`
+    /// of the in-flight write it currently shows.
+    shown: Vec<Option<(SimTime, u64)>>,
     /// Memo of the last classified range (start, end, class): datapath
     /// traffic hammers one region at a time, so most lookups hit here and
     /// skip the binary search. `(0, 0, _)` never matches.
@@ -147,8 +250,14 @@ impl CxlPool {
             mem: vec![0; size as usize],
             meters: vec![LinkMeter::default(); ports],
             class_ranges: Vec::new(),
-            pending: Vec::new(),
-            pending_by_line: AddrMap::new(),
+            runs: Vec::new(),
+            next_due: SimTime::MAX,
+            pending_lines: 0,
+            next_seq: 0,
+            free_bufs: [Vec::new(), Vec::new()],
+            due: Vec::new(),
+            land_order: Vec::new(),
+            shown: Vec::new(),
             last_class: std::cell::Cell::new((0, 0, TrafficClass::Unclassified)),
             #[cfg(feature = "sanitize")]
             san: crate::sanitizer::Sanitizer::new(ports),
@@ -264,6 +373,10 @@ impl CxlPool {
     /// runs here so per-run metering attributes bytes to exactly the class
     /// a per-line walk would have.
     pub(crate) fn class_span_end(&self, addr: u64) -> u64 {
+        let (ms, me, _) = self.last_class.get();
+        if ms <= addr && addr < me {
+            return me;
+        }
         let idx = self.class_ranges.partition_point(|&(s, _, _)| s <= addr);
         if let Some((_, e, _)) = idx.checked_sub(1).map(|i| self.class_ranges[i]) {
             if addr < e {
@@ -277,34 +390,78 @@ impl CxlPool {
 
     /// Apply all posted write-backs that have become visible by `now`.
     ///
-    /// `pending` is sorted by visibility time, so the visible entries are a
-    /// prefix: one `partition_point` + `drain`, with an O(1) early return
-    /// when nothing is due (the common case on hot paths).
+    /// O(1) when nothing is due (the common case on hot paths). Otherwise
+    /// each run's due prefix lands with one copy. Only where two runs land
+    /// the same line in the same call does order matter: those prefixes go
+    /// line by line in `(visible_at, seq)` order across runs — the order a
+    /// queue of single lines sorted by visibility time (ties in posting
+    /// order) would use — so the last write to the line is the right one
+    /// even when the posting hosts' clocks are skewed. A line one run lands
+    /// now and another later needs no care: the later one is not yet
+    /// visible. Runs with nothing left in flight hand their buffer back.
     pub fn apply_pending(&mut self, now: SimTime) {
-        match self.pending.first() {
-            Some(w) if w.visible_at <= now => {}
-            _ => return,
+        if self.next_due > now {
+            return;
         }
-        let idx = self.pending.partition_point(|w| w.visible_at <= now);
-        for w in self.pending.drain(..idx) {
-            // The queue's global order restricted to one line equals that
-            // line's index order, so this write is its line's front entry.
-            // oasis-check: allow(no-panic) pending and pending_by_line are
-            // updated together; a missing index entry is memory corruption,
-            // not a recoverable condition.
-            let entries = self
-                .pending_by_line
-                .get_mut(w.addr)
-                .expect("queued write has an index entry");
-            let e = entries.remove(0);
-            debug_assert_eq!(e.visible_at, w.visible_at);
-            if entries.is_empty() {
-                self.pending_by_line.remove(w.addr);
+        let mut due = std::mem::take(&mut self.due);
+        for (run, r) in self.runs.iter().enumerate() {
+            let k = r.due(now);
+            if k > 0 {
+                due.push(Due {
+                    start: r.first_line,
+                    end: r.first_line + k * LINE,
+                    run,
+                    shared: false,
+                });
             }
+        }
+        mark_shared(&mut due);
+        let mut order = std::mem::take(&mut self.land_order);
+        for d in &due {
+            let r = &self.runs[d.run];
+            if d.shared {
+                order.extend(
+                    (d.start..d.end)
+                        .step_by(LINE as usize)
+                        .map(|la| (r.visible_at(la), r.seq, d.run, la)),
+                );
+                continue;
+            }
+            let (base, len) = (d.start as usize, (d.end - d.start) as usize);
+            self.mem[base..base + len].copy_from_slice(&r.data[r.off..r.off + len]);
             #[cfg(feature = "sanitize")]
-            self.san.on_apply_writeback(e.port, w.addr);
-            let base = w.addr as usize;
-            self.mem[base..base + LINE as usize].copy_from_slice(&e.data);
+            for la in (d.start..d.end).step_by(LINE as usize) {
+                self.san.on_apply_writeback(r.port, la);
+            }
+        }
+        order.sort_unstable();
+        for (_, _, run, la) in order.drain(..) {
+            let r = &self.runs[run];
+            let base = la as usize;
+            self.mem[base..base + LINE as usize].copy_from_slice(r.line(la));
+            #[cfg(feature = "sanitize")]
+            self.san.on_apply_writeback(r.port, la);
+        }
+        self.land_order = order;
+        for d in due.drain(..) {
+            let k = (d.end - d.start) / LINE;
+            self.runs[d.run].trim(k);
+            self.pending_lines -= k as usize;
+        }
+        self.due = due;
+
+        self.next_due = SimTime::MAX;
+        let mut i = 0;
+        while i < self.runs.len() {
+            if self.runs[i].n == 0 {
+                let mut buf = self.runs.swap_remove(i).data;
+                let multi_line = buf.len() > LINE as usize;
+                buf.clear();
+                self.free_bufs[usize::from(multi_line)].push(buf);
+            } else {
+                self.next_due = self.next_due.min(self.runs[i].visible0);
+                i += 1;
+            }
         }
     }
 
@@ -334,14 +491,19 @@ impl CxlPool {
         let base = line_addr as usize;
         let mut out = [0u8; LINE as usize];
         out.copy_from_slice(&self.mem[base..base + LINE as usize]);
-        // Overlay this port's own pending write-backs: the last matching
-        // entry in the line's (queue-ordered) index, if any.
-        if !self.pending_by_line.is_empty() {
-            if let Some(entries) = self.pending_by_line.get(line_addr) {
-                if let Some(w) = entries.iter().rev().find(|w| w.port == port) {
-                    out.copy_from_slice(&w.data);
+        // Overlay this port's own in-flight write-back of the line: of the
+        // (few) runs covering it, the latest in `(visible_at, seq)` order.
+        let mut own: Option<((SimTime, u64), &Run)> = None;
+        for r in &self.runs {
+            if r.port == port && r.covers(line_addr) {
+                let key = (r.visible_at(line_addr), r.seq);
+                if own.is_none_or(|(k, _)| k < key) {
+                    own = Some((key, r));
                 }
             }
+        }
+        if let Some((_, r)) = own {
+            out.copy_from_slice(r.line(line_addr));
         }
         out
     }
@@ -377,73 +539,105 @@ impl CxlPool {
         self.note_xfer(t0, port, out.len() as u64);
         let base = line_addr as usize;
         out.copy_from_slice(&self.mem[base..base + out.len()]);
-        // Per-line fixups for writes still queued after the t0 apply: a
-        // queued write is observed by line `i`'s fetch if it has become
-        // globally visible by that line's fetch time, or if this port
-        // posted it (same-source serialization). Walking the line's index
-        // in order and keeping the last match reproduces the apply-then-
-        // overlay order of per-line fetches. Skipped entirely when nothing
-        // is queued — the common case.
-        if !self.pending_by_line.is_empty() {
-            for i in 0..n_lines {
-                let la = line_addr + i * LINE;
-                let Some(entries) = self.pending_by_line.get(la) else {
+        // Per-line fix-ups for writes still in flight after the t0 apply:
+        // line `i`'s fetch observes one if it has become globally visible
+        // by that line's fetch time, or if this port posted it (same-source
+        // serialization). Of the writes a line observes, the latest in
+        // `(visible_at, seq)` order wins — the apply-then-overlay order of
+        // per-line fetches. Skipped entirely when nothing is in flight, the
+        // common case.
+        if !self.runs.is_empty() {
+            let end = line_addr + n_lines * LINE;
+            let mut shown = std::mem::take(&mut self.shown);
+            for r in &self.runs {
+                let (lo, hi) = (r.first_line.max(line_addr), r.end().min(end));
+                if lo >= hi {
                     continue;
-                };
-                let t_i = t0 + oasis_sim::time::SimDuration::from_nanos(i * step_ns);
-                let off = (i * LINE) as usize;
-                for w in entries {
-                    if w.visible_at <= t_i || w.port == port {
-                        out[off..off + LINE as usize].copy_from_slice(&w.data);
+                }
+                shown.resize(n_lines as usize, None);
+                for la in (lo..hi).step_by(LINE as usize) {
+                    let i = (la - line_addr) / LINE;
+                    let t_i = t0 + SimDuration::from_nanos(i * step_ns);
+                    let visible_at = r.visible_at(la);
+                    let key = Some((visible_at, r.seq));
+                    if (visible_at <= t_i || r.port == port) && shown[i as usize] < key {
+                        shown[i as usize] = key;
+                        let off = (i * LINE) as usize;
+                        out[off..off + LINE as usize].copy_from_slice(r.line(la));
                     }
                 }
             }
+            shown.clear();
+            self.shown = shown;
             // Match the queue state a per-line walk would have left: every
             // write due by the final fetch time has been applied.
-            self.apply_pending(
-                t0 + oasis_sim::time::SimDuration::from_nanos((n_lines - 1) * step_ns),
-            );
+            self.apply_pending(t0 + SimDuration::from_nanos((n_lines - 1) * step_ns));
         }
     }
 
-    /// Post a line write-back from a CPU cache; visible at `visible_at`.
-    /// Meters a 64 B write on `port`.
-    pub(crate) fn post_writeback(
-        &mut self,
-        port: PortId,
-        line_addr: u64,
-        data: [u8; LINE as usize],
-        visible_at: SimTime,
-    ) {
-        let class = self.classify(line_addr);
-        self.meters[port.0].write_bytes[class.index()] += LINE;
+    /// Observer hooks for one line a CPU cache is about to post (`obs`
+    /// timelines, sanitizer shadow). [`crate::HostCtx`] calls this once per
+    /// line, at the point a per-line flush would have posted it, so both
+    /// observers see the same events in the same order whether the line
+    /// then travels alone or inside a run. Free when neither is compiled in.
+    #[inline]
+    pub(crate) fn note_posted_line(&mut self, port: PortId, line_addr: u64, visible_at: SimTime) {
         // Timeline-binned at visibility time — the instant the line is on
         // the wire toward pool memory (posting time is not plumbed here).
         self.note_xfer(visible_at, port, LINE);
         #[cfg(feature = "sanitize")]
         self.san.on_post_writeback(port, line_addr, visible_at);
-        // Insert keeping `pending` sorted by visibility time so apply order
-        // is deterministic even when host clocks are slightly skewed.
-        let idx = self.pending.partition_point(|w| w.visible_at <= visible_at);
-        self.pending.insert(
-            idx,
-            QueuedWrite {
-                visible_at,
-                addr: line_addr,
-            },
-        );
-        // Mirror into the per-line index at the same relative position so
-        // the line's vector stays in queue order.
-        let entries = self.pending_by_line.get_or_insert_with(line_addr, Vec::new);
-        let line_idx = entries.partition_point(|w| w.visible_at <= visible_at);
-        entries.insert(
-            line_idx,
-            LineWrite {
-                visible_at,
+        #[cfg(not(feature = "sanitize"))]
+        let _ = line_addr;
+    }
+
+    /// Post a run of consecutive line write-backs from a CPU cache: line
+    /// `i` of `data`, at `first_line + i·LINE`, becomes visible at
+    /// `visible0 + i·step_ns`. Meters `data.len()` written bytes on `port`.
+    ///
+    /// The run is split at traffic-class span edges (see
+    /// [`Self::class_span_end`]) so each piece is metered to the class a
+    /// per-line walk would have charged.
+    pub(crate) fn post_writeback_run(
+        &mut self,
+        port: PortId,
+        first_line: u64,
+        data: &[u8],
+        visible0: SimTime,
+        step_ns: u64,
+    ) {
+        debug_assert!(first_line.is_multiple_of(LINE));
+        debug_assert!(data.len().is_multiple_of(LINE as usize));
+        let (mut la, mut visible, mut rest) = (first_line, visible0, data);
+        while !rest.is_empty() {
+            // Lines whose *base* lies in `la`'s class span (classification
+            // is by base, exactly as in the per-line walk).
+            let class = self.classify(la);
+            let span_lines = (self.class_span_end(la) - la).div_ceil(LINE);
+            let n = span_lines.min(rest.len() as u64 / LINE);
+            let (piece, tail) = rest.split_at((n * LINE) as usize);
+            self.meters[port.0].write_bytes[class.index()] += piece.len() as u64;
+
+            let mut buf = self.free_bufs[usize::from(n > 1)].pop().unwrap_or_default();
+            buf.extend_from_slice(piece);
+            self.runs.push(Run {
+                visible0: visible,
+                first_line: la,
+                n,
+                step: step_ns,
+                seq: self.next_seq,
                 port,
-                data,
-            },
-        );
+                off: 0,
+                data: buf,
+            });
+            self.next_seq += 1;
+            self.pending_lines += n as usize;
+            self.next_due = self.next_due.min(visible);
+
+            la += n * LINE;
+            visible += SimDuration::from_nanos(n * step_ns);
+            rest = tail;
+        }
     }
 
     /// Device DMA read: bypasses CPU caches entirely, reads pool memory
@@ -486,9 +680,9 @@ impl CxlPool {
         self.mem[base..base + data.len()].copy_from_slice(data);
     }
 
-    /// Number of write-backs still in flight.
+    /// Number of line write-backs still in flight.
     pub fn pending_writebacks(&self) -> usize {
-        self.pending.len()
+        self.pending_lines
     }
 }
 
@@ -498,6 +692,24 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    /// Post one line (a 1-line run).
+    fn post(p: &mut CxlPool, port: usize, addr: u64, line: [u8; 64], visible_at: SimTime) {
+        p.post_writeback_run(PortId(port), addr, &line, visible_at, 0);
+    }
+
+    /// `n` lines of run data, line `i` filled with `first + i`.
+    fn run_data(first: u8, n: u64) -> Vec<u8> {
+        (0..n)
+            .flat_map(|i| [first.wrapping_add(i as u8); LINE as usize])
+            .collect()
+    }
+
+    fn peek_byte(p: &CxlPool, addr: u64) -> u8 {
+        let mut b = [0u8; 1];
+        p.peek(addr, &mut b);
+        b[0]
     }
 
     #[test]
@@ -514,7 +726,7 @@ mod tests {
         let mut p = CxlPool::new(4096, 1);
         let mut line = [0u8; 64];
         line[0] = 42;
-        p.post_writeback(PortId(0), 0, line, t(100));
+        post(&mut p, 0, 0, line, t(100));
         let mut buf = [0u8; 1];
         p.dma_read(t(50), PortId(0), 0, &mut buf);
         assert_eq!(buf[0], 0, "write must not be visible before t=100");
@@ -555,8 +767,8 @@ mod tests {
         let mut l2 = [0u8; 64];
         l2[0] = 2;
         // Two write-backs to the same line: later-visible one posted first.
-        p.post_writeback(PortId(0), 0, l2, t(200));
-        p.post_writeback(PortId(0), 0, l1, t(100));
+        post(&mut p, 0, 0, l2, t(200));
+        post(&mut p, 0, 0, l1, t(100));
         let line = p.fetch_line(t(150), PortId(1), 0);
         assert_eq!(line[0], 1);
         let line = p.fetch_line(t(250), PortId(1), 0);
@@ -570,7 +782,7 @@ mod tests {
         let mut p = CxlPool::new(4096, 2);
         let mut l = [0u8; 64];
         l[0] = 7;
-        p.post_writeback(PortId(0), 0, l, t(1_000));
+        post(&mut p, 0, 0, l, t(1_000));
         assert_eq!(p.fetch_line(t(10), PortId(0), 0)[0], 7, "own write seen");
         assert_eq!(p.fetch_line(t(10), PortId(1), 0)[0], 0, "peer still stale");
         assert_eq!(p.fetch_line(t(1_000), PortId(1), 0)[0], 7);
@@ -581,13 +793,154 @@ mod tests {
         let mut p = CxlPool::new(4096, 1);
         let mut l = [0u8; 64];
         l[7] = 9;
-        p.post_writeback(PortId(0), 64, l, t(1_000_000));
+        post(&mut p, 0, 64, l, t(1_000_000));
         assert_eq!(p.pending_writebacks(), 1);
         p.flush_pending();
         assert_eq!(p.pending_writebacks(), 0);
-        let mut buf = [0u8; 1];
-        p.peek(64 + 7, &mut buf);
-        assert_eq!(buf[0], 9);
+        assert_eq!(peek_byte(&p, 64 + 7), 9);
+    }
+
+    #[test]
+    fn run_lands_line_by_line_as_time_passes() {
+        let mut p = CxlPool::new(4096, 1);
+        // Lines 1..=4, visible at 100, 110, 120, 130.
+        p.post_writeback_run(PortId(0), 64, &run_data(1, 4), t(100), 10);
+        assert_eq!(p.pending_writebacks(), 4);
+        p.apply_pending(t(99));
+        assert_eq!(p.pending_writebacks(), 4);
+        p.apply_pending(t(119));
+        assert_eq!(p.pending_writebacks(), 2, "lines at 100 and 110 landed");
+        assert_eq!(
+            [64, 128, 192, 256].map(|a| peek_byte(&p, a)),
+            [1, 2, 0, 0],
+            "only the due prefix is in memory"
+        );
+        p.apply_pending(t(130));
+        assert_eq!(p.pending_writebacks(), 0);
+        assert_eq!([64, 128, 192, 256].map(|a| peek_byte(&p, a)), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn overlapping_runs_land_in_visibility_then_posting_order() {
+        // Two hosts with skewed clocks write back overlapping buffers, and
+        // both runs are due in the same apply_pending call. Per line the
+        // later (visible_at, posting order) must win:
+        //   run A (port 0, posted first):  lines 0..4 visible 100,110,120,130
+        //   run B (port 1, posted second): lines 2..6 visible 105,115,125,135
+        // Line 2: A at 120 beats B at 105. Line 3: A at 130 beats B at 115.
+        let mut p = CxlPool::new(4096, 2);
+        p.post_writeback_run(PortId(0), 0, &run_data(0xA0, 4), t(100), 10);
+        p.post_writeback_run(PortId(1), 128, &run_data(0xB0, 4), t(105), 10);
+        // A third run, same lines as A, same visibility times, posted
+        // last: ties go to posting order, so it beats A everywhere — and on
+        // lines 2 and 3 it beats B too, being visible later.
+        p.post_writeback_run(PortId(1), 0, &run_data(0xC0, 4), t(100), 10);
+        p.apply_pending(t(1_000));
+        assert_eq!(p.pending_writebacks(), 0);
+        let got: Vec<u8> = (0..6).map(|l| peek_byte(&p, l * LINE)).collect();
+        assert_eq!(got, [0xC0, 0xC1, 0xC2, 0xC3, 0xB2, 0xB3]);
+
+        // The same two buffers again, B's clock now far behind A's: every
+        // line of B is visible before A's, so A wins the shared lines even
+        // though B was posted later.
+        let mut p = CxlPool::new(4096, 2);
+        p.post_writeback_run(PortId(0), 0, &run_data(0xA0, 4), t(500), 10);
+        p.post_writeback_run(PortId(1), 128, &run_data(0xB0, 4), t(105), 10);
+        p.apply_pending(t(1_000));
+        let got: Vec<u8> = (0..6).map(|l| peek_byte(&p, l * LINE)).collect();
+        assert_eq!(got, [0xA0, 0xA1, 0xA2, 0xA3, 0xB2, 0xB3]);
+    }
+
+    #[test]
+    fn flushing_a_long_run_does_not_overflow() {
+        let n = 512;
+        let mut p = CxlPool::new(n * LINE, 1);
+        // Coarse steps near the end of time: the due-count must come from
+        // the time difference, not from stepping past `SimTime::MAX`.
+        let step = u64::MAX / (2 * n);
+        p.post_writeback_run(PortId(0), 0, &run_data(1, n), t(1), step);
+        p.apply_pending(t(step));
+        assert_eq!(
+            p.pending_writebacks(),
+            (n - 1) as usize,
+            "only line 0 is due"
+        );
+        p.apply_pending(SimTime::MAX);
+        assert_eq!(p.pending_writebacks(), 0);
+        assert_eq!(peek_byte(&p, (n - 1) * LINE), (n as u8).wrapping_add(0));
+        // A zero-step run (every line visible at once) as well.
+        p.post_writeback_run(PortId(0), 0, &run_data(7, n), t(5), 0);
+        p.flush_pending();
+        assert_eq!(p.pending_writebacks(), 0);
+        assert_eq!(peek_byte(&p, 0), 7);
+    }
+
+    #[test]
+    fn run_is_metered_per_class_span() {
+        // Spans need not be line-aligned; a line belongs to the class of
+        // its base address, exactly as when each line is posted alone.
+        let mut bulk = CxlPool::new(4096, 1);
+        let mut walk = CxlPool::new(4096, 1);
+        for p in [&mut bulk, &mut walk] {
+            p.register_class(0, 160, TrafficClass::Payload);
+            p.register_class(160, 320, TrafficClass::Message);
+            p.register_class(512, 576, TrafficClass::Control);
+        }
+        let data = run_data(1, 10);
+        bulk.post_writeback_run(PortId(0), 0, &data, t(10), 3);
+        for i in 0..10 {
+            let at = (i * LINE) as usize;
+            walk.post_writeback_run(PortId(0), i * LINE, &data[at..at + 64], t(10 + 3 * i), 0);
+        }
+        for class in TrafficClass::ALL {
+            assert_eq!(
+                bulk.meter(PortId(0)).write_bytes(class),
+                walk.meter(PortId(0)).write_bytes(class),
+                "{class:?}"
+            );
+        }
+        assert_eq!(
+            bulk.meter(PortId(0)).write_bytes(TrafficClass::Payload),
+            192
+        );
+        assert_eq!(
+            bulk.meter(PortId(0)).write_bytes(TrafficClass::Message),
+            128
+        );
+        assert_eq!(bulk.meter(PortId(0)).write_bytes(TrafficClass::Control), 64);
+        // The pieces keep the run's visibility schedule.
+        bulk.apply_pending(t(10 + 3 * 4));
+        walk.apply_pending(t(10 + 3 * 4));
+        assert_eq!(bulk.pending_writebacks(), 5);
+        assert_eq!(bulk.mem, walk.mem);
+        bulk.flush_pending();
+        walk.flush_pending();
+        assert_eq!(bulk.mem, walk.mem);
+    }
+
+    #[test]
+    fn run_buffers_are_recycled_by_size() {
+        let mut p = CxlPool::new(1 << 16, 1);
+        let payload = run_data(1, 256);
+        let mut now = 0;
+        for round in 0..50u64 {
+            // Up to three payload runs and three message lines in flight.
+            for k in 0..3 {
+                p.post_writeback_run(PortId(0), k * 16384, &payload, t(now + 100), 1);
+                post(&mut p, 0, 49152 + k * LINE, [round as u8; 64], t(now + 100));
+            }
+            now += 1_000;
+            p.apply_pending(t(now));
+        }
+        assert_eq!(p.pending_writebacks(), 0);
+        let [line_bufs, run_bufs] = &p.free_bufs;
+        assert_eq!(
+            (line_bufs.len(), run_bufs.len()),
+            (3, 3),
+            "peak concurrent runs"
+        );
+        assert!(line_bufs.iter().all(|b| b.capacity() == LINE as usize));
+        assert!(run_bufs.iter().all(|b| b.capacity() >= payload.len()));
     }
 }
 
@@ -597,8 +950,12 @@ mod pending_props {
     use oasis_sim::time::SimDuration;
     use proptest::prelude::*;
 
-    /// A posted write as the reference model remembers it: the full history
-    /// in posting order, never drained.
+    /// Lines in the proptest pools.
+    const LINES: u64 = 8;
+
+    /// A posted line write as the reference model remembers it: the full
+    /// history in posting order, never drained. A posted run contributes
+    /// one entry per line.
     #[derive(Clone, Copy, Debug)]
     struct MWrite {
         visible_at: SimTime,
@@ -632,37 +989,72 @@ mod pending_props {
         own_inflight.unwrap_or(landed)
     }
 
+    /// A run as the strategies draw it; `n` is clipped to the pool.
+    #[derive(Clone, Copy, Debug)]
+    struct RunSpec {
+        port: usize,
+        first_line: u64,
+        n: u64,
+        byte: u8,
+        step: u64,
+    }
+
+    fn run_strategy() -> impl Strategy<Value = RunSpec> {
+        // 8 lines × 3 ports with short horizons keeps overlaps, visibility
+        // ties (`step == 0`, equal delays) and later-posted-but-earlier-
+        // visible runs from another port frequent. Half the runs are the
+        // single lines `clwb` / eviction post.
+        (
+            0usize..3,
+            0..LINES,
+            prop_oneof![Just(1u64), 1..=LINES],
+            any::<u8>(),
+            prop_oneof![Just(0u64), 0u64..40],
+        )
+            .prop_map(|(port, first_line, n, byte, step)| RunSpec {
+                port,
+                first_line,
+                n: n.min(LINES - first_line),
+                byte,
+                step,
+            })
+    }
+
+    /// Post `spec` at `visible0` to `pool`, recording its lines in
+    /// `history`.
+    fn post_run(pool: &mut CxlPool, history: &mut Vec<MWrite>, spec: RunSpec, visible0: SimTime) {
+        let mut data = Vec::new();
+        for i in 0..spec.n {
+            let byte = spec.byte.wrapping_add(i as u8);
+            data.extend_from_slice(&[byte; LINE as usize]);
+            history.push(MWrite {
+                visible_at: visible0 + SimDuration::from_nanos(i * spec.step),
+                port: spec.port,
+                line: spec.first_line + i,
+                byte,
+            });
+        }
+        pool.post_writeback_run(
+            PortId(spec.port),
+            spec.first_line * LINE,
+            &data,
+            visible0,
+            spec.step,
+        );
+    }
+
     #[derive(Clone, Debug)]
     enum Op {
-        Post {
-            port: usize,
-            line: u64,
-            byte: u8,
-            delay: u64,
-        },
-        Advance {
-            ns: u64,
-        },
-        Fetch {
-            port: usize,
-            line: u64,
-        },
+        PostRun { run: RunSpec, delay: u64 },
+        Advance { ns: u64 },
+        Fetch { port: usize, line: u64 },
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        // 4 lines × 3 ports with short horizons keeps same-line collisions
-        // and visibility ties frequent.
         prop_oneof![
-            (0usize..3, 0u64..4, any::<u8>(), 0u64..500).prop_map(|(port, line, byte, delay)| {
-                Op::Post {
-                    port,
-                    line,
-                    byte,
-                    delay,
-                }
-            }),
+            (run_strategy(), 0u64..500).prop_map(|(run, delay)| Op::PostRun { run, delay }),
             (0u64..300).prop_map(|ns| Op::Advance { ns }),
-            (0usize..3, 0u64..4).prop_map(|(port, line)| Op::Fetch { port, line }),
+            (0usize..3, 0..LINES).prop_map(|(port, line)| Op::Fetch { port, line }),
         ]
     }
 
@@ -670,26 +1062,21 @@ mod pending_props {
         /// Pending-write-back semantics against the reference model: each
         /// port reads its own posted writes immediately; no port observes
         /// another port's write before its `visible_at`; once due, writes
-        /// land in visibility order. Also checks that the prefix-drain
-        /// `apply_pending` retires exactly the due writes.
+        /// land in visibility order — line by line, however they were
+        /// grouped into runs. Also checks that `apply_pending` retires
+        /// exactly the due lines.
         #[test]
         fn pending_writebacks_match_model(
             ops in proptest::collection::vec(op_strategy(), 1..150),
         ) {
-            let mut pool = CxlPool::new(4 * LINE, 3);
+            let mut pool = CxlPool::new(LINES * LINE, 3);
             let mut history: Vec<MWrite> = Vec::new();
             let mut now = SimTime::ZERO;
             for op in ops {
                 match op {
-                    Op::Post { port, line, byte, delay } => {
-                        let visible_at = now + SimDuration::from_nanos(delay);
-                        pool.post_writeback(
-                            PortId(port),
-                            line * LINE,
-                            [byte; LINE as usize],
-                            visible_at,
-                        );
-                        history.push(MWrite { visible_at, port, line, byte });
+                    Op::PostRun { run, delay } => {
+                        let visible0 = now + SimDuration::from_nanos(delay);
+                        post_run(&mut pool, &mut history, run, visible0);
                     }
                     Op::Advance { ns } => now += SimDuration::from_nanos(ns),
                     Op::Fetch { port, line } => {
@@ -704,42 +1091,65 @@ mod pending_props {
                             now
                         );
                         // fetch_line applied everything due by `now`, so the
-                        // queue must hold exactly the not-yet-due writes.
+                        // queue must hold exactly the not-yet-due lines.
                         let inflight =
                             history.iter().filter(|w| w.visible_at > now).count();
                         prop_assert_eq!(pool.pending_writebacks(), inflight);
                     }
                 }
             }
+            // Everything lands in the end, last-visible write on top.
+            pool.flush_pending();
+            prop_assert_eq!(pool.pending_writebacks(), 0);
+            for line in 0..LINES {
+                let want = model_fetch(&history, SimTime::MAX, 0, line);
+                prop_assert_eq!(pool.mem[(line * LINE) as usize], want, "line {}", line);
+            }
+        }
+
+        /// The one-pass sweep marks exactly the entries a pairwise check
+        /// would.
+        #[test]
+        fn mark_shared_matches_pairwise_check(
+            spans in proptest::collection::vec((0u64..24, 1u64..8), 0..10),
+        ) {
+            let mut due: Vec<Due> = spans
+                .iter()
+                .enumerate()
+                .map(|(run, &(start, len))| Due { start, end: start + len, run, shared: false })
+                .collect();
+            mark_shared(&mut due);
+            for d in &due {
+                let pairwise = due
+                    .iter()
+                    .any(|o| o.run != d.run && o.start < d.end && d.start < o.end);
+                prop_assert_eq!(d.shared, pairwise, "[{}, {}) among {:?}", d.start, d.end, spans);
+            }
         }
 
         /// The bulk streaming fetch is observationally identical to the
-        /// per-line walk it replaces: same bytes, same meter totals, same
-        /// retired-queue state, for any posted-write history and any
-        /// (start, length, step, port, t0).
+        /// per-line walk it replaces and to the model: same bytes, same
+        /// meter totals, same retired-queue state, for any history of
+        /// posted runs and any (start, length, step, port, t0).
         #[test]
         fn bulk_fetch_matches_per_line_walk(
-            posts in proptest::collection::vec(
-                (0usize..3, 0u64..4, any::<u8>(), 0u64..800),
-                0..24,
-            ),
-            start in 0u64..4,
-            len in 1u64..5,
+            posts in proptest::collection::vec((run_strategy(), 0u64..800), 0..24),
+            start in 0..LINES,
+            len in 1..=LINES,
             step_ns in 0u64..120,
             port in 0usize..3,
             t0_ns in 0u64..900,
         ) {
-            let n_lines = len.min(4 - start);
-            prop_assume!(n_lines >= 1);
+            let n_lines = len.min(LINES - start);
             let t0 = SimTime::from_nanos(t0_ns);
             // Two pools fed the identical posting history.
-            let mut bulk = CxlPool::new(4 * LINE, 3);
-            let mut walk = CxlPool::new(4 * LINE, 3);
-            for &(p, line, byte, vis) in &posts {
-                let data = [byte; LINE as usize];
+            let mut bulk = CxlPool::new(LINES * LINE, 3);
+            let mut walk = CxlPool::new(LINES * LINE, 3);
+            let mut history = Vec::new();
+            for &(run, vis) in &posts {
                 let at = SimTime::from_nanos(vis);
-                bulk.post_writeback(PortId(p), line * LINE, data, at);
-                walk.post_writeback(PortId(p), line * LINE, data, at);
+                post_run(&mut bulk, &mut history, run, at);
+                post_run(&mut walk, &mut Vec::new(), run, at);
             }
 
             let mut got = vec![0u8; (n_lines * LINE) as usize];
@@ -749,6 +1159,12 @@ mod pending_props {
             for i in 0..n_lines {
                 let t_i = t0 + SimDuration::from_nanos(i * step_ns);
                 let line = walk.fetch_line(t_i, PortId(port), (start + i) * LINE);
+                prop_assert_eq!(
+                    line,
+                    [model_fetch(&history, t_i, port, start + i); LINE as usize],
+                    "per-line walk diverged from model at line {}",
+                    start + i
+                );
                 let off = (i * LINE) as usize;
                 want[off..off + LINE as usize].copy_from_slice(&line);
             }
@@ -764,6 +1180,7 @@ mod pending_props {
                 walk.pending_writebacks(),
                 "retired-queue state diverged"
             );
+            prop_assert_eq!(bulk.mem, walk.mem, "landed bytes diverged");
         }
     }
 }

@@ -193,3 +193,64 @@ fn host_reset_invalidates_shadow_snapshots() {
     assert_eq!(out, [2u8; 64]);
     assert_eq!(pool.san.error_count(), 0, "{}", pool.san.summary());
 }
+
+/// A staged payload: `BUF_LINES` lines at `ADDR`, all dirty except one
+/// clean line in the middle, flushed either with the range ops or with the
+/// per-line walk they replace. Returns the pool after the same driver
+/// mistakes were made on top of it.
+fn flush_mistakes(ranged: bool) -> CxlPool {
+    const BUF_LINES: u64 = 8;
+    const BUF: u64 = BUF_LINES * 64;
+    let (mut pool, mut h0, _h1) = setup();
+    let clwb_buf = |pool: &mut CxlPool, h: &mut HostCtx| {
+        if ranged {
+            h.clwb_range(pool, ADDR, BUF);
+        } else {
+            for la in oasis_cxl::lines_covering(ADDR, BUF) {
+                h.clwb(pool, la);
+            }
+        }
+    };
+    let mut line = [0u8; 64];
+    h0.read(&mut pool, ADDR + 3 * 64, &mut line); // present, clean
+    for l in (0..BUF_LINES).filter(|&l| l != 3) {
+        h0.write(&mut pool, ADDR + l * 64, &[l as u8 + 1; 64]);
+    }
+    clwb_buf(&mut pool, &mut h0);
+    // Mistake 1: the device reads the buffer while the run is in flight.
+    let mut dma = [0u8; BUF as usize];
+    pool.dma_read(h0.clock, PortId(1), ADDR, &mut dma);
+    // Mistake 2: the doorbell is rung without a fence.
+    h0.publish_fenced(&mut pool, ADDR, BUF);
+    // Mistake 3: the now-clean buffer is written back again.
+    clwb_buf(&mut pool, &mut h0);
+    h0.mfence(&mut pool);
+    // Mistake 4: released twice.
+    for _ in 0..2 {
+        if ranged {
+            h0.clflushopt_range(&mut pool, ADDR, BUF);
+        } else {
+            for la in oasis_cxl::lines_covering(ADDR, BUF) {
+                h0.clflushopt(&mut pool, la);
+            }
+        }
+    }
+    pool
+}
+
+#[test]
+fn range_flush_tells_the_sanitizer_what_the_line_walk_tells_it() {
+    let ranged = flush_mistakes(true);
+    let walked = flush_mistakes(false);
+    let story =
+        |p: &CxlPool| -> Vec<String> { p.san.reports().iter().map(|r| r.to_string()).collect() };
+    assert_eq!(story(&ranged), story(&walked));
+    assert_eq!(ranged.san.summary(), walked.san.summary());
+    // Seven lines were in flight under the DMA read and unfenced at the
+    // doorbell (the clean one was never posted, but its clwb is unfenced
+    // too); the second clwb and the second clflushopt found all eight
+    // clean.
+    assert_eq!(ranged.san.count_of(ReportKind::TornDmaRead), 7);
+    assert_eq!(ranged.san.count_of(ReportKind::MissingFence), 8);
+    assert_eq!(ranged.san.count_of(ReportKind::DoubleFlush), 16);
+}

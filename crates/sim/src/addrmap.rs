@@ -1,12 +1,13 @@
 //! Deterministic open-addressing hash map keyed by `u64` addresses.
 //!
-//! The simulation substrate spends most of its wall time in two per-line
-//! lookups: the host cache's address→slot index and the pool's per-line
-//! pending-write-back index. A general-purpose `HashMap` pays for SIMD
-//! group probing, tombstone bookkeeping, and a hasher indirection on every
-//! one of those lookups. [`AddrMap`] is the minimal replacement: Fibonacci
-//! multiplicative hashing, linear probing, backward-shift deletion (no
-//! tombstones, so probe chains never rot), and a load factor capped at 1/2.
+//! The simulation substrate does a per-line lookup on every memory
+//! operation: the host cache's address→slot index (and, in `sanitize`
+//! builds, the sanitizer's shadow line). A general-purpose `HashMap` pays
+//! for SIMD group probing, tombstone bookkeeping, and a hasher indirection
+//! on every one of those lookups. [`AddrMap`] is the minimal replacement:
+//! Fibonacci multiplicative hashing, linear probing, backward-shift
+//! deletion (no tombstones, so probe chains never rot), and a load factor
+//! capped at 1/2.
 //!
 //! Iteration order is not exposed at all — callers that need ordered
 //! traversal (e.g. the cache's LRU list) maintain it themselves — so the
