@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use oasis_cxl::pool::{PortId, TrafficClass};
-use oasis_cxl::{CxlPool, HostCtx, RegionAllocator};
+use oasis_cxl::{CxlPool, HostCtx, RegionAllocator, LINE};
 
 fn setup() -> (CxlPool, HostCtx) {
     let mut pool = CxlPool::new(1 << 22, 2);
@@ -96,5 +96,73 @@ fn bench_cache_pressure(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_ops, bench_cache_pressure);
+fn bench_poll_rotation(c: &mut Criterion) {
+    // What a pod's pollers do to the model, which the single-host probes
+    // above cannot see: eight hosts take turns on one core, each poll goes
+    // to another of forty message rings, and a poll is the receiver's
+    // miss → 16 prefetches → 17 flushes (a message arrives and the window
+    // is extended, then an empty poll throws the window away). Between two
+    // polls by the same host, seven other hosts' cache state has gone
+    // through the real CPU's cache. Each host's cache also holds a pod-like
+    // resident set (I/O buffers it touched and has not released), so its
+    // index is the size it is in a pod.
+    const HOSTS: u64 = 8;
+    const RESIDENT_LINES: u64 = 3072;
+    const RINGS: u64 = 40;
+    const RING_LINES: u64 = 2048;
+    const WINDOW: u64 = 16;
+    c.bench_function("poll_rotation", |b| {
+        let mut pool = CxlPool::new(16 << 20, HOSTS as usize);
+        let mut ra = RegionAllocator::new(&pool);
+        let buffers = ra.alloc(
+            &mut pool,
+            "buffers",
+            HOSTS * RESIDENT_LINES * LINE,
+            TrafficClass::Payload,
+        );
+        let rings: Vec<u64> = (0..RINGS)
+            .map(|r| {
+                let name = format!("ring{r}");
+                ra.alloc(&mut pool, name, RING_LINES * LINE, TrafficClass::Message)
+                    .base
+            })
+            .collect();
+        let mut hosts: Vec<HostCtx> = (0..HOSTS)
+            .map(|p| HostCtx::new(PortId(p as usize), 0))
+            .collect();
+        for (h, host) in hosts.iter_mut().enumerate() {
+            let mut buf = vec![0u8; (RESIDENT_LINES * LINE) as usize];
+            host.read_stream(
+                &mut pool,
+                buffers.base + h as u64 * buf.len() as u64,
+                &mut buf,
+            );
+        }
+        let mut poll = 0u64;
+        b.iter(|| {
+            // Ring `r` belongs to host `r % HOSTS`; its cursor moves on one
+            // line per visit.
+            let host = &mut hosts[(poll % HOSTS) as usize];
+            let cursor = poll / RINGS % (RING_LINES - WINDOW);
+            let head = rings[(poll % RINGS) as usize] + cursor * LINE;
+            poll += 1;
+            let got = host.read_u64(&mut pool, head);
+            for k in 1..=WINDOW {
+                host.prefetch(&mut pool, head + k * LINE);
+            }
+            for k in 0..=WINDOW {
+                host.clflushopt(&mut pool, head + k * LINE);
+            }
+            host.mfence(&mut pool);
+            got
+        });
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_ops,
+    bench_cache_pressure,
+    bench_poll_rotation
+);
 criterion_main!(benches);

@@ -8,15 +8,21 @@
 //! Oasis is designed around.
 //!
 //! Eviction is exact LRU in O(1): an intrusive doubly-linked list threaded
-//! through a slab of line slots, with a hash map from line address to slab
-//! index. The list runs LRU (head) → MRU (tail); every hit or (re)insert
-//! unlinks the slot and relinks it at the tail, and eviction pops the head.
-//! This replaces the original `BTreeSet<(tick, addr)>` index — kept below as
-//! a `#[cfg(test)]` reference model — with bit-identical eviction order:
-//! both structures order lines purely by last-access recency (the BTree's
-//! tick was strictly monotonic, so address tiebreaks never fired).
+//! through a slab of line slots, with a [`LineTable`] from line number to
+//! slab index. The list runs LRU (head) → MRU (tail); every hit or
+//! (re)insert unlinks the slot and relinks it at the tail, and eviction pops
+//! the head. This replaces the original `BTreeSet<(tick, addr)>` index —
+//! kept below as a `#[cfg(test)]` reference model — with bit-identical
+//! eviction order: both structures order lines purely by last-access recency
+//! (the BTree's tick was strictly monotonic, so address tiebreaks never
+//! fired).
+//!
+//! The index is addressed, not hashed: a polling core walks the adjacent
+//! lines of a ring, a prefetch window or a payload buffer, and adjacent
+//! pool lines have adjacent index entries — the 16 lines of a receiver's
+//! prefetch window share one 64 B line of the *real* CPU's cache, where a
+//! hash would scatter them over 16.
 
-use oasis_sim::addrmap::AddrMap;
 use oasis_sim::time::SimTime;
 
 use crate::LINE;
@@ -42,8 +48,112 @@ struct Link {
     next: u32,
 }
 
-/// Sentinel slab index for "no slot".
+/// Sentinel slab index for "no slot" (and leaf index for "no leaf").
 const NIL: u32 = u32::MAX;
+
+/// Pool lines per [`LineTable`] leaf: one 4 KiB page.
+const LEAF_LINES: usize = 64;
+
+/// The slab slots of the 64 lines of one page (`NIL` where a line is not
+/// cached). Aligned so that 16 adjacent, 16-aligned pool lines have their
+/// entries in exactly one line of the real CPU's cache.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Leaf([u32; LEAF_LINES]);
+
+/// Line number → slab slot, as a two-level page table: `dir[page]` names the
+/// leaf holding the 64 slot entries of that 4 KiB page of the pool. A lookup
+/// is two dependent loads and no arithmetic beyond shifts.
+///
+/// A leaf is allocated when the first line of its page is cached and goes
+/// back on the free list when the last one leaves, so there are never more
+/// leaves than cached lines; `dir` is 4 B per page up to the highest page
+/// ever cached (64 KiB for a 64 MiB pool).
+struct LineTable {
+    /// Page number → index into `leaves`, or `NIL`.
+    dir: Vec<u32>,
+    leaves: Vec<Leaf>,
+    /// Slots in use in each leaf.
+    live: Vec<u32>,
+    /// Leaves with no slot in use (every entry `NIL`).
+    free: Vec<u32>,
+    len: usize,
+}
+
+impl LineTable {
+    fn new() -> Self {
+        LineTable {
+            dir: Vec::new(),
+            leaves: Vec::new(),
+            live: Vec::new(),
+            free: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// `(page, index within the page)` of a line base address.
+    #[inline]
+    fn split(line_addr: u64) -> (usize, usize) {
+        debug_assert!(line_addr.is_multiple_of(LINE));
+        let line = (line_addr / LINE) as usize;
+        (line / LEAF_LINES, line % LEAF_LINES)
+    }
+
+    #[inline]
+    fn get(&self, line_addr: u64) -> Option<u32> {
+        let (page, i) = Self::split(line_addr);
+        let leaf = *self.dir.get(page)?;
+        let slot = self.leaves.get(leaf as usize)?.0[i];
+        (slot != NIL).then_some(slot)
+    }
+
+    /// Map an absent line to `slot`.
+    fn insert(&mut self, line_addr: u64, slot: u32) {
+        let (page, i) = Self::split(line_addr);
+        if page >= self.dir.len() {
+            self.dir.resize(page + 1, NIL);
+        }
+        let mut leaf = self.dir[page];
+        if leaf == NIL {
+            leaf = self.free.pop().unwrap_or_else(|| {
+                self.leaves.push(Leaf([NIL; LEAF_LINES]));
+                self.live.push(0);
+                (self.leaves.len() - 1) as u32
+            });
+            self.dir[page] = leaf;
+        }
+        debug_assert_eq!(self.leaves[leaf as usize].0[i], NIL);
+        self.leaves[leaf as usize].0[i] = slot;
+        self.live[leaf as usize] += 1;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, line_addr: u64) -> Option<u32> {
+        let (page, i) = Self::split(line_addr);
+        let leaf = *self.dir.get(page)?;
+        let entry = &mut self.leaves.get_mut(leaf as usize)?.0[i];
+        let slot = std::mem::replace(entry, NIL);
+        if slot == NIL {
+            return None;
+        }
+        self.len -= 1;
+        self.live[leaf as usize] -= 1;
+        if self.live[leaf as usize] == 0 {
+            self.dir[page] = NIL;
+            self.free.push(leaf);
+        }
+        Some(slot)
+    }
+
+    /// Forget every line, keeping the allocations.
+    fn clear(&mut self) {
+        self.dir.clear();
+        self.leaves.clear();
+        self.live.clear();
+        self.free.clear();
+        self.len = 0;
+    }
+}
 
 /// A host's cache of pool lines, keyed by line base address.
 ///
@@ -54,7 +164,7 @@ pub struct HostCache {
     lines: Vec<CacheLine>,
     links: Vec<Link>,
     /// Line base address → slab index.
-    index: AddrMap<u32>,
+    index: LineTable,
     /// LRU end of the recency list (eviction victim).
     head: u32,
     /// MRU end of the recency list.
@@ -83,7 +193,7 @@ impl HostCache {
             addrs: Vec::new(),
             lines: Vec::new(),
             links: Vec::new(),
-            index: AddrMap::new(),
+            index: LineTable::new(),
             head: NIL,
             tail: NIL,
             free: NIL,
@@ -93,12 +203,12 @@ impl HostCache {
 
     /// Number of lines currently cached.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// True if no lines are cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len == 0
     }
 
     /// Line capacity.
@@ -108,7 +218,7 @@ impl HostCache {
 
     /// Is the line present?
     pub fn contains(&self, line_addr: u64) -> bool {
-        self.index.contains(line_addr)
+        self.index.get(line_addr).is_some()
     }
 
     /// Detach slot `i` from the recency list (it stays in the slab).
@@ -144,7 +254,7 @@ impl HostCache {
     /// Access a present line, refreshing its LRU position. Returns `None` on
     /// miss.
     pub fn touch(&mut self, line_addr: u64) -> Option<&mut CacheLine> {
-        let i = *self.index.get(line_addr)?;
+        let i = self.index.get(line_addr)?;
         if self.tail != i {
             self.unlink(i);
             self.link_mru(i);
@@ -154,7 +264,7 @@ impl HostCache {
 
     /// Look at a line without refreshing LRU (used by assertions/tests).
     pub fn get(&self, line_addr: u64) -> Option<&CacheLine> {
-        let i = *self.index.get(line_addr)?;
+        let i = self.index.get(line_addr)?;
         Some(&self.lines[i as usize])
     }
 
@@ -167,7 +277,7 @@ impl HostCache {
         ready_at: SimTime,
     ) -> Option<Evicted> {
         // Replacing an existing line never evicts.
-        if let Some(&i) = self.index.get(line_addr) {
+        if let Some(i) = self.index.get(line_addr) {
             let line = &mut self.lines[i as usize];
             line.data = data;
             line.dirty = dirty;
@@ -184,7 +294,7 @@ impl HostCache {
             ready_at,
         };
         let mut victim = None;
-        let slot = if self.index.len() >= self.capacity {
+        let slot = if self.index.len >= self.capacity {
             // Reuse the LRU victim's slot for the incoming line.
             let i = self.head;
             self.unlink(i);
@@ -233,7 +343,7 @@ impl HostCache {
     /// returned in LRU→MRU order — the recency list itself, which is already
     /// deterministic — without any intermediate allocation or sort.
     pub fn drain(&mut self) -> Vec<(u64, CacheLine)> {
-        let mut out = Vec::with_capacity(self.index.len());
+        let mut out = Vec::with_capacity(self.index.len);
         let mut i = self.head;
         while i != NIL {
             out.push((self.addrs[i as usize], self.lines[i as usize]));
@@ -476,6 +586,122 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert_eq!(c.get(1024).unwrap().data[0], 9);
         assert_eq!(c.get(2048).unwrap().data[0], 10);
+    }
+
+    #[test]
+    fn table_footprint_is_bounded_by_capacity_not_by_addresses_seen() {
+        // A poller that walks a whole 64 MiB pool, a window of `CAP` lines
+        // at a time: 10^6 inserts, each paired with the removal of the line
+        // that fell out of the window.
+        const CAP: u64 = 16;
+        const LINES: u64 = 1 << 20;
+        let mut t = LineTable::new();
+        for n in 0..LINES {
+            t.insert(n * LINE, (n % CAP) as u32);
+            if n >= CAP {
+                assert_eq!(t.remove((n - CAP) * LINE), Some((n % CAP) as u32));
+            }
+        }
+        assert_eq!(t.len, CAP as usize);
+        // Leaves follow the window: never more than lines cached at once.
+        assert!(t.leaves.len() <= CAP as usize, "{} leaves", t.leaves.len());
+        assert_eq!(t.live.len(), t.leaves.len());
+        assert!(t.free.len() < t.leaves.len());
+        // The directory is the one part sized by the address space: 4 B per
+        // 4 KiB page of the pool, whatever was cached along the way.
+        assert_eq!(t.dir.len() as u64, LINES / LEAF_LINES as u64);
+
+        // The same walk through the cache itself, evicting as it goes.
+        let mut c = HostCache::new(CAP as usize);
+        for n in 0..LINES {
+            c.insert(n * LINE, line_of(n as u8), false, SimTime::ZERO);
+        }
+        assert_eq!(c.len(), CAP as usize);
+        assert!(c.index.leaves.len() <= CAP as usize);
+        assert_eq!(c.lines.len(), CAP as usize);
+    }
+
+    /// What a history does to the line table.
+    #[derive(Clone, Debug)]
+    enum TableOp {
+        /// Insert if absent, else check the stored slot.
+        Insert(u64),
+        Get(u64),
+        Remove(u64),
+        Clear,
+    }
+
+    /// Lines of a 64 MiB pool.
+    const POOL_LINES: u64 = (64 << 20) / LINE;
+
+    fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+        // Dense runs at a few bases (neighbours share a leaf, a run crosses
+        // leaf edges), addresses scattered over the pool, and its very last
+        // lines. Small universes, so re-insert after remove is common.
+        let line = prop_oneof![
+            (0u64..4, 0u64..96).prop_map(|(base, i)| base * 4093 + i),
+            (0u64..24).prop_map(|i| i * 43_691 % POOL_LINES),
+            (0u64..3).prop_map(|i| POOL_LINES - 1 - i),
+        ];
+        (0u32..40, line).prop_map(|(kind, line)| match kind {
+            0 => TableOp::Clear,
+            1..=16 => TableOp::Insert(line),
+            17..=28 => TableOp::Remove(line),
+            _ => TableOp::Get(line),
+        })
+    }
+
+    proptest! {
+        /// The line table against a `BTreeMap` through the same history,
+        /// holding at most `capacity` lines as the cache does.
+        #[test]
+        fn line_table_matches_btreemap(
+            capacity in prop_oneof![Just(4usize), Just(4096)],
+            ops in proptest::collection::vec(table_op_strategy(), 1..400),
+        ) {
+            let mut table = LineTable::new();
+            let mut model = std::collections::BTreeMap::<u64, u32>::new();
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    TableOp::Insert(line) => {
+                        let addr = line * LINE;
+                        if model.len() == capacity && !model.contains_key(&addr) {
+                            // Make room the way eviction does.
+                            let (&victim, &slot) = model.iter().next().unwrap();
+                            prop_assert_eq!(table.remove(victim), Some(slot));
+                            model.remove(&victim);
+                        }
+                        match model.get(&addr) {
+                            Some(&slot) => prop_assert_eq!(table.get(addr), Some(slot)),
+                            None => {
+                                table.insert(addr, step as u32);
+                                model.insert(addr, step as u32);
+                            }
+                        }
+                    }
+                    TableOp::Get(line) => {
+                        let addr = line * LINE;
+                        prop_assert_eq!(table.get(addr), model.get(&addr).copied());
+                    }
+                    TableOp::Remove(line) => {
+                        let addr = line * LINE;
+                        prop_assert_eq!(table.remove(addr), model.remove(&addr));
+                        prop_assert_eq!(table.get(addr), None);
+                    }
+                    TableOp::Clear => {
+                        table.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(table.len, model.len());
+                prop_assert!(table.leaves.len() <= capacity);
+                let in_use = table.live.iter().filter(|&&n| n > 0).count();
+                prop_assert_eq!(in_use + table.free.len(), table.leaves.len());
+            }
+            for (&addr, &slot) in &model {
+                prop_assert_eq!(table.get(addr), Some(slot));
+            }
+        }
     }
 
     /// Every operation the cache supports, drawn randomly.

@@ -203,8 +203,8 @@ pub struct CxlPool {
     mem: Vec<u8>,
     meters: Vec<LinkMeter>,
     /// `(start, end, class)` ranges registered by the region allocator,
-    /// kept sorted by `start` and pairwise disjoint so classification is a
-    /// binary search.
+    /// touching same-class ranges merged into one, kept sorted by `start`
+    /// and pairwise disjoint so classification is a binary search.
     class_ranges: Vec<(u64, u64, TrafficClass)>,
     /// Posted write-back runs with lines still in flight, in no particular
     /// order: the order writes land in is carried by `(visible_at, seq)`.
@@ -335,18 +335,31 @@ impl CxlPool {
     /// allocator). Ranges must not overlap previously registered ones; they
     /// are kept sorted by start address so [`Self::classify`] can binary
     /// search.
+    ///
+    /// A range that touches a neighbour of its own class is merged into it:
+    /// regions are allocated back to back, so the message rings of a pod
+    /// become one `Message` span that the `last_class` memo keeps hitting
+    /// while pollers hop from ring to ring.
     pub fn register_class(&mut self, start: u64, end: u64, class: TrafficClass) {
         debug_assert!(start <= end && end <= self.size());
-        let idx = self.class_ranges.partition_point(|&(s, _, _)| s < start);
+        let ranges = &mut self.class_ranges;
+        let idx = ranges.partition_point(|&(s, _, _)| s < start);
         debug_assert!(
-            idx == 0 || self.class_ranges[idx - 1].1 <= start,
+            idx == 0 || ranges[idx - 1].1 <= start,
             "class range overlaps its predecessor"
         );
         debug_assert!(
-            idx == self.class_ranges.len() || end <= self.class_ranges[idx].0,
+            idx == ranges.len() || end <= ranges[idx].0,
             "class range overlaps its successor"
         );
-        self.class_ranges.insert(idx, (start, end, class));
+        let joins_prev = idx > 0 && ranges[idx - 1].1 == start && ranges[idx - 1].2 == class;
+        let joins_next = idx < ranges.len() && ranges[idx].0 == end && ranges[idx].2 == class;
+        match (joins_prev, joins_next) {
+            (true, true) => ranges[idx - 1].1 = ranges.remove(idx).1,
+            (true, false) => ranges[idx - 1].1 = end,
+            (false, true) => ranges[idx].0 = start,
+            (false, false) => ranges.insert(idx, (start, end, class)),
+        }
         self.last_class.set((0, 0, TrafficClass::Unclassified));
     }
 
@@ -368,10 +381,10 @@ impl CxlPool {
     }
 
     /// End of the contiguous same-class span containing `addr`: the end of
-    /// its registered range, or — for unclassified addresses — the start of
-    /// the next registered range (or pool size). Bulk transfers clamp their
-    /// runs here so per-run metering attributes bytes to exactly the class
-    /// a per-line walk would have.
+    /// its (merged) registered range, or — for unclassified addresses — the
+    /// start of the next registered range (or pool size). Bulk transfers
+    /// clamp their runs here so per-run metering attributes bytes to exactly
+    /// the class a per-line walk would have.
     pub(crate) fn class_span_end(&self, addr: u64) -> u64 {
         let (ms, me, _) = self.last_class.get();
         if ms <= addr && addr < me {
@@ -755,6 +768,46 @@ mod tests {
         p.register_class(0, 64, TrafficClass::Control);
         assert_eq!(p.classify(10), TrafficClass::Control);
         assert_eq!(p.classify(64), TrafficClass::Unclassified);
+    }
+
+    #[test]
+    fn touching_same_class_ranges_merge_and_classify_as_registered() {
+        use TrafficClass::{Control, Message, Payload};
+        let mut p = CxlPool::new(2048, 1);
+        let registered = [
+            (0, 256, Message),
+            (512, 768, Message),
+            (768, 1024, Payload),
+            // Arrives between two ranges of its class: joins both.
+            (256, 512, Message),
+            (1280, 1536, Payload),
+            // Between two ranges of another class: joins neither.
+            (1024, 1280, Control),
+        ];
+        for (s, e, c) in registered {
+            p.register_class(s, e, c);
+        }
+        assert_eq!(
+            p.class_ranges,
+            [
+                (0, 768, Message),
+                (768, 1024, Payload),
+                (1024, 1280, Control),
+                (1280, 1536, Payload)
+            ]
+        );
+        for addr in 0..p.size() {
+            let want = registered
+                .iter()
+                .find(|&&(s, e, _)| s <= addr && addr < e)
+                .map_or(TrafficClass::Unclassified, |&(_, _, c)| c);
+            assert_eq!(p.classify(addr), want, "addr {addr}");
+            // The span ends where the class changes, and not before.
+            let end = p.class_span_end(addr);
+            assert!(addr < end && end <= p.size(), "addr {addr}");
+            assert_eq!(p.classify(end - 1), want, "addr {addr}");
+            assert!(end == p.size() || p.classify(end) != want, "addr {addr}");
+        }
     }
 
     #[test]

@@ -258,6 +258,34 @@ mod tests {
     }
 
     #[test]
+    fn reused_range_keeps_its_class_inside_a_merged_span() {
+        // Back-to-back regions of one class are one class span in the pool;
+        // a range freed out of it and handed out again is not registered
+        // twice and still classifies, as do its neighbours.
+        let mut pool = CxlPool::new(4096, 1);
+        let mut ra = RegionAllocator::new(&pool);
+        let a = ra.alloc(&mut pool, "inst0.tx", 256, TrafficClass::Payload);
+        let b = ra.alloc(&mut pool, "inst1.tx", 256, TrafficClass::Payload);
+        let ring = ra.alloc(&mut pool, "ring", 128, TrafficClass::Message);
+        ra.free(&a);
+        let c = ra.alloc(&mut pool, "inst2.tx", 256, TrafficClass::Payload);
+        assert_eq!(c.base, a.base);
+        for addr in 0..pool.size() {
+            let want = if addr < b.end() {
+                TrafficClass::Payload
+            } else if addr < ring.end() {
+                TrafficClass::Message
+            } else {
+                TrafficClass::Unclassified
+            };
+            assert_eq!(pool.classify(addr), want, "addr {addr}");
+        }
+        assert_eq!(pool.class_span_end(c.base), b.end());
+        assert_eq!(pool.class_span_end(ring.base), ring.end());
+        assert_eq!(pool.class_span_end(ring.end()), pool.size());
+    }
+
+    #[test]
     fn free_coalesces_adjacent_ranges() {
         let mut pool = CxlPool::new(4096, 1);
         let mut ra = RegionAllocator::new(&pool);

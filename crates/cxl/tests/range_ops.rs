@@ -13,7 +13,7 @@
 //! story.
 
 use oasis_cxl::pool::{PortId, TrafficClass};
-use oasis_cxl::{lines_covering, CostModel, CxlPool, HostCtx};
+use oasis_cxl::{lines_covering, CostModel, CxlPool, HostCtx, RegionAllocator};
 use oasis_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -34,6 +34,29 @@ fn twin(cache_lines: usize) -> Twin {
     pool.register_class(2048, 2600, TrafficClass::Control);
     pool.register_class(2624, 3584, TrafficClass::Payload);
     let host = |p| HostCtx::with_cache(PortId(p), 0, cache_lines, CostModel::default());
+    Twin {
+        pool,
+        hosts: [host(0), host(1)],
+    }
+}
+
+/// Where the two touching `Payload` regions of [`seam_twin`] meet.
+const SEAM: u64 = 1024;
+
+/// A pool whose first 2 KiB are `Payload` — two regions allocated back to
+/// back, or one region registered whole — followed by a `Message` ring.
+fn seam_twin(two_regions: bool) -> Twin {
+    let mut pool = CxlPool::new(POOL, 2);
+    let mut ra = RegionAllocator::new(&pool);
+    if two_regions {
+        let a = ra.alloc(&mut pool, "inst0.tx", SEAM, TrafficClass::Payload);
+        let b = ra.alloc(&mut pool, "inst1.tx", SEAM, TrafficClass::Payload);
+        assert_eq!((a.end(), b.base), (SEAM, SEAM));
+    } else {
+        ra.alloc(&mut pool, "tx", 2 * SEAM, TrafficClass::Payload);
+    }
+    ra.alloc(&mut pool, "ring", 1024, TrafficClass::Message);
+    let host = |p| HostCtx::with_cache(PortId(p), 0, 24, CostModel::default());
     Twin {
         pool,
         hosts: [host(0), host(1)],
@@ -157,6 +180,62 @@ fn sanitizer_story(pool: &CxlPool) -> Vec<String> {
     let mut story: Vec<String> = pool.san.reports().iter().map(|r| r.to_string()).collect();
     story.push(pool.san.summary());
     story
+}
+
+/// Two touching regions of one class are one class span: a range op that
+/// straddles their seam moves as one run, and is still the per-line walk —
+/// and the same as over one region registered whole.
+#[test]
+fn range_ops_straddling_the_seam_of_two_touching_regions() {
+    let write = |addr, len, val| Op::Write { addr, len, val };
+    let stream = |addr, len| Op::ReadStream { addr, len };
+    let clwb = |addr, len| Op::ClwbRange { addr, len };
+    let flush = |addr, len| Op::FlushRange { addr, len };
+    let history = [
+        // Host 0 stages a buffer across the seam and writes it back.
+        (0, write(SEAM - 300, 700, 0xA5)),
+        (0, clwb(SEAM - 300, 700)),
+        (0, Op::Fence),
+        // Host 1 streams it in, releases the lines around the seam some
+        // time later, and streams across the seam again.
+        (1, stream(SEAM - 256, 600)),
+        (1, Op::Advance { ns: 900 }),
+        (1, flush(SEAM - 128, 192)),
+        (1, stream(SEAM - 400, 900)),
+        // Host 0 overwrites around the seam and releases the buffer.
+        (0, write(SEAM - 64, 128, 0x3C)),
+        (0, flush(SEAM - 300, 700)),
+        (0, Op::Fence),
+        (1, stream(SEAM - 64, 128)),
+    ];
+
+    let mut ranged = seam_twin(true);
+    let mut walked = seam_twin(true);
+    let mut whole = seam_twin(false);
+    for (i, (h, op)) in history.iter().enumerate() {
+        let got = apply(&mut ranged, *h, op, true, &mut Vec::new());
+        let per_line = apply(&mut walked, *h, op, false, &mut Vec::new());
+        let one_region = apply(&mut whole, *h, op, true, &mut Vec::new());
+        assert_eq!(got, per_line, "op {i} {op:?}: bytes vs the per-line walk");
+        assert_eq!(got, one_region, "op {i} {op:?}: bytes vs one region");
+        assert_eq!(observe(&ranged), observe(&walked), "after op {i} {op:?}");
+        assert_eq!(observe(&ranged), observe(&whole), "after op {i} {op:?}");
+    }
+    // Everything that crossed the seam was payload.
+    for p in 0..2 {
+        let m = ranged.pool.meter(PortId(p));
+        assert!(m.total_bytes() > 0);
+        assert_eq!(m.class_bytes(TrafficClass::Payload), m.total_bytes());
+    }
+    for tw in [&mut ranged, &mut walked, &mut whole] {
+        tw.pool.flush_pending();
+        assert_eq!(tw.pool.pending_writebacks(), 0);
+    }
+    assert!(memory(&ranged.pool) == memory(&walked.pool));
+    assert!(memory(&ranged.pool) == memory(&whole.pool));
+    let mut last = [0u8; 1];
+    ranged.pool.peek(SEAM, &mut last);
+    assert_eq!(last[0], 0x3C, "the overwrite landed");
 }
 
 proptest! {

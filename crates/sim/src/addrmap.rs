@@ -1,17 +1,19 @@
 //! Deterministic open-addressing hash map keyed by `u64` addresses.
 //!
-//! The simulation substrate does a per-line lookup on every memory
-//! operation: the host cache's address→slot index (and, in `sanitize`
-//! builds, the sanitizer's shadow line). A general-purpose `HashMap` pays
-//! for SIMD group probing, tombstone bookkeeping, and a hasher indirection
-//! on every one of those lookups. [`AddrMap`] is the minimal replacement:
-//! Fibonacci multiplicative hashing, linear probing, backward-shift
-//! deletion (no tombstones, so probe chains never rot), and a load factor
-//! capped at 1/2.
+//! Its one user is the coherence sanitizer's shadow map (`oasis-cxl`,
+//! `sanitize` builds only), which does a per-line lookup on every memory
+//! operation and keeps a shadow for every line ever touched — sparse keys
+//! with no locality to exploit, which is what a hash is for (the host
+//! cache, whose pollers walk adjacent lines, indexes by line number
+//! instead). A general-purpose `HashMap` pays for SIMD group probing,
+//! tombstone bookkeeping, and a hasher indirection on every one of those
+//! lookups. [`AddrMap`] is the minimal replacement: Fibonacci multiplicative
+//! hashing, linear probing, backward-shift deletion (no tombstones, so
+//! probe chains never rot), and a load factor capped at 1/2.
 //!
 //! Iteration order is not exposed at all — callers that need ordered
-//! traversal (e.g. the cache's LRU list) maintain it themselves — so the
-//! map cannot leak nondeterminism into simulation results.
+//! traversal maintain it themselves — so the map cannot leak nondeterminism
+//! into simulation results.
 
 /// Fibonacci hashing constant: `floor(2^64 / phi)`, forced odd.
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;

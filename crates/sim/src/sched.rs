@@ -112,6 +112,9 @@ pub struct Scheduler {
     /// wake-up without having to delete heap entries.
     pending: Vec<Option<SimTime>>,
     now: SimTime,
+    /// The [`StepCtx`] wake buffer between dispatches (empty; kept for its
+    /// allocation, so a dispatch does not pay a `malloc`/`free` pair).
+    wakes: Vec<(usize, SimTime)>,
     /// Sim time at which each actor's live pending entry was armed.
     #[cfg(feature = "obs")]
     wake_origin: Vec<SimTime>,
@@ -132,6 +135,7 @@ impl Scheduler {
             queue: BinaryHeap::new(),
             pending: Vec::new(),
             now: SimTime::ZERO,
+            wakes: Vec::new(),
             #[cfg(feature = "obs")]
             wake_origin: Vec::new(),
             #[cfg(feature = "obs")]
@@ -290,7 +294,7 @@ impl Scheduler {
             self.now = at;
             self.note_dispatch(actor, at);
             let mut ctx = StepCtx {
-                wakes: Vec::new(),
+                wakes: std::mem::take(&mut self.wakes),
                 next_other: self
                     .queue
                     .peek()
@@ -306,9 +310,10 @@ impl Scheduler {
                 }
                 StepOutcome::Idle | StepOutcome::Done => {}
             }
-            for (who, when) in ctx.wakes {
+            for (who, when) in ctx.wakes.drain(..) {
                 self.wake(who, when);
             }
+            self.wakes = ctx.wakes;
         }
         self.now
     }

@@ -14,6 +14,13 @@ Environment:
   IPSAMPLE_SKIP_S=<s>  sleep before attaching (skip set-up and warm-up)
   IPSAMPLE_CHILD=1     sample the command's first child process instead
                        (the full benchmark suite runs each workload in one)
+  IPSAMPLE_FOCUS=<substring>[,...]
+                       per-instruction mode: for every symbol whose name
+                       contains one of the substrings, also print the sample
+                       count per file vaddr, to read beside
+                       `objdump -d --start-address=<first> --stop-address=<last>`
+                       (a sampled rip is the instruction that was waiting, so
+                       a hot load shows up on the first user of its result)
 """
 import bisect
 import collections
@@ -137,16 +144,18 @@ def demangle(name):
 
 
 def resolve(rip, maps, exe):
+    """(symbol name, file vaddr of `rip`, path of the mapped file)."""
     for lo, hi, offset, path in maps:
         if lo <= rip < hi:
             if not path.startswith("/"):
-                return path  # [vdso] and friends
+                return path, rip - lo, path  # [vdso] and friends
             is_exe = os.path.realpath(path) == exe
             addrs, names = symbols(path, is_exe)
-            i = bisect.bisect_right(addrs, rip - load_bias(path, lo, offset)) - 1
+            vaddr = rip - load_bias(path, lo, offset)
+            i = bisect.bisect_right(addrs, vaddr) - 1
             name = demangle(names[i]) if i >= 0 else "?"
-            return name if is_exe else f"{name} [{os.path.basename(path)}]"
-    return "?"
+            return name if is_exe else f"{name} [{os.path.basename(path)}]", vaddr, path
+    return "?", rip, "?"
 
 
 def main():
@@ -180,10 +189,19 @@ def main():
         except ProcessLookupError:
             pass
     parent.wait()
-    hist = collections.Counter(resolve(rip, maps, exe) for rip in rips)
+    where = [resolve(rip, maps, exe) for rip in rips]
+    hist = collections.Counter(name for name, _, _ in where)
     print(f"{len(rips)} samples, {interval * 1000:g} ms apart, pid {pid}")
     for name, n in hist.most_common(40):
         print(f"{100 * n / len(rips):6.2f}%  {n:5d}  {name}")
+    focus = [f for f in os.environ.get("IPSAMPLE_FOCUS", "").split(",") if f]
+    for name, n in hist.most_common():
+        if any(f in name for f in focus):
+            at = collections.Counter((path, vaddr) for nm, vaddr, path in where if nm == name)
+            print(f"\n{name}: {n} samples in {os.path.basename(min(at)[0])}, "
+                  f"vaddr {min(at)[1]:#x}..{max(at)[1]:#x}")
+            for (_, vaddr), k in sorted(at.items()):
+                print(f"  {vaddr:#10x}  {k:5d}  {'#' * (60 * k // max(at.values()))}")
 
 
 main()
