@@ -66,7 +66,7 @@ pub enum AccelStatus {
 impl AccelStatus {
     /// Status byte as it appears in an encoded completion (also used by
     /// the snapshot layer to serialize completion caches).
-    pub fn to_byte(self) -> u8 {
+    pub const fn to_byte(self) -> u8 {
         match self {
             AccelStatus::Success => 0x00,
             AccelStatus::InvalidField => 0x02,

@@ -10,7 +10,7 @@ use oasis_core::config::OasisConfig;
 use oasis_core::engine_storage::StoragePod;
 use oasis_core::instance::AppKind;
 use oasis_sim::time::{SimDuration, SimTime};
-use oasis_storage::ssd::SsdConfig;
+use oasis_storage::ssd::{Ssd, SsdConfig};
 use oasis_storage::BLOCK_SIZE;
 
 fn bench_udp_echo(c: &mut Criterion) {
@@ -62,8 +62,8 @@ fn bench_storage(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("remote_reads_qd8", |b| {
         b.iter(|| {
-            let mut pod =
-                StoragePod::new(OasisConfig::default(), SsdConfig::default(), 8 * BLOCK_SIZE);
+            let ssd = Ssd::new(SsdConfig::default());
+            let mut pod = StoragePod::new(OasisConfig::default(), ssd, 8 * BLOCK_SIZE);
             let mut done = 0;
             let mut submitted = 0;
             while done < N {

@@ -84,7 +84,10 @@ fn run_batch(pod: &mut Pod, hosts: &[usize]) -> (SimDuration, usize) {
                 .count();
         }
         if done == hosts.len() * JOBS_PER_HOST {
-            return (pod.accels[0].stats.last_done_at - start, done);
+            return (
+                pod.accel.backends[0].device.stats.last_done_at - start,
+                done,
+            );
         }
         assert!(
             pod.now() - start < SimDuration::from_millis(500),

@@ -12,13 +12,13 @@ use oasis_core::config::OasisConfig;
 use oasis_core::engine_storage::StoragePod;
 use oasis_sim::report::Table;
 use oasis_sim::time::SimTime;
-use oasis_storage::ssd::SsdConfig;
+use oasis_storage::ssd::{Ssd, SsdConfig};
 use oasis_storage::BLOCK_SIZE;
 
 /// Measure mean latency and IOPS for reads of `nlb` blocks at queue depth
 /// `qd`.
 fn measure_with(cfg: SsdConfig, nlb: u32, qd: usize, ios: usize) -> (f64, f64) {
-    let mut pod = StoragePod::new(OasisConfig::default(), cfg, 64 * BLOCK_SIZE);
+    let mut pod = StoragePod::new(OasisConfig::default(), Ssd::new(cfg), 64 * BLOCK_SIZE);
     let start = pod.frontend.core.clock;
     let mut submitted = 0usize;
     let mut done = 0usize;

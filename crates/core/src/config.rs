@@ -56,7 +56,9 @@ pub enum BufferPlacement {
 /// Tunable parameters of an Oasis deployment. Defaults reproduce the
 /// paper's prototype configuration, scaled where the paper's sizes
 /// (4 GB buffer areas) would waste simulation memory without changing
-/// behaviour.
+/// behaviour. Buffer sizing and retry policy of the storage and accel
+/// engines are constants of their device class
+/// ([`crate::engine_req::ReqClass`]), not configuration.
 #[derive(Clone, Debug)]
 pub struct OasisConfig {
     /// Message-channel slots (§3.2.2: 8192).
@@ -86,35 +88,9 @@ pub struct OasisConfig {
     /// Grace period before unregistering from the old NIC during graceful
     /// migration (§3.3.4: 5 s).
     pub migration_grace: SimDuration,
-    /// Largest single block I/O the storage engine stages (bytes).
-    pub storage_buf_size: u64,
-    /// Per-host storage data buffer area in pool memory (bytes).
-    pub storage_area_per_host: u64,
     /// Frontend → allocator liveness heartbeat period (ISSUE 2). The
     /// allocator declares a host failed after three silent periods.
     pub heartbeat_period: SimDuration,
-    /// Storage-engine command retry timeout: how long the frontend waits
-    /// for a completion before resubmitting (covers the ~100 µs device
-    /// latency with wide margin).
-    pub storage_retry_timeout: SimDuration,
-    /// Exponential backoff multiplier between storage retries.
-    pub storage_retry_backoff: u32,
-    /// Total storage submission attempts before the I/O is failed to the
-    /// guest with a device error.
-    pub storage_retry_max_attempts: u32,
-    /// Largest single accelerator job the engine stages (bytes).
-    pub accel_buf_size: u64,
-    /// Per-host accelerator job buffer area in pool memory (bytes).
-    pub accel_area_per_host: u64,
-    /// Accel-engine job retry timeout: how long the frontend waits for a
-    /// completion before resubmitting (covers setup + DMA latency with
-    /// wide margin).
-    pub accel_retry_timeout: SimDuration,
-    /// Exponential backoff multiplier between accel retries.
-    pub accel_retry_backoff: u32,
-    /// Total accel submission attempts before the job is failed to the
-    /// guest with a device error.
-    pub accel_retry_max_attempts: u32,
 }
 
 impl Default for OasisConfig {
@@ -132,17 +108,7 @@ impl Default for OasisConfig {
             telemetry_period: SimDuration::from_millis(100),
             allocator_poll: SimDuration::from_micros(100),
             migration_grace: SimDuration::from_secs(5),
-            storage_buf_size: 32 * 4096,
-            storage_area_per_host: 64 * 32 * 4096,
             heartbeat_period: SimDuration::from_millis(100),
-            storage_retry_timeout: SimDuration::from_millis(2),
-            storage_retry_backoff: 2,
-            storage_retry_max_attempts: 6,
-            accel_buf_size: 64 * 1024,
-            accel_area_per_host: 32 * 64 * 1024,
-            accel_retry_timeout: SimDuration::from_millis(1),
-            accel_retry_backoff: 2,
-            accel_retry_max_attempts: 6,
         }
     }
 }

@@ -15,14 +15,17 @@
 //! * [`DeviceEngine`] — a polling core with a local clock: the scheduler
 //!   asks [`DeviceEngine::next_time`], dispatches [`DeviceEngine::poll`],
 //!   and routes host-level faults through [`DeviceEngine::on_fault`].
-//! * [`EngineFrontend`] / [`EngineBackend`] — marker subtraits binding an
-//!   engine's command/completion descriptor types, documenting which side
-//!   of the channel a driver lives on.
+//!
+//! The command/completion descriptor pair of a request/response device
+//! class is bound by [`crate::engine_req::ReqClass`], whose generic
+//! frontend and backend implement [`DeviceEngine`] once for every such
+//! class (storage, accel); the net engine and the Junction baseline
+//! implement it below.
 //!
 //! [`EngineWorld`] is the slice of pod state an engine may touch during a
-//! poll: the pool, the instances, and the device tables. Everything else
-//! (switch, endpoints, allocator) is reached only through frames and
-//! channel messages, which is what keeps the engines composable.
+//! poll: the pool, the instances, and the NICs. Everything else (switch,
+//! endpoints, allocator) is reached only through frames and channel
+//! messages, which is what keeps the engines composable.
 
 use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::MacAddr;
@@ -30,12 +33,8 @@ use oasis_net::nic::Nic;
 use oasis_net::packet::Frame;
 use oasis_sim::time::SimTime;
 
-use oasis_accel::AccelDevice;
-use oasis_storage::ssd::Ssd;
-
 use crate::baseline::LocalDriver;
 use crate::engine_net::{BackendDriver, FrontendDriver};
-use crate::engine_storage::{StorageBackend, StorageFrontend};
 use crate::instance::Instance;
 use crate::metrics as m;
 
@@ -58,12 +57,15 @@ pub trait WireDescriptor: Sized {
 /// descriptor must fit in one 64 B cache line, divide it evenly (so slots
 /// never straddle lines), and be at least a word wide. Every impl below is
 /// paired with one of these blocks; `oasis-check` enforces the pairing.
+/// Exported so a device class defined outside this crate can assert the
+/// same contract on its descriptors.
+#[macro_export]
 macro_rules! assert_wire_size {
     ($t:ty) => {
         const _: () = {
-            assert!(<$t as WireDescriptor>::WIRE_SIZE <= 64);
-            assert!(64 % <$t as WireDescriptor>::WIRE_SIZE == 0);
-            assert!(<$t as WireDescriptor>::WIRE_SIZE >= 8);
+            assert!(<$t as $crate::engine::WireDescriptor>::WIRE_SIZE <= 64);
+            assert!(64 % <$t as $crate::engine::WireDescriptor>::WIRE_SIZE == 0);
+            assert!(<$t as $crate::engine::WireDescriptor>::WIRE_SIZE >= 8);
         };
     };
 }
@@ -153,12 +155,9 @@ pub struct EngineWorld<'a> {
     pub instances: &'a mut Vec<Instance>,
     /// MAC address of each NIC (frontends stamp outbound frames).
     pub nic_macs: &'a [MacAddr],
-    /// The pod's NICs (net backends drive `nics[self.nic_id]`).
+    /// The pod's NICs (net backends drive `nics[self.nic_id]`; storage
+    /// and accel backends own their device).
     pub nics: &'a mut [Nic],
-    /// The pod's SSDs (storage backends drive `ssds[self.ssd_id]`).
-    pub ssds: &'a mut [Ssd],
-    /// The pod's accelerators (accel backends drive `accels[self.dev_id]`).
-    pub accels: &'a mut [AccelDevice],
 }
 
 /// A polling engine core the pod runtime schedules as one actor.
@@ -222,30 +221,6 @@ pub trait DeviceEngine: crate::snapshot::Snapshottable {
     fn on_metrics(&self, _sink: &mut oasis_obs::MetricSink) {}
 }
 
-/// A frontend driver: the per-consuming-host half of an engine. Encodes
-/// `Command` descriptors toward the backend and decodes `Completion`s.
-pub trait EngineFrontend: DeviceEngine {
-    /// Descriptor sent frontend → backend.
-    type Command: WireDescriptor;
-    /// Descriptor sent backend → frontend.
-    type Completion: WireDescriptor;
-    /// Engine name (diagnostics, channel naming).
-    const ENGINE: &'static str;
-}
-
-/// A backend driver: the per-device-host half of an engine. Decodes
-/// `Command` descriptors and answers with `Completion`s.
-pub trait EngineBackend: DeviceEngine {
-    /// Descriptor sent frontend → backend.
-    type Command: WireDescriptor;
-    /// Descriptor sent backend → frontend.
-    type Completion: WireDescriptor;
-    /// Engine name (diagnostics, channel naming).
-    const ENGINE: &'static str;
-    /// Index of the device this backend drives, in its device table.
-    fn device(&self) -> usize;
-}
-
 // ---------------------------------------------------------------------------
 // Network engine (§3.3)
 // ---------------------------------------------------------------------------
@@ -278,12 +253,6 @@ impl DeviceEngine for FrontendDriver {
     }
 }
 
-impl EngineFrontend for FrontendDriver {
-    type Command = crate::msg::NetMsg;
-    type Completion = crate::msg::NetMsg;
-    const ENGINE: &'static str = "net";
-}
-
 impl DeviceEngine for BackendDriver {
     fn host(&self) -> usize {
         self.host
@@ -311,15 +280,6 @@ impl DeviceEngine for BackendDriver {
         sink.set(m::NET_BE_FAILURES_REPORTED, t, self.stats.failures_reported);
         sink.set(m::NET_BE_TELEMETRY_SENT, t, self.stats.telemetry_sent);
         oasis_cxl::obs::export_host_metrics(&self.core, sink);
-    }
-}
-
-impl EngineBackend for BackendDriver {
-    type Command = crate::msg::NetMsg;
-    type Completion = crate::msg::NetMsg;
-    const ENGINE: &'static str = "net";
-    fn device(&self) -> usize {
-        self.nic_id
     }
 }
 
@@ -359,91 +319,6 @@ impl DeviceEngine for LocalDriver {
         sink.set(m::LOCAL_RX_PACKETS, t, self.stats.rx_packets);
         sink.set(m::LOCAL_RX_UNKNOWN, t, self.stats.rx_unknown);
         oasis_cxl::obs::export_host_metrics(&self.core, sink);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Storage engine (§3.4)
-// ---------------------------------------------------------------------------
-
-impl DeviceEngine for StorageFrontend {
-    fn host(&self) -> usize {
-        self.host
-    }
-    fn core(&self) -> &HostCtx {
-        &self.core
-    }
-    fn core_mut(&mut self) -> &mut HostCtx {
-        &mut self.core
-    }
-    fn poll(&mut self, world: &mut EngineWorld) -> Vec<(SimTime, Frame)> {
-        self.step(world.pool);
-        Vec::new()
-    }
-    fn on_fault(&mut self, fault: EngineFault, pool: &mut CxlPool) {
-        // §3.4: after a host restart, commands that were in flight when the
-        // host crashed are replayed; the backend's dedup window answers
-        // duplicates it already executed.
-        if fault == EngineFault::HostRestart {
-            self.replay_pending(pool);
-        }
-    }
-    fn on_metrics(&self, sink: &mut oasis_obs::MetricSink) {
-        let t = self.host as u32;
-        sink.set(m::STORAGE_FE_SUBMITTED, t, self.stats.submitted);
-        sink.set(m::STORAGE_FE_COMPLETED, t, self.stats.completed);
-        sink.set(m::STORAGE_FE_ERRORS, t, self.stats.errors);
-        sink.set(m::STORAGE_FE_REFUSED, t, self.stats.refused);
-        sink.set(m::STORAGE_FE_RETRIES, t, self.stats.retries);
-        sink.set(m::STORAGE_FE_RETRY_EXHAUSTED, t, self.stats.retry_exhausted);
-        sink.set(m::STORAGE_FE_INFLIGHT, t, self.in_flight() as u64);
-        #[cfg(feature = "obs")]
-        sink.merge_hist(m::STORAGE_FE_SERVICE_NS, t, self.service_hist());
-        oasis_cxl::obs::export_host_metrics(&self.core, sink);
-    }
-}
-
-impl EngineFrontend for StorageFrontend {
-    type Command = oasis_storage::command::NvmeCommand;
-    type Completion = oasis_storage::command::NvmeCompletion;
-    const ENGINE: &'static str = "storage";
-}
-
-impl DeviceEngine for StorageBackend {
-    fn host(&self) -> usize {
-        self.host
-    }
-    fn core(&self) -> &HostCtx {
-        &self.core
-    }
-    fn core_mut(&mut self) -> &mut HostCtx {
-        &mut self.core
-    }
-    fn poll(&mut self, world: &mut EngineWorld) -> Vec<(SimTime, Frame)> {
-        self.step(world.pool, &mut world.ssds[self.ssd_id]);
-        Vec::new()
-    }
-    fn on_metrics(&self, sink: &mut oasis_obs::MetricSink) {
-        let t = self.ssd_id as u32;
-        sink.set(m::STORAGE_BE_FORWARDED, t, self.stats.forwarded);
-        sink.set(m::STORAGE_BE_SQ_FULL, t, self.stats.sq_full);
-        sink.set(m::STORAGE_BE_COMPLETIONS, t, self.stats.completions);
-        sink.set(
-            m::STORAGE_BE_REPLAYS_ANSWERED,
-            t,
-            self.stats.replays_answered,
-        );
-        sink.set(oasis_channel::metrics::DEDUP_DROPS, t, self.dedup_drops());
-        oasis_cxl::obs::export_host_metrics(&self.core, sink);
-    }
-}
-
-impl EngineBackend for StorageBackend {
-    type Command = oasis_storage::command::NvmeCommand;
-    type Completion = oasis_storage::command::NvmeCompletion;
-    const ENGINE: &'static str = "storage";
-    fn device(&self) -> usize {
-        self.ssd_id
     }
 }
 

@@ -1,7 +1,7 @@
 //! The network-engine backend driver (§3.3).
 
 use oasis_channel::{Receiver, Sender};
-use oasis_cxl::dma::{DmaMemory, MemRef};
+use oasis_cxl::dma::MemRef;
 use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::Ipv4Addr;
 use oasis_net::nic::{Nic, RxDesc, TxDesc};
@@ -10,7 +10,7 @@ use oasis_sim::detmap::DetMap;
 use oasis_sim::time::SimTime;
 
 use crate::config::OasisConfig;
-use crate::datapath::BufferArea;
+use crate::datapath::{BufferArea, PoolDma};
 use crate::msg::{NetMsg, NetOp};
 use crate::snapshot::Snapshottable;
 
@@ -43,42 +43,6 @@ struct Registration {
     ip: Ipv4Addr,
     tag: u32,
     fe_host: usize,
-}
-
-/// DMA context the backend builds per step: all Oasis I/O buffers live in
-/// the pool.
-struct PoolDma<'a> {
-    pool: &'a mut CxlPool,
-    port: oasis_cxl::pool::PortId,
-    dma_cxl_ns: u64,
-}
-
-impl DmaMemory for PoolDma<'_> {
-    fn dma_read(&mut self, now: SimTime, mem: MemRef, out: &mut [u8]) {
-        match mem {
-            MemRef::Pool(a) => self.pool.dma_read(now, self.port, a, out),
-            MemRef::HostLocal(_) => {
-                // Oasis-mode buffers live in the pool by construction; a
-                // local ref here is a wiring bug, surfaced in debug builds
-                // and answered with zeroes in release.
-                debug_assert!(false, "oasis buffers live in the pool");
-                out.fill(0);
-            }
-        }
-    }
-    fn dma_write(&mut self, now: SimTime, mem: MemRef, data: &[u8]) {
-        match mem {
-            MemRef::Pool(a) => self.pool.dma_write(now, self.port, a, data),
-            MemRef::HostLocal(_) => {
-                // See dma_read: a local ref cannot occur; drop the write
-                // rather than crash the pod.
-                debug_assert!(false, "oasis buffers live in the pool");
-            }
-        }
-    }
-    fn dma_latency_ns(&self, _mem: MemRef) -> u64 {
-        self.dma_cxl_ns
-    }
 }
 
 /// One channel link to a frontend driver.
@@ -253,11 +217,7 @@ impl BackendDriver {
 
         // 2. Drive the NIC (DMA engine, serialization).
         let egress = {
-            let mut dma = PoolDma {
-                pool,
-                port: self.core.port,
-                dma_cxl_ns: self.core.costs.dma_cxl_ns,
-            };
+            let mut dma = PoolDma::new(pool, &self.core);
             nic.process(self.core.clock, &mut dma)
         };
 

@@ -17,14 +17,17 @@
 //!   host driving the NIC's queue pairs. Includes NIC failover via a pod
 //!   backup NIC with MAC borrowing (§3.3.3) and graceful migration with
 //!   GARP (§3.3.4).
-//! * [`engine_storage`] — the storage engine (§3.4): block I/O forwarded as
-//!   64 B NVMe-mirroring messages; drive failures propagate as I/O errors.
-//! * [`engine_accel`] — the compute-offload engine: DMA job submission to
-//!   pooled accelerators over the same 64 B descriptor discipline, proving
-//!   the [`engine`] abstraction generalizes past NICs and SSDs.
-//! * [`engine`] — the generic device-engine contract all three engines (and
-//!   the baseline) implement; the pod runtime schedules every engine core
-//!   through it as an actor on `oasis_sim::Scheduler`.
+//! * [`engine_req`] — the one request/response engine: a generic frontend
+//!   and backend (submit, retry with backoff, restart replay, dedup,
+//!   complete) over 64 B descriptors, parameterised by a small
+//!   [`engine_req::ReqClass`] per device class.
+//! * [`engine_storage`] — the storage class (§3.4): block I/O as 64 B
+//!   NVMe-mirroring messages; drive failures propagate as I/O errors.
+//! * [`engine_accel`] — the compute-offload class: DMA job submission to
+//!   pooled accelerators over the same engine, past NICs and SSDs.
+//! * [`engine`] — the device-engine contract every polling core (net,
+//!   request/response, baseline) implements; the pod runtime schedules
+//!   each as an actor on `oasis_sim::Scheduler`.
 //! * [`allocator`] — the pod-wide allocator (§3.5): leases, 100 ms
 //!   telemetry, local-first placement, failure management; replicable with
 //!   Raft from `oasis-raft`.
@@ -51,6 +54,7 @@ pub mod datapath;
 pub mod engine;
 pub mod engine_accel;
 pub mod engine_net;
+pub mod engine_req;
 pub mod engine_storage;
 pub mod error;
 pub mod fleet;

@@ -9,9 +9,9 @@
 //! co-simulated microbenchmarks — so cross-host latencies, failover
 //! timelines, and CXL link traffic all emerge from the same component
 //! models the unit tests exercise. Device engines are stepped uniformly
-//! through [`crate::engine::DeviceEngine`]; the runtime has no per-engine
-//! special cases, which is what lets a new device class (see
-//! [`crate::engine_accel`]) plug in without touching the loop.
+//! through [`crate::engine::DeviceEngine`], and every request/response
+//! device class is one more [`EngineSet`] of the same generic drivers, so
+//! the runtime has no per-engine special cases.
 //!
 //! Instance launch (placement + registration) is performed synchronously at
 //! build time, as a cloud control plane would before a VM starts; the
@@ -40,11 +40,12 @@ use oasis_storage::ssd::{Ssd, SsdConfig};
 use crate::allocator::{AllocCommand, PodAllocator};
 use crate::baseline::LocalDriver;
 use crate::config::{BufferPlacement, OasisConfig};
-use crate::datapath::{alloc_net_channel, BufferArea};
+use crate::datapath::{alloc_descriptor_channel, alloc_net_channel, BufferArea};
 use crate::engine::{DeviceEngine, EngineFault, EngineWorld};
-use crate::engine_accel::{alloc_accel_channel, AccelBackend, AccelFrontend, JobResult};
+use crate::engine_accel::{AccelClass, JobResult};
 use crate::engine_net::{BackendDriver, FrontendDriver};
-use crate::engine_storage::{alloc_storage_channel, StorageBackend, StorageFrontend};
+use crate::engine_req::{ReqBackend, ReqClass, ReqFrontend};
+use crate::engine_storage::{IoResult, StorageClass};
 use crate::error::PodError;
 use crate::instance::{AppKind, Instance};
 use crate::snapshot::{
@@ -69,6 +70,24 @@ pub enum HostDriver {
     Oasis(FrontendDriver),
     /// Junction-style baseline: combined driver + local NIC.
     Local(LocalDriver),
+}
+
+impl HostDriver {
+    /// The driver as the engine the runtime steps.
+    fn engine(&self) -> &dyn DeviceEngine {
+        match self {
+            HostDriver::Oasis(fe) => fe,
+            HostDriver::Local(ld) => ld,
+        }
+    }
+
+    /// Mutable [`Self::engine`].
+    fn engine_mut(&mut self) -> &mut dyn DeviceEngine {
+        match self {
+            HostDriver::Oasis(fe) => fe,
+            HostDriver::Local(ld) => ld,
+        }
+    }
 }
 
 enum PortOwner {
@@ -128,14 +147,19 @@ enum EngineRef {
     Driver(usize),
     /// Net backend by index.
     NetBackend(usize),
-    /// Storage frontend by host.
-    StorageFe(usize),
-    /// Storage backend by index.
-    StorageBe(usize),
-    /// Accel frontend by host.
-    AccelFe(usize),
-    /// Accel backend by index.
-    AccelBe(usize),
+    /// An engine of the storage set.
+    Storage(ReqRef),
+    /// An engine of the accel set.
+    Accel(ReqRef),
+}
+
+/// One engine of an [`EngineSet`].
+#[derive(Clone, Copy)]
+enum ReqRef {
+    /// Frontend by host.
+    Fe(usize),
+    /// Backend by device index.
+    Be(usize),
 }
 
 /// What a scheduler actor id stands for.
@@ -151,6 +175,13 @@ enum ActorKind {
     Events,
 }
 
+/// Scheduler ids of an [`EngineSet`]'s first frontend and first backend.
+#[derive(Clone, Copy)]
+struct SetBase {
+    fe: usize,
+    be: usize,
+}
+
 /// Base offsets of each actor class in the scheduler's id space. Ids are
 /// assigned in registration order, which is also the tie-break order: on
 /// equal wake times the lowest id runs first, reproducing the legacy
@@ -159,47 +190,165 @@ struct ActorMap {
     driver_base: usize,
     net_backend_base: usize,
     endpoint_base: usize,
-    storage_fe_base: usize,
-    storage_be_base: usize,
-    accel_fe_base: usize,
-    accel_be_base: usize,
+    storage: SetBase,
+    accel: SetBase,
 }
 
-/// Visit every device engine on `host` as `&mut dyn DeviceEngine`, in
-/// actor registration order. A free function over the split engine tables
-/// so callers can destructure [`Pod`] and keep the pool borrowed alongside.
-// One parameter per engine table is the point: the split borrows are what
-// let the pool stay mutably borrowed next to them.
-#[allow(clippy::too_many_arguments)]
-fn each_host_engine(
-    drivers: &mut [HostDriver],
-    backends: &mut [BackendDriver],
-    storage_frontends: &mut [Option<StorageFrontend>],
-    storage_backends: &mut [StorageBackend],
-    accel_frontends: &mut [Option<AccelFrontend>],
-    accel_backends: &mut [AccelBackend],
-    host: usize,
-    mut f: impl FnMut(&mut dyn DeviceEngine),
-) {
-    match &mut drivers[host] {
-        HostDriver::Oasis(fe) => f(fe),
-        HostDriver::Local(ld) => f(ld),
+impl ActorMap {
+    /// The scheduler id of an engine's actor.
+    fn id(&self, eref: EngineRef) -> usize {
+        let of = |base: SetBase, r| match r {
+            ReqRef::Fe(host) => base.fe + host,
+            ReqRef::Be(i) => base.be + i,
+        };
+        match eref {
+            EngineRef::Driver(host) => self.driver_base + host,
+            EngineRef::NetBackend(i) => self.net_backend_base + i,
+            EngineRef::Storage(r) => of(self.storage, r),
+            EngineRef::Accel(r) => of(self.accel, r),
+        }
     }
-    for be in backends.iter_mut().filter(|b| b.host == host) {
-        f(be);
+}
+
+/// Register an actor waking at `wake`, or parked when `None` (a dead
+/// host's core, an absent frontend, an empty event queue).
+fn add_actor(sched: &mut Scheduler, wake: Option<SimTime>) {
+    match wake {
+        Some(t) => sched.add_actor(t),
+        None => sched.add_idle_actor(),
+    };
+}
+
+/// One request/response device class's share of a pod
+/// ([`crate::engine_req`]): a frontend per Oasis host and, per device, a
+/// backend that owns it.
+pub struct EngineSet<C: ReqClass> {
+    /// Frontends by host (`None` on baseline hosts, and everywhere in a pod
+    /// without devices of the class).
+    pub frontends: Vec<Option<ReqFrontend<C>>>,
+    /// Backends by device id; `backends[i].device` is the device.
+    pub backends: Vec<ReqBackend<C>>,
+}
+
+impl<C: ReqClass> EngineSet<C> {
+    /// One backend per device, one frontend per Oasis host (only when the
+    /// pod has devices of the class), fully meshed with 64 B descriptor
+    /// channels named by the class's initial (`sfe0->sbe0`).
+    fn build(
+        cfg: &OasisConfig,
+        hosts: &[(bool, Option<BufferPlacement>)],
+        devices: Vec<(usize, C::Device)>,
+        pool: &mut CxlPool,
+        ra: &mut RegionAllocator,
+    ) -> Self {
+        let name = C::NAME;
+        let tag = &name[..1];
+        let mut backends: Vec<ReqBackend<C>> = devices
+            .into_iter()
+            .enumerate()
+            .map(|(id, (host, dev))| {
+                ReqBackend::new(id, host, HostCtx::new(PortId(host), 0), cfg, dev)
+            })
+            .collect();
+        let mut frontends = Vec::new();
+        for (host, &(_, baseline)) in hosts.iter().enumerate() {
+            if backends.is_empty() || baseline.is_some() {
+                frontends.push(None);
+                continue;
+            }
+            let data_region = ra.alloc(
+                pool,
+                format!("host{host}.{name}_data"),
+                C::BUF_SIZE * C::BUFS_PER_HOST,
+                TrafficClass::Payload,
+            );
+            let area = BufferArea::new(data_region, C::BUF_SIZE);
+            let mut fe = ReqFrontend::new(host, HostCtx::new(PortId(host), 0), cfg, area);
+            for (id, be) in backends.iter_mut().enumerate() {
+                let cmd = format!("{tag}fe{host}->{tag}be{id}");
+                let cmd = alloc_descriptor_channel::<C::Command>(pool, ra, &cmd, 1024);
+                let cpl = format!("{tag}be{id}->{tag}fe{host}");
+                let cpl = alloc_descriptor_channel::<C::Completion>(pool, ra, &cpl, 1024);
+                fe.add_link(id, cmd.sender, cpl.receiver);
+                be.add_link(host, cpl.sender, cmd.receiver);
+            }
+            frontends.push(Some(fe));
+        }
+        EngineSet {
+            frontends,
+            backends,
+        }
     }
-    if let Some(fe) = storage_frontends[host].as_mut() {
-        f(fe);
+
+    /// Every engine of the set in actor registration order: frontends by
+    /// host, then backends by device.
+    fn engines(&self) -> impl Iterator<Item = (ReqRef, &dyn DeviceEngine)> {
+        let fes = self.frontends.iter().enumerate();
+        let fes = fes.filter_map(|(h, fe)| Some((ReqRef::Fe(h), fe.as_ref()? as _)));
+        let bes = self.backends.iter().enumerate();
+        fes.chain(bes.map(|(i, be)| (ReqRef::Be(i), be as _)))
     }
-    for be in storage_backends.iter_mut().filter(|b| b.host == host) {
-        f(be);
+
+    /// Mutable view of the same engines, in the same order.
+    fn engines_mut(&mut self) -> impl Iterator<Item = &mut dyn DeviceEngine> {
+        let fes = self.frontends.iter_mut().flatten().map(|fe| fe as _);
+        fes.chain(self.backends.iter_mut().map(|be| be as _))
     }
-    if let Some(fe) = accel_frontends[host].as_mut() {
-        f(fe);
+
+    /// Resolve one engine (`None` for a host without a frontend).
+    fn engine(&mut self, r: ReqRef) -> Option<&mut dyn DeviceEngine> {
+        match r {
+            ReqRef::Fe(host) => self.frontends[host].as_mut().map(|fe| fe as _),
+            ReqRef::Be(i) => Some(&mut self.backends[i]),
+        }
     }
-    for be in accel_backends.iter_mut().filter(|b| b.host == host) {
-        f(be);
+
+    /// Register the set's actors: one per host slot (parked where there is
+    /// no frontend or the host is dead), then one per backend.
+    fn register(
+        &self,
+        sched: &mut Scheduler,
+        kinds: &mut Vec<ActorKind>,
+        dead_host: &[bool],
+        eref: fn(ReqRef) -> EngineRef,
+    ) -> SetBase {
+        let fe = sched.actor_count();
+        for (host, slot) in self.frontends.iter().enumerate() {
+            let live = slot.as_ref().filter(|_| !dead_host[host]);
+            add_actor(sched, live.map(|fe| fe.core.clock));
+            kinds.push(ActorKind::Engine(eref(ReqRef::Fe(host))));
+        }
+        let be = sched.actor_count();
+        for (i, b) in self.backends.iter().enumerate() {
+            add_actor(sched, (!dead_host[b.host]).then_some(b.core.clock));
+            kinds.push(ActorKind::Engine(eref(ReqRef::Be(i))));
+        }
+        SetBase { fe, be }
     }
+
+    /// The frontend serving `host`.
+    fn frontend_mut(&mut self, host: usize) -> Result<&mut ReqFrontend<C>, PodError> {
+        let fe = self.frontends.get_mut(host).and_then(Option::as_mut);
+        fe.ok_or(PodError::EngineMissing {
+            host,
+            engine: C::NAME,
+        })
+    }
+}
+
+/// Every device engine in actor registration order, mutably. A free
+/// function over the split engine tables so callers can destructure [`Pod`]
+/// and keep the pool borrowed alongside.
+fn engines_mut<'a>(
+    drivers: &'a mut [HostDriver],
+    backends: &'a mut [BackendDriver],
+    storage: &'a mut EngineSet<StorageClass>,
+    accel: &'a mut EngineSet<AccelClass>,
+) -> impl Iterator<Item = &'a mut dyn DeviceEngine> {
+    let drivers = drivers.iter_mut().map(HostDriver::engine_mut);
+    let net = backends.iter_mut().map(|be| be as _);
+    let req = storage.engines_mut().chain(accel.engines_mut());
+    drivers.chain(net).chain(req)
 }
 
 /// A block volume carved for an instance by the pod-wide allocator.
@@ -213,6 +362,18 @@ pub struct VolumeHandle {
     pub base_block: u64,
     /// Length in blocks.
     pub blocks: u64,
+}
+
+impl VolumeHandle {
+    /// The device block behind volume block `lba`, for an access of `nlb`
+    /// blocks. `None` when `lba + nlb` wraps — it must not reach the
+    /// comparison below wrapped, or the access lands in a neighbouring
+    /// tenant's blocks. Panics if the range escapes the volume.
+    fn device_block(&self, lba: u64, nlb: u64) -> Option<u64> {
+        let end = lba.checked_add(nlb)?;
+        assert!(end <= self.blocks, "access escapes the volume");
+        self.base_block.checked_add(lba)
+    }
 }
 
 /// Ambient-telemetry accumulators for the pod runtime (empty with `obs`
@@ -297,18 +458,11 @@ pub struct Pod {
     pub allocator: PodAllocator,
     /// Client endpoints (`Send` so pods can migrate between shard workers).
     pub endpoints: Vec<Box<dyn Endpoint + Send>>,
-    /// SSDs by id.
-    pub ssds: Vec<Ssd>,
-    /// Storage frontends, per host (Oasis hosts in pods with SSDs).
-    pub storage_frontends: Vec<Option<StorageFrontend>>,
-    /// Storage backends, per SSD.
-    pub storage_backends: Vec<StorageBackend>,
-    /// Compute-offload accelerators by id.
-    pub accels: Vec<AccelDevice>,
-    /// Accel frontends, per host (Oasis hosts in pods with accelerators).
-    pub accel_frontends: Vec<Option<AccelFrontend>>,
-    /// Accel backends, per accelerator.
-    pub accel_backends: Vec<AccelBackend>,
+    /// The storage engine (§3.4): `storage.backends[i].device` is SSD `i`.
+    pub storage: EngineSet<StorageClass>,
+    /// The compute-offload engine: `accel.backends[i].device` is
+    /// accelerator `i`.
+    pub accel: EngineSet<AccelClass>,
     nic_macs: Vec<MacAddr>,
     nic_host: Vec<usize>,
     nic_port: Vec<usize>,
@@ -576,115 +730,28 @@ impl PodBuilder {
             }
         }
 
-        // Storage engine: one backend per SSD, one frontend per Oasis host
-        // (only when the pod has SSDs), fully meshed with 64 B channels.
+        // Storage and accel engines: the same generic drivers, wired the
+        // same way (storage first, so its regions and channels keep their
+        // addresses).
         let mut ssds = Vec::new();
-        let mut storage_backends: Vec<StorageBackend> = Vec::new();
-        let mut storage_frontends: Vec<Option<StorageFrontend>> = Vec::new();
         for (ssd_id, (host, ssd_cfg)) in self.ssds.iter().enumerate() {
             allocator.propose(AllocCommand::RegisterSsd {
                 ssd: ssd_id as u32,
                 host: *host as u32,
                 capacity_blocks: ssd_cfg.blocks_per_ns as u32 * ssd_cfg.namespaces,
             });
-            let be_core = HostCtx::new(PortId(*host), 0);
-            storage_backends.push(StorageBackend::new(
-                ssd_id,
-                *host,
-                be_core,
-                self.cfg.clone(),
-            ));
-            ssds.push(Ssd::new(ssd_cfg.clone()));
+            ssds.push((*host, Ssd::new(ssd_cfg.clone())));
         }
-        for (host, &(_, baseline)) in self.hosts.iter().enumerate() {
-            if self.ssds.is_empty() || baseline.is_some() {
-                storage_frontends.push(None);
-                continue;
-            }
-            let data_region = ra.alloc(
-                &mut pool,
-                format!("host{host}.storage_data"),
-                self.cfg.storage_area_per_host,
-                TrafficClass::Payload,
-            );
-            let fe_core = HostCtx::new(PortId(host), 0);
-            let mut fe = StorageFrontend::new(
-                host,
-                fe_core,
-                self.cfg.clone(),
-                BufferArea::new(data_region, self.cfg.storage_buf_size),
-            );
-            for (ssd_id, be) in storage_backends.iter_mut().enumerate() {
-                let cmd = alloc_storage_channel(
-                    &mut pool,
-                    &mut ra,
-                    &format!("sfe{host}->sbe{ssd_id}"),
-                    1024,
-                );
-                let cpl = alloc_storage_channel(
-                    &mut pool,
-                    &mut ra,
-                    &format!("sbe{ssd_id}->sfe{host}"),
-                    1024,
-                );
-                fe.add_ssd_link(ssd_id, cmd.sender, cpl.receiver);
-                be.add_frontend_link(host, cpl.sender, cmd.receiver);
-            }
-            storage_frontends.push(Some(fe));
-        }
-
-        // Accel engine: one backend per accelerator, one frontend per Oasis
-        // host (only when the pod has accelerators), fully meshed with 64 B
-        // job-descriptor channels — structurally identical to storage, which
-        // is the point of the engine abstraction.
+        let storage = EngineSet::build(&self.cfg, &self.hosts, ssds, &mut pool, &mut ra);
         let mut accels = Vec::new();
-        let mut accel_backends: Vec<AccelBackend> = Vec::new();
-        let mut accel_frontends: Vec<Option<AccelFrontend>> = Vec::new();
         for (dev_id, (host, accel_cfg)) in self.accels.iter().enumerate() {
             allocator.propose(AllocCommand::RegisterAccel {
                 accel: dev_id as u32,
                 host: *host as u32,
             });
-            let be_core = HostCtx::new(PortId(*host), 0);
-            accel_backends.push(AccelBackend::new(dev_id, *host, be_core, self.cfg.clone()));
-            accels.push(AccelDevice::new(accel_cfg.clone()));
+            accels.push((*host, AccelDevice::new(accel_cfg.clone())));
         }
-        for (host, &(_, baseline)) in self.hosts.iter().enumerate() {
-            if self.accels.is_empty() || baseline.is_some() {
-                accel_frontends.push(None);
-                continue;
-            }
-            let data_region = ra.alloc(
-                &mut pool,
-                format!("host{host}.accel_data"),
-                self.cfg.accel_area_per_host,
-                TrafficClass::Payload,
-            );
-            let fe_core = HostCtx::new(PortId(host), 0);
-            let mut fe = AccelFrontend::new(
-                host,
-                fe_core,
-                self.cfg.clone(),
-                BufferArea::new(data_region, self.cfg.accel_buf_size),
-            );
-            for (dev_id, be) in accel_backends.iter_mut().enumerate() {
-                let cmd = alloc_accel_channel(
-                    &mut pool,
-                    &mut ra,
-                    &format!("afe{host}->abe{dev_id}"),
-                    1024,
-                );
-                let cpl = alloc_accel_channel(
-                    &mut pool,
-                    &mut ra,
-                    &format!("abe{dev_id}->afe{host}"),
-                    1024,
-                );
-                fe.add_accel_link(dev_id, cmd.sender, cpl.receiver);
-                be.add_frontend_link(host, cpl.sender, cmd.receiver);
-            }
-            accel_frontends.push(Some(fe));
-        }
+        let accel = EngineSet::build(&self.cfg, &self.hosts, accels, &mut pool, &mut ra);
 
         Pod {
             cfg: self.cfg,
@@ -696,12 +763,8 @@ impl PodBuilder {
             instances: Vec::new(),
             allocator,
             endpoints: Vec::new(),
-            ssds,
-            storage_frontends,
-            storage_backends,
-            accels,
-            accel_frontends,
-            accel_backends,
+            storage,
+            accel,
             nic_macs,
             nic_host,
             nic_port,
@@ -749,25 +812,11 @@ impl Pod {
     /// identical whether or not snapshots are taken.
     pub fn metrics_snapshot(&self) -> oasis_obs::MetricsSnapshot {
         let mut sink = oasis_obs::MetricSink::new();
+        // Host order, registration order within a host: cores of one host
+        // share its cache-counter tag, and the last export wins.
         for host in 0..self.drivers.len() {
-            match &self.drivers[host] {
-                HostDriver::Oasis(fe) => fe.on_metrics(&mut sink),
-                HostDriver::Local(ld) => ld.on_metrics(&mut sink),
-            }
-            for be in self.backends.iter().filter(|b| b.host == host) {
-                be.on_metrics(&mut sink);
-            }
-            if let Some(fe) = self.storage_frontends[host].as_ref() {
-                fe.on_metrics(&mut sink);
-            }
-            for be in self.storage_backends.iter().filter(|b| b.host == host) {
-                be.on_metrics(&mut sink);
-            }
-            if let Some(fe) = self.accel_frontends[host].as_ref() {
-                fe.on_metrics(&mut sink);
-            }
-            for be in self.accel_backends.iter().filter(|b| b.host == host) {
-                be.on_metrics(&mut sink);
+            for (_, e) in self.engines().filter(|(_, e)| e.host() == host) {
+                e.on_metrics(&mut sink);
             }
         }
         sink.set(
@@ -1042,11 +1091,13 @@ impl Pod {
 
     /// Carve a block volume for an instance out of the pod's pooled SSD
     /// capacity (local-first, then most-free — the storage analog of §3.5
-    /// placement).
+    /// placement). `None` when no SSD has `blocks` free, or `blocks` is
+    /// beyond what the allocator can address.
     pub fn create_volume(&mut self, inst: usize, blocks: u64) -> Option<VolumeHandle> {
         let host = self.instances[inst].host;
         let ip = self.instances[inst].ip;
-        let (ssd, base) = self.allocator.place_volume(host, ip, blocks as u32)?;
+        let want = u32::try_from(blocks).ok()?;
+        let (ssd, base) = self.allocator.place_volume(host, ip, want)?;
         Some(VolumeHandle {
             inst,
             ssd: ssd as usize,
@@ -1055,32 +1106,31 @@ impl Pod {
         })
     }
 
-    /// Submit a write of whole blocks to a volume. Returns the command id.
+    /// Submit a write of whole blocks to a volume. Returns the command id,
+    /// or `None` when refused (backpressure, no storage engine on the
+    /// instance's host, or a block range that wraps the address space).
+    /// Panics if the range escapes the volume.
     pub fn volume_write(&mut self, vol: VolumeHandle, lba: u64, data: &[u8]) -> Option<u16> {
-        let nlb = data.len() as u64 / oasis_storage::BLOCK_SIZE;
-        assert!(lba + nlb <= vol.blocks, "write escapes the volume");
+        let block = vol.device_block(lba, data.len() as u64 / oasis_storage::BLOCK_SIZE)?;
         let host = self.instances[vol.inst].host;
-        let fe = self.storage_frontends[host].as_mut()?;
-        fe.submit_write(&mut self.pool, vol.ssd, vol.base_block + lba, data)
+        let fe = self.storage.frontend_mut(host).ok()?;
+        fe.submit_write(&mut self.pool, vol.ssd, block, data)
     }
 
-    /// Submit a read of `nlb` blocks from a volume. Returns the command id.
+    /// Submit a read of `nlb` blocks from a volume. Returns the command id;
+    /// refusals and panics as for [`Pod::volume_write`].
     pub fn volume_read(&mut self, vol: VolumeHandle, lba: u64, nlb: u32) -> Option<u16> {
-        assert!(lba + nlb as u64 <= vol.blocks, "read escapes the volume");
+        let block = vol.device_block(lba, nlb as u64)?;
         let host = self.instances[vol.inst].host;
-        let fe = self.storage_frontends[host].as_mut()?;
-        fe.submit_read(&mut self.pool, vol.ssd, vol.base_block + lba, nlb)
+        let fe = self.storage.frontend_mut(host).ok()?;
+        fe.submit_read(&mut self.pool, vol.ssd, block, nlb)
     }
 
-    /// Drain completed block I/Os for instances on `host`.
-    pub fn take_storage_completions(
-        &mut self,
-        host: usize,
-    ) -> Vec<crate::engine_storage::IoResult> {
-        self.storage_frontends[host]
-            .as_mut()
-            .map(|fe| fe.take_completions())
-            .unwrap_or_default()
+    /// Drain completed block I/Os for instances on `host` (empty for a
+    /// host without a storage frontend, in range or not).
+    pub fn take_storage_completions(&mut self, host: usize) -> Vec<IoResult> {
+        let fe = self.storage.frontend_mut(host);
+        fe.map(|fe| fe.take_completions()).unwrap_or_default()
     }
 
     /// Tear an instance down: release its NIC lease and volumes (local
@@ -1111,7 +1161,7 @@ impl Pod {
     /// Fail (or repair) an SSD; in-flight and future I/O completes with an
     /// error status that propagates to the guest (§3.4).
     pub fn set_ssd_failed(&mut self, ssd: usize, failed: bool) {
-        self.ssds[ssd].set_failed(failed);
+        self.storage.backends[ssd].device.set_failed(failed);
     }
 
     /// Submit a compute-offload job from `host`. The accelerator is picked
@@ -1137,38 +1187,28 @@ impl Pod {
                 class: "accel",
                 index: 0,
             })? as usize;
-        let fe = self.accel_frontends[host]
-            .as_mut()
-            .ok_or(PodError::EngineMissing {
-                host,
-                engine: "accel",
-            })?;
+        let fe = self.accel.frontend_mut(host)?;
         Ok(fe.submit_job(&mut self.pool, dev, op, arg, input))
     }
 
-    /// Drain completed offload jobs for `host`.
+    /// Drain completed offload jobs for `host` (empty for a host without
+    /// an accel frontend, in range or not).
     pub fn take_accel_completions(&mut self, host: usize) -> Vec<JobResult> {
-        self.accel_frontends
-            .get_mut(host)
-            .and_then(|fe| fe.as_mut())
-            .map(|fe| fe.take_completions())
-            .unwrap_or_default()
+        let fe = self.accel.frontend_mut(host);
+        fe.map(|fe| fe.take_completions()).unwrap_or_default()
     }
 
     /// Offload jobs still in flight from `host`.
     pub fn accel_jobs_in_flight(&self, host: usize) -> usize {
-        self.accel_frontends
-            .get(host)
-            .and_then(|fe| fe.as_ref())
-            .map(|fe| fe.in_flight())
-            .unwrap_or(0)
+        let fe = self.accel.frontends.get(host).and_then(Option::as_ref);
+        fe.map_or(0, |fe| fe.in_flight())
     }
 
     /// Fail (or repair) an accelerator; in-flight and future jobs complete
     /// with an error status that propagates to the guest (§3.4 — no
     /// transparent failover for stateful devices).
     pub fn set_accel_failed(&mut self, accel: usize, failed: bool) {
-        self.accels[accel].set_failed(failed);
+        self.accel.backends[accel].device.set_failed(failed);
     }
 
     /// Apply `f` to every polling core that lives on `host`. The allocator
@@ -1178,22 +1218,13 @@ impl Pod {
         let Pod {
             drivers,
             backends,
-            storage_frontends,
-            storage_backends,
-            accel_frontends,
-            accel_backends,
+            storage,
+            accel,
             ..
         } = self;
-        each_host_engine(
-            drivers,
-            backends,
-            storage_frontends,
-            storage_backends,
-            accel_frontends,
-            accel_backends,
-            host,
-            |e| f(e.core_mut()),
-        );
+        for e in engines_mut(drivers, backends, storage, accel).filter(|e| e.host() == host) {
+            f(e.core_mut());
+        }
     }
 
     /// Deliver a host-level fault to every engine core on `host`: drop the
@@ -1204,64 +1235,45 @@ impl Pod {
         let Pod {
             drivers,
             backends,
-            storage_frontends,
-            storage_backends,
-            accel_frontends,
-            accel_backends,
+            storage,
+            accel,
             pool,
             ..
         } = self;
-        each_host_engine(
-            drivers,
-            backends,
-            storage_frontends,
-            storage_backends,
-            accel_frontends,
-            accel_backends,
-            host,
-            |e| {
-                e.core_mut().cache.drain();
-                // The host lost its private cache: any shadow-state the
-                // coherence sanitizer tracked for this port is void.
-                pool.san_host_reset(e.core().port);
-                if fault == EngineFault::HostRestart {
-                    let c = e.core_mut();
-                    c.clock = c.clock.max(at);
-                }
-                e.on_fault(fault, pool);
-            },
-        );
+        for e in engines_mut(drivers, backends, storage, accel).filter(|e| e.host() == host) {
+            e.core_mut().cache.drain();
+            // The host lost its private cache: any shadow-state the
+            // coherence sanitizer tracked for this port is void.
+            pool.san_host_reset(e.core().port);
+            if fault == EngineFault::HostRestart {
+                let c = e.core_mut();
+                c.clock = c.clock.max(at);
+            }
+            e.on_fault(fault, pool);
+        }
+    }
+
+    /// Every device engine with its handle, in actor registration order:
+    /// host drivers, net backends, the storage set, the accel set.
+    fn engines(&self) -> impl Iterator<Item = (EngineRef, &dyn DeviceEngine)> {
+        let drivers = self.drivers.iter().enumerate();
+        let drivers = drivers.map(|(host, d)| (EngineRef::Driver(host), d.engine()));
+        let net = self.backends.iter().enumerate();
+        let net = net.map(|(i, be)| (EngineRef::NetBackend(i), be as _));
+        let storage = self.storage.engines();
+        let accel = self.accel.engines();
+        drivers
+            .chain(net)
+            .chain(storage.map(|(r, e)| (EngineRef::Storage(r), e)))
+            .chain(accel.map(|(r, e)| (EngineRef::Accel(r), e)))
     }
 
     /// Re-arm the scheduler entries of every engine on `host` at its
     /// current clock (used after a restart revives actors that went idle
     /// while the host was dead).
     fn wake_host_engines(&self, host: usize, map: &ActorMap, ctx: &mut StepCtx) {
-        let clock = match &self.drivers[host] {
-            HostDriver::Oasis(fe) => fe.core.clock,
-            HostDriver::Local(ld) => ld.core.clock,
-        };
-        ctx.wake(map.driver_base + host, clock);
-        for (i, be) in self.backends.iter().enumerate() {
-            if be.host == host {
-                ctx.wake(map.net_backend_base + i, be.core.clock);
-            }
-        }
-        if let Some(fe) = self.storage_frontends[host].as_ref() {
-            ctx.wake(map.storage_fe_base + host, fe.core.clock);
-        }
-        for (i, be) in self.storage_backends.iter().enumerate() {
-            if be.host == host {
-                ctx.wake(map.storage_be_base + i, be.core.clock);
-            }
-        }
-        if let Some(fe) = self.accel_frontends[host].as_ref() {
-            ctx.wake(map.accel_fe_base + host, fe.core.clock);
-        }
-        for (i, be) in self.accel_backends.iter().enumerate() {
-            if be.host == host {
-                ctx.wake(map.accel_be_base + i, be.core.clock);
-            }
+        for (eref, e) in self.engines().filter(|(_, e)| e.host() == host) {
+            ctx.wake(map.id(eref), e.core().clock);
         }
     }
 
@@ -1375,16 +1387,24 @@ impl Pod {
                 self.for_each_host_core(host, |c| c.clock += stall);
             }
             PodEvent::SsdTimeoutUntil(ssd, until) => {
-                self.ssds[ssd].inject_timeout_until(until);
+                self.storage.backends[ssd]
+                    .device
+                    .inject_timeout_until(until);
             }
             PodEvent::SsdReadErrorsUntil(ssd, until) => {
-                self.ssds[ssd].inject_read_errors_until(until);
+                self.storage.backends[ssd]
+                    .device
+                    .inject_read_errors_until(until);
             }
             PodEvent::AccelTimeoutUntil(accel, until) => {
-                self.accels[accel].inject_timeout_until(until);
+                self.accel.backends[accel]
+                    .device
+                    .inject_timeout_until(until);
             }
             PodEvent::AccelErrorsUntil(accel, until) => {
-                self.accels[accel].inject_compute_errors_until(until);
+                self.accel.backends[accel]
+                    .device
+                    .inject_compute_errors_until(until);
             }
             PodEvent::Migrate(ip, nic) => {
                 // The frontend registers with the new NIC's backend over
@@ -1444,47 +1464,12 @@ impl Pod {
     /// instant (and to skip horizons with no work at all).
     pub fn next_activity(&self) -> SimTime {
         let mut t = self.pending.peek_time().unwrap_or(SimTime::MAX);
-        for (host, drv) in self.drivers.iter().enumerate() {
-            if self.dead_host[host] {
-                continue;
-            }
-            t = t.min(match drv {
-                HostDriver::Oasis(fe) => fe.core.clock,
-                HostDriver::Local(ld) => ld.core.clock,
-            });
-        }
-        for be in &self.backends {
-            if !self.dead_host[be.host] {
-                t = t.min(be.core.clock);
-            }
+        for (_, e) in self.engines().filter(|(_, e)| !self.dead_host[e.host()]) {
+            t = t.min(e.core().clock);
         }
         t = t.min(self.allocator.core.clock);
         for ep in &self.endpoints {
             t = t.min(ep.next_time());
-        }
-        for (host, fe) in self.storage_frontends.iter().enumerate() {
-            if let Some(fe) = fe {
-                if !self.dead_host[host] {
-                    t = t.min(fe.core.clock);
-                }
-            }
-        }
-        for be in &self.storage_backends {
-            if !self.dead_host[be.host] {
-                t = t.min(be.core.clock);
-            }
-        }
-        for (host, fe) in self.accel_frontends.iter().enumerate() {
-            if let Some(fe) = fe {
-                if !self.dead_host[host] {
-                    t = t.min(fe.core.clock);
-                }
-            }
-        }
-        for be in &self.accel_backends {
-            if !self.dead_host[be.host] {
-                t = t.min(be.core.clock);
-            }
         }
         t
     }
@@ -1513,26 +1498,16 @@ impl Pod {
         sched.clear();
         kinds.clear();
 
+        let dead = &self.dead_host;
         let driver_base = sched.actor_count();
         for (host, drv) in self.drivers.iter().enumerate() {
-            if self.dead_host[host] {
-                sched.add_idle_actor();
-            } else {
-                let clock = match drv {
-                    HostDriver::Oasis(fe) => fe.core.clock,
-                    HostDriver::Local(ld) => ld.core.clock,
-                };
-                sched.add_actor(clock);
-            }
+            let clock = drv.engine().core().clock;
+            add_actor(&mut sched, (!dead[host]).then_some(clock));
             kinds.push(ActorKind::Engine(EngineRef::Driver(host)));
         }
         let net_backend_base = sched.actor_count();
         for (i, be) in self.backends.iter().enumerate() {
-            if self.dead_host[be.host] {
-                sched.add_idle_actor();
-            } else {
-                sched.add_actor(be.core.clock);
-            }
+            add_actor(&mut sched, (!dead[be.host]).then_some(be.core.clock));
             kinds.push(ActorKind::Engine(EngineRef::NetBackend(i)));
         }
         sched.add_actor(self.allocator.core.clock);
@@ -1542,69 +1517,24 @@ impl Pod {
             sched.add_actor(ep.next_time());
             kinds.push(ActorKind::Endpoint(i));
         }
-        let storage_fe_base = sched.actor_count();
-        for (host, fe) in self.storage_frontends.iter().enumerate() {
-            match fe {
-                Some(fe) if !self.dead_host[host] => {
-                    sched.add_actor(fe.core.clock);
-                }
-                _ => {
-                    sched.add_idle_actor();
-                }
-            }
-            kinds.push(ActorKind::Engine(EngineRef::StorageFe(host)));
-        }
-        let storage_be_base = sched.actor_count();
-        for (i, be) in self.storage_backends.iter().enumerate() {
-            if self.dead_host[be.host] {
-                sched.add_idle_actor();
-            } else {
-                sched.add_actor(be.core.clock);
-            }
-            kinds.push(ActorKind::Engine(EngineRef::StorageBe(i)));
-        }
-        let accel_fe_base = sched.actor_count();
-        for (host, fe) in self.accel_frontends.iter().enumerate() {
-            match fe {
-                Some(fe) if !self.dead_host[host] => {
-                    sched.add_actor(fe.core.clock);
-                }
-                _ => {
-                    sched.add_idle_actor();
-                }
-            }
-            kinds.push(ActorKind::Engine(EngineRef::AccelFe(host)));
-        }
-        let accel_be_base = sched.actor_count();
-        for (i, be) in self.accel_backends.iter().enumerate() {
-            if self.dead_host[be.host] {
-                sched.add_idle_actor();
-            } else {
-                sched.add_actor(be.core.clock);
-            }
-            kinds.push(ActorKind::Engine(EngineRef::AccelBe(i)));
-        }
+        let storage = self
+            .storage
+            .register(&mut sched, &mut kinds, dead, EngineRef::Storage);
+        let accel = self
+            .accel
+            .register(&mut sched, &mut kinds, dead, EngineRef::Accel);
         // The event queue goes last so on wake-time ties every component
         // runs before the event fires, matching the legacy scan's
         // events-considered-last rule.
-        match self.pending.peek_time() {
-            Some(t) => {
-                sched.add_actor(t);
-            }
-            None => {
-                sched.add_idle_actor();
-            }
-        }
+        add_actor(&mut sched, self.pending.peek_time());
         kinds.push(ActorKind::Events);
 
         let map = ActorMap {
             driver_base,
             net_backend_base,
             endpoint_base,
-            storage_fe_base,
-            storage_be_base,
-            accel_fe_base,
-            accel_be_base,
+            storage,
+            accel,
         };
 
         let mut dispatches: u64 = 0;
@@ -1705,15 +1635,11 @@ impl Pod {
             let Pod {
                 drivers,
                 backends,
-                storage_frontends,
-                storage_backends,
-                accel_frontends,
-                accel_backends,
+                storage,
+                accel,
                 pool,
                 instances,
                 nics,
-                ssds,
-                accels,
                 nic_macs,
                 dead_host,
                 now,
@@ -1721,21 +1647,16 @@ impl Pod {
                 ..
             } = self;
             let engine: &mut dyn DeviceEngine = match eref {
-                EngineRef::Driver(i) => match &mut drivers[i] {
-                    HostDriver::Oasis(fe) => fe,
-                    HostDriver::Local(ld) => ld,
-                },
+                EngineRef::Driver(i) => drivers[i].engine_mut(),
                 EngineRef::NetBackend(i) => &mut backends[i],
-                EngineRef::StorageFe(h) => match storage_frontends[h].as_mut() {
-                    Some(fe) => fe,
+                EngineRef::Storage(r) => match storage.engine(r) {
+                    Some(e) => e,
                     None => return StepOutcome::Idle,
                 },
-                EngineRef::StorageBe(i) => &mut storage_backends[i],
-                EngineRef::AccelFe(h) => match accel_frontends[h].as_mut() {
-                    Some(fe) => fe,
+                EngineRef::Accel(r) => match accel.engine(r) {
+                    Some(e) => e,
                     None => return StepOutcome::Idle,
                 },
-                EngineRef::AccelBe(i) => &mut accel_backends[i],
             };
             if dead_host[engine.host()] {
                 // The host crashed after this wake was queued; park the
@@ -1763,8 +1684,6 @@ impl Pod {
                 instances,
                 nic_macs: nic_macs.as_slice(),
                 nics: nics.as_mut_slice(),
-                ssds: ssds.as_mut_slice(),
-                accels: accels.as_mut_slice(),
             };
             let egress = engine.poll(&mut world);
             (egress, engine.egress_nic(), engine.next_time())
@@ -1788,54 +1707,22 @@ impl Pod {
     /// by construction.
     fn snapshot_parts(&self) -> Vec<&dyn Snapshottable> {
         let mut v: Vec<&dyn Snapshottable> = vec![&self.allocator];
-        for d in &self.drivers {
-            match d {
-                HostDriver::Oasis(fe) => v.push(fe),
-                HostDriver::Local(ld) => v.push(ld),
-            }
-        }
-        for be in &self.backends {
-            v.push(be);
-        }
-        for fe in self.storage_frontends.iter().flatten() {
-            v.push(fe);
-        }
-        for be in &self.storage_backends {
-            v.push(be);
-        }
-        for fe in self.accel_frontends.iter().flatten() {
-            v.push(fe);
-        }
-        for be in &self.accel_backends {
-            v.push(be);
-        }
+        v.extend(self.engines().map(|(_, e)| e as &dyn Snapshottable));
         v
     }
 
     /// Mutable view of the same components, in the same order.
     fn snapshot_parts_mut(&mut self) -> Vec<&mut dyn Snapshottable> {
-        let mut v: Vec<&mut dyn Snapshottable> = vec![&mut self.allocator];
-        for d in &mut self.drivers {
-            match d {
-                HostDriver::Oasis(fe) => v.push(fe),
-                HostDriver::Local(ld) => v.push(ld),
-            }
-        }
-        for be in &mut self.backends {
-            v.push(be);
-        }
-        for fe in self.storage_frontends.iter_mut().flatten() {
-            v.push(fe);
-        }
-        for be in &mut self.storage_backends {
-            v.push(be);
-        }
-        for fe in self.accel_frontends.iter_mut().flatten() {
-            v.push(fe);
-        }
-        for be in &mut self.accel_backends {
-            v.push(be);
-        }
+        let Pod {
+            allocator,
+            drivers,
+            backends,
+            storage,
+            accel,
+            ..
+        } = self;
+        let mut v: Vec<&mut dyn Snapshottable> = vec![allocator];
+        v.extend(engines_mut(drivers, backends, storage, accel).map(|e| e as _));
         v
     }
 

@@ -148,7 +148,7 @@ fn injected_fault_windows_are_survived_by_retries() {
     let results: Vec<u64> = done.iter().map(|r| r.result).collect();
     assert!(results.contains(&fnv1a(&in0)));
     assert!(results.contains(&fnv1a(&in1)));
-    let fe = pod.accel_frontends[h0].as_ref().unwrap();
+    let fe = pod.accel.frontends[h0].as_ref().unwrap();
     assert!(
         fe.stats.retries > 0,
         "the fault windows forced resubmission"
@@ -185,7 +185,7 @@ fn host_restart_replays_in_flight_jobs_exactly_once() {
     assert_eq!(pod.accel_jobs_in_flight(h0), 0);
     // Exactly-once: the device executed the job once or answered the replay
     // from its dedup cache — never computed a second, conflicting result.
-    assert!(pod.accels[0].stats.jobs <= 2);
+    assert!(pod.accel.backends[0].device.stats.jobs <= 2);
 }
 
 #[test]
@@ -242,4 +242,9 @@ fn pods_without_accelerators_report_typed_errors() {
             .unwrap_err(),
         PodError::NoSuchHost(99)
     );
+    // Draining a host that does not exist, or has no accel frontend, is
+    // empty rather than a panic — same answer as the storage drain.
+    assert!(pod.take_accel_completions(99).is_empty());
+    assert!(pod.take_accel_completions(h0).is_empty());
+    assert_eq!(pod.accel_jobs_in_flight(99), 0);
 }

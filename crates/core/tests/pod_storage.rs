@@ -102,6 +102,58 @@ fn volume_bounds_enforced() {
 }
 
 #[test]
+fn volume_block_range_cannot_wrap_into_a_neighbour() {
+    // Two tenants on one SSD; the second volume starts right after the
+    // first, so "one block before volume 1" is tenant 0's last block.
+    let mut b = PodBuilder::new(OasisConfig::default());
+    let h0 = b.add_host();
+    let h1 = b.add_host();
+    let dev = b.add_nic_host();
+    b.add_ssd(dev, SsdConfig::default());
+    let mut pod = b.build();
+    let i0 = pod.launch_instance(h0, AppKind::None, 1_000);
+    let i1 = pod.launch_instance(h1, AppKind::None, 1_000);
+    let v0 = pod.create_volume(i0, 8).unwrap();
+    let v1 = pod.create_volume(i1, 8).unwrap();
+    assert_eq!(v0.base_block + v0.blocks, v1.base_block);
+    pod.volume_write(v0, 7, &block(0x77)).unwrap();
+    pod.run(SimTime::from_millis(2));
+    assert_eq!(pod.take_storage_completions(h0).len(), 1);
+
+    // `lba + nlb` wraps to 0 and `base_block + lba` to `base_block - 1`:
+    // with wrapping arithmetic this read passed the bounds check and
+    // returned tenant 0's block 7. It is refused, and nothing is sent.
+    assert_eq!(pod.volume_read(v1, u64::MAX, 1), None);
+    assert_eq!(pod.volume_write(v1, u64::MAX, &block(0xEE)), None);
+    pod.run(SimTime::from_millis(4));
+    assert!(pod.take_storage_completions(h1).is_empty());
+    pod.volume_read(v0, 7, 1).unwrap();
+    pod.run(SimTime::from_millis(6));
+    assert_eq!(
+        pod.take_storage_completions(h0)[0].data.as_deref(),
+        Some(&block(0x77)[..]),
+        "tenant 0's data is untouched"
+    );
+}
+
+#[test]
+fn oversized_volume_request_is_refused_not_truncated() {
+    let mut b = PodBuilder::new(OasisConfig::default());
+    let h0 = b.add_host();
+    let dev = b.add_nic_host();
+    b.add_ssd(dev, SsdConfig::default());
+    let mut pod = b.build();
+    let inst = pod.launch_instance(h0, AppKind::None, 1_000);
+    // 2³² + 1 blocks used to reserve `(2³² + 1) as u32` = 1 block and hand
+    // out a handle addressing all 2³² + 1.
+    assert!(pod.create_volume(inst, (1 << 32) + 1).is_none());
+    let ssd0 = pod.allocator.state.ssds[0].as_ref().unwrap();
+    assert_eq!(ssd0.allocated_blocks, 0, "nothing was reserved");
+    // Draining a host that does not exist is empty, not a panic.
+    assert!(pod.take_storage_completions(99).is_empty());
+}
+
+#[test]
 fn ssd_capacity_exhaustion_refuses_volumes() {
     let cfg = SsdConfig {
         blocks_per_ns: 64,

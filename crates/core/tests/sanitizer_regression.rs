@@ -63,7 +63,7 @@ fn reverted_release_flush_redetects_stale_read() {
     let vol = pod.create_volume(inst, 8).expect("capacity available");
 
     // Revert the fix on h0's storage frontend.
-    pod.storage_frontends[h0]
+    pod.storage.frontends[h0]
         .as_mut()
         .expect("oasis host has a storage frontend")
         .set_skip_release_invalidate(true);

@@ -63,14 +63,14 @@ fn ssd_timeout_window_commands_retried_and_completed_exactly_once() {
         );
     }
     assert_eq!(done.len(), cids.len());
-    let fe = pod.storage_frontends[h0].as_ref().unwrap();
+    let fe = pod.storage.frontends[h0].as_ref().unwrap();
     assert!(fe.stats.retries > 0, "the window must force retries");
     assert_eq!(
         fe.stats.retry_exhausted, 0,
         "the budget outlives the window"
     );
     assert!(
-        pod.ssds[0].stats.swallowed > 0,
+        pod.storage.backends[0].device.stats.swallowed > 0,
         "first attempts were swallowed"
     );
 
@@ -123,18 +123,21 @@ fn host_restart_replays_inflight_commands_exactly_once() {
     }
     assert_eq!(done.len(), cids.len(), "no duplicate completions surface");
     // The restart really replayed, and the dedup cache answered.
-    let fe = pod.storage_frontends[h0].as_ref().unwrap();
+    let fe = pod.storage.frontends[h0].as_ref().unwrap();
     assert_eq!(
         fe.stats.retries,
         cids.len() as u64,
         "replay resent each command"
     );
     assert!(
-        pod.storage_backends[0].stats.replays_answered > 0,
+        pod.storage.backends[0].stats.replays_answered > 0,
         "replays answered from the completion cache, not re-executed"
     );
     // Each write executed once: the media holds exactly the written data.
-    assert_eq!(pod.ssds[0].stats.writes, cids.len() as u64);
+    assert_eq!(
+        pod.storage.backends[0].device.stats.writes,
+        cids.len() as u64
+    );
     pod.volume_read(vol, 2, 1).unwrap();
     pod.run(SimTime::from_millis(22));
     let done = pod.take_storage_completions(h0);

@@ -65,7 +65,7 @@ pub enum NvmeStatus {
 impl NvmeStatus {
     /// Status byte as it appears in an encoded completion (also used by
     /// the snapshot layer to serialize completion caches).
-    pub fn to_byte(self) -> u8 {
+    pub const fn to_byte(self) -> u8 {
         match self {
             NvmeStatus::Success => 0x00,
             NvmeStatus::LbaOutOfRange => 0x80,

@@ -12,11 +12,12 @@
 use oasis::core::config::OasisConfig;
 use oasis::core::engine_storage::StoragePod;
 use oasis::sim::time::SimTime;
-use oasis::storage::ssd::SsdConfig;
+use oasis::storage::ssd::{Ssd, SsdConfig};
 use oasis::storage::BLOCK_SIZE;
 
 fn main() {
-    let mut pod = StoragePod::new(OasisConfig::default(), SsdConfig::default(), 8 * BLOCK_SIZE);
+    let ssd = Ssd::new(SsdConfig::default());
+    let mut pod = StoragePod::new(OasisConfig::default(), ssd, 8 * BLOCK_SIZE);
 
     // Write a block to the remote SSD.
     let data: Vec<u8> = (0..BLOCK_SIZE as usize).map(|i| (i % 251) as u8).collect();
@@ -38,7 +39,7 @@ fn main() {
         "read  lba=42: {:?}, data verified, latency {:.1} us (flash {:.1} us + engine)",
         done[0].status,
         latency.as_micros_f64(),
-        pod.ssd.config().read_latency_ns as f64 / 1e3,
+        pod.backend.device.config().read_latency_ns as f64 / 1e3,
     );
 
     // Pipelined reads exploit the drive's internal parallelism.
@@ -54,7 +55,7 @@ fn main() {
     );
 
     // Fail the drive: errors propagate to the guest (§3.4 semantics).
-    pod.ssd.set_failed(true);
+    pod.backend.device.set_failed(true);
     pod.frontend.submit_read(&mut pod.pool, 0, 0, 1).unwrap();
     let done = pod.run_until_completions(1, SimTime::from_millis(300));
     println!(
