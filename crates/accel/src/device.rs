@@ -275,6 +275,22 @@ impl AccelDevice {
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
+
+    /// Earliest `now` at which [`Self::process`] or
+    /// [`Self::poll_completions`] does anything, absent new submissions: the
+    /// head job can start on a lane, a started one retires, or a retired
+    /// one can be drained. `None` when the device is empty.
+    pub fn next_event(&self) -> Option<SimTime> {
+        let lane = self.channel_free.iter().min();
+        let start = self
+            .sq
+            .front()
+            .zip(lane)
+            .map(|(&(arrival, _), &free)| free.max(arrival));
+        let retire = self.in_flight.iter().map(|f| f.done_at).min();
+        let drain = self.cq.front().map(|f| f.done_at);
+        [start, retire, drain].into_iter().flatten().min()
+    }
 }
 
 #[cfg(test)]

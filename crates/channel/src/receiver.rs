@@ -133,6 +133,36 @@ impl Receiver {
         self.layout.base + (line_idx % lines_in_ring) * oasis_cxl::LINE
     }
 
+    /// The ring's slot lines `[start, end)` (the consumed counter has its
+    /// own line past them): what a sender's write-back must land in to
+    /// change what a poll sees.
+    pub fn ring_range(&self) -> (u64, u64) {
+        (self.layout.base, self.layout.counter_addr)
+    }
+
+    /// The line the next [`Self::try_recv`] by `host` reads, if that poll is
+    /// provably a *steady-state empty* one: it misses (the line is not
+    /// cached), fetches a slot whose epoch says "not written yet" (pool
+    /// memory holds that now, and no write-back of the line is in flight to
+    /// change it), flushes that one line (no prefetched window to invalidate)
+    /// and fences — and leaves this receiver exactly as it was but for
+    /// [`Self::empty_polls`], so the poll after it is the same again.
+    /// `None` in any other state.
+    pub fn idle_poll_line(&self, host: &HostCtx, pool: &CxlPool) -> Option<u64> {
+        let seq = self.tail;
+        let line = self.layout.line_of(seq);
+        let steady = self.policy == Policy::InvalidatePrefetched
+            && self.unpublished == 0
+            && self.prefetched_until == self.line_index(seq)
+            && !host.cache.contains(line);
+        if !steady {
+            return None;
+        }
+        // The epoch bit lives in the slot's last byte.
+        let last = pool.settled_byte(self.layout.slot_addr(seq) + self.layout.msg_size - 1)?;
+        ((last & EPOCH_MASK) != epoch_bit(self.layout.lap(seq))).then_some(line)
+    }
+
     /// Publish the consumed counter so the sender can reuse slots. Called
     /// automatically every `publish_batch` messages; engines may also call
     /// it when going idle so a slow channel never stalls its sender
@@ -311,6 +341,39 @@ mod tests {
         assert!(!r.try_recv(&mut rh, &mut pool, &mut out));
         assert_eq!(r.empty_polls, 1);
         assert_eq!(r.consumed(), 0);
+    }
+
+    #[test]
+    fn idle_poll_line_holds_only_in_the_steady_empty_state() {
+        let (mut pool, mut th, mut rh, mut s, mut r) = setup(8, 16, Policy::InvalidatePrefetched);
+        let mut out = [0u8; 16];
+        let line = r.layout().line_of(0);
+        // Fresh ring, cold cache: the next poll is a steady empty one, and
+        // really polling leaves the state that says so untouched.
+        assert_eq!(r.idle_poll_line(&rh, &pool), Some(line));
+        assert!(!r.try_recv(&mut rh, &mut pool, &mut out));
+        assert_eq!(r.idle_poll_line(&rh, &pool), Some(line));
+        // A message on its way: not provable while the write-back is in
+        // flight, nor once it has landed (the poll would not be empty).
+        assert!(s.try_send(&mut th, &mut pool, &[5u8; 16]).unwrap());
+        s.flush(&mut th, &mut pool);
+        assert_eq!(r.idle_poll_line(&rh, &pool), None);
+        pool.flush_pending();
+        assert_eq!(r.idle_poll_line(&rh, &pool), None);
+        // Consuming it prefetches ahead: the next empty poll has a window to
+        // invalidate, so it is not yet the steady one; the poll after is.
+        rh.advance(1_000);
+        assert!(r.try_recv(&mut rh, &mut pool, &mut out));
+        assert_eq!(r.idle_poll_line(&rh, &pool), None);
+        assert!(!r.try_recv(&mut rh, &mut pool, &mut out));
+        r.publish_consumed(&mut rh, &mut pool);
+        assert_eq!(r.idle_poll_line(&rh, &pool), Some(line));
+        // A cached copy of the polled line (a hit, not a miss): no.
+        rh.read_u64(&mut pool, line);
+        assert_eq!(r.idle_poll_line(&rh, &pool), None);
+        // Other policies poll differently.
+        let (pool, _th, rh, _s, r) = setup(8, 16, Policy::BypassCache);
+        assert_eq!(r.idle_poll_line(&rh, &pool), None);
     }
 
     #[test]

@@ -21,8 +21,9 @@ use oasis_sim::detmap::DetMap;
 use oasis_sim::time::SimTime;
 
 use crate::config::{BufferPlacement, OasisConfig};
-use crate::datapath::BufferArea;
+use crate::datapath::{empty_round, BufferArea};
 use crate::instance::Instance;
+use crate::park::IdleRound;
 use crate::snapshot::Snapshottable;
 
 /// Baseline driver counters.
@@ -335,11 +336,10 @@ impl LocalDriver {
 
     /// Earliest time this driver has real work to do assuming no new
     /// external input: due instance TX/TCP timers, NIC events, or an
-    /// under-stocked RX ring. `None` when idle indefinitely. Steps strictly
-    /// before this time only advance the polling clock (see [`Pod::run`]'s
-    /// idle-skip).
-    ///
-    /// [`Pod::run`]: crate::pod::Pod::run
+    /// under-stocked RX ring. `None` when idle indefinitely. Steps that end
+    /// strictly before this time only advance the polling clock, which is
+    /// what lets the pod park the driver
+    /// ([`crate::engine::DeviceEngine::idle_round`]).
     pub fn next_work_time(&self, nic: &Nic, instances: &[Instance]) -> Option<SimTime> {
         let mut t: Option<SimTime> = None;
         let mut consider = |x: SimTime| t = Some(t.map_or(x, |cur: SimTime| cur.min(x)));
@@ -357,35 +357,18 @@ impl LocalDriver {
         t
     }
 
-    /// How many whole polling-loop iterations from the current clock are
-    /// provably idle AND finish strictly before `limit` (the earliest other
-    /// component). Each counted iteration would only advance the clock by
-    /// `driver_loop_ns`, so the pod may take them in one batch.
-    pub fn idle_quanta(&self, nic: &Nic, instances: &[Instance], limit: SimTime) -> u64 {
-        let l = self.cfg.driver_loop_ns;
-        if l == 0 {
-            return 0;
-        }
-        let c = self.core.clock;
-        let work = self
-            .next_work_time(nic, instances)
-            .unwrap_or(SimTime::MAX)
-            .as_nanos();
-        // A step from clock v lands at v + l and performs work due at or
-        // before v + l; it is idle iff v + l < work.
-        if work <= c.as_nanos().saturating_add(l) {
-            return 0;
-        }
-        // Selections happen while the clock stays strictly below `limit`.
-        let by_limit = (limit.as_nanos().saturating_sub(c.as_nanos())).div_ceil(l);
-        let by_work = (work - c.as_nanos() - 1) / l;
-        by_limit.min(by_work)
-    }
-
-    /// Advance the polling clock across `quanta` idle loop iterations at
-    /// once (the batched form of `quanta` empty [`Self::step`] calls).
-    pub fn skip_idle(&mut self, quanta: u64) {
-        self.core.advance(quanta * self.cfg.driver_loop_ns);
+    /// [`crate::engine::DeviceEngine::idle_round`] of the baseline: it polls
+    /// no channel, so an idle round is the loop's clock step and nothing
+    /// else, until [`Self::next_work_time`].
+    pub(crate) fn idle_round(
+        &self,
+        pool: &CxlPool,
+        nic: &Nic,
+        instances: &[Instance],
+    ) -> Option<IdleRound> {
+        let no_channels = (std::iter::empty(), std::iter::empty());
+        let due = self.next_work_time(nic, instances).unwrap_or(SimTime::MAX);
+        empty_round(&self.core, pool, self.cfg.driver_loop_ns, no_channels, due)
     }
 }
 

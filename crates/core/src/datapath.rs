@@ -10,7 +10,9 @@ use oasis_channel::{ChannelLayout, Policy, Receiver, Sender, DEFAULT_SLOTS, MSG1
 use oasis_cxl::dma::{DmaMemory, MemRef};
 use oasis_cxl::pool::{PortId, TrafficClass};
 use oasis_cxl::{CxlPool, HostCtx, Region, RegionAllocator};
-use oasis_sim::time::SimTime;
+use oasis_sim::time::{SimDuration, SimTime};
+
+use crate::park::IdleRound;
 
 /// A pool-backed packet-buffer allocator (free-list over fixed-size slots).
 ///
@@ -220,6 +222,17 @@ impl Link {
         links.iter().position(|l| l.peer == peer)
     }
 
+    /// The receivers a round over `links` polls, in polling order, and the
+    /// senders it flushes ([`empty_round`]'s argument).
+    pub fn channels(
+        links: &[Link],
+    ) -> (
+        impl Iterator<Item = &Receiver> + Clone,
+        impl Iterator<Item = &Sender>,
+    ) {
+        (links.iter().map(|l| &l.from), links.iter().map(|l| &l.to))
+    }
+
     /// Send one descriptor and write its line back. `false` when the ring
     /// is full or refuses the message; nothing was enqueued.
     pub fn send<D: crate::engine::WireDescriptor>(
@@ -251,6 +264,59 @@ impl Link {
         let got = self.from.try_recv(core, pool, &mut wire[..D::WIRE_SIZE]);
         got.then(|| D::decode_from(&wire))
     }
+}
+
+/// The channel half of every [`crate::engine::DeviceEngine::idle_round`]:
+/// the round a driver loop of `loop_ns` would run at `core`'s clock, polling
+/// the receivers `rx` once each in that order and flushing the senders `tx`,
+/// is a steady-state empty round if every poll is one
+/// ([`Receiver::idle_poll_line`]), the core repeats itself
+/// ([`HostCtx::empty_polls_repeat`]), no sender holds an unflushed line,
+/// and the round ends before `due`, the earliest of the engine's own timers
+/// ([`SimTime::MAX`]: it has none). Rounds check their timers at clocks up
+/// to their end, so the proof stays valid until one tick before `due`.
+pub(crate) fn empty_round<'a>(
+    core: &HostCtx,
+    pool: &CxlPool,
+    loop_ns: u64,
+    (rx, mut tx): (
+        impl Iterator<Item = &'a Receiver> + Clone,
+        impl Iterator<Item = &'a Sender>,
+    ),
+    due: SimTime,
+) -> Option<IdleRound> {
+    let c = &core.costs;
+    let fetch_ns = c.poll_overhead_ns + c.cxl_load_ns;
+    let poll_ns = fetch_ns + c.clflushopt_ns + c.mfence_ns;
+    let polls = rx.clone().count() as u64;
+    let period_ns = loop_ns + polls * poll_ns;
+    let valid_until = SimTime::from_nanos(due.as_nanos().checked_sub(1)?);
+    // The timers first: they are what usually says no.
+    if period_ns == 0 || core.clock + SimDuration::from_nanos(period_ns) > valid_until {
+        return None;
+    }
+    if tx.any(|s| s.has_unflushed()) {
+        return None;
+    }
+    let first_fence = core.clock + SimDuration::from_nanos(loop_ns + fetch_ns + c.clflushopt_ns);
+    if polls > 0 && !core.empty_polls_repeat(first_fence) {
+        return None;
+    }
+    for r in rx {
+        r.idle_poll_line(core, pool)?;
+    }
+    // Fetches sit `fetch_ns` into each poll; the last poll ends the round.
+    let last_fetch_offset_ns = if polls > 0 {
+        period_ns - poll_ns + fetch_ns
+    } else {
+        0
+    };
+    Some(IdleRound {
+        period_ns,
+        polls,
+        last_fetch_offset_ns,
+        valid_until,
+    })
 }
 
 /// Allocate one direction of a driver↔driver link: a 16 B message channel.

@@ -13,8 +13,10 @@
 //!   size sizes the channel slots (16 B net descriptors, 64 B NVMe-style
 //!   and accel descriptors).
 //! * [`DeviceEngine`] — a polling core with a local clock: the scheduler
-//!   asks [`DeviceEngine::next_time`], dispatches [`DeviceEngine::poll`],
-//!   and routes host-level faults through [`DeviceEngine::on_fault`].
+//!   asks [`DeviceEngine::next_time`], dispatches [`DeviceEngine::poll`]
+//!   (or, while [`DeviceEngine::idle_round`] proves the rounds empty, parks
+//!   the engine and charges them by count), and routes host-level faults
+//!   through [`DeviceEngine::on_fault`].
 //!
 //! The command/completion descriptor pair of a request/response device
 //! class is bound by [`crate::engine_req::ReqClass`], whose generic
@@ -27,6 +29,7 @@
 //! endpoints, allocator) is reached only through frames and channel
 //! messages, which is what keeps the engines composable.
 
+use oasis_channel::Receiver;
 use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::MacAddr;
 use oasis_net::nic::Nic;
@@ -37,6 +40,7 @@ use crate::baseline::LocalDriver;
 use crate::engine_net::{BackendDriver, FrontendDriver};
 use crate::instance::Instance;
 use crate::metrics as m;
+use crate::park::IdleRound;
 
 /// A fixed-size descriptor that travels through an Oasis message channel.
 ///
@@ -202,13 +206,28 @@ pub trait DeviceEngine: crate::snapshot::Snapshottable {
     /// A host-level fault reached this engine's host.
     fn on_fault(&mut self, _fault: EngineFault, _pool: &mut CxlPool) {}
 
-    /// Fast-forward through provable idleness: if the engine can show no
-    /// useful work exists strictly before `limit`, it may advance its clock
-    /// in driver-loop quanta and return `true`. Engines that always do
-    /// per-iteration bookkeeping return `false` and poll normally.
-    fn try_idle_skip(&mut self, _nics: &[Nic], _instances: &[Instance], _limit: SimTime) -> bool {
-        false
+    /// Prove that the round [`Self::poll`] would run at the engine's clock is
+    /// a steady-state empty one ([`IdleRound`]), and until when the rounds
+    /// after it are too. The pod then *parks* the engine: it leaves the run
+    /// queue until the first round not covered, and the rounds in between
+    /// are charged by count ([`crate::park`]) — so the proof has to be
+    /// exact, and `None`, the answer in any doubtful state, only costs the
+    /// real round. Input from outside (a write-back posted into a polled
+    /// ring, a frame for the engine's NIC, a fault, a `Pod` call) ends the
+    /// park; the proof need only cover the engine's own timers.
+    fn idle_round(
+        &self,
+        _pool: &CxlPool,
+        _nics: &[Nic],
+        _instances: &[Instance],
+    ) -> Option<IdleRound> {
+        None
     }
+
+    /// The receivers one round polls, in polling order (none for a driver
+    /// that polls no channel). Called only while [`Self::idle_round`]
+    /// holds: to watch their rings and to settle elided rounds.
+    fn polled(&mut self, _each: &mut dyn FnMut(&mut Receiver)) {}
 
     /// Export this engine's lifetime tallies into `sink` under the names
     /// registered in [`crate::metrics`]. Always compiled — the figure
@@ -239,6 +258,12 @@ impl DeviceEngine for FrontendDriver {
         self.step(world.pool, world.instances, world.nic_macs);
         Vec::new()
     }
+    fn idle_round(&self, pool: &CxlPool, _: &[Nic], instances: &[Instance]) -> Option<IdleRound> {
+        self.idle_round(pool, instances)
+    }
+    fn polled(&mut self, each: &mut dyn FnMut(&mut Receiver)) {
+        self.receivers_mut().for_each(each);
+    }
     fn on_metrics(&self, sink: &mut oasis_obs::MetricSink) {
         let t = self.host as u32;
         sink.set(m::NET_FE_TX_PACKETS, t, self.stats.tx_packets);
@@ -268,6 +293,12 @@ impl DeviceEngine for BackendDriver {
     }
     fn poll(&mut self, world: &mut EngineWorld) -> Vec<(SimTime, Frame)> {
         self.step(world.pool, &mut world.nics[self.nic_id])
+    }
+    fn idle_round(&self, pool: &CxlPool, nics: &[Nic], _: &[Instance]) -> Option<IdleRound> {
+        self.idle_round(pool, &nics[self.nic_id])
+    }
+    fn polled(&mut self, each: &mut dyn FnMut(&mut Receiver)) {
+        self.receivers_mut().for_each(each);
     }
     fn on_metrics(&self, sink: &mut oasis_obs::MetricSink) {
         let t = self.nic_id as u32;
@@ -303,14 +334,8 @@ impl DeviceEngine for LocalDriver {
     fn poll(&mut self, world: &mut EngineWorld) -> Vec<(SimTime, Frame)> {
         self.step(world.pool, &mut world.nics[self.nic_id], world.instances)
     }
-    fn try_idle_skip(&mut self, nics: &[Nic], instances: &[Instance], limit: SimTime) -> bool {
-        let quanta = self.idle_quanta(&nics[self.nic_id], instances, limit);
-        if quanta > 0 {
-            self.skip_idle(quanta);
-            true
-        } else {
-            false
-        }
+    fn idle_round(&self, pool: &CxlPool, nics: &[Nic], inst: &[Instance]) -> Option<IdleRound> {
+        self.idle_round(pool, &nics[self.nic_id], inst)
     }
     fn on_metrics(&self, sink: &mut oasis_obs::MetricSink) {
         let t = self.host as u32;

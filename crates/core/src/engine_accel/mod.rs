@@ -136,6 +136,9 @@ impl ReqClass for AccelClass {
     fn poll_completions(dev: &mut AccelDevice, now: SimTime) -> Vec<AccelCompletion> {
         dev.poll_completions(now)
     }
+    fn next_event(dev: &AccelDevice) -> Option<SimTime> {
+        dev.next_event()
+    }
 }
 
 impl ReqFrontend<AccelClass> {

@@ -10,8 +10,9 @@ use oasis_sim::detmap::DetMap;
 use oasis_sim::time::SimTime;
 
 use crate::config::OasisConfig;
-use crate::datapath::{BufferArea, PoolDma};
+use crate::datapath::{empty_round, BufferArea, PoolDma};
 use crate::msg::{NetMsg, NetOp};
+use crate::park::IdleRound;
 use crate::snapshot::Snapshottable;
 
 use super::POLL_BATCH;
@@ -346,6 +347,26 @@ impl BackendDriver {
         self.from_alloc.publish_consumed(&mut self.core, pool);
 
         egress
+    }
+
+    /// [`crate::engine::DeviceEngine::idle_round`] of the backend: one empty
+    /// poll per frontend channel (the allocator never writes to a backend,
+    /// so that channel is not polled), an RX ring that needs no refill, and
+    /// the NIC's next event, the link check and telemetry as the timers.
+    pub(crate) fn idle_round(&self, pool: &CxlPool, nic: &Nic) -> Option<IdleRound> {
+        if nic.rx_free_count() < self.cfg.rx_ring_target && self.rx_area.free_count() > 0 {
+            return None;
+        }
+        let nic_event = nic.next_event_at().unwrap_or(SimTime::MAX);
+        let due = self.next_link_check.min(self.next_telemetry).min(nic_event);
+        let rx = self.links.iter().map(|l| &l.from);
+        let tx = std::iter::once(&self.to_alloc).chain(self.links.iter().map(|l| &l.to));
+        empty_round(&self.core, pool, self.cfg.driver_loop_ns, (rx, tx), due)
+    }
+
+    /// The receivers a round polls, in polling order.
+    pub(crate) fn receivers_mut(&mut self) -> impl Iterator<Item = &mut Receiver> {
+        self.links.iter_mut().map(|l| &mut l.from)
     }
 
     /// Debug view of per-frontend channel counters:

@@ -7,9 +7,10 @@ use oasis_net::packet::Frame;
 use oasis_sim::time::{SimDuration, SimTime};
 
 use crate::config::OasisConfig;
-use crate::datapath::BufferArea;
+use crate::datapath::{empty_round, BufferArea};
 use crate::instance::Instance;
 use crate::msg::{NetMsg, NetOp};
+use crate::park::IdleRound;
 use crate::snapshot::Snapshottable;
 
 use super::POLL_BATCH;
@@ -459,6 +460,23 @@ impl FrontendDriver {
         self.from_alloc.publish_consumed(&mut self.core, pool);
 
         worked
+    }
+
+    /// [`crate::engine::DeviceEngine::idle_round`] of the frontend: one
+    /// empty poll of the allocator channel and of each backend channel, with
+    /// the heartbeat, the instances' TX / TCP timers and migration grace
+    /// periods as the timers that bound it.
+    pub(crate) fn idle_round(&self, pool: &CxlPool, instances: &[Instance]) -> Option<IdleRound> {
+        let deadline = self.next_deadline(instances).unwrap_or(SimTime::MAX);
+        let due = self.next_heartbeat.min(deadline);
+        let rx = std::iter::once(&self.from_alloc).chain(self.links.iter().map(|l| &l.from));
+        let tx = std::iter::once(&self.to_alloc).chain(self.links.iter().map(|l| &l.to));
+        empty_round(&self.core, pool, self.cfg.driver_loop_ns, (rx, tx), due)
+    }
+
+    /// The receivers a round polls, in polling order.
+    pub(crate) fn receivers_mut(&mut self) -> impl Iterator<Item = &mut Receiver> {
+        std::iter::once(&mut self.from_alloc).chain(self.links.iter_mut().map(|l| &mut l.from))
     }
 
     /// Earliest pending local deadline (instance timers, migration grace);

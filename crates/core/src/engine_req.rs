@@ -21,13 +21,16 @@ use oasis_channel::{Receiver, RetryPolicy, RetryState, Sender, SeqWindow};
 use oasis_cxl::dma::DmaMemory;
 use oasis_cxl::pool::{PortId, TrafficClass};
 use oasis_cxl::{CxlPool, HostCtx, RegionAllocator};
+use oasis_net::nic::Nic;
 use oasis_net::packet::Frame;
 use oasis_sim::detmap::DetMap;
 use oasis_sim::time::{SimDuration, SimTime};
 
 use crate::config::OasisConfig;
-use crate::datapath::{alloc_descriptor_channel, BufferArea, Link, PoolDma};
+use crate::datapath::{alloc_descriptor_channel, empty_round, BufferArea, Link, PoolDma};
 use crate::engine::{DeviceEngine, EngineFault, EngineWorld, WireDescriptor};
+use crate::instance::Instance;
+use crate::park::IdleRound;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, Snapshottable};
 
 /// What a completion carries besides its ids, as on the wire: the status
@@ -112,6 +115,14 @@ pub trait ReqClass: Sized + 'static {
     fn process(dev: &mut Self::Device, now: SimTime, dma: &mut dyn DmaMemory);
     /// Completions the device has finished by `now`.
     fn poll_completions(dev: &mut Self::Device, now: SimTime) -> Vec<Self::Completion>;
+    /// Earliest `now` at which [`Self::process`] or
+    /// [`Self::poll_completions`] does anything, absent new submissions;
+    /// `None` for a device with nothing queued, running or undrained. The
+    /// default — always due — keeps a backend whose class cannot tell from
+    /// ever being parked ([`DeviceEngine::idle_round`]).
+    fn next_event(_dev: &Self::Device) -> Option<SimTime> {
+        Some(SimTime::ZERO)
+    }
 }
 
 fn put_outcome<C: ReqClass>(w: &mut SnapshotWriter, o: Outcome) {
@@ -224,6 +235,11 @@ impl<C: ReqClass> FeCore<C> {
     /// Ids of all in-flight commands, ascending.
     pub fn in_flight(&self) -> Vec<u16> {
         sorted(self.pending.keys().copied())
+    }
+
+    /// Earliest completion deadline among the in-flight commands.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.pending.values().map(|p| p.retry.deadline).min()
     }
 
     /// Ids whose completion deadline has passed at `now`, ascending.
@@ -668,6 +684,16 @@ impl<C: ReqClass> DeviceEngine for ReqFrontend<C> {
         self.step(world.pool);
         Vec::new()
     }
+    /// One empty poll per completion channel; the retry deadlines of the
+    /// commands in flight are the timers.
+    fn idle_round(&self, pool: &CxlPool, _: &[Nic], _: &[Instance]) -> Option<IdleRound> {
+        let channels = Link::channels(&self.links);
+        let due = self.state.next_deadline().unwrap_or(SimTime::MAX);
+        empty_round(&self.core, pool, self.driver_loop_ns, channels, due)
+    }
+    fn polled(&mut self, each: &mut dyn FnMut(&mut Receiver)) {
+        self.links.iter_mut().map(|l| &mut l.from).for_each(each);
+    }
     fn on_fault(&mut self, fault: EngineFault, pool: &mut CxlPool) {
         // §3.4: after a host restart, commands that were in flight when the
         // host crashed are replayed.
@@ -901,6 +927,16 @@ impl<C: ReqClass> DeviceEngine for ReqBackend<C> {
     fn poll(&mut self, world: &mut EngineWorld) -> Vec<(SimTime, Frame)> {
         self.step(world.pool);
         Vec::new()
+    }
+    /// One empty poll per command channel; the device's next start,
+    /// retirement or drainable completion is the timer.
+    fn idle_round(&self, pool: &CxlPool, _: &[Nic], _: &[Instance]) -> Option<IdleRound> {
+        let channels = Link::channels(&self.links);
+        let due = C::next_event(&self.device).unwrap_or(SimTime::MAX);
+        empty_round(&self.core, pool, self.driver_loop_ns, channels, due)
+    }
+    fn polled(&mut self, each: &mut dyn FnMut(&mut Receiver)) {
+        self.links.iter_mut().map(|l| &mut l.from).for_each(each);
     }
     fn on_metrics(&self, sink: &mut oasis_obs::MetricSink) {
         let t = self.dev_id as u32;

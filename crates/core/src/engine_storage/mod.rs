@@ -127,6 +127,9 @@ impl ReqClass for StorageClass {
     fn poll_completions(ssd: &mut Ssd, now: SimTime) -> Vec<NvmeCompletion> {
         ssd.poll_completions(now)
     }
+    fn next_event(ssd: &Ssd) -> Option<SimTime> {
+        ssd.next_event()
+    }
 }
 
 impl ReqFrontend<StorageClass> {

@@ -294,7 +294,8 @@ impl Instance {
         Some(frame)
     }
 
-    /// Earliest timestamp in the TX queue or TCP timers (for idle-skip).
+    /// Earliest timestamp in the TX queue or TCP timers (what bounds how
+    /// long the serving driver may stay parked).
     pub fn next_event(&self) -> Option<SimTime> {
         let mut t = self.tx_queue.iter().map(|(at, _)| *at).min();
         for peer in self.tcp_peers.values() {

@@ -61,6 +61,7 @@ pub mod fleet;
 pub mod instance;
 pub mod metrics;
 pub mod msg;
+pub mod park;
 pub mod pod;
 pub mod snapshot;
 pub mod tcp;

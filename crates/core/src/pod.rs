@@ -48,6 +48,7 @@ use crate::engine_req::{ReqBackend, ReqClass, ReqFrontend};
 use crate::engine_storage::{IoResult, StorageClass};
 use crate::error::PodError;
 use crate::instance::{AppKind, Instance};
+use crate::park::{self, ParkTable, Parked};
 use crate::snapshot::{
     SnapshotError, SnapshotReader, SnapshotSection, SnapshotWriter, Snapshottable,
 };
@@ -219,6 +220,14 @@ fn add_actor(sched: &mut Scheduler, wake: Option<SimTime>) {
     };
 }
 
+/// Register an engine's actor: at its clock, at the round it is queued to
+/// really run if it is parked, or idle when `clock` is `None` (dead host,
+/// absent frontend).
+fn add_engine(sched: &mut Scheduler, park: &ParkTable, clock: Option<SimTime>) {
+    let parked = park.get(sched.actor_count());
+    add_actor(sched, clock.map(|c| parked.map_or(c, |p| p.wake)));
+}
+
 /// One request/response device class's share of a pod
 /// ([`crate::engine_req`]): a frontend per Oasis host and, per device, a
 /// backend that owns it.
@@ -310,20 +319,18 @@ impl<C: ReqClass> EngineSet<C> {
         sched: &mut Scheduler,
         kinds: &mut Vec<ActorKind>,
         dead_host: &[bool],
+        park: &ParkTable,
         eref: fn(ReqRef) -> EngineRef,
-    ) -> SetBase {
-        let fe = sched.actor_count();
+    ) {
         for (host, slot) in self.frontends.iter().enumerate() {
             let live = slot.as_ref().filter(|_| !dead_host[host]);
-            add_actor(sched, live.map(|fe| fe.core.clock));
+            add_engine(sched, park, live.map(|fe| fe.core.clock));
             kinds.push(ActorKind::Engine(eref(ReqRef::Fe(host))));
         }
-        let be = sched.actor_count();
         for (i, b) in self.backends.iter().enumerate() {
-            add_actor(sched, (!dead_host[b.host]).then_some(b.core.clock));
+            add_engine(sched, park, (!dead_host[b.host]).then_some(b.core.clock));
             kinds.push(ActorKind::Engine(eref(ReqRef::Be(i))));
         }
-        SetBase { fe, be }
     }
 
     /// The frontend serving `host`.
@@ -349,6 +356,23 @@ fn engines_mut<'a>(
     let net = backends.iter_mut().map(|be| be as _);
     let req = storage.engines_mut().chain(accel.engines_mut());
     drivers.chain(net).chain(req)
+}
+
+/// Resolve an engine handle against the split engine tables (`None` for a
+/// host without a frontend of the set).
+fn resolve<'a>(
+    drivers: &'a mut [HostDriver],
+    backends: &'a mut [BackendDriver],
+    storage: &'a mut EngineSet<StorageClass>,
+    accel: &'a mut EngineSet<AccelClass>,
+    eref: EngineRef,
+) -> Option<&'a mut dyn DeviceEngine> {
+    match eref {
+        EngineRef::Driver(i) => Some(drivers[i].engine_mut()),
+        EngineRef::NetBackend(i) => Some(&mut backends[i]),
+        EngineRef::Storage(r) => storage.engine(r),
+        EngineRef::Accel(r) => accel.engine(r),
+    }
 }
 
 /// A block volume carved for an instance by the pod-wide allocator.
@@ -385,10 +409,10 @@ struct PodObs {
     /// shape, so per-actor tallies line up).
     #[cfg(feature = "obs")]
     sched: oasis_sim::sched::SchedStats,
-    /// Idle-skip fast-forwards taken by the dispatch loop.
+    /// Park episodes ended (an engine left the run queue and came back).
     #[cfg(feature = "obs")]
     idle_skips: u64,
-    /// Sim nanoseconds saved per idle-skip.
+    /// Sim nanoseconds of elided rounds per park episode.
     #[cfg(feature = "obs")]
     idle_skip_ns: oasis_obs::ObsHistogram,
 }
@@ -481,7 +505,8 @@ pub struct Pod {
     /// carries the window cursor and pooled buffers across calls.
     shard_runner: Option<ShardedRunner<UplinkMsg>>,
     /// [`Pod::run_local`]'s scheduler and actor table, cleared and refilled
-    /// every window so their allocations are reused.
+    /// every window that has work so their allocations are reused. The
+    /// table also says which engine a parked actor id is.
     window_sched: Scheduler,
     window_kinds: Vec<ActorKind>,
     pending: EventQueue<PodEvent>,
@@ -492,6 +517,14 @@ pub struct Pod {
     /// Hosts that have crashed (their cores are no longer stepped).
     dead_host: Vec<bool>,
     now: SimTime,
+    /// Engines that have left the run queue ([`crate::park`]).
+    park: ParkTable,
+    /// The twin tests' reference switch: never park, walk poll by poll.
+    never_park: bool,
+    /// A frame reached an endpoint port since the flag was last taken.
+    endpoint_hit: bool,
+    /// NICs a frame was forwarded to while somebody was parked.
+    nic_hit: Vec<usize>,
     /// Ambient-telemetry accumulators (empty with `obs` off).
     obs: PodObs,
 }
@@ -516,6 +549,7 @@ pub struct PodBuilder {
     ssds: Vec<(usize, SsdConfig)>,
     /// (host, config) per accelerator.
     accels: Vec<(usize, AccelConfig)>,
+    never_park: bool,
 }
 
 impl PodBuilder {
@@ -529,7 +563,16 @@ impl PodBuilder {
             backup_nic_host: None,
             ssds: Vec::new(),
             accels: Vec::new(),
+            never_park: false,
         }
+    }
+
+    /// The reference the park twin tests compare against: a pod that never
+    /// parks an engine and so walks every polling round.
+    #[doc(hidden)]
+    pub fn never_park(mut self) -> Self {
+        self.never_park = true;
+        self
     }
 
     /// Override the pool size (default 64 MiB of simulated CXL memory).
@@ -782,6 +825,10 @@ impl PodBuilder {
             inst_region: Vec::new(),
             dead_host: vec![false; n_hosts],
             now: SimTime::ZERO,
+            park: ParkTable::default(),
+            never_park: self.never_park,
+            endpoint_hit: false,
+            nic_hit: Vec::new(),
             obs: PodObs::default(),
         }
     }
@@ -809,8 +856,11 @@ impl Pod {
     /// pool's link meters and per-host cache stats, and — with `obs` on —
     /// the ambient scheduler/idle-skip stats. Pure observer: calling this
     /// never changes pod state or timing, so the simulated timeline is
-    /// identical whether or not snapshots are taken.
+    /// identical whether or not snapshots are taken. Parked engines were
+    /// brought up to date when the last run ended ([`Self::catch_up`]), so
+    /// their clocks and counters are the poll-by-poll ones.
     pub fn metrics_snapshot(&self) -> oasis_obs::MetricsSnapshot {
+        debug_assert!(self.parked_settled(), "observed in the middle of a run");
         let mut sink = oasis_obs::MetricSink::new();
         // Host order, registration order within a host: cores of one host
         // share its cache-counter tag, and the last export wins.
@@ -877,6 +927,7 @@ impl Pod {
         if host >= self.drivers.len() {
             return Err(PodError::NoSuchHost(host));
         }
+        self.release(None);
         let idx = self.instances.len();
         let id = idx as u32;
         let ip = Ipv4Addr::instance((self.site << 8) | (id + 1));
@@ -937,6 +988,9 @@ impl Pod {
 
     /// Attach a client endpoint to a new switch port. Returns its index.
     pub fn add_endpoint(&mut self, ep: Box<dyn Endpoint + Send>) -> usize {
+        // A new actor renumbers the ones registered after it, and the park
+        // table is keyed by actor id.
+        self.release(None);
         let port = self.switch.add_port();
         self.port_owner
             .push(PortOwner::Endpoint(self.endpoints.len()));
@@ -1113,8 +1167,10 @@ impl Pod {
     pub fn volume_write(&mut self, vol: VolumeHandle, lba: u64, data: &[u8]) -> Option<u16> {
         let block = vol.device_block(lba, data.len() as u64 / oasis_storage::BLOCK_SIZE)?;
         let host = self.instances[vol.inst].host;
-        let fe = self.storage.frontend_mut(host).ok()?;
-        fe.submit_write(&mut self.pool, vol.ssd, block, data)
+        self.hand_input(EngineRef::Storage(ReqRef::Fe(host)), |pod| {
+            let fe = pod.storage.frontend_mut(host).ok()?;
+            fe.submit_write(&mut pod.pool, vol.ssd, block, data)
+        })
     }
 
     /// Submit a read of `nlb` blocks from a volume. Returns the command id;
@@ -1122,8 +1178,10 @@ impl Pod {
     pub fn volume_read(&mut self, vol: VolumeHandle, lba: u64, nlb: u32) -> Option<u16> {
         let block = vol.device_block(lba, nlb as u64)?;
         let host = self.instances[vol.inst].host;
-        let fe = self.storage.frontend_mut(host).ok()?;
-        fe.submit_read(&mut self.pool, vol.ssd, block, nlb)
+        self.hand_input(EngineRef::Storage(ReqRef::Fe(host)), |pod| {
+            let fe = pod.storage.frontend_mut(host).ok()?;
+            fe.submit_read(&mut pod.pool, vol.ssd, block, nlb)
+        })
     }
 
     /// Drain completed block I/Os for instances on `host` (empty for a
@@ -1138,6 +1196,7 @@ impl Pod {
     /// remove its flow rules. The instance object remains for post-mortem
     /// stats but receives no further traffic.
     pub fn terminate_instance(&mut self, inst: usize) {
+        self.release(None);
         let ip = self.instances[inst].ip;
         self.allocator
             .propose(crate::allocator::AllocCommand::Unassign { ip });
@@ -1161,6 +1220,7 @@ impl Pod {
     /// Fail (or repair) an SSD; in-flight and future I/O completes with an
     /// error status that propagates to the guest (§3.4).
     pub fn set_ssd_failed(&mut self, ssd: usize, failed: bool) {
+        self.release(None);
         self.storage.backends[ssd].device.set_failed(failed);
     }
 
@@ -1187,8 +1247,10 @@ impl Pod {
                 class: "accel",
                 index: 0,
             })? as usize;
-        let fe = self.accel.frontend_mut(host)?;
-        Ok(fe.submit_job(&mut self.pool, dev, op, arg, input))
+        self.hand_input(EngineRef::Accel(ReqRef::Fe(host)), |pod| {
+            let fe = pod.accel.frontend_mut(host)?;
+            Ok(fe.submit_job(&mut pod.pool, dev, op, arg, input))
+        })
     }
 
     /// Drain completed offload jobs for `host` (empty for a host without
@@ -1208,6 +1270,7 @@ impl Pod {
     /// with an error status that propagates to the guest (§3.4 — no
     /// transparent failover for stateful devices).
     pub fn set_accel_failed(&mut self, accel: usize, failed: bool) {
+        self.release(None);
         self.accel.backends[accel].device.set_failed(failed);
     }
 
@@ -1277,11 +1340,16 @@ impl Pod {
         }
     }
 
-    /// Re-arm every endpoint actor at its next activation time. Called
-    /// after any dispatch that forwarded frames: a delivery can only move
-    /// an endpoint's `next_time` earlier (or wake an idle one), and
-    /// [`StepCtx::wake`] is earlier-wins, so redundant wakes are no-ops.
-    fn wake_endpoints(&self, map: &ActorMap, ctx: &mut StepCtx) {
+    /// Re-arm every endpoint actor at its next activation time, if a frame
+    /// reached an endpoint port since the last call ([`Self::forward`]
+    /// records it). An endpoint's `next_time` moves only on `deliver` or in
+    /// its own `poll` (whose dispatch re-arms it by its return value), and
+    /// [`StepCtx::wake`] is earlier-wins, so a dispatch that delivered
+    /// nothing to an endpoint has nobody to wake.
+    fn wake_endpoints(&mut self, map: &ActorMap, ctx: &mut StepCtx) {
+        if !std::mem::take(&mut self.endpoint_hit) {
+            return;
+        }
         for (i, ep) in self.endpoints.iter().enumerate() {
             let nt = ep.next_time();
             if nt != SimTime::MAX {
@@ -1329,8 +1397,18 @@ impl Pod {
     fn forward(&mut self, now: SimTime, in_port: usize, frame: Frame) {
         for (port, at, f) in self.switch.forward(now, in_port, frame) {
             match self.port_owner[port] {
-                PortOwner::Nic(n) => self.nics[n].deliver(at, f),
-                PortOwner::Endpoint(e) => self.endpoints[e].deliver(at, f),
+                PortOwner::Nic(n) => {
+                    self.nics[n].deliver(at, f);
+                    // A parked driver of this NIC has an event it did not
+                    // count on ([`Self::rearm_woken`]).
+                    if !self.park.is_empty() {
+                        self.nic_hit.push(n);
+                    }
+                }
+                PortOwner::Endpoint(e) => {
+                    self.endpoints[e].deliver(at, f);
+                    self.endpoint_hit = true;
+                }
                 PortOwner::Uplink(u) => self.uplink_out.push((at, u, f)),
             }
         }
@@ -1415,7 +1493,6 @@ impl Pod {
             PodEvent::UplinkFrame(u, frame) => {
                 let port = self.uplink_port[u];
                 self.forward(at, port, frame);
-                self.wake_endpoints(map, ctx);
             }
         }
     }
@@ -1433,10 +1510,13 @@ impl Pod {
             .shard_runner
             .take()
             .unwrap_or_else(|| ShardedRunner::new(1, SimDuration::ZERO, shard_threads()));
+        // Whatever posted into a watched ring since the last run without
+        // going through a `Pod` call (a test driving an engine directly).
+        self.absorb_input();
         // A single shard cannot produce `ZeroLookahead` (it needs > 1).
         let _ = runner.run_seq(std::slice::from_mut(self), until);
         self.shard_runner = Some(runner);
-        self.now = self.now.max(until);
+        self.finish_horizon(until);
     }
 
     /// Override the shard worker-thread count for this pod, replacing the
@@ -1451,27 +1531,196 @@ impl Pod {
         self.shard_runner = Some(ShardedRunner::new(1, SimDuration::ZERO, threads));
     }
 
-    /// Bump the pod clock to the end of a horizon driven externally (by
-    /// [`crate::fleet::Fleet`]): a pod whose windows were all skipped as
-    /// idle still observed the full horizon.
+    /// End a horizon (driven by [`Pod::run`], or externally by
+    /// [`crate::fleet::Fleet`]): bring the parked engines up to `until` and
+    /// bump the pod clock — a pod whose windows were all skipped as idle
+    /// still observed the full horizon.
     pub(crate) fn finish_horizon(&mut self, until: SimTime) {
+        self.catch_up(until);
         self.now = self.now.max(until);
     }
 
     /// Earliest simulated time any component wants to act: the minimum over
-    /// live engine clocks, the allocator, endpoints, and the event queue.
-    /// The sharded runner probes this to open windows at the next busy
-    /// instant (and to skip horizons with no work at all).
+    /// live engine clocks — for a parked engine, the round it is queued to
+    /// really run — the allocator, endpoints, and the event queue. The
+    /// sharded runner probes this to open windows at the next busy instant
+    /// (and to skip horizons, or stretches in which every pod is parked,
+    /// with no work at all).
     pub fn next_activity(&self) -> SimTime {
         let mut t = self.pending.peek_time().unwrap_or(SimTime::MAX);
-        for (_, e) in self.engines().filter(|(_, e)| !self.dead_host[e.host()]) {
-            t = t.min(e.core().clock);
+        let map = self.actor_map();
+        for (eref, e) in self.engines().filter(|(_, e)| !self.dead_host[e.host()]) {
+            let parked = self.park.get(map.id(eref));
+            t = t.min(parked.map_or(e.core().clock, |p| p.wake));
         }
         t = t.min(self.allocator.core.clock);
         for ep in &self.endpoints {
             t = t.min(ep.next_time());
         }
         t
+    }
+
+    /// Scheduler ids by actor class, in [`Pod::run_local`]'s registration
+    /// order.
+    fn actor_map(&self) -> ActorMap {
+        let net_backend_base = self.drivers.len();
+        let endpoint_base = net_backend_base + self.backends.len() + 1;
+        let storage = SetBase {
+            fe: endpoint_base + self.endpoints.len(),
+            be: endpoint_base + self.endpoints.len() + self.storage.frontends.len(),
+        };
+        let accel_fe = storage.be + self.storage.backends.len();
+        ActorMap {
+            driver_base: 0,
+            net_backend_base,
+            endpoint_base,
+            storage,
+            accel: SetBase {
+                fe: accel_fe,
+                be: accel_fe + self.accel.frontends.len(),
+            },
+        }
+    }
+
+    /// Before anything at scheduler position `(at, actor)` really runs:
+    /// pass the parked engines' rounds positioned before it, and land in
+    /// pool memory what the fetches of those rounds would have landed — a
+    /// round's clock runs up to a whole round ahead of dispatch order, so
+    /// an elided round still makes other hosts' write-backs visible early
+    /// to everyone dispatched after it.
+    fn pass_parked(&mut self, at: SimTime, actor: usize) {
+        if let Some(horizon) = self.park.pass(at, actor) {
+            self.pool.apply_pending(horizon);
+        }
+    }
+
+    /// Settle the rounds `p` has passed into its engine's clock and
+    /// counters ([`park::account`]).
+    fn settle(&mut self, eref: EngineRef, p: &Parked) {
+        let Pod {
+            drivers,
+            backends,
+            storage,
+            accel,
+            pool,
+            now,
+            ..
+        } = self;
+        let Some(engine) = resolve(drivers, backends, storage, accel, eref) else {
+            return;
+        };
+        let period = p.round.period_ns;
+        let rounds = (p.next - engine.core().clock).as_nanos() / period;
+        if rounds > 0 {
+            // The last of them was dispatched at its start.
+            *now = (*now).max(p.next - SimDuration::from_nanos(period));
+            park::account(engine, pool, &p.round, rounds);
+        }
+    }
+
+    /// End `actor`'s park, if it is parked: settle what it has passed, stop
+    /// watching its rings and — inside a run — re-arm it at its next
+    /// unaccounted round. [`Self::pass_parked`] ran for the position of the
+    /// dispatch that calls this, so that round is the first one ordered
+    /// after it, ties included.
+    fn unpark(&mut self, actor: usize, ctx: Option<&mut StepCtx>) {
+        let Some(p) = self.park.take(actor) else {
+            return;
+        };
+        if let ActorKind::Engine(eref) = self.window_kinds[actor] {
+            self.settle(eref, &p);
+        }
+        self.pool.unwatch(actor as u32);
+        self.obs.note_idle_skip(p.since, p.next);
+        if let Some(ctx) = ctx {
+            ctx.wake(actor, p.next);
+        }
+    }
+
+    /// [`Self::unpark`] everybody (a fault, or a `Pod` call that may change
+    /// what any engine's proof rested on).
+    fn unpark_all(&mut self, mut ctx: Option<&mut StepCtx>) {
+        for actor in 0..self.window_kinds.len() {
+            self.unpark(actor, ctx.as_deref_mut());
+        }
+        while self.pool.pop_woken().is_some() {}
+        self.nic_hit.clear();
+    }
+
+    /// [`Self::unpark`] whoever was handed input since the last call: the
+    /// watchers of rings a write-back was posted into, and the parked
+    /// drivers of NICs a frame was forwarded to.
+    fn rearm_woken(&mut self, map: &ActorMap, mut ctx: Option<&mut StepCtx>) {
+        while let Some(watcher) = self.pool.pop_woken() {
+            self.unpark(watcher as usize, ctx.as_deref_mut());
+        }
+        while let Some(nic) = self.nic_hit.pop() {
+            let driver = match self.backend_of_nic[nic] {
+                Some(b) => EngineRef::NetBackend(b),
+                None => EngineRef::Driver(self.nic_host[nic]),
+            };
+            self.unpark(map.id(driver), ctx.as_deref_mut());
+        }
+    }
+
+    /// Between runs: end the park of `who` (everybody's for `None`) ahead
+    /// of a call that hands it input or changes what its proof rested on.
+    /// [`Self::catch_up`] ran when the last run ended, so the engine is at
+    /// the clock a poll-by-poll run would have left it at.
+    fn release(&mut self, who: Option<EngineRef>) {
+        if self.park.is_empty() {
+            return;
+        }
+        match who {
+            Some(eref) => self.unpark(self.actor_map().id(eref), None),
+            None => self.unpark_all(None),
+        }
+    }
+
+    /// Between runs: let `submit` hand the frontend `to` new work. Its park
+    /// ends first (its timers are about to change), and so does, after,
+    /// that of whoever the submission reached.
+    fn hand_input<R>(&mut self, to: EngineRef, submit: impl FnOnce(&mut Self) -> R) -> R {
+        self.release(Some(to));
+        let out = submit(self);
+        self.absorb_input();
+        out
+    }
+
+    /// Between runs: end the park of whoever a call just handed input (it
+    /// posted into a ring they watch). Not left to the next run, which
+    /// asks [`Self::next_activity`] first — and a parked engine answers
+    /// that with the round it queued for, not the one it must now run.
+    fn absorb_input(&mut self) {
+        self.rearm_woken(&self.actor_map(), None);
+    }
+
+    /// Bring every parked engine up to `until`: pass and settle the rounds
+    /// a poll-by-poll run to `until` would have dispatched, so whoever
+    /// looks at the pod between runs — `Pod` calls, metrics, snapshots,
+    /// the pool — sees exactly that run's clocks, counters and memory. The
+    /// engines stay parked.
+    fn catch_up(&mut self, until: SimTime) {
+        if self.park.is_empty() {
+            return;
+        }
+        self.pass_parked(until, 0);
+        for actor in 0..self.window_kinds.len() {
+            if let (Some(&p), ActorKind::Engine(eref)) =
+                (self.park.get(actor), self.window_kinds[actor])
+            {
+                self.settle(eref, &p);
+            }
+        }
+    }
+
+    /// Has every parked engine's passed round been settled into it?
+    fn parked_settled(&self) -> bool {
+        let map = self.actor_map();
+        self.engines().all(|(eref, e)| {
+            let parked = self.park.get(map.id(eref));
+            parked.is_none_or(|p| p.next == e.core().clock)
+        })
     }
 
     /// One window of the co-simulation on this pod's own scheduler.
@@ -1484,8 +1733,11 @@ impl Pod {
     /// the timeline is byte-identical). Components with clocks at or past
     /// `until` simply re-arm without running, which a fresh registration
     /// per call makes uniform (the scheduler and actor table themselves are
-    /// kept in the pod and only cleared). Returns the number of actor
-    /// dispatches.
+    /// kept in the pod and only cleared). A window nothing is due in —
+    /// most of a fleet's 2 µs windows, most of a closed loop's submit/reap
+    /// steps — registers nobody. Parked engines are not brought up to
+    /// `until` here (the next real dispatch, or [`Pod::finish_horizon`],
+    /// passes their rounds). Returns the number of actor dispatches.
     pub(crate) fn run_local(&mut self, until: SimTime) -> u64 {
         // The legacy scan stepped components with clocks strictly below
         // `until`; the scheduler deadline is inclusive, so it sits 1 ns
@@ -1493,74 +1745,69 @@ impl Pod {
         let Some(deadline) = until.as_nanos().checked_sub(1).map(SimTime::from_nanos) else {
             return 0;
         };
-        let mut sched = std::mem::take(&mut self.window_sched);
+        if self.next_activity() >= until {
+            self.now = self.now.max(until);
+            return 0;
+        }
+        let map = self.actor_map();
         let mut kinds = std::mem::take(&mut self.window_kinds);
+        let mut sched = std::mem::take(&mut self.window_sched);
         sched.clear();
         kinds.clear();
 
-        let dead = &self.dead_host;
-        let driver_base = sched.actor_count();
+        let (dead, park) = (&self.dead_host, &self.park);
         for (host, drv) in self.drivers.iter().enumerate() {
             let clock = drv.engine().core().clock;
-            add_actor(&mut sched, (!dead[host]).then_some(clock));
+            add_engine(&mut sched, park, (!dead[host]).then_some(clock));
             kinds.push(ActorKind::Engine(EngineRef::Driver(host)));
         }
-        let net_backend_base = sched.actor_count();
         for (i, be) in self.backends.iter().enumerate() {
-            add_actor(&mut sched, (!dead[be.host]).then_some(be.core.clock));
+            add_engine(&mut sched, park, (!dead[be.host]).then_some(be.core.clock));
             kinds.push(ActorKind::Engine(EngineRef::NetBackend(i)));
         }
         sched.add_actor(self.allocator.core.clock);
         kinds.push(ActorKind::Allocator);
-        let endpoint_base = sched.actor_count();
         for (i, ep) in self.endpoints.iter().enumerate() {
             sched.add_actor(ep.next_time());
             kinds.push(ActorKind::Endpoint(i));
         }
-        let storage = self
-            .storage
-            .register(&mut sched, &mut kinds, dead, EngineRef::Storage);
-        let accel = self
-            .accel
-            .register(&mut sched, &mut kinds, dead, EngineRef::Accel);
+        debug_assert_eq!(sched.actor_count(), map.storage.fe);
+        self.storage
+            .register(&mut sched, &mut kinds, dead, park, EngineRef::Storage);
+        debug_assert_eq!(sched.actor_count(), map.accel.fe);
+        self.accel
+            .register(&mut sched, &mut kinds, dead, park, EngineRef::Accel);
         // The event queue goes last so on wake-time ties every component
         // runs before the event fires, matching the legacy scan's
         // events-considered-last rule.
         add_actor(&mut sched, self.pending.peek_time());
         kinds.push(ActorKind::Events);
 
-        let map = ActorMap {
-            driver_base,
-            net_backend_base,
-            endpoint_base,
-            storage,
-            accel,
-        };
+        self.window_kinds = kinds;
 
         let mut dispatches: u64 = 0;
         sched.run_until_with(self, deadline, |pod, actor, at, ctx| {
             dispatches += 1;
-            pod.dispatch(&kinds, &map, actor, at, until, ctx)
+            pod.dispatch(&map, actor, at, ctx)
         });
         self.obs.fold_sched(&sched);
         self.window_sched = sched;
-        self.window_kinds = kinds;
         self.now = self.now.max(until);
         dispatches
     }
 
-    /// Dispatch one actor at its wake time.
+    /// Dispatch one actor at its wake time. Whatever really runs is
+    /// bracketed by [`Self::pass_parked`] for its position before and
+    /// [`Self::rearm_woken`] after.
     fn dispatch(
         &mut self,
-        kinds: &[ActorKind],
         map: &ActorMap,
         actor: usize,
         at: SimTime,
-        until: SimTime,
         ctx: &mut StepCtx,
     ) -> StepOutcome {
-        match kinds[actor] {
-            ActorKind::Engine(eref) => self.dispatch_engine(eref, map, at, until, ctx),
+        match self.window_kinds[actor] {
+            ActorKind::Engine(eref) => self.dispatch_engine(eref, actor, map, at, ctx),
             ActorKind::Allocator => {
                 let clock = self.allocator.core.clock;
                 if at < clock {
@@ -1569,11 +1816,14 @@ impl Pod {
                     // wake was queued.
                     return StepOutcome::WakeAt(clock);
                 }
+                self.pass_parked(at, actor);
                 self.now = self.now.max(at);
                 self.allocator.step(&mut self.pool);
                 if self.allocator.has_newly_failed_hosts() {
+                    self.unpark_all(Some(ctx));
                     self.reclaim_failed_hosts();
                 }
+                self.rearm_woken(map, Some(ctx));
                 StepOutcome::WakeAt(self.allocator.core.clock)
             }
             ActorKind::Endpoint(ei) => {
@@ -1587,6 +1837,7 @@ impl Pod {
                         StepOutcome::WakeAt(nt)
                     };
                 }
+                self.pass_parked(at, actor);
                 self.now = self.now.max(at);
                 let frames = self.endpoints[ei].poll(at);
                 let port = self.endpoint_port[ei];
@@ -1594,6 +1845,7 @@ impl Pod {
                     self.forward(at, port, f);
                 }
                 self.wake_endpoints(map, ctx);
+                self.rearm_woken(map, Some(ctx));
                 let nt = self.endpoints[ei].next_time();
                 if nt == SimTime::MAX {
                     StepOutcome::Idle
@@ -1606,9 +1858,18 @@ impl Pod {
                     if at < t {
                         return StepOutcome::WakeAt(t);
                     }
+                    self.pass_parked(at, actor);
                     self.now = self.now.max(at);
                     if let Some((eat, ev)) = self.pending.pop() {
+                        // A frame from a peer pod is input for whoever it
+                        // reaches; anything else may change what any proof
+                        // rested on (clocks, caches, costs, devices).
+                        if !matches!(ev, PodEvent::UplinkFrame(..)) {
+                            self.unpark_all(Some(ctx));
+                        }
                         self.apply_event(eat, ev, map, ctx);
+                        self.wake_endpoints(map, ctx);
+                        self.rearm_woken(map, Some(ctx));
                     }
                 }
                 // Re-peek after applying: the event may have chained a
@@ -1622,15 +1883,19 @@ impl Pod {
     }
 
     /// Dispatch one device-engine actor: the single uniform stepping path
-    /// for every engine type.
+    /// for every engine type. An engine that proves its round empty
+    /// ([`DeviceEngine::idle_round`]) is parked instead of polled.
     fn dispatch_engine(
         &mut self,
         eref: EngineRef,
+        actor: usize,
         map: &ActorMap,
         at: SimTime,
-        until: SimTime,
         ctx: &mut StepCtx,
     ) -> StepOutcome {
+        self.pass_parked(at, actor);
+        // A parked engine is dispatched for the round it could not vouch for.
+        self.unpark(actor, None);
         let (egress, egress_nic, next) = {
             let Pod {
                 drivers,
@@ -1643,20 +1908,12 @@ impl Pod {
                 nic_macs,
                 dead_host,
                 now,
-                obs,
+                park,
+                never_park,
                 ..
             } = self;
-            let engine: &mut dyn DeviceEngine = match eref {
-                EngineRef::Driver(i) => drivers[i].engine_mut(),
-                EngineRef::NetBackend(i) => &mut backends[i],
-                EngineRef::Storage(r) => match storage.engine(r) {
-                    Some(e) => e,
-                    None => return StepOutcome::Idle,
-                },
-                EngineRef::Accel(r) => match accel.engine(r) {
-                    Some(e) => e,
-                    None => return StepOutcome::Idle,
-                },
+            let Some(engine) = resolve(drivers, backends, storage, accel, eref) else {
+                return StepOutcome::Idle;
             };
             if dead_host[engine.host()] {
                 // The host crashed after this wake was queued; park the
@@ -1669,14 +1926,26 @@ impl Pod {
                 // clock since this wake was queued.
                 return StepOutcome::WakeAt(nt);
             }
-            // Fast-forward through provable idleness: anything the engine
-            // can show matters next happens no earlier than the next other
-            // actor's wake (the legacy scan's `second_t`).
-            let limit = ctx.next_other().min(until);
-            if engine.try_idle_skip(nics, instances, limit) {
-                let skipped_to = engine.next_time();
-                obs.note_idle_skip(nt, skipped_to);
-                return StepOutcome::WakeAt(skipped_to);
+            // The coherence sanitizer observes every access, so under it
+            // every round really runs.
+            let may_park = !*never_park && !cfg!(feature = "sanitize");
+            let idle = may_park
+                .then(|| engine.idle_round(pool, nics, instances))
+                .flatten();
+            if let Some(round) = idle {
+                let wake = park::wake_round(nt, round.period_ns, round.valid_until);
+                engine.polled(&mut |rx| {
+                    let (start, end) = rx.ring_range();
+                    pool.watch(start, end, actor as u32);
+                });
+                let parked = Parked {
+                    round,
+                    next: nt,
+                    wake,
+                    since: nt,
+                };
+                park.insert(actor, parked);
+                return StepOutcome::WakeAt(wake);
             }
             *now = (*now).max(at);
             let mut world = EngineWorld {
@@ -1695,6 +1964,7 @@ impl Pod {
             }
         }
         self.wake_endpoints(map, ctx);
+        self.rearm_woken(map, Some(ctx));
         StepOutcome::WakeAt(next)
     }
 }
@@ -1737,6 +2007,7 @@ impl Pod {
     /// traffic drains) and restored into a pod built from the same
     /// configuration, exactly like `fleet_replay --checkpoint/--resume`.
     pub fn snapshot(&self) -> Vec<u8> {
+        debug_assert!(self.parked_settled(), "observed in the middle of a run");
         let mut w = SnapshotWriter::new();
         w.begin_section(SnapshotSection::Meta);
         w.put_u64(self.now.as_nanos());
@@ -1771,6 +2042,11 @@ impl Pod {
             dead_host.push(meta.bool("pod dead-host flag")?);
         }
         let parts_expected = meta.u64("pod component count")?;
+        // The engines' state is about to be replaced: nobody stays parked.
+        for actor in self.park.actors().collect::<Vec<_>>() {
+            self.pool.unwatch(actor as u32);
+        }
+        self.park.clear();
         self.now = now;
         self.dead_host = dead_host;
         let mut restored = 0u64;

@@ -123,6 +123,29 @@ impl HostCtx {
         self.clock += SimDuration::from_nanos(ns);
     }
 
+    /// Whether an empty poll of an absent line — one miss, one `clflushopt`,
+    /// one `mfence` — leaves this core as it found it but for the clock,
+    /// those three counters and the stream detector's last miss: the fill
+    /// evicts nothing, the hardware prefetcher is off, and no write-back
+    /// this core posted is still in flight at `first_fence` (when the first
+    /// such `mfence` issues), so no fence waits.
+    pub fn empty_polls_repeat(&self, first_fence: SimTime) -> bool {
+        self.hw_prefetch_depth == 0
+            && self.pending_visible <= first_fence
+            && self.cache.len() < self.cache.capacity()
+    }
+
+    /// Count `n` such empty polls, the last of them of `last_line`. The
+    /// clock and the pool's side of the fetches are the caller's.
+    pub fn account_empty_polls(&mut self, n: u64, last_line: u64) {
+        self.stats.misses += n;
+        self.stats.flushes += n;
+        self.stats.fences += n;
+        if n > 0 {
+            self.last_miss_line = last_line;
+        }
+    }
+
     /// The one way a dirty line leaves this cache (`clwb`, `clflushopt`,
     /// eviction): it becomes visible in pool memory `cxl_write_visible_ns`
     /// after the current clock, and `mfence` waits for that. The line is

@@ -233,6 +233,13 @@ pub struct CxlPool {
     /// traffic hammers one region at a time, so most lookups hit here and
     /// skip the binary search. `(0, 0, _)` never matches.
     last_class: std::cell::Cell<(u64, u64, TrafficClass)>,
+    /// `(start, end, watcher)`: ring ranges whose pollers have left the run
+    /// queue ([`Self::watch`]), disjoint and sorted by `start`. A
+    /// write-back posted into one puts its watcher on `woken` and drops all
+    /// of that watcher's ranges.
+    watches: Vec<(u64, u64, u32)>,
+    /// Watchers a post has reached since the last [`Self::pop_woken`].
+    woken: Vec<u32>,
     /// Coherence sanitizer shadow state (pure observer; never affects
     /// timing, metering, or memory contents).
     #[cfg(feature = "sanitize")]
@@ -259,6 +266,8 @@ impl CxlPool {
             land_order: Vec::new(),
             shown: Vec::new(),
             last_class: std::cell::Cell::new((0, 0, TrafficClass::Unclassified)),
+            watches: Vec::new(),
+            woken: Vec::new(),
             #[cfg(feature = "sanitize")]
             san: crate::sanitizer::Sanitizer::new(ports),
             #[cfg(feature = "obs")]
@@ -399,6 +408,95 @@ impl CxlPool {
         self.class_ranges
             .get(idx)
             .map_or(self.size(), |&(s, _, _)| s)
+    }
+
+    /// Watch `[start, end)` for `watcher`: the next write-back any port
+    /// posts into the range (`clwb`, `clflushopt` and dirty evictions all
+    /// post through [`Self::post_writeback_run`]) puts `watcher` on the
+    /// woken list, once, and ends all of its watches. Watched ranges are
+    /// disjoint: a ring has one receiver, and so one poller to park.
+    pub fn watch(&mut self, start: u64, end: u64, watcher: u32) {
+        let at = self.watches.partition_point(|&(s, _, _)| s < start);
+        debug_assert!(at == 0 || self.watches[at - 1].1 <= start);
+        debug_assert!(at == self.watches.len() || end <= self.watches[at].0);
+        self.watches.insert(at, (start, end, watcher));
+    }
+
+    /// End every watch of `watcher`.
+    pub fn unwatch(&mut self, watcher: u32) {
+        self.watches.retain(|&(_, _, w)| w != watcher);
+    }
+
+    /// Take one watcher a post has reached, if any.
+    pub fn pop_woken(&mut self) -> Option<u32> {
+        self.woken.pop()
+    }
+
+    /// A write-back into `[start, end)` was posted: wake its watchers.
+    #[inline]
+    fn wake_watchers(&mut self, start: u64, end: u64) {
+        // Sorted and disjoint: the first range ending past `start` is the
+        // only place an overlap can begin.
+        let first = self.watches.partition_point(|&(_, e, _)| e <= start);
+        let hit = |&&(s, _, _): &&(u64, u64, u32)| s < end;
+        let fired = self.woken.len();
+        for &(_, _, w) in self.watches[first..].iter().take_while(hit) {
+            if !self.woken[fired..].contains(&w) {
+                self.woken.push(w);
+            }
+        }
+        if self.woken.len() > fired {
+            let fired = &self.woken[fired..];
+            self.watches.retain(|(_, _, w)| !fired.contains(w));
+        }
+    }
+
+    /// The byte at `addr` as a cache fill by *any* port would read it now
+    /// and until the next post into its line: what pool memory holds, with
+    /// no write-back of the line in flight to land on it or (for the
+    /// posting port) overlay it. `None` while one is in flight.
+    pub fn settled_byte(&self, addr: u64) -> Option<u8> {
+        let line = crate::line_base(addr);
+        let in_flight = self.runs.iter().any(|r| r.covers(line));
+        (!in_flight).then(|| self.mem[addr as usize])
+    }
+
+    /// Charge `n` cache-fill fetches of one line on `port` without doing
+    /// them: the metering (and, with `obs`, the timeline bins of fetches at
+    /// `first_at`, `first_at + every_ns`, …) of `n` [`Self::fetch_line`]
+    /// calls. The caller has shown that each would have returned the bytes
+    /// memory holds now and that no write-back of the line is in flight;
+    /// the landing the calls would also have done is the caller's to repeat
+    /// ([`Self::apply_pending`] at the latest of their instants).
+    pub fn charge_line_fetches(
+        &mut self,
+        port: PortId,
+        line_addr: u64,
+        n: u64,
+        first_at: SimTime,
+        every_ns: u64,
+    ) {
+        let class = self.classify(line_addr);
+        self.meters[port.0].read_bytes[class.index()] += n * LINE;
+        // One timeline add per bin the instants fall in, not one per fetch
+        // (a 10 ms bin holds thousands of ~2 µs rounds).
+        #[cfg(feature = "obs")]
+        {
+            let mut done = 0;
+            while done < n {
+                let at = first_at + SimDuration::from_nanos(done * every_ns);
+                let bin_ns = self.tl_xfer[port.0].bin_ns();
+                let left_in_bin = bin_ns - 1 - at.as_nanos() % bin_ns;
+                let here = match left_in_bin.checked_div(every_ns) {
+                    Some(more) => (more + 1).min(n - done),
+                    None => n - done,
+                };
+                self.note_xfer(at, port, here * LINE);
+                done += here;
+            }
+        }
+        #[cfg(not(feature = "obs"))]
+        let _ = (first_at, every_ns);
     }
 
     /// Apply all posted write-backs that have become visible by `now`.
@@ -606,7 +704,8 @@ impl CxlPool {
 
     /// Post a run of consecutive line write-backs from a CPU cache: line
     /// `i` of `data`, at `first_line + i·LINE`, becomes visible at
-    /// `visible0 + i·step_ns`. Meters `data.len()` written bytes on `port`.
+    /// `visible0 + i·step_ns`. Meters `data.len()` written bytes on `port`
+    /// and wakes whoever watches the lines ([`Self::watch`]).
     ///
     /// The run is split at traffic-class span edges (see
     /// [`Self::class_span_end`]) so each piece is metered to the class a
@@ -621,6 +720,7 @@ impl CxlPool {
     ) {
         debug_assert!(first_line.is_multiple_of(LINE));
         debug_assert!(data.len().is_multiple_of(LINE as usize));
+        self.wake_watchers(first_line, first_line + data.len() as u64);
         let (mut la, mut visible, mut rest) = (first_line, visible0, data);
         while !rest.is_empty() {
             // Lines whose *base* lies in `la`'s class span (classification
@@ -969,6 +1069,80 @@ mod tests {
         bulk.flush_pending();
         walk.flush_pending();
         assert_eq!(bulk.mem, walk.mem);
+    }
+
+    #[test]
+    fn a_post_into_a_watched_range_wakes_its_watcher_once() {
+        let mut p = CxlPool::new(4096, 2);
+        // Watcher 7 polls two rings, watcher 9 one; registered out of order.
+        p.watch(1024, 1280, 9);
+        p.watch(0, 256, 7);
+        p.watch(512, 768, 7);
+        assert_eq!(p.pop_woken(), None);
+        // Between and beside the rings: nobody.
+        post(&mut p, 0, 256, [1; 64], t(5));
+        post(&mut p, 1, 1280, [1; 64], t(5));
+        assert_eq!(p.pop_woken(), None);
+        // A run that ends inside ring 2 of watcher 7 wakes it, once, and
+        // ends its watch on ring 1 too.
+        p.post_writeback_run(PortId(1), 384, &run_data(1, 3), t(5), 0);
+        assert_eq!(p.pop_woken(), Some(7));
+        assert_eq!(p.pop_woken(), None);
+        post(&mut p, 0, 0, [2; 64], t(6));
+        assert_eq!(p.pop_woken(), None);
+        // Only 9 is left; any port's post counts.
+        post(&mut p, 0, 1216, [3; 64], t(7));
+        assert_eq!(p.pop_woken(), Some(9));
+        // Unwatching is silent.
+        p.watch(0, 256, 7);
+        p.unwatch(7);
+        post(&mut p, 0, 0, [4; 64], t(8));
+        assert_eq!(p.pop_woken(), None);
+        assert!(p.watches.is_empty());
+    }
+
+    #[test]
+    fn charged_fetches_meter_like_real_ones() {
+        let mut charged = CxlPool::new(4096, 2);
+        let mut fetched = CxlPool::new(4096, 2);
+        for p in [&mut charged, &mut fetched] {
+            p.register_class(0, 1024, TrafficClass::Message);
+        }
+        // 40 ns apart from 100 ns before a timeline bin boundary: the five
+        // fetches straddle it (3 + 2).
+        let first = 10_000_000 - 100;
+        charged.charge_line_fetches(PortId(1), 128, 5, t(first), 40);
+        charged.charge_line_fetches(PortId(1), 2048, 2, t(100), 0);
+        for i in 0..5 {
+            fetched.fetch_line(t(first + 40 * i), PortId(1), 128);
+        }
+        for _ in 0..2 {
+            fetched.fetch_line(t(100), PortId(1), 2048);
+        }
+        for class in TrafficClass::ALL {
+            assert_eq!(
+                charged.meter(PortId(1)).read_bytes(class),
+                fetched.meter(PortId(1)).read_bytes(class),
+                "{class:?}"
+            );
+        }
+        assert_eq!(
+            charged.meter(PortId(1)).read_bytes(TrafficClass::Message),
+            320
+        );
+        assert_eq!(charged.meter(PortId(0)).total_bytes(), 0);
+        #[cfg(feature = "obs")]
+        for (c, f) in charged.tl_xfer.iter().zip(&fetched.tl_xfer) {
+            assert_eq!(c.bins(), f.bins());
+            assert!(c.bins().len() != 1, "port 1 filled two bins, port 0 none");
+        }
+        charged.poke(130, &[9]);
+        assert_eq!(charged.settled_byte(130), Some(9));
+        post(&mut charged, 0, 128, [1; 64], t(500));
+        assert_eq!(charged.settled_byte(130), None, "a write-back is in flight");
+        assert_eq!(charged.settled_byte(192), Some(0));
+        charged.apply_pending(t(500));
+        assert_eq!(charged.settled_byte(130), Some(1));
     }
 
     #[test]

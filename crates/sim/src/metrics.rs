@@ -14,9 +14,11 @@ pub const SCHED_STALE_SKIPS: &str = "sim.sched_stale_skips";
 pub const SCHED_ACTOR_POLLS: &str = "sim.sched_actor_polls";
 /// Histogram: sim time between a wake being armed and its dispatch (tag 0).
 pub const SCHED_WAKE_TO_POLL_NS: &str = "sim.sched_wake_to_poll_ns";
-/// Idle-skip fast-forwards taken by the pod dispatch loop (tag 0).
+/// Park episodes ended: an idle engine left the pod's run queue and came
+/// back (tag 0).
 pub const SCHED_IDLE_SKIPS: &str = "sim.sched_idle_skips";
-/// Histogram: sim nanoseconds saved per idle-skip fast-forward (tag 0).
+/// Histogram: sim nanoseconds of elided polling rounds per park episode
+/// (tag 0).
 pub const SCHED_IDLE_SKIP_NS: &str = "sim.sched_idle_skip_ns";
 /// Window barriers crossed by a sharded run (tag 0).
 pub const SHARD_WINDOWS: &str = "sim.shard_windows";

@@ -37,13 +37,10 @@ pub enum StepOutcome {
 /// Per-dispatch context handed to the callback of
 /// [`Scheduler::run_until_with`].
 ///
-/// Lets the running actor (a) request wake-ups for *other* actors — applied
-/// after its own step completes, so the borrow of the world stays simple —
-/// and (b) see when the next-earliest actor is scheduled, which engines use
-/// to bound idle-skip fast-forwarding.
+/// Lets the running actor request wake-ups for *other* actors — applied
+/// after its own step completes, so the borrow of the world stays simple.
 pub struct StepCtx {
     wakes: Vec<(usize, SimTime)>,
-    next_other: SimTime,
 }
 
 impl StepCtx {
@@ -51,14 +48,6 @@ impl StepCtx {
     /// an earlier wake pending). Applied when the current dispatch returns.
     pub fn wake(&mut self, actor: usize, at: SimTime) {
         self.wakes.push((actor, at));
-    }
-
-    /// Earliest scheduled wake time among all *other* pending heap entries
-    /// at the moment this actor was dispatched ([`SimTime::MAX`] if none).
-    /// Superseded entries may make this earlier than the true next dispatch
-    /// — safe for its intended use as an idle-skip bound (never later).
-    pub fn next_other(&self) -> SimTime {
-        self.next_other
     }
 }
 
@@ -267,7 +256,7 @@ impl Scheduler {
     }
 
     /// Like [`Scheduler::run_until`], but the dispatch callback also gets a
-    /// [`StepCtx`] for cross-actor wake requests and the next-wake hint.
+    /// [`StepCtx`] for cross-actor wake requests.
     pub fn run_until_with<W>(
         &mut self,
         world: &mut W,
@@ -295,11 +284,6 @@ impl Scheduler {
             self.note_dispatch(actor, at);
             let mut ctx = StepCtx {
                 wakes: std::mem::take(&mut self.wakes),
-                next_other: self
-                    .queue
-                    .peek()
-                    .map(|&Reverse((t, _))| t)
-                    .unwrap_or(SimTime::MAX),
             };
             match dispatch(world, actor, at, &mut ctx) {
                 StepOutcome::WakeAt(next) => {
@@ -576,9 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn step_ctx_wakes_other_actor_and_reports_next() {
-        // Actor 0 (at t=5) wakes actor 1 at t=20 via the ctx; the hint shows
-        // the next-earliest other entry (actor 2 at t=50).
+    fn step_ctx_wakes_other_actor() {
+        // Actor 0 (at t=5) wakes actor 1 at t=20 via the ctx.
         let mut sched = Scheduler::new();
         let trigger = sched.add_actor(SimTime::from_nanos(5));
         let target = sched.add_idle_actor();
@@ -590,12 +573,62 @@ mod tests {
             |l: &mut Vec<(usize, u64)>, id, now, ctx| {
                 l.push((id, now.as_nanos()));
                 if id == trigger {
-                    assert_eq!(ctx.next_other(), SimTime::from_nanos(50));
                     ctx.wake(target, SimTime::from_nanos(20));
                 }
                 StepOutcome::Idle
             },
         );
         assert_eq!(log, vec![(0, 5), (1, 20), (2, 50)]);
+    }
+
+    #[test]
+    fn rearmed_at_the_dispatch_time_runs_in_id_order_after_it() {
+        // What the pod relies on when it re-arms a parked engine from
+        // another actor's dispatch: an actor woken at the *same* `at` runs
+        // after the waker in any case, and takes the place its id gives it
+        // among the other actors due then — so it runs where it would have
+        // had it been queued all along iff its id is larger than the
+        // waker's. (A smaller id would have run before the waker; the pod
+        // never re-arms one at `at`, it has already counted that round.)
+        let mut sched = Scheduler::new();
+        for _ in 0..5 {
+            sched.add_idle_actor();
+        }
+        let at = SimTime::from_nanos(9);
+        for id in [2usize, 4] {
+            sched.wake(id, at);
+        }
+        let mut order = Vec::new();
+        sched.run_until_with(
+            &mut order,
+            SimTime::from_nanos(20),
+            |o: &mut Vec<usize>, id, now, ctx| {
+                assert_eq!(now, at);
+                o.push(id);
+                if id == 2 {
+                    // Larger ids slot in before the even larger 4; the
+                    // smaller id 1 can only follow.
+                    ctx.wake(3, at);
+                    ctx.wake(1, at);
+                }
+                StepOutcome::Idle
+            },
+        );
+        assert_eq!(order, vec![2, 1, 3, 4]);
+
+        // Queued all along, the larger id runs in the same place.
+        let mut sched = Scheduler::new();
+        for _ in 0..5 {
+            sched.add_idle_actor();
+        }
+        for id in [2usize, 3, 4] {
+            sched.wake(id, at);
+        }
+        let mut queued = Vec::new();
+        sched.run_until(&mut queued, SimTime::from_nanos(20), |o, id, _| {
+            o.push(id);
+            StepOutcome::Idle
+        });
+        assert_eq!(queued, vec![2, 3, 4]);
     }
 }

@@ -286,6 +286,21 @@ impl Ssd {
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
+
+    /// Earliest `now` at which [`Self::process`] or
+    /// [`Self::poll_completions`] does anything, absent new submissions: a
+    /// queued command finds a free channel, a started one retires, or a
+    /// retired one can be drained. `None` when the drive is empty.
+    pub fn next_event(&self) -> Option<SimTime> {
+        let start = self
+            .channel_free
+            .iter()
+            .min()
+            .filter(|_| !self.sq.is_empty());
+        let retire = self.in_flight.iter().map(|f| &f.done_at).min();
+        let drain = self.cq.front().map(|f| &f.done_at);
+        [start, retire, drain].into_iter().flatten().min().copied()
+    }
 }
 
 #[cfg(test)]

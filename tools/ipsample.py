@@ -21,6 +21,14 @@ Environment:
                        `objdump -d --start-address=<first> --stop-address=<last>`
                        (a sampled rip is the instruction that was waiting, so
                        a hot load shows up on the first user of its result)
+  IPSAMPLE_GROUP=crate also sum the samples by layer: by crate, and by
+                       crate::module for the two crates whose modules are
+                       layers of their own (oasis_cxl::{cache,pool,host,..},
+                       oasis_core::{pod,engine_net,engine_req,..}); shared
+                       libraries by file (libc), the Rust runtime as `std`.
+                       A trait method counts for the implementing type's
+                       module. This is the per-layer map of where the wall
+                       time goes (ROADMAP item 1).
 """
 import bisect
 import collections
@@ -143,6 +151,25 @@ def demangle(name):
     return s
 
 
+# Crates whose modules are reported separately: they hold several layers.
+SPLIT_BY_MODULE = ("oasis_cxl", "oasis_core")
+
+
+def layer(name):
+    """The layer a resolved symbol name belongs to (IPSAMPLE_GROUP=crate)."""
+    if name.endswith("]"):  # "memmove (ifunc target) [libc.so.6]"
+        return name[name.rindex("[") + 1:-1].split(".so")[0].split("-")[0]
+    # "_<oasis_core::engine_net::backend::BackendDriver as ..>::poll": the
+    # implementing type; "<&T as ..>" and "<[T] ..>" keep T.
+    path = name.lstrip("_<&[").split(" as ")[0].split("<")[0]
+    parts = path.split("::")
+    if parts[0] in ("core", "alloc", "std", "hashbrown") or not parts[0]:
+        return "std"
+    if parts[0] in SPLIT_BY_MODULE and len(parts) > 2:
+        return "::".join(parts[:2])
+    return parts[0] if len(parts) > 1 else "other"
+
+
 def resolve(rip, maps, exe):
     """(symbol name, file vaddr of `rip`, path of the mapped file)."""
     for lo, hi, offset, path in maps:
@@ -194,6 +221,13 @@ def main():
     print(f"{len(rips)} samples, {interval * 1000:g} ms apart, pid {pid}")
     for name, n in hist.most_common(40):
         print(f"{100 * n / len(rips):6.2f}%  {n:5d}  {name}")
+    if os.environ.get("IPSAMPLE_GROUP") == "crate":
+        layers = collections.Counter()
+        for name, n in hist.items():
+            layers[layer(name)] += n
+        print("\nby layer:")
+        for name, n in layers.most_common():
+            print(f"{100 * n / len(rips):6.2f}%  {n:5d}  {name}")
     focus = [f for f in os.environ.get("IPSAMPLE_FOCUS", "").split(",") if f]
     for name, n in hist.most_common():
         if any(f in name for f in focus):
