@@ -84,6 +84,8 @@ pub struct AccelDevice {
     /// Injected fault window: jobs started before this time complete with
     /// [`AccelStatus::ComputeError`] and no output DMA.
     fault_compute_error_until: SimTime,
+    /// Staging for one job's input and output, reused across jobs.
+    scratch: Vec<u8>,
     /// Device counters.
     pub stats: AccelStats,
 }
@@ -101,6 +103,7 @@ impl AccelDevice {
             failed: false,
             fault_timeout_until: SimTime::ZERO,
             fault_compute_error_until: SimTime::ZERO,
+            scratch: Vec::new(),
             stats: AccelStats::default(),
         }
     }
@@ -218,11 +221,14 @@ impl AccelDevice {
 
             let mut result = 0u64;
             if status.is_ok() {
-                let mut input = vec![0u8; bytes as usize];
-                dma.dma_read(start, MemRef::Pool(cmd.input_ptr), &mut input);
+                if self.scratch.len() < bytes as usize {
+                    self.scratch.resize(bytes as usize, 0);
+                }
+                let input = &mut self.scratch[..bytes as usize];
+                dma.dma_read(start, MemRef::Pool(cmd.input_ptr), input);
                 match cmd.op {
                     AccelOp::Checksum => {
-                        result = fnv1a(&input);
+                        result = fnv1a(input);
                         dma.dma_write(start, MemRef::Pool(cmd.output_ptr), &result.to_le_bytes());
                     }
                     AccelOp::Scale => {
@@ -230,7 +236,7 @@ impl AccelDevice {
                         for b in input.iter_mut() {
                             *b = b.wrapping_mul(k);
                         }
-                        dma.dma_write(start, MemRef::Pool(cmd.output_ptr), &input);
+                        dma.dma_write(start, MemRef::Pool(cmd.output_ptr), input);
                     }
                 }
                 self.stats.jobs += 1;

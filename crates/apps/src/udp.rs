@@ -90,6 +90,10 @@ pub struct UdpClient {
     stats: StatsHandle,
     rng: SimRng,
     start: SimTime,
+    /// Whether the first poll after resolution has computed the schedule.
+    /// Until then `next_send` is unknown; after it, `None` means the
+    /// schedule is empty or exhausted.
+    scheduled: bool,
     next_send: Option<SimTime>,
     replay_idx: usize,
     /// Next ARP retry while the destination MAC is unresolved.
@@ -128,6 +132,7 @@ impl UdpClient {
             stats,
             rng: SimRng::new(0x5eed ^ id),
             start,
+            scheduled: false,
             next_send: None,
             replay_idx: 0,
             next_arp: start,
@@ -240,13 +245,11 @@ impl Endpoint for UdpClient {
                     // Full window: wake at the loss timeout.
                     self.last_progress + SimDuration::from_millis(10)
                 }
+            } else if self.scheduled {
+                self.next_send.unwrap_or(SimTime::MAX)
             } else {
-                let mut t = self.next_send.unwrap_or(SimTime::MAX);
-                if self.next_send.is_none() && self.stats.borrow().sent == 0 {
-                    // First poll bootstraps the schedule.
-                    t = self.start;
-                }
-                t
+                // First poll bootstraps the schedule.
+                self.start
             }
         } else {
             self.next_arp
@@ -284,7 +287,8 @@ impl Endpoint for UdpClient {
             self.start = self.start.max(now);
         }
         // Bootstrap the first send time lazily.
-        if self.next_send.is_none() && self.stats.borrow().sent == 0 {
+        if !self.scheduled {
+            self.scheduled = true;
             self.next_send = self.compute_next_send(now);
         }
         // Receive echoes (and GARP migrations).
@@ -485,6 +489,46 @@ mod tests {
         assert_eq!(stats.borrow().sent, 3);
         // Frame sizes track the trace (clamped to the minimum).
         assert_eq!(frames[1].len(), 1500);
+    }
+
+    #[test]
+    fn empty_replay_schedule_lets_the_pod_finish() {
+        // An empty schedule sends nothing, so the client must report no
+        // next event rather than its start time forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A helper thread, so a livelocked run fails the test at the
+        // timeout instead of hanging the suite.
+        let run = std::thread::spawn(move || {
+            let mut b = PodBuilder::new(OasisConfig::default());
+            let host_a = b.add_host();
+            let _host_b = b.add_nic_host();
+            let mut pod = b.build();
+            let inst = pod.launch_instance(
+                host_a,
+                AppKind::Udp(Box::new(EchoServer::new(SimDuration::from_micros(1)))),
+                10_000,
+            );
+            let stats = ClientStats::handle();
+            let client = UdpClient::new(
+                1,
+                pod.instance_mac(inst),
+                pod.instance_ip(inst),
+                7,
+                64,
+                Pacing::Replay(Vec::new()),
+                SimTime::from_micros(20),
+                stats.clone(),
+            );
+            pod.add_endpoint(Box::new(client));
+            pod.run(SimTime::from_millis(1));
+            let sent = stats.borrow().sent;
+            let _ = tx.send(sent);
+        });
+        let sent = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("pod run with an empty replay schedule returns");
+        run.join().expect("pod thread");
+        assert_eq!(sent, 0);
     }
 
     #[test]

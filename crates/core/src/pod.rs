@@ -683,7 +683,7 @@ impl PodBuilder {
                     alloc_net_channel(&mut pool, &mut ra, &format!("be{nic_id}->alloc"), 256);
                 allocator.add_backend(nic_id as u32, pair.receiver);
                 let be_to_alloc = pair.sender;
-                let be_core = HostCtx::new(PortId(host), 1 << 20);
+                let be_core = HostCtx::new(PortId(host), 0);
                 // Backends do not receive from the allocator in this
                 // implementation; give them an inert receiver on a tiny
                 // private channel.
@@ -721,7 +721,16 @@ impl PodBuilder {
                         .iter()
                         .position(|&h| h == host)
                         .expect("baseline host has a NIC");
-                    let core = HostCtx::new(PortId(host), 8 << 20);
+                    // Local DRAM holds exactly the two buffer areas a
+                    // `LocalDdr` driver carves from it; pool-placed buffers
+                    // need none.
+                    let ddr = match placement {
+                        BufferPlacement::LocalDdr => {
+                            self.cfg.tx_area_per_instance + self.cfg.rx_area_per_nic
+                        }
+                        BufferPlacement::CxlPool => 0,
+                    };
+                    let core = HostCtx::new(PortId(host), ddr);
                     let ld = LocalDriver::new(
                         host,
                         nic_id,
@@ -735,7 +744,7 @@ impl PodBuilder {
                 }
                 None => {
                     let _ = has_nic;
-                    let fe_core = HostCtx::new(PortId(host), 8 << 20);
+                    let fe_core = HostCtx::new(PortId(host), 0);
                     let fe_alloc_tx =
                         alloc_net_channel(&mut pool, &mut ra, &format!("fe{host}->alloc"), 256);
                     let alloc_fe =

@@ -603,17 +603,6 @@ impl HostCtx {
         self.local[base..base + data.len()].copy_from_slice(data);
     }
 
-    /// Direct borrow of local DRAM for device DMA into host memory (the
-    /// device charges its own latency).
-    pub fn local_mem_mut(&mut self) -> &mut [u8] {
-        &mut self.local
-    }
-
-    /// Direct borrow of local DRAM for device DMA out of host memory.
-    pub fn local_mem(&self) -> &[u8] {
-        &self.local
-    }
-
     /// Split borrow for building a device DMA context: local DRAM, the
     /// host's CXL port, and the cost model, without aliasing the rest of
     /// the context.

@@ -100,21 +100,35 @@ impl core::fmt::Debug for Frame {
 }
 
 /// RFC 1071 internet checksum.
+///
+/// Sums big-endian 32-bit words into a 64-bit accumulator and folds at the
+/// end: one's-complement sums do not depend on order or word width, so this
+/// equals the 16-bit word-by-word sum bit for bit. A chunk of odd length
+/// leaves its last byte as the high half of a word the next chunk completes.
 pub fn internet_checksum(chunks: &[&[u8]]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut leftover: Option<u8> = None;
-    for chunk in chunks {
-        for &b in chunk.iter() {
-            match leftover.take() {
-                None => leftover = Some(b),
-                Some(hi) => {
-                    sum += u32::from(u16::from_be_bytes([hi, b]));
-                }
-            }
+    let mut sum: u64 = 0;
+    let mut carry: Option<u8> = None;
+    for &chunk in chunks {
+        let mut rest = chunk;
+        if let Some(hi) = carry {
+            let Some((&lo, tail)) = rest.split_first() else {
+                continue;
+            };
+            sum += u64::from(u16::from_be_bytes([hi, lo]));
+            rest = tail;
         }
+        let mut words = rest.chunks_exact(4);
+        for w in &mut words {
+            sum += u64::from(u32::from_be_bytes([w[0], w[1], w[2], w[3]]));
+        }
+        let mut halves = words.remainder().chunks_exact(2);
+        for h in &mut halves {
+            sum += u64::from(u16::from_be_bytes([h[0], h[1]]));
+        }
+        carry = halves.remainder().first().copied();
     }
-    if let Some(hi) = leftover {
-        sum += u32::from(u16::from_be_bytes([hi, 0]));
+    if let Some(hi) = carry {
+        sum += u64::from(u16::from_be_bytes([hi, 0]));
     }
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
@@ -198,7 +212,9 @@ impl UdpPacket {
             dst_ip,
             src_port: u16::from_be_bytes([udp[0], udp[1]]),
             dst_port: u16::from_be_bytes([udp[2], udp[3]]),
-            payload: Bytes::copy_from_slice(&udp[UDP_HLEN..udp_len]),
+            payload: frame
+                .0
+                .slice(ETH_HLEN + IPV4_HLEN + UDP_HLEN..ETH_HLEN + IPV4_HLEN + udp_len),
         })
     }
 }
@@ -331,7 +347,9 @@ impl TcpSegment {
             ack: u32::from_be_bytes(tcp[8..12].try_into().unwrap()),
             flags: TcpFlags::from_byte(tcp[13]),
             window: u16::from_be_bytes([tcp[14], tcp[15]]),
-            payload: Bytes::copy_from_slice(&tcp[data_off..]),
+            payload: frame
+                .0
+                .slice(ETH_HLEN + IPV4_HLEN + data_off..ETH_HLEN + total_len),
         })
     }
 }
@@ -525,6 +543,7 @@ fn l4_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn udp(payload: &[u8]) -> UdpPacket {
         UdpPacket {
@@ -677,6 +696,76 @@ mod tests {
         let whole = internet_checksum(&[&[1, 2, 3, 4, 5, 6]]);
         let split = internet_checksum(&[&[1, 2, 3], &[4, 5, 6]]);
         assert_eq!(whole, split);
+    }
+
+    /// The byte-at-a-time RFC 1071 sum: the reference the word-wise
+    /// [`internet_checksum`] must equal on every input.
+    fn checksum_bytewise(chunks: &[&[u8]]) -> u16 {
+        let mut sum: u32 = 0;
+        let mut leftover: Option<u8> = None;
+        for chunk in chunks {
+            for &b in chunk.iter() {
+                match leftover.take() {
+                    None => leftover = Some(b),
+                    Some(hi) => sum += u32::from(u16::from_be_bytes([hi, b])),
+                }
+            }
+        }
+        if let Some(hi) = leftover {
+            sum += u32::from(u16::from_be_bytes([hi, 0]));
+        }
+        while sum > 0xffff {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    proptest! {
+        #[test]
+        fn checksum_matches_bytewise_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..3000),
+            cuts in proptest::collection::vec(0usize..3000, 0..6),
+            all_ones in any::<bool>(),
+        ) {
+            let data = if all_ones { vec![0xff; data.len()] } else { data };
+            // Random split points (repeats give empty chunks).
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut at = 0;
+            for c in cuts {
+                chunks.push(&data[at..c]);
+                at = c;
+            }
+            chunks.push(&data[at..]);
+            prop_assert_eq!(internet_checksum(&chunks), checksum_bytewise(&chunks));
+            prop_assert_eq!(internet_checksum(&[&data]), checksum_bytewise(&[&data]));
+        }
+    }
+
+    #[test]
+    fn parsed_payload_is_the_frames_bytes() {
+        let frame = udp(b"zero copy").encode();
+        let q = UdpPacket::parse(&frame).unwrap();
+        assert_eq!(&q.payload[..], b"zero copy");
+        let seg = TcpSegment {
+            src_mac: MacAddr::nic(3),
+            dst_mac: MacAddr::client(1),
+            src_ip: Ipv4Addr::instance(3),
+            dst_ip: Ipv4Addr::client(1),
+            src_port: 1,
+            dst_port: 2,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::default(),
+            window: 1,
+            payload: Bytes::from_static(b"abc"),
+        };
+        // Trailing bytes past the IPv4 total length are not payload.
+        let mut bytes = seg.encode().bytes().to_vec();
+        bytes.extend_from_slice(&[0xee; 6]);
+        let q = TcpSegment::parse(&Frame(Bytes::from(bytes))).unwrap();
+        assert_eq!(&q.payload[..], b"abc");
     }
 
     #[test]

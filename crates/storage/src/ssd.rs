@@ -72,6 +72,11 @@ pub struct SsdStats {
     pub media_errors: u64,
 }
 
+const BLOCK: usize = BLOCK_SIZE as usize;
+
+/// One block of media.
+type Block = Box<[u8; BLOCK]>;
+
 struct InFlight {
     completion: NvmeCompletion,
     done_at: SimTime,
@@ -80,9 +85,12 @@ struct InFlight {
 /// The simulated SSD.
 pub struct Ssd {
     cfg: SsdConfig,
-    /// Flat media: namespace `n`, block `b` lives at `(n * blocks + b) *
-    /// BLOCK_SIZE`.
-    media: Vec<u8>,
+    /// Sparse media, one slot per block: namespace `n`, block `b` is slot
+    /// `n * blocks + b`. A block is allocated on its first write; a block
+    /// never written reads as zeros.
+    media: Vec<Option<Block>>,
+    /// Staging for one command's transfer, reused across commands.
+    scratch: Vec<u8>,
     sq: VecDeque<NvmeCommand>,
     in_flight: Vec<InFlight>,
     cq: VecDeque<InFlight>,
@@ -102,11 +110,12 @@ pub struct Ssd {
 impl Ssd {
     /// A healthy SSD with zeroed media.
     pub fn new(cfg: SsdConfig) -> Self {
-        let media = vec![0u8; (cfg.blocks_per_ns * cfg.namespaces as u64 * BLOCK_SIZE) as usize];
+        let media = vec![None; (cfg.blocks_per_ns * cfg.namespaces as u64) as usize];
         let channels = cfg.channels;
         Ssd {
             cfg,
             media,
+            scratch: Vec::new(),
             sq: VecDeque::new(),
             in_flight: Vec::new(),
             cq: VecDeque::new(),
@@ -183,8 +192,33 @@ impl Ssd {
         NvmeStatus::Success
     }
 
-    fn media_offset(&self, cmd: &NvmeCommand) -> usize {
-        (((cmd.nsid as u64 - 1) * self.cfg.blocks_per_ns + cmd.slba) * BLOCK_SIZE) as usize
+    /// Media slot of the command's first block.
+    fn first_block(&self, cmd: &NvmeCommand) -> usize {
+        ((cmd.nsid as u64 - 1) * self.cfg.blocks_per_ns + cmd.slba) as usize
+    }
+
+    /// Blocks from slot `first` on into `out`; unwritten blocks read as zeros.
+    fn read_media(&self, first: usize, out: &mut [u8]) {
+        for (chunk, block) in out.chunks_mut(BLOCK).zip(&self.media[first..]) {
+            match block {
+                Some(b) => chunk.copy_from_slice(&b[..chunk.len()]),
+                None => chunk.fill(0),
+            }
+        }
+    }
+
+    /// `data` into the blocks from slot `first` on, allocating each on its
+    /// first write.
+    fn write_media(&mut self, first: usize, data: &[u8]) {
+        for (chunk, block) in data.chunks(BLOCK).zip(&mut self.media[first..]) {
+            block.get_or_insert_with(|| Box::new([0; BLOCK]))[..chunk.len()].copy_from_slice(chunk);
+        }
+    }
+
+    /// Blocks holding media (written at least once).
+    #[cfg(test)]
+    fn resident_blocks(&self) -> usize {
+        self.media.iter().filter(|b| b.is_some()).count()
     }
 
     /// Execute queued commands and retire finished ones up to `now`.
@@ -228,25 +262,30 @@ impl Ssd {
             self.channel_free[ch] = done_at;
 
             if status.is_ok() {
-                let off = self.media_offset(&cmd);
+                let first = self.first_block(&cmd);
+                let mut buf = std::mem::take(&mut self.scratch);
+                if buf.len() < bytes as usize {
+                    buf.resize(bytes as usize, 0);
+                }
+                let data = &mut buf[..bytes as usize];
                 match cmd.opcode {
                     NvmeOpcode::Read => {
                         self.stats.reads += 1;
                         self.stats.bytes_read += bytes;
-                        let data = self.media[off..off + bytes as usize].to_vec();
-                        dma.dma_write(now, MemRef::Pool(cmd.data_ptr), &data);
+                        self.read_media(first, data);
+                        dma.dma_write(now, MemRef::Pool(cmd.data_ptr), data);
                     }
                     NvmeOpcode::Write => {
                         self.stats.writes += 1;
                         self.stats.bytes_written += bytes;
-                        let mut buf = vec![0u8; bytes as usize];
-                        dma.dma_read(now, MemRef::Pool(cmd.data_ptr), &mut buf);
-                        self.media[off..off + bytes as usize].copy_from_slice(&buf);
+                        dma.dma_read(now, MemRef::Pool(cmd.data_ptr), data);
+                        self.write_media(first, data);
                     }
                     NvmeOpcode::Flush => {
                         self.stats.flushes += 1;
                     }
                 }
+                self.scratch = buf;
             } else {
                 self.stats.errors += 1;
             }
@@ -306,6 +345,8 @@ impl Ssd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     struct FlatMem {
         mem: Vec<u8>,
@@ -525,5 +566,70 @@ mod tests {
         assert!(comps[0].status.is_ok());
         assert_eq!(ssd.stats.flushes, 1);
         assert_eq!(ssd.stats.bytes_read + ssd.stats.bytes_written, 0);
+    }
+
+    /// Run one command to completion at `*now` and return its status.
+    fn run_one(ssd: &mut Ssd, mem: &mut FlatMem, now: &mut u64, cmd: NvmeCommand) -> NvmeStatus {
+        assert!(ssd.submit(cmd));
+        ssd.process(t(*now), mem);
+        *now += 1_000_000;
+        ssd.process(t(*now), mem);
+        let comps = ssd.poll_completions(t(*now));
+        assert_eq!(comps.len(), 1);
+        comps[0].status
+    }
+
+    proptest! {
+        /// Sparse media against a flat byte model through random 1- and
+        /// 8-block reads and writes over two small namespaces: every read
+        /// returns the model's bytes (zeros where never written, the last
+        /// LBA included), and exactly one block is resident per distinct
+        /// LBA written.
+        #[test]
+        fn sparse_media_matches_flat_model(
+            ops in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    1u32..3,
+                    prop_oneof![0u64..64, Just(63u64), Just(56u64)],
+                    prop_oneof![Just(1u32), Just(8)],
+                    any::<u8>(),
+                ),
+                1..40,
+            ),
+        ) {
+            const BLOCKS: u64 = 64;
+            let cfg = SsdConfig { blocks_per_ns: BLOCKS, namespaces: 2, ..Default::default() };
+            let mut ssd = Ssd::new(cfg);
+            let mut model = vec![0u8; (2 * BLOCKS * BLOCK_SIZE) as usize];
+            let mut mem = FlatMem { mem: vec![0; 8 * BLOCK] };
+            let mut written = BTreeSet::new();
+            let mut now = 0;
+            for (cid, (write, nsid, lba, nlb, tag)) in ops.into_iter().enumerate() {
+                let lba = lba.min(BLOCKS - nlb as u64);
+                let first = ((nsid as u64 - 1) * BLOCKS + lba) as usize;
+                let range = first * BLOCK..(first + nlb as usize) * BLOCK;
+                let len = range.len();
+                let cmd = NvmeCommand { nsid, ..read_cmd(cid as u16, lba, nlb, 0) };
+                if write {
+                    for (i, b) in mem.mem[..len].iter_mut().enumerate() {
+                        *b = (i as u8).wrapping_mul(31) ^ tag;
+                    }
+                    let cmd = NvmeCommand { opcode: NvmeOpcode::Write, ..cmd };
+                    prop_assert!(run_one(&mut ssd, &mut mem, &mut now, cmd).is_ok());
+                    model[range.clone()].copy_from_slice(&mem.mem[..len]);
+                    written.extend(first..first + nlb as usize);
+                } else {
+                    // Garbage first, so a never-written block must be zeroed.
+                    mem.mem.fill(0xa5);
+                    prop_assert!(run_one(&mut ssd, &mut mem, &mut now, cmd).is_ok());
+                }
+                prop_assert_eq!(&mem.mem[..len], &model[range]);
+                prop_assert_eq!(ssd.resident_blocks(), written.len());
+            }
+            let mut all = vec![0u8; model.len()];
+            ssd.read_media(0, &mut all);
+            prop_assert!(all == model, "media differs from the model");
+        }
     }
 }
