@@ -12,16 +12,16 @@
 //!
 //! Every simulated quantity in the snapshot is integer-valued and
 //! deterministic: the `--json` output is byte-identical at any
-//! `OASIS_SHARD_THREADS` setting (CI diffs 1 vs 8).
+//! `OASIS_SHARD_THREADS` setting (CI diffs 1 vs 8). Control-plane speed is
+//! measured by the repo benchmark's `fleet_replay` workload
+//! (`benchmark/run.sh --workload fleet_replay`), not here.
 //!
 //! Usage:
-//!   fleet_replay              replay; print the fleet report; refresh
-//!                             BENCH_fleet.json keeping any baseline
-//!   fleet_replay --baseline   also record this run's commands/wall-second
-//!                             as the committed baseline
+//!   fleet_replay              replay; print the fleet report; rewrite
+//!                             BENCH_fleet.json (the replay shape)
 //!   fleet_replay --check      verify the replay shape (≥64 pods, ≥1e5
-//!                             instances, nonzero spill) and gate the
-//!                             throughput against BENCH_fleet.json
+//!                             instances, nonzero spill) and that it equals
+//!                             the committed BENCH_fleet.json exactly
 //!   fleet_replay --json       print only the canonical metrics-snapshot
 //!                             JSON (the byte-identity surface)
 //!   fleet_replay --checkpoint <file>
@@ -33,16 +33,9 @@
 //!                             diffs the resumed --json against the
 //!                             uninterrupted one byte for byte)
 
-// oasis-check: allow-file(nondeterminism) this binary measures wall-clock
-// throughput of the replay; wall time feeds only the report and the bench
-// baseline, never any simulated byte (the --json surface is pure snapshot).
-use std::time::Instant;
-
-use oasis_bench::regress;
 use oasis_cxl::topology::{FleetTopology, PodTopology, UPLINK_LATENCY};
 use oasis_obs::MetricSink;
 use oasis_sim::report::Table;
-use oasis_sim::shard::threads_from_env;
 use oasis_sim::time::SimDuration;
 use oasis_trace::{
     export_fleet_stranding, measure_fleet_stranding, metrics, AllocTrace, ArrivalStream,
@@ -64,7 +57,6 @@ fn arg_value(flag: &str) -> Option<String> {
 }
 
 fn main() {
-    let record_baseline = std::env::args().any(|a| a == "--baseline");
     let check = std::env::args().any(|a| a == "--check");
     let json_only = std::env::args().any(|a| a == "--json");
 
@@ -88,7 +80,6 @@ fn main() {
         return;
     }
 
-    let start = Instant::now();
     let replay = match arg_value("--resume") {
         Some(path) => {
             let bytes = std::fs::read(&path).expect("read checkpoint file");
@@ -100,7 +91,6 @@ fn main() {
         None => AllocTrace::replay_fleet(&stream, &topo, HomePolicy::RoundRobin, RESIZE_EVERY)
             .expect("the ring fleet topology is valid"),
     };
-    let wall_secs = start.elapsed().as_secs_f64();
 
     let report = replay.state.report();
     let stranding = measure_fleet_stranding(&replay);
@@ -124,7 +114,6 @@ fn main() {
         + report.rejected
         + report.killed
         + replay.state.resizes;
-    let commands_per_sec = commands as f64 / wall_secs;
 
     println!("== fleet_replay: {PODS} pods x {HOSTS_PER_POD} hosts, ring uplinks ==\n");
     let mut t = Table::new(vec!["quantity", "value"]);
@@ -152,20 +141,22 @@ fn main() {
         format!("{:.1}%", mean(&ssd_ppb) as f64 / 1e7),
     ]);
     t.row(vec!["control-plane commands".into(), commands.to_string()]);
-    t.row(vec![
-        "commands / wall-second".into(),
-        format!(
-            "{:.0} ({} shard threads)",
-            commands_per_sec,
-            threads_from_env()
-        ),
-    ]);
     println!("{}", t.render());
 
-    let prior = std::fs::read_to_string("BENCH_fleet.json").ok();
-    let prior_baseline = prior
-        .as_deref()
-        .and_then(|text| regress::read_json_number(text, "baseline_commands_per_sec"));
+    let mut json = String::from("{\n");
+    json.push_str("  \"bench\": \"fleet_replay\",\n");
+    json.push_str(&format!("  \"pods\": {PODS},\n"));
+    json.push_str(&format!("  \"hosts_per_pod\": {HOSTS_PER_POD},\n"));
+    json.push_str(&format!("  \"arrivals\": {},\n", stream.arrivals.len()));
+    json.push_str(&format!("  \"placed\": {},\n", report.placed));
+    json.push_str(&format!("  \"rejected\": {},\n", report.rejected));
+    json.push_str(&format!(
+        "  \"spill_placements\": {},\n",
+        report.spill_placements
+    ));
+    json.push_str(&format!("  \"spill_bytes\": {},\n", report.spill_bytes));
+    json.push_str(&format!("  \"commands\": {commands}\n"));
+    json.push_str("}\n");
 
     if check {
         // Shape invariants from the issue before any perf comparison.
@@ -189,41 +180,15 @@ fn main() {
                         .any(|&(tag, _)| tag as usize == p)
                 }),
         );
-        let baseline = prior_baseline
-            .expect("--check needs a committed BENCH_fleet.json with a baseline_commands_per_sec");
-        ok &= regress::gate(
-            "fleet-replay commands/wall-second",
-            regress::handicapped(commands_per_sec),
-            baseline,
+        let committed = std::fs::read_to_string("BENCH_fleet.json")
+            .expect("--check needs the committed BENCH_fleet.json");
+        shape(
+            "replay shape equals BENCH_fleet.json exactly",
+            committed == json,
         );
         std::process::exit(if ok { 0 } else { 1 });
     }
 
-    let baseline = if record_baseline {
-        Some(commands_per_sec)
-    } else {
-        prior_baseline
-    };
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"fleet_replay\",\n");
-    json.push_str(&format!("  \"pods\": {PODS},\n"));
-    json.push_str(&format!("  \"hosts_per_pod\": {HOSTS_PER_POD},\n"));
-    json.push_str(&format!("  \"arrivals\": {},\n", stream.arrivals.len()));
-    json.push_str(&format!("  \"placed\": {},\n", report.placed));
-    json.push_str(&format!("  \"rejected\": {},\n", report.rejected));
-    json.push_str(&format!(
-        "  \"spill_placements\": {},\n",
-        report.spill_placements
-    ));
-    json.push_str(&format!("  \"spill_bytes\": {},\n", report.spill_bytes));
-    json.push_str(&format!("  \"commands\": {commands},\n"));
-    json.push_str(&format!("  \"wall_seconds\": {wall_secs:.6},\n"));
-    json.push_str(&format!("  \"commands_per_sec\": {commands_per_sec:.1},\n"));
-    match baseline {
-        Some(b) => json.push_str(&format!("  \"baseline_commands_per_sec\": {b:.1}\n")),
-        None => json.push_str("  \"baseline_commands_per_sec\": null\n"),
-    }
-    json.push_str("}\n");
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
     println!("wrote BENCH_fleet.json");
 }

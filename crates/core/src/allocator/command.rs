@@ -49,6 +49,47 @@ impl TransferPath {
     }
 }
 
+/// Sequential little-endian reader over one encoded command. A decode ends
+/// with [`end`](Self::end), which refuses trailing bytes, and bools must be
+/// 0 or 1: a decoder accepts exactly the bytes its encoder writes.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take().map(u8::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    fn ip(&mut self) -> Option<Ipv4Addr> {
+        self.take().map(Ipv4Addr)
+    }
+
+    fn end<T>(self, decoded: T) -> Option<T> {
+        self.0.is_empty().then_some(decoded)
+    }
+}
+
 /// A command applied to the replicated allocator state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AllocCommand {
@@ -221,51 +262,47 @@ impl AllocCommand {
         b
     }
 
-    /// Deserialize from the Raft log. `None` on malformed input.
+    /// Deserialize from the Raft log. `None` on malformed input: anything
+    /// but the exact bytes [`encode`](Self::encode) writes for a command.
     pub fn decode(b: &[u8]) -> Option<AllocCommand> {
-        let u32_at = |o: usize| -> Option<u32> {
-            Some(u32::from_le_bytes(b.get(o..o + 4)?.try_into().ok()?))
+        let mut f = Fields(b);
+        let cmd = match f.u8()? {
+            1 => AllocCommand::RegisterNic {
+                nic: f.u32()?,
+                host: f.u32()?,
+                capacity_mbps: f.u32()?,
+                backup: f.bool()?,
+            },
+            2 => AllocCommand::Assign {
+                ip: f.ip()?,
+                host: f.u32()?,
+                nic: f.u32()?,
+                lease_mbps: f.u32()?,
+            },
+            3 => AllocCommand::Unassign { ip: f.ip()? },
+            4 => AllocCommand::MarkFailed { nic: f.u32()? },
+            5 => AllocCommand::MarkRepaired { nic: f.u32()? },
+            6 => AllocCommand::RegisterSsd {
+                ssd: f.u32()?,
+                host: f.u32()?,
+                capacity_blocks: f.u32()?,
+            },
+            7 => AllocCommand::AssignVolume {
+                ip: f.ip()?,
+                ssd: f.u32()?,
+                base_block: f.u32()?,
+                blocks: f.u32()?,
+            },
+            8 => AllocCommand::ReleaseVolumes { ip: f.ip()? },
+            9 => AllocCommand::MarkHostFailed { host: f.u32()? },
+            10 => AllocCommand::MarkHostRestarted { host: f.u32()? },
+            11 => AllocCommand::RegisterAccel {
+                accel: f.u32()?,
+                host: f.u32()?,
+            },
+            _ => return None,
         };
-        match *b.first()? {
-            1 => Some(AllocCommand::RegisterNic {
-                nic: u32_at(1)?,
-                host: u32_at(5)?,
-                capacity_mbps: u32_at(9)?,
-                backup: *b.get(13)? != 0,
-            }),
-            2 => Some(AllocCommand::Assign {
-                ip: Ipv4Addr(b.get(1..5)?.try_into().ok()?),
-                host: u32_at(5)?,
-                nic: u32_at(9)?,
-                lease_mbps: u32_at(13)?,
-            }),
-            3 => Some(AllocCommand::Unassign {
-                ip: Ipv4Addr(b.get(1..5)?.try_into().ok()?),
-            }),
-            4 => Some(AllocCommand::MarkFailed { nic: u32_at(1)? }),
-            5 => Some(AllocCommand::MarkRepaired { nic: u32_at(1)? }),
-            6 => Some(AllocCommand::RegisterSsd {
-                ssd: u32_at(1)?,
-                host: u32_at(5)?,
-                capacity_blocks: u32_at(9)?,
-            }),
-            7 => Some(AllocCommand::AssignVolume {
-                ip: Ipv4Addr(b.get(1..5)?.try_into().ok()?),
-                ssd: u32_at(5)?,
-                base_block: u32_at(9)?,
-                blocks: u32_at(13)?,
-            }),
-            8 => Some(AllocCommand::ReleaseVolumes {
-                ip: Ipv4Addr(b.get(1..5)?.try_into().ok()?),
-            }),
-            9 => Some(AllocCommand::MarkHostFailed { host: u32_at(1)? }),
-            10 => Some(AllocCommand::MarkHostRestarted { host: u32_at(1)? }),
-            11 => Some(AllocCommand::RegisterAccel {
-                accel: u32_at(1)?,
-                host: u32_at(5)?,
-            }),
-            _ => None,
-        }
+        f.end(cmd)
     }
 }
 
@@ -299,8 +336,8 @@ pub enum FleetCommand {
         /// replay; a live pod registers whatever unit its SSDs lease in).
         ssd_cap: u64,
     },
-    /// Register a cross-pod uplink; spill order is recomputed from the
-    /// link set after every `AddLink`.
+    /// Register a cross-pod uplink. Spill orders are derived from the
+    /// link set.
     AddLink {
         /// One endpoint pod.
         a: u32,
@@ -462,60 +499,57 @@ impl FleetCommand {
         b
     }
 
-    /// Deserialize from the Raft log. `None` on malformed input.
+    /// Deserialize from the Raft log. `None` on malformed input: anything
+    /// but the exact bytes [`encode`](Self::encode) writes for a command.
     pub fn decode(b: &[u8]) -> Option<FleetCommand> {
-        let u32_at = |o: usize| -> Option<u32> {
-            Some(u32::from_le_bytes(b.get(o..o + 4)?.try_into().ok()?))
+        let mut f = Fields(b);
+        let cmd = match f.u8()? {
+            1 => FleetCommand::RegisterPod {
+                pod: f.u32()?,
+                hosts: f.u32()?,
+                vcpus_per_host: f.u32()?,
+                mem_gb_per_host: f.u32()?,
+                nic_mbps: f.u64()?,
+                ssd_cap: f.u64()?,
+            },
+            2 => FleetCommand::AddLink {
+                a: f.u32()?,
+                b: f.u32()?,
+                latency_ns: f.u64()?,
+            },
+            3 => FleetCommand::CreateInstance {
+                at: f.u64()?,
+                vcpus: f.u32()?,
+                mem_gb: f.u32()?,
+                ssd: f.u32()?,
+                nic_mbps: f.u32()?,
+                home_pod: f.u32()?,
+            },
+            4 => FleetCommand::ResizeInstance {
+                at: f.u64()?,
+                id: f.u64()?,
+                nic_mbps: f.u32()?,
+                ssd: f.u32()?,
+            },
+            5 => FleetCommand::KillInstance {
+                at: f.u64()?,
+                id: f.u64()?,
+            },
+            6 => FleetCommand::QueryFleetState,
+            7 => FleetCommand::MigrateInstance {
+                at: f.u64()?,
+                id: f.u64()?,
+                dst_pod: f.u32()?,
+                path: TransferPath::from_byte(f.u8()?)?,
+            },
+            8 => FleetCommand::FinishMigration {
+                at: f.u64()?,
+                id: f.u64()?,
+                commit: f.bool()?,
+            },
+            _ => return None,
         };
-        let u64_at = |o: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(b.get(o..o + 8)?.try_into().ok()?))
-        };
-        match *b.first()? {
-            1 => Some(FleetCommand::RegisterPod {
-                pod: u32_at(1)?,
-                hosts: u32_at(5)?,
-                vcpus_per_host: u32_at(9)?,
-                mem_gb_per_host: u32_at(13)?,
-                nic_mbps: u64_at(17)?,
-                ssd_cap: u64_at(25)?,
-            }),
-            2 => Some(FleetCommand::AddLink {
-                a: u32_at(1)?,
-                b: u32_at(5)?,
-                latency_ns: u64_at(9)?,
-            }),
-            3 => Some(FleetCommand::CreateInstance {
-                at: u64_at(1)?,
-                vcpus: u32_at(9)?,
-                mem_gb: u32_at(13)?,
-                ssd: u32_at(17)?,
-                nic_mbps: u32_at(21)?,
-                home_pod: u32_at(25)?,
-            }),
-            4 => Some(FleetCommand::ResizeInstance {
-                at: u64_at(1)?,
-                id: u64_at(9)?,
-                nic_mbps: u32_at(17)?,
-                ssd: u32_at(21)?,
-            }),
-            5 => Some(FleetCommand::KillInstance {
-                at: u64_at(1)?,
-                id: u64_at(9)?,
-            }),
-            6 => Some(FleetCommand::QueryFleetState),
-            7 => Some(FleetCommand::MigrateInstance {
-                at: u64_at(1)?,
-                id: u64_at(9)?,
-                dst_pod: u32_at(17)?,
-                path: TransferPath::from_byte(*b.get(21)?)?,
-            }),
-            8 => Some(FleetCommand::FinishMigration {
-                at: u64_at(1)?,
-                id: u64_at(9)?,
-                commit: *b.get(17)? != 0,
-            }),
-            _ => None,
-        }
+        f.end(cmd)
     }
 }
 

@@ -173,7 +173,7 @@ pub enum FleetResponse {
         /// Its index.
         pod: usize,
     },
-    /// The link was registered and spill orders recomputed.
+    /// The link was registered.
     LinkAdded,
     /// The instance was placed.
     Created {
@@ -232,6 +232,28 @@ fn cross_pod_bytes(nic_mbps: u32, from_ns: u64, to_ns: u64) -> u64 {
     ((nic_mbps as u128) * (to_ns.saturating_sub(from_ns) as u128) / 8000) as u64
 }
 
+/// Every pod's spill order, derived from the pods and links: `by_pod[p]`
+/// = neighbor pods of `p` in preference order
+/// ([`FleetTopology::spill_order`]). A topology change marks it stale and
+/// the next `CreateInstance` rebuilds it, so a fleet of P pods and L links
+/// pays for one rebuild instead of P + L.
+#[derive(Clone, Debug, Default)]
+struct SpillOrders {
+    by_pod: Vec<Vec<SpillHop>>,
+    fresh: bool,
+}
+
+/// The orders are a function of state that is compared elsewhere, so they
+/// are not state themselves: a replica that has not rebuilt them yet (or a
+/// state just restored) equals one that has.
+impl PartialEq for SpillOrders {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for SpillOrders {}
+
 /// The replicated fleet state machine: a pure function of the
 /// [`FleetCommand`] log.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -240,10 +262,9 @@ pub struct FleetState {
     pub pods: Vec<PodCapacity>,
     /// Registered links as `(a, b, latency_ns)`.
     links: Vec<(u32, u32, u64)>,
-    /// `spill[p]` = neighbor pods of `p` in spill preference order,
-    /// recomputed from the link set (via [`FleetTopology::spill_order`])
-    /// after every `AddLink`.
-    spill: Vec<Vec<SpillHop>>,
+    /// Derived from `pods` and `links`; excluded from equality and from
+    /// the snapshot.
+    spill: SpillOrders,
     /// Instance slots by fleet id (`None` = rejected or killed).
     pub instances: Vec<Option<FleetInstance>>,
     /// Placements that succeeded.
@@ -352,18 +373,25 @@ impl FleetState {
         pc.ssd_used -= inst.ssd as u64;
     }
 
-    fn recompute_spill(&mut self) {
-        let topo = self.topology();
-        self.spill = (0..self.pods.len()).map(|p| topo.spill_order(p)).collect();
+    /// Rebuild the spill orders if a topology change left them stale.
+    fn refresh_spill(&mut self) {
+        if !self.spill.fresh {
+            let topo = self.topology();
+            self.spill.by_pod = (0..self.pods.len()).map(|p| topo.spill_order(p)).collect();
+            self.spill.fresh = true;
+        }
     }
 
-    /// Deterministic two-pass placement. Pass 1: a host whose *own* pod
-    /// can serve the devices, best-fit by `(vcpu slack, mem slack)` with
-    /// the first minimum winning — exactly the pod-scoped policy the trace
-    /// replayer always used. Pass 2 (only when pass 1 strands): a host
-    /// whose CPU/memory fit, with devices on the first pod in its home
-    /// pod's spill order that can serve them; candidates ranked by
-    /// `(hops, vcpu slack, mem slack)`, first minimum wins.
+    /// Deterministic two-pass placement over the in-scope pods: the home
+    /// pod alone when one is pinned (none when it does not exist), every
+    /// pod for `ANY_POD`. Pass 1: a host whose *own* pod can serve the
+    /// devices, best-fit by `(vcpu slack, mem slack)` with the first
+    /// minimum winning — exactly the pod-scoped policy the trace replayer
+    /// always used. Pass 2 (only when pass 1 strands): a host whose
+    /// CPU/memory fit, with devices on the first pod in its home pod's
+    /// spill order that can serve them; candidates ranked by
+    /// `(hops, vcpu slack, mem slack)`, first minimum wins. Needs fresh
+    /// spill orders.
     fn place(
         &self,
         vcpus: u32,
@@ -372,10 +400,15 @@ impl FleetState {
         nic_mbps: u32,
         home_pod: Option<usize>,
     ) -> Option<(usize, usize, usize)> {
-        let in_scope = |p: usize| -> bool { home_pod.is_none_or(|hp| hp == p) };
+        let n = self.pods.len();
+        let scope = match home_pod {
+            Some(hp) => hp.min(n)..hp.saturating_add(1).min(n),
+            None => 0..n,
+        };
         let mut best: Option<((u32, u32), (usize, usize))> = None;
-        for (p, pc) in self.pods.iter().enumerate() {
-            if !in_scope(p) || !pc.devices_fit(nic_mbps as u64, ssd as u64) {
+        for p in scope.clone() {
+            let pc = &self.pods[p];
+            if !pc.devices_fit(nic_mbps as u64, ssd as u64) {
                 continue;
             }
             for h in 0..pc.hosts() {
@@ -391,11 +424,9 @@ impl FleetState {
         }
         // Pass 2: spill device backends to the nearest feasible neighbor.
         let mut best: Option<SpillCandidate> = None;
-        for (p, pc) in self.pods.iter().enumerate() {
-            if !in_scope(p) {
-                continue;
-            }
-            let Some(hop) = self.spill[p]
+        for p in scope {
+            let pc = &self.pods[p];
+            let Some(hop) = self.spill.by_pod[p]
                 .iter()
                 .find(|hop| self.pods[hop.pod].devices_fit(nic_mbps as u64, ssd as u64))
             else {
@@ -449,14 +480,14 @@ impl FleetState {
                 self.spill_placements.push(0);
                 self.spill_bytes.push(0);
                 self.pod_placements.push(0);
-                self.recompute_spill();
+                self.spill.fresh = false;
                 FleetResponse::PodRegistered {
                     pod: self.pods.len() - 1,
                 }
             }
             FleetCommand::AddLink { a, b, latency_ns } => {
                 self.links.push((a, b, latency_ns));
-                self.recompute_spill();
+                self.spill.fresh = false;
                 FleetResponse::LinkAdded
             }
             FleetCommand::CreateInstance {
@@ -469,6 +500,7 @@ impl FleetState {
             } => {
                 let home = (home_pod != ANY_POD).then_some(home_pod as usize);
                 let id = self.instances.len() as u64;
+                self.refresh_spill();
                 match self.place(vcpus, mem_gb, ssd, nic_mbps, home) {
                     Some((pod, host, device_pod)) => {
                         let pc = &mut self.pods[pod];
@@ -725,7 +757,7 @@ impl FleetState {
 impl Snapshottable for FleetState {
     /// Byte-stable by construction: every collection is written in its
     /// (deterministic) storage order; `spill` is derived from the link
-    /// set and recomputed on restore instead of being serialized.
+    /// set and rebuilt after restore instead of being serialized.
     fn snapshot_state(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.pods.len() as u64);
         for pc in &self.pods {
@@ -898,7 +930,7 @@ impl Snapshottable for FleetState {
         self.migrations_started = r.u64("fleet migrations started")?;
         self.migrations_committed = r.u64("fleet migrations committed")?;
         self.migrations_aborted = r.u64("fleet migrations aborted")?;
-        self.recompute_spill();
+        self.spill = SpillOrders::default();
         Ok(())
     }
 }
@@ -1036,8 +1068,8 @@ impl FleetAllocator {
             .propose(now, cmd.encode())
             .ok_or(FleetError::NotLeader)?;
         let mut last = FleetResponse::Rejected;
-        for (_, bytes) in self.raft.take_applied() {
-            if let Some(c) = FleetCommand::decode(&bytes) {
+        for (_, bytes) in self.raft.drain_committed() {
+            if let Some(c) = FleetCommand::decode(bytes) {
                 last = self.state.apply(&c);
             }
         }

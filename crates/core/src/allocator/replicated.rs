@@ -179,8 +179,8 @@ mod tests {
                         wire.push(now + SimDuration::from_micros(5), (i, to, msg));
                     }
                 }
-                for (_, cmd) in nodes[i].take_applied() {
-                    applied[i].push(cmd);
+                for (_, cmd) in nodes[i].drain_committed() {
+                    applied[i].push(cmd.to_vec());
                 }
             }
             if next_cmd == commands.len()

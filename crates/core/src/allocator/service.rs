@@ -501,8 +501,8 @@ impl PodAllocator {
     fn drain_applied(&mut self) {
         let now = self.core.clock;
         let ttl = self.cfg.telemetry_period * 3;
-        for (_, bytes) in self.raft.take_applied() {
-            if let Some(cmd) = AllocCommand::decode(&bytes) {
+        for (_, bytes) in self.raft.drain_committed() {
+            if let Some(cmd) = AllocCommand::decode(bytes) {
                 self.state.apply(now, ttl, &cmd);
             }
         }

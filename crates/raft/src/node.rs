@@ -102,7 +102,7 @@ impl Default for RaftConfig {
 
 /// A Raft node. Drive it with [`RaftNode::tick`] and [`RaftNode::handle`];
 /// collect RPCs with [`RaftNode::take_outbox`] and committed commands with
-/// [`RaftNode::take_applied`].
+/// [`RaftNode::drain_committed`].
 pub struct RaftNode {
     id: NodeId,
     peers: Vec<NodeId>,
@@ -114,7 +114,8 @@ pub struct RaftNode {
     /// 1-based log (index 0 is the implicit empty prefix).
     log: Vec<LogEntry>,
     commit_index: u64,
-    last_applied: u64,
+    /// Highest index handed out by [`drain_committed`](Self::drain_committed).
+    delivered: u64,
 
     role: Role,
     votes_granted: usize,
@@ -126,7 +127,6 @@ pub struct RaftNode {
     heartbeat_due: SimTime,
 
     outbox: Vec<(NodeId, RaftMessage)>,
-    applied: Vec<(u64, Vec<u8>)>,
 }
 
 impl RaftNode {
@@ -144,7 +144,7 @@ impl RaftNode {
             voted_for: None,
             log: Vec::new(),
             commit_index: 0,
-            last_applied: 0,
+            delivered: 0,
             role: Role::Follower,
             votes_granted: 0,
             next_index: vec![1; n_peers],
@@ -152,7 +152,6 @@ impl RaftNode {
             election_deadline: deadline,
             heartbeat_due: SimTime::ZERO,
             outbox: Vec::new(),
-            applied: Vec::new(),
         }
     }
 
@@ -216,10 +215,24 @@ impl RaftNode {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Drain commands committed and applied since the last call, as
-    /// `(log_index, command)` in log order.
+    /// Committed commands not yet delivered, as `(log_index, command)` in
+    /// log order, borrowed from the log and skipping election no-ops. The
+    /// cursor advances per item yielded, so each command is delivered
+    /// exactly once, even when the iterator is dropped early.
+    pub fn drain_committed(&mut self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let (log, cursor) = (&self.log[..self.commit_index as usize], &mut self.delivered);
+        std::iter::from_fn(move || {
+            let rest = &log[*cursor as usize..];
+            *cursor += rest.iter().position(|e| !e.command.is_empty())? as u64 + 1;
+            Some((*cursor, log[*cursor as usize - 1].command.as_slice()))
+        })
+    }
+
+    /// [`drain_committed`](Self::drain_committed), copied out of the log.
     pub fn take_applied(&mut self) -> Vec<(u64, Vec<u8>)> {
-        std::mem::take(&mut self.applied)
+        self.drain_committed()
+            .map(|(i, c)| (i, c.to_vec()))
+            .collect()
     }
 
     /// Propose a command. Returns its log index if this node is the leader,
@@ -280,8 +293,7 @@ impl RaftNode {
             // Append a no-op barrier: a leader can only commit entries of
             // its *own* term by counting replicas (Raft 5.4.2), so without
             // this, surviving entries from deposed leaders could sit
-            // uncommitted indefinitely. No-ops are filtered out of the
-            // applied stream.
+            // uncommitted indefinitely. No-ops are never delivered.
             self.log.push(LogEntry {
                 term: self.term,
                 command: Vec::new(),
@@ -332,19 +344,6 @@ impl RaftNode {
             if replicas * 2 > cluster {
                 self.commit_index = n;
                 break;
-            }
-        }
-        self.apply_committed();
-    }
-
-    fn apply_committed(&mut self) {
-        while self.last_applied < self.commit_index {
-            self.last_applied += 1;
-            let cmd = self.log[(self.last_applied - 1) as usize].command.clone();
-            // Election no-ops advance the commit frontier but carry nothing
-            // for the embedding's state machine.
-            if !cmd.is_empty() {
-                self.applied.push((self.last_applied, cmd));
             }
         }
     }
@@ -459,7 +458,6 @@ impl RaftNode {
                 }
                 if leader_commit > self.commit_index {
                     self.commit_index = leader_commit.min(self.last_log_index());
-                    self.apply_committed();
                 }
                 self.outbox.push((
                     from,
