@@ -123,6 +123,12 @@ fn sub<const N: usize>(b: &[u8; 64], off: usize) -> [u8; N] {
     out
 }
 
+/// Whether every byte of `b` is zero: the bytes an encoder leaves clear.
+#[inline]
+fn clear(b: &[u8]) -> bool {
+    b.iter().all(|&x| x == 0)
+}
+
 impl AccelCommand {
     /// Encode into a 64 B message (epoch byte left clear).
     pub fn encode(&self) -> [u8; 64] {
@@ -137,8 +143,12 @@ impl AccelCommand {
         b
     }
 
-    /// Decode from a 64 B message. `None` if the opcode is unknown.
+    /// Decode from a 64 B message. `None` if the opcode is unknown or a
+    /// byte [`Self::encode`] leaves clear is set.
     pub fn decode(b: &[u8; 64]) -> Option<AccelCommand> {
+        if b[1] != 0 || !clear(&b[32..]) {
+            return None;
+        }
         Some(AccelCommand {
             op: AccelOp::from_byte(b[0])?,
             cid: u16::from_le_bytes(sub(b, 2)),
@@ -182,14 +192,17 @@ impl AccelCompletion {
         b
     }
 
-    /// Decode from a 64 B message. `None` if it is not a completion.
+    /// Decode from a 64 B message. `None` if it is not a completion: an
+    /// unknown status, or a byte [`Self::encode`] leaves clear is set.
     pub fn decode(b: &[u8; 64]) -> Option<AccelCompletion> {
-        if b[0] != 0xfd {
+        let status = AccelStatus::from_byte(b[1]);
+        let clear_gaps = clear(&b[4..8]) && clear(&b[16..28]) && clear(&b[32..]);
+        if b[0] != 0xfd || status.to_byte() != b[1] || !clear_gaps {
             return None;
         }
         Some(AccelCompletion {
             cid: u16::from_le_bytes(sub(b, 2)),
-            status: AccelStatus::from_byte(b[1]),
+            status,
             result: u64::from_le_bytes(sub(b, 8)),
             frontend: u32::from_le_bytes(sub(b, 28)),
         })

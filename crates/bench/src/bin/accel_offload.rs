@@ -14,7 +14,7 @@
 //!     device — stranded-per-host accelerators idle while a pooled one
 //!     serves every host up to its lane parallelism.
 //!
-//! Usage mirrors `perf_smoke`:
+//! Usage:
 //!
 //! ```text
 //! accel_offload              measure; keep any recorded baseline

@@ -15,9 +15,6 @@ pub const CLIENT_RECEIVED: &str = "bench.client_received";
 /// Packets lost as seen by an experiment's client endpoint.
 pub const CLIENT_LOST: &str = "bench.client_lost";
 
-/// Simulated operations executed by a perf_smoke phase (tag = phase index).
-pub const PERF_SIM_OPS: &str = "bench.perf_sim_ops";
-
 /// Jobs completed by an accel-offload batch (tag = sharing-host count).
 pub const ACCEL_BATCH_JOBS: &str = "bench.accel_batch_jobs";
 /// Simulated makespan of an accel-offload batch in nanoseconds

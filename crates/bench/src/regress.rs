@@ -1,6 +1,6 @@
-//! The bench-regression gate shared by `perf_smoke` and `accel_offload`.
+//! The bench-regression gate of `accel_offload`.
 //!
-//! Each bench writes a `BENCH_*.json` file with a recorded baseline; in
+//! The bench writes a `BENCH_*.json` file with a recorded baseline; in
 //! `--check` mode the measured value is compared against that committed
 //! baseline and the process exits non-zero when it has regressed by more
 //! than the tolerance band. Knobs (environment variables):

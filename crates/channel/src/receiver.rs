@@ -147,15 +147,18 @@ impl Receiver {
     /// change it), flushes that one line (no prefetched window to invalidate)
     /// and fences — and leaves this receiver exactly as it was but for
     /// [`Self::empty_polls`], so the poll after it is the same again.
-    /// `None` in any other state.
+    /// `None` in any other state. The checks run cheapest first, so a poll
+    /// that finds a message usually stops at its cached line.
     pub fn idle_poll_line(&self, host: &HostCtx, pool: &CxlPool) -> Option<u64> {
         let seq = self.tail;
-        let line = self.layout.line_of(seq);
         let steady = self.policy == Policy::InvalidatePrefetched
             && self.unpublished == 0
-            && self.prefetched_until == self.line_index(seq)
-            && !host.cache.contains(line);
+            && self.prefetched_until == self.line_index(seq);
         if !steady {
+            return None;
+        }
+        let line = self.layout.line_of(seq);
+        if host.cache.contains(line) {
             return None;
         }
         // The epoch bit lives in the slot's last byte.
@@ -179,9 +182,26 @@ impl Receiver {
 
     /// Poll for one message. On success copies the message (with the epoch
     /// bit cleared) into `out` and returns `true`.
+    ///
+    /// A poll [`Self::idle_poll_line`] proves empty is charged as one
+    /// [`HostCtx::empty_poll`] of its line instead of executed: that is
+    /// exactly what [`Self::poll`] would do with it, without caching a line
+    /// only to flush it unread (DESIGN.md §7.5).
     pub fn try_recv(&mut self, host: &mut HostCtx, pool: &mut CxlPool, out: &mut [u8]) -> bool {
+        assert_eq!(out.len() as u64, self.layout.msg_size, "output buffer size");
+        let Some(line) = self.idle_poll_line(host, pool) else {
+            return self.poll(host, pool, out);
+        };
+        host.advance(host.costs.poll_overhead_ns);
+        host.empty_poll(pool, line);
+        self.empty_polls += 1;
+        false
+    }
+
+    /// One poll, executed: read the slot, then consume the message or run
+    /// the policy's empty-poll invalidation.
+    fn poll(&mut self, host: &mut HostCtx, pool: &mut CxlPool, out: &mut [u8]) -> bool {
         let msg_size = self.layout.msg_size as usize;
-        assert_eq!(out.len(), msg_size, "output buffer size");
         host.advance(host.costs.poll_overhead_ns);
         let seq = self.tail;
         let addr = self.layout.slot_addr(seq);
@@ -462,5 +482,192 @@ mod tests {
         rh.advance(40_000);
         assert!(r.try_recv(&mut rh, &mut pool, &mut out));
         assert_eq!(out[0], 2);
+    }
+
+    /// The twin behind [`Receiver::try_recv`]'s elision: the same sender
+    /// history polled through `try_recv` on one side and through the
+    /// executed poll on the other.
+    mod elision_twin {
+        use super::*;
+        use oasis_cxl::CostModel;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Debug)]
+        enum Step {
+            /// Up to this many sends, stopping at a full ring.
+            Send(u8),
+            /// The sender writes back what it has staged.
+            Flush,
+            /// Clock skew: the sender's or the receiver's clock runs ahead,
+            /// so a poll may fetch before, at or after a write-back lands.
+            AdvanceTx(u64),
+            AdvanceRx(u64),
+            /// What an engine going idle does.
+            Publish,
+            Poll,
+        }
+
+        struct Side {
+            pool: CxlPool,
+            th: HostCtx,
+            rh: HostCtx,
+            s: Sender,
+            r: Receiver,
+        }
+
+        #[derive(Clone, Copy, Debug)]
+        struct Shape {
+            policy: Policy,
+            slots: u64,
+            msg: u64,
+            prefetch: u64,
+            batch: u64,
+            cache_lines: usize,
+        }
+
+        fn side(sh: Shape) -> Side {
+            let mut pool = CxlPool::new(1 << 16, 2);
+            let mut ra = RegionAllocator::new(&pool);
+            let bytes = ChannelLayout::bytes_needed(sh.slots, sh.msg);
+            let region = ra.alloc(&mut pool, "chan", bytes, TrafficClass::Message);
+            let layout = ChannelLayout::in_region(&region, sh.slots, sh.msg);
+            let rh = HostCtx::with_cache(PortId(1), 0, sh.cache_lines, CostModel::default());
+            Side {
+                pool,
+                th: HostCtx::new(PortId(0), 0),
+                rh,
+                s: Sender::new(layout.clone()),
+                r: Receiver::with_params(layout, sh.policy, sh.prefetch, sh.batch),
+            }
+        }
+
+        /// Everything a poll can change, read without disturbing it.
+        fn observe(sd: &Side) -> String {
+            let lines: Vec<_> = sd
+                .rh
+                .cache
+                .lru_lines()
+                .map(|(addr, l)| (addr, l.data, l.dirty, l.ready_at))
+                .collect();
+            let meters: Vec<_> = (0..2)
+                .flat_map(|p| {
+                    let m = sd.pool.meter(PortId(p));
+                    TrafficClass::ALL.map(|c| (m.read_bytes(c), m.write_bytes(c)))
+                })
+                .collect();
+            format!(
+                "empty {} consumed {} rx {:?} {:?} tx {:?} {:?} cache {lines:?} meters {meters:?} in flight {}",
+                sd.r.empty_polls,
+                sd.r.consumed(),
+                sd.rh.clock,
+                sd.rh.stats,
+                sd.th.clock,
+                sd.th.stats,
+                sd.pool.pending_writebacks(),
+            )
+        }
+
+        /// Run `step` on `sd`; a poll goes through `try_recv` when
+        /// `elide`, else through the executed poll. Returns what it read.
+        fn run(sd: &mut Side, step: &Step, elide: bool, sent: &mut u64) -> Option<Vec<u8>> {
+            match *step {
+                Step::Send(n) => {
+                    for _ in 0..n {
+                        let mut m = vec![0u8; sd.r.layout().msg_size as usize];
+                        m[..8].copy_from_slice(&sent.to_le_bytes());
+                        if !sd.s.try_send(&mut sd.th, &mut sd.pool, &m).unwrap() {
+                            break;
+                        }
+                        *sent += 1;
+                    }
+                }
+                Step::Flush => sd.s.flush(&mut sd.th, &mut sd.pool),
+                Step::AdvanceTx(ns) => sd.th.advance(ns),
+                Step::AdvanceRx(ns) => sd.rh.advance(ns),
+                Step::Publish => sd.r.publish_consumed(&mut sd.rh, &mut sd.pool),
+                Step::Poll => {
+                    let mut out = vec![0u8; sd.r.layout().msg_size as usize];
+                    let got = if elide {
+                        sd.r.try_recv(&mut sd.rh, &mut sd.pool, &mut out)
+                    } else {
+                        sd.r.poll(&mut sd.rh, &mut sd.pool, &mut out)
+                    };
+                    return got.then_some(out);
+                }
+            }
+            None
+        }
+
+        fn shape() -> impl Strategy<Value = Shape> {
+            (
+                (0..Policy::ALL.len()).prop_map(|i| Policy::ALL[i]),
+                prop_oneof![Just(4u64), Just(8), Just(16)],
+                prop_oneof![Just(16u64), Just(64)],
+                prop_oneof![Just(0u64), Just(1), Just(4), Just(16)],
+                any::<u64>(),
+                prop_oneof![Just(2usize), Just(4), Just(4096)],
+            )
+                .prop_map(|(policy, slots, msg, prefetch, b, cache_lines)| Shape {
+                    policy,
+                    slots,
+                    msg,
+                    prefetch,
+                    batch: 1 + b % slots,
+                    cache_lines,
+                })
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            // Write-backs become visible ~hundreds of ns after posting: skews
+            // on that scale leave them in flight at poll time.
+            prop_oneof![
+                (1u8..6).prop_map(Step::Send),
+                Just(Step::Flush),
+                Just(Step::Flush),
+                (0u64..1500).prop_map(Step::AdvanceTx),
+                (0u64..1500).prop_map(Step::AdvanceRx),
+                Just(Step::Publish),
+                Just(Step::Poll),
+                Just(Step::Poll),
+                Just(Step::Poll),
+                Just(Step::Poll),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn elided_polls_match_executed_polls(
+                sh in shape(),
+                steps in proptest::collection::vec(step(), 1..160),
+            ) {
+                let mut elided = side(sh);
+                let mut executed = side(sh);
+                let (mut sent_a, mut sent_b) = (0, 0);
+                for (i, st) in steps.iter().enumerate() {
+                    let got = run(&mut elided, st, true, &mut sent_a);
+                    let want = run(&mut executed, st, false, &mut sent_b);
+                    prop_assert_eq!(got, want, "step {} {:?}: bytes", i, st);
+                    prop_assert_eq!(
+                        observe(&elided),
+                        observe(&executed),
+                        "after step {} {:?}",
+                        i,
+                        st
+                    );
+                }
+                #[cfg(feature = "sanitize")]
+                {
+                    let story = |p: &CxlPool| {
+                        let mut v: Vec<String> =
+                            p.san.reports().iter().map(|r| r.to_string()).collect();
+                        v.push(p.san.summary());
+                        v
+                    };
+                    prop_assert_eq!(story(&elided.pool), story(&executed.pool));
+                }
+            }
+        }
     }
 }

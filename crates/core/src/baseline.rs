@@ -214,8 +214,7 @@ impl LocalDriver {
         match self.placement {
             BufferPlacement::CxlPool => {
                 self.core.expect_fresh(pool, addr, out.len() as u64);
-                self.core.read_stream(pool, addr, out);
-                self.core.clflushopt_range(pool, addr, out.len() as u64);
+                self.core.read_flush(pool, addr, out);
             }
             BufferPlacement::LocalDdr => self.core.local_read(addr, out),
         }

@@ -53,7 +53,10 @@ pub trait WireDescriptor: Sized {
     const WIRE_SIZE: usize;
     /// Encode into `buf` (exactly `WIRE_SIZE` bytes).
     fn encode_into(&self, buf: &mut [u8]);
-    /// Decode from `buf`; `None` when the bytes are not this descriptor.
+    /// Decode from `buf`; `None` when the bytes are not this descriptor —
+    /// `buf` shorter than `WIRE_SIZE`, or anything [`Self::encode_into`]
+    /// does not write (the epoch bit is the receiver's, cleared before
+    /// decoding).
     fn decode_from(buf: &[u8]) -> Option<Self>;
 }
 
@@ -81,8 +84,7 @@ impl WireDescriptor for crate::msg::NetMsg {
         buf[..16].copy_from_slice(&self.encode());
     }
     fn decode_from(buf: &[u8]) -> Option<Self> {
-        debug_assert!(buf.len() >= Self::WIRE_SIZE, "decode buffer too small");
-        Self::decode(buf[..16].try_into().ok()?)
+        Self::decode(buf.get(..16)?.try_into().ok()?)
     }
 }
 assert_wire_size!(crate::msg::NetMsg);
@@ -94,8 +96,7 @@ impl WireDescriptor for oasis_storage::command::NvmeCommand {
         buf[..64].copy_from_slice(&self.encode());
     }
     fn decode_from(buf: &[u8]) -> Option<Self> {
-        debug_assert!(buf.len() >= Self::WIRE_SIZE, "decode buffer too small");
-        Self::decode(buf[..64].try_into().ok()?)
+        Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
 assert_wire_size!(oasis_storage::command::NvmeCommand);
@@ -107,8 +108,7 @@ impl WireDescriptor for oasis_storage::command::NvmeCompletion {
         buf[..64].copy_from_slice(&self.encode());
     }
     fn decode_from(buf: &[u8]) -> Option<Self> {
-        debug_assert!(buf.len() >= Self::WIRE_SIZE, "decode buffer too small");
-        Self::decode(buf[..64].try_into().ok()?)
+        Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
 assert_wire_size!(oasis_storage::command::NvmeCompletion);
@@ -120,8 +120,7 @@ impl WireDescriptor for oasis_accel::AccelCommand {
         buf[..64].copy_from_slice(&self.encode());
     }
     fn decode_from(buf: &[u8]) -> Option<Self> {
-        debug_assert!(buf.len() >= Self::WIRE_SIZE, "decode buffer too small");
-        Self::decode(buf[..64].try_into().ok()?)
+        Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
 assert_wire_size!(oasis_accel::AccelCommand);
@@ -133,8 +132,7 @@ impl WireDescriptor for oasis_accel::AccelCompletion {
         buf[..64].copy_from_slice(&self.encode());
     }
     fn decode_from(buf: &[u8]) -> Option<Self> {
-        debug_assert!(buf.len() >= Self::WIRE_SIZE, "decode buffer too small");
-        Self::decode(buf[..64].try_into().ok()?)
+        Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
 assert_wire_size!(oasis_accel::AccelCompletion);

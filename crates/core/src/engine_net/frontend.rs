@@ -391,8 +391,7 @@ impl FrontendDriver {
                         let len = msg.size as usize;
                         let mut pkt = vec![0u8; len];
                         self.core.expect_fresh(pool, msg.ptr, len as u64);
-                        self.core.read_stream(pool, msg.ptr, &mut pkt);
-                        self.core.clflushopt_range(pool, msg.ptr, len as u64);
+                        self.core.read_flush(pool, msg.ptr, &mut pkt);
                         self.core.advance(self.cfg.ipc_cost_ns);
                         if let Some(fe_inst) = self.insts.iter().find(|i| i.ip == msg.ip) {
                             self.stats.rx_packets += 1;

@@ -487,22 +487,46 @@ impl<C: ReqClass> ReqFrontend<C> {
         }
     }
 
-    /// Invalidate a finished command's buffer lines and return the buffers
-    /// for reuse. The next user's data arrives by device DMA straight into
-    /// pool memory, so any line left cached here — in particular the clean
+    /// Copy the `readback` range out of the pool, then invalidate a
+    /// finished command's buffer lines and return the buffers for reuse.
+    /// The device DMA'd the result into the pool, so any line of it still
+    /// cached here is stale by definition; and the next user's data arrives
+    /// the same way, so any line left cached — in particular the clean
     /// copies `clwb` keeps after staging — would read back stale (§3.2.1
     /// software coherence).
-    fn release(&mut self, pool: &mut CxlPool, cmd: &C::Command) {
+    fn release(
+        &mut self,
+        pool: &mut CxlPool,
+        cmd: &C::Command,
+        readback: Option<(u64, u64)>,
+    ) -> Option<Vec<u8>> {
         #[cfg(feature = "sanitize")]
         let invalidate = !self.skip_release_invalidate;
         #[cfg(not(feature = "sanitize"))]
         let invalidate = true;
-        for (addr, len) in C::buffers(cmd).into_iter().flatten() {
+        let mut bufs = C::buffers(cmd).into_iter().flatten().peekable();
+        let data = readback.map(|(addr, len)| {
+            self.core.expect_fresh(pool, addr, len);
+            let mut out = vec![0u8; len as usize];
+            if invalidate && bufs.peek() == Some(&(addr, len)) {
+                // The buffer read back is the first one flushed (a storage
+                // read's only one): copying and invalidating it in one call
+                // leaves every flush in its place.
+                self.core.read_flush(pool, addr, &mut out);
+                self.data_area.free(addr);
+                bufs.next();
+            } else {
+                self.core.read_stream(pool, addr, &mut out);
+            }
+            out
+        });
+        for (addr, len) in bufs {
             if invalidate {
                 self.core.clflushopt_range(pool, addr, len);
             }
             self.data_area.free(addr);
         }
+        data
     }
 
     /// Carry out one [`FeCore`] decision.
@@ -521,16 +545,7 @@ impl<C: ReqClass> ReqFrontend<C> {
             FeAction::Fail(p) => (p, Outcome::new(C::FAILED, 0), true),
         };
         let ok = outcome.status == C::OK;
-        let data = C::readback(&p.cmd).filter(|_| ok).map(|(addr, len)| {
-            // Copy the result out of shared memory. The device DMA'd it
-            // into the pool; any line of the buffer still cached here is
-            // stale by definition.
-            self.core.expect_fresh(pool, addr, len);
-            let mut out = vec![0u8; len as usize];
-            self.core.read_stream(pool, addr, &mut out);
-            out
-        });
-        self.release(pool, &p.cmd);
+        let data = self.release(pool, &p.cmd, C::readback(&p.cmd).filter(|_| ok));
         self.stats.completed += 1;
         #[cfg(feature = "obs")]
         self.service_ns

@@ -110,8 +110,12 @@ impl NetMsg {
         b
     }
 
-    /// Decode a 16 B channel message. `None` for unknown opcodes.
+    /// Decode a 16 B channel message. `None` for unknown opcodes and for a
+    /// set byte 15, which [`Self::encode`] leaves clear.
     pub fn decode(b: &[u8; 16]) -> Option<NetMsg> {
+        if b[15] != 0 {
+            return None;
+        }
         #[inline]
         fn sub<const N: usize>(b: &[u8; 16], off: usize) -> [u8; N] {
             let mut out = [0u8; N];

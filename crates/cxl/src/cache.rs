@@ -339,16 +339,23 @@ impl HostCache {
         Some(self.lines[i as usize])
     }
 
+    /// Every cached line in LRU→MRU order, refreshing nothing (used by
+    /// assertions/tests).
+    pub fn lru_lines(&self) -> impl Iterator<Item = (u64, &CacheLine)> + '_ {
+        let mut i = self.head;
+        std::iter::from_fn(move || {
+            let at = (i != NIL).then_some(i as usize)?;
+            i = self.links[at].next;
+            Some((self.addrs[at], &self.lines[at]))
+        })
+    }
+
     /// Drop everything (e.g. host reset in failure tests). Dirty lines are
     /// returned in LRU→MRU order — the recency list itself, which is already
     /// deterministic — without any intermediate allocation or sort.
     pub fn drain(&mut self) -> Vec<(u64, CacheLine)> {
         let mut out = Vec::with_capacity(self.index.len);
-        let mut i = self.head;
-        while i != NIL {
-            out.push((self.addrs[i as usize], self.lines[i as usize]));
-            i = self.links[i as usize].next;
-        }
+        out.extend(self.lru_lines().map(|(addr, line)| (addr, *line)));
         self.addrs.clear();
         self.lines.clear();
         self.links.clear();

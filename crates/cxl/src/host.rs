@@ -480,6 +480,109 @@ impl HostCtx {
         pool.san.on_fence(self.port, had_inflight, self.clock);
     }
 
+    /// The `CLFLUSHOPT` of a line filled by a miss and neither read again
+    /// nor written since: present and clean, so it posts nothing.
+    #[inline]
+    fn flush_unread_fill(&mut self, pool: &mut CxlPool, la: u64) {
+        self.stats.flushes += 1;
+        self.clock += SimDuration::from_nanos(self.costs.clflushopt_ns);
+        #[cfg(feature = "sanitize")]
+        pool.san.on_clflush(self.port, la, true, false, self.clock);
+        #[cfg(not(feature = "sanitize"))]
+        let _ = (pool, la);
+    }
+
+    /// An empty poll of the line holding `addr`: a load whose bytes the
+    /// caller already knows, then `CLFLUSHOPT` and `MFENCE` of the line —
+    /// observably [`Self::read`], [`Self::clflushopt`], [`Self::mfence`].
+    ///
+    /// When the line is absent, the hardware prefetcher is off and the fill
+    /// would evict nothing, the line is charged but never cached (DESIGN.md
+    /// §7.5): the miss, the fetch at its instant (landing, meter, `obs`
+    /// bin), the flush of a clean line and the fence, with the sanitizer
+    /// told the same events. Otherwise the three operations run.
+    pub fn empty_poll(&mut self, pool: &mut CxlPool, addr: u64) {
+        let la = line_base(addr);
+        if self.hw_prefetch_depth != 0
+            || self.cache.len() >= self.cache.capacity()
+            || self.cache.contains(la)
+        {
+            self.read(pool, la, &mut [0u8; 1]);
+            self.clflushopt(pool, la);
+            self.mfence(pool);
+            return;
+        }
+        self.stats.misses += 1;
+        self.clock += SimDuration::from_nanos(self.costs.cxl_load_ns);
+        pool.charge_line_fetch(self.clock, self.port, la);
+        #[cfg(feature = "sanitize")]
+        pool.san.on_fill(self.port, la);
+        self.last_miss_line = la;
+        self.flush_unread_fill(pool, la);
+        self.mfence(pool);
+    }
+
+    /// Copy `[addr, addr + out.len())` out of pool memory and invalidate
+    /// it: observably [`Self::read_stream`] then [`Self::clflushopt_range`]
+    /// of the same bytes.
+    ///
+    /// When no line of the range is cached and the fills would evict
+    /// nothing, the lines are fetched as [`CxlPool::fetch_lines`] runs at
+    /// the instants `read_stream` would fetch them — straight into `out`
+    /// wherever a run is whole lines of it — and each is charged the flush
+    /// of a clean line, without ever entering the cache (DESIGN.md §7.5).
+    /// Otherwise the two operations run.
+    pub fn read_flush(&mut self, pool: &mut CxlPool, addr: u64, out: &mut [u8]) {
+        let len = out.len() as u64;
+        let end = addr + len;
+        let n = if len == 0 {
+            0
+        } else {
+            (line_base(end - 1) - line_base(addr)) / LINE + 1
+        };
+        let fast = n > 0
+            && self.cache.len() as u64 + n <= self.cache.capacity() as u64
+            && !lines_covering(addr, len).any(|la| self.cache.contains(la));
+        if !fast {
+            self.read_stream(pool, addr, out);
+            self.clflushopt_range(pool, addr, len);
+            return;
+        }
+        // `read_stream`'s runs with nothing cached: maximal, clamped to the
+        // request and to class spans.
+        let step = self.costs.cxl_stream_line_ns;
+        let mut first_cost = self.costs.cxl_load_ns;
+        let mut la = line_base(addr);
+        while la < end {
+            let stop = end.min(pool.class_span_end(la));
+            let run_end = la + (stop - la).div_ceil(LINE).max(1) * LINE;
+            let n_lines = (run_end - la) / LINE;
+            self.stats.misses += n_lines;
+            let t0 = self.clock + SimDuration::from_nanos(first_cost);
+            first_cost = step;
+            let (lo, hi) = (addr.max(la), end.min(run_end));
+            let dst = &mut out[(lo - addr) as usize..(hi - addr) as usize];
+            if (lo, hi) == (la, run_end) {
+                pool.fetch_lines(t0, step, self.port, la, dst);
+            } else {
+                let mut buf = std::mem::take(&mut self.stream_buf);
+                buf.resize((n_lines * LINE) as usize, 0);
+                pool.fetch_lines(t0, step, self.port, la, &mut buf);
+                dst.copy_from_slice(&buf[(lo - la) as usize..(hi - la) as usize]);
+                self.stream_buf = buf;
+            }
+            self.clock = t0 + SimDuration::from_nanos((n_lines - 1) * step);
+            #[cfg(feature = "sanitize")]
+            for i in 0..n_lines {
+                pool.san.on_fill(self.port, la + i * LINE);
+            }
+            la = run_end;
+        }
+        for la in lines_covering(addr, len) {
+            self.flush_unread_fill(pool, la);
+        }
+    }
+
     /// Hardware stream prefetcher: fired on a demand miss; if the previous
     /// demand miss was the preceding line, asynchronously fill the next
     /// `hw_prefetch_depth` lines (skipping lines already present).

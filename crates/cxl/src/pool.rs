@@ -582,6 +582,17 @@ impl CxlPool {
         self.apply_pending(SimTime::MAX);
     }
 
+    /// Everything [`Self::fetch_line`] does but return the bytes: land what
+    /// is due by `now`, meter a 64 B read on `port` and (with `obs`) bin it
+    /// at `now`. For a fill whose bytes nobody reads.
+    #[inline]
+    pub(crate) fn charge_line_fetch(&mut self, now: SimTime, port: PortId, line_addr: u64) {
+        self.apply_pending(now);
+        let class = self.classify(line_addr);
+        self.meters[port.0].read_bytes[class.index()] += LINE;
+        self.note_xfer(now, port, LINE);
+    }
+
     /// Fetch one line for a CPU cache fill. Meters a 64 B read on `port`.
     ///
     /// The device serializes requests from the same port to the same
@@ -595,10 +606,7 @@ impl CxlPool {
         port: PortId,
         line_addr: u64,
     ) -> [u8; LINE as usize] {
-        self.apply_pending(now);
-        let class = self.classify(line_addr);
-        self.meters[port.0].read_bytes[class.index()] += LINE;
-        self.note_xfer(now, port, LINE);
+        self.charge_line_fetch(now, port, line_addr);
         let base = line_addr as usize;
         let mut out = [0u8; LINE as usize];
         out.copy_from_slice(&self.mem[base..base + LINE as usize]);

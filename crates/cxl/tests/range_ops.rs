@@ -1,16 +1,21 @@
-//! Differential test: `HostCtx::clwb_range` / `clflushopt_range` are the
-//! per-line `clwb` / `clflushopt` walk, observably.
+//! Differential test: the closed-form `HostCtx` operations are the
+//! explicit ones they stand for, observably.
+//!
+//! * `clwb_range` / `clflushopt_range` are the per-line `clwb` /
+//!   `clflushopt` walk (consecutive dirty lines travel as one run instead
+//!   of one 1-line run each);
+//! * `empty_poll` is `read` + `clflushopt` + `mfence` of one line, and
+//!   `read_flush` is `read_stream` + `clflushopt_range` of the same bytes
+//!   (a line filled only to be flushed unread is charged, not cached).
 //!
 //! Two identical pools, each with two hosts, are fed the same random
-//! history. Wherever the history flushes a byte range, one twin uses the
-//! range op (consecutive dirty lines travel to the pool as one run) and the
-//! other walks the lines one `clwb` / `clflushopt` at a time (every line a
-//! 1-line run). Nothing a driver, a device or a figure can see may differ:
-//! clocks, every counter, the fence stall, what reads return, cache
-//! contents and recency, per-class meters, the number of lines in flight,
-//! and pool memory at every instant a write-back becomes visible. With the
-//! `sanitize` feature on, the sanitizer must also have been told the same
-//! story.
+//! history; one twin uses the closed-form operation and the other the
+//! explicit calls. Nothing a driver, a device or a figure can see may
+//! differ: clocks, every counter, the fence stall, what reads return,
+//! cache contents and recency, per-class meters, the number of lines in
+//! flight, and pool memory at every instant a write-back becomes visible.
+//! With the `sanitize` feature on, the sanitizer must also have been told
+//! the same story.
 
 use oasis_cxl::pool::{PortId, TrafficClass};
 use oasis_cxl::{lines_covering, CostModel, CxlPool, HostCtx, RegionAllocator};
@@ -25,7 +30,17 @@ struct Twin {
     hosts: [HostCtx; 2],
 }
 
-fn twin(cache_lines: usize) -> Twin {
+/// The default costs, or ones whose write-backs take longer to land than
+/// a load takes: then the fence that ends an empty poll can still wait.
+fn costs(slow_writebacks: bool) -> CostModel {
+    let mut c = CostModel::default();
+    if slow_writebacks {
+        c.cxl_write_visible_ns = 5 * c.cxl_load_ns;
+    }
+    c
+}
+
+fn twin(cache_lines: usize, costs: CostModel) -> Twin {
     let mut pool = CxlPool::new(POOL, 2);
     // Class spans that end mid-line, touch each other, and leave
     // unregistered holes: a flushed range can straddle any of these edges.
@@ -33,7 +48,7 @@ fn twin(cache_lines: usize) -> Twin {
     pool.register_class(1000, 1536, TrafficClass::Message);
     pool.register_class(2048, 2600, TrafficClass::Control);
     pool.register_class(2624, 3584, TrafficClass::Payload);
-    let host = |p| HostCtx::with_cache(PortId(p), 0, cache_lines, CostModel::default());
+    let host = |p| HostCtx::with_cache(PortId(p), 0, cache_lines, costs.clone());
     Twin {
         pool,
         hosts: [host(0), host(1)],
@@ -73,6 +88,8 @@ enum Op {
     Fence,
     ClwbRange { addr: u64, len: u64 },
     FlushRange { addr: u64, len: u64 },
+    EmptyPoll { addr: u64 },
+    ReadFlush { addr: u64, len: u64 },
 }
 
 /// `(addr, len)` inside the pool: unaligned, zero-length now and then, up
@@ -100,12 +117,16 @@ fn op_strategy() -> impl Strategy<Value = (usize, Op)> {
         span(2000).prop_map(|(addr, len)| Op::ClwbRange { addr, len }),
         span(2000).prop_map(|(addr, len)| Op::ClwbRange { addr, len }),
         span(2000).prop_map(|(addr, len)| Op::FlushRange { addr, len }),
+        (0..POOL).prop_map(|addr| Op::EmptyPoll { addr }),
+        (0..POOL).prop_map(|addr| Op::EmptyPoll { addr }),
+        span(800).prop_map(|(addr, len)| Op::ReadFlush { addr, len }),
+        span(800).prop_map(|(addr, len)| Op::ReadFlush { addr, len }),
     ];
     (0usize..2, op)
 }
 
-/// Run `op` on host `h` of `tw`; `ranged` picks the range op or the
-/// per-line walk for the two flush ops. Returns what a read returned, and
+/// Run `op` on host `h` of `tw`; `ranged` picks the closed-form operation
+/// or the explicit calls it stands for. Returns what a read returned, and
 /// pushes onto `due` every instant a flushed line may become visible.
 fn apply(tw: &mut Twin, h: usize, op: &Op, ranged: bool, due: &mut Vec<SimTime>) -> Vec<u8> {
     let (pool, host) = (&mut tw.pool, &mut tw.hosts[h]);
@@ -136,6 +157,29 @@ fn apply(tw: &mut Twin, h: usize, op: &Op, ranged: bool, due: &mut Vec<SimTime>)
             for la in lines_covering(addr, len) {
                 host.clflushopt(pool, la);
                 due.push(host.clock + visible);
+            }
+        }
+        Op::EmptyPoll { addr } if ranged => host.empty_poll(pool, addr),
+        Op::EmptyPoll { addr } => {
+            host.read(pool, addr, &mut [0u8; 1]);
+            host.clflushopt(pool, addr);
+            due.push(host.clock + visible);
+            host.mfence(pool);
+        }
+        Op::ReadFlush { addr, len } => {
+            out.resize(len as usize, 0);
+            if ranged {
+                host.read_flush(pool, addr, &mut out);
+            } else {
+                host.read_stream(pool, addr, &mut out);
+                // Where each line's flush would post a dirty copy.
+                let flush = SimDuration::from_nanos(host.costs.clflushopt_ns);
+                let mut at = host.clock;
+                for _ in lines_covering(addr, len) {
+                    at += flush;
+                    due.push(at + visible);
+                }
+                host.clflushopt_range(pool, addr, len);
             }
         }
     }
@@ -244,10 +288,11 @@ proptest! {
     #[test]
     fn range_ops_match_the_per_line_walk(
         cache_lines in prop_oneof![Just(4usize), Just(24), Just(4096)],
+        slow_writebacks in any::<bool>(),
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        let mut ranged = twin(cache_lines);
-        let mut walked = twin(cache_lines);
+        let mut ranged = twin(cache_lines, costs(slow_writebacks));
+        let mut walked = twin(cache_lines, costs(slow_writebacks));
         let mut due = Vec::new();
         for (i, (h, op)) in ops.iter().enumerate() {
             let got = apply(&mut ranged, *h, op, true, &mut Vec::new());

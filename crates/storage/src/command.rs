@@ -103,6 +103,12 @@ fn sub<const N: usize>(b: &[u8; 64], off: usize) -> [u8; N] {
     out
 }
 
+/// Whether every byte of `b` is zero: the bytes an encoder leaves clear.
+#[inline]
+fn clear(b: &[u8]) -> bool {
+    b.iter().all(|&x| x == 0)
+}
+
 /// A 64 B NVMe-style I/O command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NvmeCommand {
@@ -137,8 +143,12 @@ impl NvmeCommand {
         b
     }
 
-    /// Decode from a 64 B message. `None` if the opcode is unknown.
+    /// Decode from a 64 B message. `None` if the opcode is unknown or a
+    /// byte [`Self::encode`] leaves clear is set.
     pub fn decode(b: &[u8; 64]) -> Option<NvmeCommand> {
+        if b[1] != 0 || !clear(&b[32..]) {
+            return None;
+        }
         Some(NvmeCommand {
             opcode: NvmeOpcode::from_byte(b[0])?,
             cid: u16::from_le_bytes(sub(b, 2)),
@@ -182,14 +192,16 @@ impl NvmeCompletion {
         b
     }
 
-    /// Decode from a 64 B message. `None` if it is not a completion.
+    /// Decode from a 64 B message. `None` if it is not a completion: an
+    /// unknown status, or a byte [`Self::encode`] leaves clear is set.
     pub fn decode(b: &[u8; 64]) -> Option<NvmeCompletion> {
-        if b[0] != 0xfe {
+        let status = NvmeStatus::from_byte(b[1]);
+        if b[0] != 0xfe || status.to_byte() != b[1] || !clear(&b[4..28]) || !clear(&b[32..]) {
             return None;
         }
         Some(NvmeCompletion {
             cid: u16::from_le_bytes(sub(b, 2)),
-            status: NvmeStatus::from_byte(b[1]),
+            status,
             frontend: u32::from_le_bytes(sub(b, 28)),
         })
     }
