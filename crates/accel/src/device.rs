@@ -302,24 +302,7 @@ impl AccelDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct FlatMem {
-        mem: Vec<u8>,
-    }
-
-    impl DmaMemory for FlatMem {
-        fn dma_read(&mut self, _now: SimTime, mem: MemRef, out: &mut [u8]) {
-            let MemRef::Pool(a) = mem else { panic!() };
-            out.copy_from_slice(&self.mem[a as usize..a as usize + out.len()]);
-        }
-        fn dma_write(&mut self, _now: SimTime, mem: MemRef, data: &[u8]) {
-            let MemRef::Pool(a) = mem else { panic!() };
-            self.mem[a as usize..a as usize + data.len()].copy_from_slice(data);
-        }
-        fn dma_latency_ns(&self, _mem: MemRef) -> u64 {
-            850
-        }
-    }
+    use oasis_cxl::dma::FlatMem;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)

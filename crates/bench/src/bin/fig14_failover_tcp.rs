@@ -13,7 +13,7 @@ use oasis_apps::stats::ClientStats;
 use oasis_apps::tcp_client::TcpRequestClient;
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::PodBuilder;
+use oasis_core::pod::{PodBuilder, PodInput};
 use oasis_core::tcp::TcpConfig;
 use oasis_sim::report::Table;
 use oasis_sim::time::{SimDuration, SimTime};
@@ -52,7 +52,7 @@ fn main() {
         stats.clone(),
     );
     pod.add_endpoint(Box::new(client));
-    pod.schedule_nic_failure(fail_at, 0);
+    pod.schedule(fail_at, PodInput::DisableNicPort(0));
     pod.run(end);
 
     let s = stats.borrow();

@@ -44,7 +44,7 @@ use oasis_core::allocator::{
 };
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::PodBuilder;
+use oasis_core::pod::{PodBuilder, PodInput};
 use oasis_core::snapshot::{SnapshotWriter, Snapshottable};
 use oasis_sim::fault::{FaultKind, FaultMix, FaultPlan};
 use oasis_sim::time::{SimDuration, SimTime};
@@ -520,7 +520,7 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
                 break;
             }
             repairs.pop();
-            pod.mark_nic_repaired(nic);
+            pod.apply(PodInput::MarkNicRepaired(nic)).unwrap();
         }
         if now <= submit_until {
             // One write to a never-before-written LBA (rounds < VOL_BLOCKS,

@@ -13,7 +13,7 @@ use oasis_apps::stats::ClientStats;
 use oasis_apps::udp::{EchoServer, Pacing, UdpClient};
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::PodBuilder;
+use oasis_core::pod::{PodBuilder, PodInput};
 use oasis_obs::MetricSink;
 use oasis_sim::fault::FaultPlan;
 use oasis_sim::report::Table;
@@ -59,7 +59,7 @@ pub fn fig13_failover_report(plan: Option<&FaultPlan>) -> String {
         stats.clone(),
     );
     pod.add_endpoint(Box::new(client));
-    pod.schedule_nic_failure(fail_at, 0);
+    pod.schedule(fail_at, PodInput::DisableNicPort(0));
     if let Some(p) = plan {
         pod.install_fault_plan(p);
     }

@@ -336,15 +336,6 @@ impl AllocState {
             .map(|i| i as u32)
     }
 
-    /// Volumes owned by an instance.
-    pub fn volumes_of(&self, ip: Ipv4Addr) -> Vec<VolumeInfo> {
-        self.volumes
-            .iter()
-            .filter(|v| v.ip == ip)
-            .cloned()
-            .collect()
-    }
-
     /// Instances currently served by `nic`.
     pub fn instances_on(&self, nic: u32) -> Vec<InstanceInfo> {
         self.instances

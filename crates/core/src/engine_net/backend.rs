@@ -10,7 +10,7 @@ use oasis_sim::detmap::DetMap;
 use oasis_sim::time::SimTime;
 
 use crate::config::OasisConfig;
-use crate::datapath::{empty_round, BufferArea, PoolDma};
+use crate::datapath::{empty_round, BufferArea, Link, PoolDma};
 use crate::msg::{NetMsg, NetOp};
 use crate::park::IdleRound;
 use crate::snapshot::Snapshottable;
@@ -46,13 +46,6 @@ struct Registration {
     fe_host: usize,
 }
 
-/// One channel link to a frontend driver.
-struct FrontendLink {
-    fe_host: usize,
-    to: Sender,
-    from: Receiver,
-}
-
 /// The backend driver: runs only on hosts with a local NIC (§3.3), one
 /// dedicated busy-polling core.
 pub struct BackendDriver {
@@ -66,7 +59,8 @@ pub struct BackendDriver {
     pub stats: BackendStats,
     cfg: OasisConfig,
     rx_area: BufferArea,
-    links: Vec<FrontendLink>,
+    /// Channel pairs to the frontend drivers (`peer` = frontend host).
+    links: Vec<Link>,
     to_alloc: Sender,
     from_alloc: Receiver,
     registrations: Vec<Registration>,
@@ -116,7 +110,11 @@ impl BackendDriver {
 
     /// Wire a channel pair to a frontend driver (pod boot).
     pub fn add_frontend_link(&mut self, fe_host: usize, to: Sender, from: Receiver) {
-        self.links.push(FrontendLink { fe_host, to, from });
+        self.links.push(Link {
+            peer: fe_host,
+            to,
+            from,
+        });
     }
 
     /// Register an instance with this backend: allocate a flow tag and
@@ -153,10 +151,6 @@ impl BackendDriver {
         self.registrations.iter().copied().find(|r| r.ip == ip)
     }
 
-    fn link_idx(&self, fe_host: usize) -> Option<usize> {
-        self.links.iter().position(|l| l.fe_host == fe_host)
-    }
-
     /// One busy-polling round. Drains frontend channels into the NIC,
     /// services NIC completions, keeps the RX ring stocked, monitors link
     /// state, and reports telemetry. Returns frames put on the wire as
@@ -191,11 +185,11 @@ impl BackendDriver {
                         if ok {
                             self.stats.tx_posted += 1;
                             self.tx_inflight
-                                .insert(cookie, (msg.ptr, msg.ip, self.links[li].fe_host));
+                                .insert(cookie, (msg.ptr, msg.ip, self.links[li].peer));
                         } else {
                             self.stats.tx_drop_full += 1;
                             // Complete immediately so the buffer is freed.
-                            let fe = self.links[li].fe_host;
+                            let fe = self.links[li].peer;
                             self.send_tx_complete(pool, fe, msg.ptr, msg.ip);
                         }
                     }
@@ -205,7 +199,7 @@ impl BackendDriver {
                     NetOp::Register => {
                         // Graceful-migration registration (§3.3.4); the
                         // frontend is identified by the channel it used.
-                        let fe_host = self.links[li].fe_host;
+                        let fe_host = self.links[li].peer;
                         self.register_instance(nic, msg.ip, msg.size as u32, fe_host);
                     }
                     NetOp::Unregister => {
@@ -262,7 +256,7 @@ impl BackendDriver {
                         op: NetOp::Rx,
                         ip: reg.ip,
                     };
-                    let Some(li) = self.link_idx(reg.fe_host) else {
+                    let Some(li) = Link::find(&self.links, reg.fe_host) else {
                         self.rx_area.free(ptr);
                         self.stats.rx_unknown += 1;
                         continue;
@@ -359,8 +353,8 @@ impl BackendDriver {
         }
         let nic_event = nic.next_event_at().unwrap_or(SimTime::MAX);
         let due = self.next_link_check.min(self.next_telemetry).min(nic_event);
-        let rx = self.links.iter().map(|l| &l.from);
-        let tx = std::iter::once(&self.to_alloc).chain(self.links.iter().map(|l| &l.to));
+        let (rx, tx) = Link::channels(&self.links);
+        let tx = std::iter::once(&self.to_alloc).chain(tx);
         empty_round(&self.core, pool, self.cfg.driver_loop_ns, (rx, tx), due)
     }
 
@@ -374,7 +368,7 @@ impl BackendDriver {
     pub fn channel_debug(&self) -> Vec<(usize, u64, u64)> {
         self.links
             .iter()
-            .map(|l| (l.fe_host, l.to.sent(), l.from.consumed()))
+            .map(|l| (l.peer, l.to.sent(), l.from.consumed()))
             .collect()
     }
 
@@ -385,7 +379,7 @@ impl BackendDriver {
             op: NetOp::TxComplete,
             ip,
         };
-        if let Some(li) = self.link_idx(fe_host) {
+        if let Some(li) = Link::find(&self.links, fe_host) {
             let link = &mut self.links[li];
             let _ = link.to.try_send(&mut self.core, pool, &msg.encode());
         }

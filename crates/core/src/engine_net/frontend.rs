@@ -4,10 +4,10 @@ use oasis_channel::{Receiver, Sender};
 use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::Ipv4Addr;
 use oasis_net::packet::Frame;
-use oasis_sim::time::{SimDuration, SimTime};
+use oasis_sim::time::SimTime;
 
 use crate::config::OasisConfig;
-use crate::datapath::{empty_round, BufferArea};
+use crate::datapath::{empty_round, BufferArea, Link};
 use crate::instance::Instance;
 use crate::msg::{NetMsg, NetOp};
 use crate::park::IdleRound;
@@ -81,13 +81,6 @@ impl TokenBucket {
     }
 }
 
-/// One channel link to a backend driver.
-struct BackendLink {
-    nic: usize,
-    to: Sender,
-    from: Receiver,
-}
-
 /// The frontend driver: one busy-polling core per host.
 pub struct FrontendDriver {
     /// The host this frontend runs on.
@@ -97,7 +90,8 @@ pub struct FrontendDriver {
     /// Counters.
     pub stats: FrontendStats,
     cfg: OasisConfig,
-    links: Vec<BackendLink>,
+    /// Channel pairs to the backend drivers (`peer` = NIC).
+    links: Vec<Link>,
     to_alloc: Sender,
     from_alloc: Receiver,
     insts: Vec<FeInstance>,
@@ -129,7 +123,11 @@ impl FrontendDriver {
 
     /// Wire a channel pair to a backend driver (done once at pod boot).
     pub fn add_backend_link(&mut self, nic: usize, to: Sender, from: Receiver) {
-        self.links.push(BackendLink { nic, to, from });
+        self.links.push(Link {
+            peer: nic,
+            to,
+            from,
+        });
     }
 
     /// Attach a local instance with its TX buffer area and NIC assignment
@@ -187,10 +185,6 @@ impl FrontendDriver {
             .and_then(|i| i.backup_nic)
     }
 
-    fn link_idx(&self, nic: usize) -> Option<usize> {
-        self.links.iter().position(|l| l.nic == nic)
-    }
-
     /// Transmit one frame from an instance through its serving NIC: write
     /// the payload into a TX buffer in shared CXL memory, write it back
     /// from CPU caches, and signal the backend (§3.3.1).
@@ -238,7 +232,7 @@ impl FrontendDriver {
             op: NetOp::Tx,
             ip: self.insts[slot].ip,
         };
-        let Some(li) = self.link_idx(nic) else {
+        let Some(li) = Link::find(&self.links, nic) else {
             self.insts[slot].tx_area.free(buf);
             self.stats.tx_drop_channel += 1;
             return;
@@ -297,7 +291,7 @@ impl FrontendDriver {
                         return;
                     }
                     let inst_idx = self.insts[slot].inst_idx;
-                    if let Some(li) = self.link_idx(new_nic) {
+                    if let Some(li) = Link::find(&self.links, new_nic) {
                         let reg = NetMsg {
                             ptr: 0,
                             size: inst_idx as u16, // flow tag
@@ -431,7 +425,7 @@ impl FrontendDriver {
                 if self.core.clock >= deadline {
                     self.insts[slot].migrating_from = None;
                     let ip = self.insts[slot].ip;
-                    if let Some(li) = self.link_idx(old_nic) {
+                    if let Some(li) = Link::find(&self.links, old_nic) {
                         let msg = NetMsg {
                             ptr: 0,
                             size: 0,
@@ -468,8 +462,9 @@ impl FrontendDriver {
     pub(crate) fn idle_round(&self, pool: &CxlPool, instances: &[Instance]) -> Option<IdleRound> {
         let deadline = self.next_deadline(instances).unwrap_or(SimTime::MAX);
         let due = self.next_heartbeat.min(deadline);
-        let rx = std::iter::once(&self.from_alloc).chain(self.links.iter().map(|l| &l.from));
-        let tx = std::iter::once(&self.to_alloc).chain(self.links.iter().map(|l| &l.to));
+        let (rx, tx) = Link::channels(&self.links);
+        let rx = std::iter::once(&self.from_alloc).chain(rx);
+        let tx = std::iter::once(&self.to_alloc).chain(tx);
         empty_round(&self.core, pool, self.cfg.driver_loop_ns, (rx, tx), due)
     }
 
@@ -499,20 +494,8 @@ impl FrontendDriver {
     pub fn channel_debug(&self) -> Vec<(usize, u64, u64)> {
         self.links
             .iter()
-            .map(|l| (l.nic, l.to.sent(), l.from.consumed()))
+            .map(|l| (l.peer, l.to.sent(), l.from.consumed()))
             .collect()
-    }
-
-    /// Idle-advance the core clock (used by harnesses between bursts).
-    pub fn skip_to(&mut self, t: SimTime) {
-        if self.core.clock < t {
-            self.core.clock = t;
-        }
-    }
-
-    /// Poll-loop period estimate for pacing harnesses.
-    pub fn poll_period(&self) -> SimDuration {
-        SimDuration::from_nanos(self.cfg.driver_loop_ns.max(1))
     }
 }
 

@@ -33,6 +33,8 @@ pub enum PodError {
     /// A message-channel operation failed (corrupted descriptor, bad
     /// size).
     Channel(ChannelError),
+    /// A snapshot could not be restored ([`crate::pod::Pod::restore`]).
+    Snapshot(crate::snapshot::SnapshotError),
 }
 
 impl From<ChannelError> for PodError {
@@ -53,6 +55,7 @@ impl std::fmt::Display for PodError {
                 write!(f, "no {class} {index} in this pod")
             }
             PodError::Channel(e) => write!(f, "channel error: {e:?}"),
+            PodError::Snapshot(e) => write!(f, "{e}"),
         }
     }
 }

@@ -39,7 +39,7 @@ use crate::allocator::{
 };
 use crate::error::FleetError;
 use crate::instance::AppKind;
-use crate::pod::{Pod, UplinkMsg};
+use crate::pod::{Pod, PodInput, UplinkMsg};
 
 /// Where one pod-local uplink leads: the peer pod and the uplink index
 /// *within that peer* on which frames arrive.
@@ -75,7 +75,8 @@ impl ShardWorld for PodShard {
         // so arrival order on the pod's timeline is deterministic.
         for env in inbox.drain(..) {
             let (uplink, frame) = env.msg;
-            self.pod.inject_uplink_frame(env.at, uplink, frame);
+            self.pod
+                .schedule(env.at, PodInput::UplinkFrame(uplink, frame));
         }
         let events = self.pod.run_local(until);
         for (at, uplink, frame) in self.pod.uplink_out.drain(..) {
@@ -187,12 +188,6 @@ impl Fleet {
         &self.shards[i].pod
     }
 
-    /// Exclusive access to a pod (instance/endpoint setup).
-    pub fn pod_mut(&mut self, i: usize) -> &mut Pod {
-        assert!(self.runner.is_none(), "fleet topology is fixed after run");
-        &mut self.shards[i].pod
-    }
-
     /// Join pods `a` and `b` with a bidirectional uplink of the given
     /// one-way latency. Allocates an uplink switch port on both pods and
     /// registers the link with the fleet allocator (updating spill
@@ -222,14 +217,6 @@ impl Fleet {
         });
         self.min_latency = Some(self.min_latency.map_or(latency, |m| m.min(latency)));
         Ok(())
-    }
-
-    /// Join two pods per a topology-level link description.
-    pub fn connect_link(
-        &mut self,
-        link: &oasis_cxl::topology::CrossPodLink,
-    ) -> Result<(), FleetError> {
-        self.connect(link.a, link.b, link.latency)
     }
 
     /// The embedded fleet allocator (placement state, spill accounting,
@@ -268,28 +255,10 @@ impl Fleet {
             FleetCommand::CreateInstance { nic_mbps, .. } => {
                 assert!(self.runner.is_none(), "fleet topology is fixed after run");
                 let resp = self.allocator.execute(now, cmd)?;
-                let FleetResponse::Created { id, pod, host, .. } = resp else {
-                    return Ok(resp);
-                };
-                match self.shards[pod]
-                    .pod
-                    .try_launch_instance(host, AppKind::None, nic_mbps)
-                {
-                    Ok(_) => Ok(resp),
-                    Err(e) => {
-                        // Placement fit the capacity summary but the pod's
-                        // devices are too fragmented (e.g. no single NIC
-                        // has the lease spare): undo the reservation.
-                        self.allocator.execute(
-                            now,
-                            &FleetCommand::KillInstance {
-                                at: now.as_nanos(),
-                                id,
-                            },
-                        )?;
-                        Err(FleetError::Pod(e))
-                    }
+                if let FleetResponse::Created { id, pod, host, .. } = resp {
+                    self.launch_created(now, (id, pod, host), AppKind::None, nic_mbps)?;
                 }
+                Ok(resp)
             }
             FleetCommand::MigrateInstance {
                 id, dst_pod, path, ..
@@ -431,22 +400,31 @@ impl Fleet {
         let FleetResponse::Created { id, pod, host, .. } = resp else {
             return Err(FleetError::NoCapacity);
         };
-        match self.shards[pod]
+        let inst = self.launch_created(now, (id, pod, host), app, nic_mbps)?;
+        Ok((id, pod, inst))
+    }
+
+    /// Launch instance `id`, created on `(pod, host)`, on its pod. When the
+    /// pod refuses — placement fit the capacity summary but its devices are
+    /// too fragmented (no single NIC has the lease spare) — undo it.
+    fn launch_created(
+        &mut self,
+        now: SimTime,
+        (id, pod, host): (u64, usize, usize),
+        app: AppKind,
+        nic_mbps: u32,
+    ) -> Result<usize, FleetError> {
+        let launched = self.shards[pod]
             .pod
-            .try_launch_instance(host, app, nic_mbps)
-        {
-            Ok(inst) => Ok((id, pod, inst)),
-            Err(e) => {
-                self.allocator.execute(
-                    now,
-                    &FleetCommand::KillInstance {
-                        at: now.as_nanos(),
-                        id,
-                    },
-                )?;
-                Err(FleetError::Pod(e))
-            }
-        }
+            .try_launch_instance(host, app, nic_mbps);
+        launched.or_else(|e| {
+            let kill = FleetCommand::KillInstance {
+                at: now.as_nanos(),
+                id,
+            };
+            self.allocator.execute(now, &kill)?;
+            Err(FleetError::Pod(e))
+        })
     }
 
     /// The conservative lookahead: the minimum uplink latency, or zero for

@@ -133,11 +133,6 @@ impl Instance {
         }
     }
 
-    /// Override the TCP configuration (RTO etc.) for this instance.
-    pub fn set_tcp_config(&mut self, cfg: TcpConfig) {
-        self.tcp_cfg = cfg;
-    }
-
     /// The MAC this instance currently sources frames with.
     pub fn mac(&self) -> MacAddr {
         self.mac

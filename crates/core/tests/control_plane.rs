@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use oasis_core::allocator::RebalancePolicy;
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::{AppKind, UdpApp, UdpResponse};
-use oasis_core::pod::{Endpoint, HostDriver, PodBuilder};
+use oasis_core::pod::{Endpoint, HostDriver, PodBuilder, PodInput};
 use oasis_net::addr::{Ipv4Addr, MacAddr};
 use oasis_net::packet::{Frame, GarpPacket, UdpPacket};
 use oasis_sim::time::{SimDuration, SimTime};
@@ -135,7 +135,7 @@ fn host_failure_inferred_from_missing_telemetry() {
     // Crash the whole NIC host: its backend stops sending telemetry. The
     // link itself never reports down (the NIC is fine; its host is not),
     // so only the §3.5 inference path can catch this.
-    pod.schedule_host_failure(SimTime::from_millis(50), host_b);
+    pod.schedule(SimTime::from_millis(50), PodInput::FailHost(host_b));
     pod.run(SimTime::from_millis(200));
 
     assert!(

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::{AppKind, UdpApp, UdpResponse};
-use oasis_core::pod::{Endpoint, HostDriver, PodBuilder};
+use oasis_core::pod::{Endpoint, HostDriver, PodBuilder, PodInput};
 use oasis_net::addr::{Ipv4Addr, MacAddr};
 use oasis_net::packet::{Frame, GarpPacket, UdpPacket};
 use oasis_sim::time::{SimDuration, SimTime};
@@ -167,7 +167,7 @@ fn failover_to_backup_nic_with_mac_borrowing() {
         end - SimDuration::from_millis(5),
     );
     let cid = pod.add_endpoint(Box::new(client));
-    pod.schedule_nic_failure(fail_at, 0);
+    pod.schedule(fail_at, PodInput::DisableNicPort(0));
     pod.run(end);
 
     // The failover happened: allocator marked nic 0 failed and rerouted.
@@ -213,7 +213,7 @@ fn failover_loss_window_matches_detection_time() {
     ));
     let client_ptr: *const Client = &*client;
     pod.add_endpoint(client);
-    pod.schedule_nic_failure(fail_at, 0);
+    pod.schedule(fail_at, PodInput::DisableNicPort(0));
     pod.run(end);
 
     // Safety: the pod owns the box; it is alive until `pod` drops, and we
@@ -274,7 +274,10 @@ fn graceful_migration_no_packet_loss() {
     ));
     let client_ptr: *const Client = &*client;
     pod.add_endpoint(client);
-    pod.schedule_migration(SimTime::from_millis(20), pod.instance_ip(inst), 1);
+    pod.schedule(
+        SimTime::from_millis(20),
+        PodInput::Migrate(pod.instance_ip(inst), 1),
+    );
     pod.run(end);
 
     let client: &Client = unsafe { &*client_ptr };

@@ -2,7 +2,7 @@
 
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::PodBuilder;
+use oasis_core::pod::{PodBuilder, PodInput};
 use oasis_net::addr::MacAddr;
 use oasis_sim::time::{SimDuration, SimTime};
 use oasis_storage::ssd::SsdConfig;
@@ -24,7 +24,7 @@ fn repaired_nic_serves_new_instances() {
     let _inst = pod.launch_instance(host_a, AppKind::None, 10_000);
 
     // Fail nic 0; the allocator marks it failed after detection.
-    pod.schedule_nic_failure(SimTime::from_millis(10), 0);
+    pod.schedule(SimTime::from_millis(10), PodInput::DisableNicPort(0));
     pod.run(SimTime::from_millis(40));
     assert!(pod.allocator.state.nics[0].as_ref().unwrap().failed);
     // While failed, only the backup can serve host-local demand; a remote
@@ -36,9 +36,9 @@ fn repaired_nic_serves_new_instances() {
         .is_none());
 
     // Repair: restore the port, wait for carrier, operator marks repaired.
-    pod.schedule_nic_repair(SimTime::from_millis(50), 0);
+    pod.schedule(SimTime::from_millis(50), PodInput::EnableNicPort(0));
     pod.run(SimTime::from_millis(70));
-    pod.mark_nic_repaired(0);
+    pod.apply(PodInput::MarkNicRepaired(0)).unwrap();
     assert!(!pod.allocator.state.nics[0].as_ref().unwrap().failed);
 
     // New launches land on the repaired NIC again.

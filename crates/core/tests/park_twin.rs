@@ -58,7 +58,7 @@ use oasis_core::config::{BufferPlacement, OasisConfig};
 use oasis_core::engine::DeviceEngine;
 use oasis_core::fleet::Fleet;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::{HostDriver, Pod, PodBuilder, VolumeHandle};
+use oasis_core::pod::{HostDriver, Pod, PodBuilder, PodInput, VolumeHandle};
 use oasis_core::tcp::TcpConfig;
 use oasis_cxl::pool::{PortId, TrafficClass};
 use oasis_cxl::{HostCache, HostCtx};
@@ -419,7 +419,10 @@ impl World {
                 }
             }
             Step::NicFailure { nic, after_ns } => {
-                pod.schedule_nic_failure(now + SimDuration::from_nanos(after_ns), nic);
+                pod.schedule(
+                    now + SimDuration::from_nanos(after_ns),
+                    PodInput::DisableNicPort(nic),
+                );
             }
             Step::HostFailure {
                 tenant,
@@ -428,8 +431,11 @@ impl World {
             } => {
                 let host = self.tenant_hosts[tenant % tenants];
                 let at = now + SimDuration::from_nanos(after_ns);
-                pod.schedule_host_failure(at, host);
-                pod.schedule_host_restart(at + SimDuration::from_nanos(down_ns), host);
+                pod.schedule(at, PodInput::FailHost(host));
+                pod.schedule(
+                    at + SimDuration::from_nanos(down_ns),
+                    PodInput::RestartHost(host),
+                );
             }
             Step::Stall {
                 host,
@@ -744,6 +750,117 @@ fn closed_loop_twin() {
         assert_same(&what, &observe(&parked.pod), &observe(&walked.pod));
         assert_same_end(&what, &mut parked.pod, &mut walked.pod);
     }
+}
+
+/// One tenant host and one device host with an SSD and an accelerator, for
+/// `between_run_inputs_twin`.
+struct DevicePod {
+    pod: Pod,
+    host: usize,
+    device_host: usize,
+    volume: VolumeHandle,
+    /// Every completion with the instant it was reaped at, and every
+    /// submission with the instant it was made at.
+    log: Vec<String>,
+}
+
+impl DevicePod {
+    fn new(never_park: bool) -> Self {
+        let mut b = PodBuilder::new(OasisConfig::default()).pool_bytes(32 << 20);
+        let device_host = b.add_nic_host();
+        let host = b.add_host();
+        b.add_ssd(device_host, SsdConfig::default());
+        b.add_accel(device_host, AccelConfig::default());
+        let mut pod = if never_park { b.never_park() } else { b }.build();
+        let inst = pod.launch_instance(host, AppKind::None, 1_000);
+        let volume = pod.create_volume(inst, 16).expect("the SSD has room");
+        DevicePod {
+            pod,
+            host,
+            device_host,
+            volume,
+            log: Vec::new(),
+        }
+    }
+
+    /// Between runs: a block write and a 64 KiB job. Staging the job moves
+    /// the frontend's clock microseconds past the pod's.
+    fn submit(&mut self) {
+        let pod = &mut self.pod;
+        let at = pod.now();
+        let data = vec![0x5a; BLOCK_SIZE as usize];
+        let write = pod.volume_write(self.volume, 3, &data);
+        let input: Vec<u8> = (0..64 << 10).map(|i| (i * 13) as u8).collect();
+        let job = pod.submit_accel_job(self.host, AccelOp::Checksum, 0, &input);
+        self.log.push(format!("{at:?} submitted {write:?} {job:?}"));
+    }
+
+    /// Run `steps` steps of 1 µs, reaping after each.
+    fn run(&mut self, steps: usize, twin: &mut Option<&mut DevicePod>) {
+        for i in 0..steps {
+            let pod = &mut self.pod;
+            pod.run(pod.now() + SimDuration::from_micros(1));
+            let at = pod.now();
+            let ios = pod.take_storage_completions(self.host);
+            let jobs = pod.take_accel_completions(self.host);
+            self.log
+                .extend(ios.iter().map(|io| format!("{at:?} {io:?}")));
+            self.log
+                .extend(jobs.iter().map(|j| format!("{at:?} {j:?}")));
+            if let Some(walked) = twin {
+                walked.run(1, &mut None);
+                let what = format!("after step {i}");
+                assert_same(&what, &engine_view(pod), &engine_view(&mut walked.pod));
+                assert_eq!(self.log, walked.log, "{what}: a completion differs");
+            }
+        }
+    }
+}
+
+/// The bug the benchmark caught in the parking change, pinned without it:
+/// a submission between runs must wake the backend it posted to at once.
+/// Left on the woken list, the backend answers `next_activity` with the
+/// round it queued for; the frontend's clock is already past the next
+/// run's end, so that run is skipped and its rounds are charged to the
+/// backend as empty although a command sat in its ring. Then a fault
+/// between runs (a CXL stall on the device host, where both backends sit
+/// parked) must end every park.
+///
+/// Seeded mutants it kills (applied by hand to the decision `match` in
+/// `pod/input.rs`, `cargo test --test park_twin between_run_inputs_twin`):
+///
+/// * **the submit arm unparks only the frontend, not whoever it posted
+///   to** — both `Unpark(Before::Frontend(fe), true)` → `Unpark(Before::
+///   Frontend(fe), false)` (CI's red path applies it with `sed`):
+///   `storage-be0`'s clock and counters differ after step 1 of the first
+///   submission.
+/// * **a fault input unparks nobody** — the faults' arm `Unpark(Before::
+///   Everybody, false)` → `Unpark(Before::Nobody, false)`: the stalled
+///   host's `storage-fe0` differs after the first step of the stall.
+#[test]
+fn between_run_inputs_twin() {
+    let mut parked = DevicePod::new(false);
+    let mut walked = DevicePod::new(true);
+    // Long enough for every engine to prove its rounds empty and park.
+    parked.run(30, &mut Some(&mut walked));
+    parked.submit();
+    walked.submit();
+    parked.run(60, &mut Some(&mut walked));
+    assert_eq!(parked.log.len(), 3, "both submissions completed");
+    // Idle again, then a stall of the device host's cores while parked.
+    parked.run(30, &mut Some(&mut walked));
+    for twin in [&mut parked, &mut walked] {
+        let (pod, host) = (&mut twin.pod, twin.device_host);
+        let at = pod.now() + SimDuration::from_nanos(500);
+        pod.schedule(at, PodInput::CxlStall(host, SimDuration::from_micros(3)));
+    }
+    parked.run(10, &mut Some(&mut walked));
+    parked.submit();
+    walked.submit();
+    parked.run(60, &mut Some(&mut walked));
+    assert_eq!(parked.log.len(), 6, "both submissions completed again");
+    assert_same("at the end", &observe(&parked.pod), &observe(&walked.pod));
+    assert_same_end("at the end", &mut parked.pod, &mut walked.pod);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ use oasis_accel::{fnv1a, AccelConfig, AccelOp, AccelStatus};
 use oasis_core::config::OasisConfig;
 use oasis_core::error::PodError;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::PodBuilder;
+use oasis_core::pod::{PodBuilder, PodInput};
 use oasis_sim::fault::{AccelFaultMode, FaultKind, FaultPlan};
 use oasis_sim::time::{SimDuration, SimTime};
 
@@ -174,8 +174,8 @@ fn host_restart_replays_in_flight_jobs_exactly_once() {
         .unwrap();
     // Crash almost immediately — before the completion can drain — and
     // restart shortly after.
-    pod.schedule_host_failure(SimTime::from_micros(2), h0);
-    pod.schedule_host_restart(SimTime::from_micros(500), h0);
+    pod.schedule(SimTime::from_micros(2), PodInput::FailHost(h0));
+    pod.schedule(SimTime::from_micros(500), PodInput::RestartHost(h0));
     pod.run(SimTime::from_millis(10));
 
     let done = pod.take_accel_completions(h0);
@@ -197,7 +197,7 @@ fn failed_device_propagates_error_status() {
     let mut pod = b.build();
     pod.launch_instance(h0, AppKind::None, 1_000);
 
-    pod.set_accel_failed(0, true);
+    pod.apply(PodInput::AccelFailed(0, true)).unwrap();
     pod.submit_accel_job(h0, AccelOp::Checksum, 0, &payload(1, 256))
         .unwrap()
         .unwrap();
@@ -208,7 +208,7 @@ fn failed_device_propagates_error_status() {
     assert!(done[0].output.is_none());
 
     // Repair and verify the engine recovers.
-    pod.set_accel_failed(0, false);
+    pod.apply(PodInput::AccelFailed(0, false)).unwrap();
     let input = payload(2, 256);
     pod.submit_accel_job(h0, AccelOp::Checksum, 0, &input)
         .unwrap()

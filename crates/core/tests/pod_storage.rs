@@ -3,7 +3,7 @@
 
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::PodBuilder;
+use oasis_core::pod::{PodBuilder, PodInput};
 use oasis_sim::time::{SimDuration, SimTime};
 use oasis_storage::command::NvmeStatus;
 use oasis_storage::ssd::SsdConfig;
@@ -180,13 +180,13 @@ fn ssd_failure_propagates_through_pod() {
     let inst = pod.launch_instance(h0, AppKind::None, 1_000);
     let vol = pod.create_volume(inst, 8).unwrap();
 
-    pod.set_ssd_failed(0, true);
+    pod.apply(PodInput::SsdFailed(0, true)).unwrap();
     pod.volume_read(vol, 0, 1).unwrap();
     pod.run(SimTime::from_millis(2));
     let done = pod.take_storage_completions(h0);
     assert_eq!(done[0].status, NvmeStatus::DeviceFailure);
 
-    pod.set_ssd_failed(0, false);
+    pod.apply(PodInput::SsdFailed(0, false)).unwrap();
     pod.volume_read(vol, 0, 1).unwrap();
     pod.run(SimTime::from_millis(4));
     assert!(pod.take_storage_completions(h0)[0].status.is_ok());

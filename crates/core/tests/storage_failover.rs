@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
-use oasis_core::pod::PodBuilder;
+use oasis_core::pod::{PodBuilder, PodInput};
 use oasis_sim::fault::{FaultKind, FaultPlan, SsdFaultMode};
 use oasis_sim::time::{SimDuration, SimTime};
 use oasis_storage::ssd::SsdConfig;
@@ -104,8 +104,8 @@ fn host_restart_replays_inflight_commands_exactly_once() {
     }
     // Crash while the writes execute (the device keeps going: they finish
     // and their completions are cached at the backend); restart well after.
-    pod.schedule_host_failure(SimTime::from_micros(10), h0);
-    pod.schedule_host_restart(SimTime::from_micros(500), h0);
+    pod.schedule(SimTime::from_micros(10), PodInput::FailHost(h0));
+    pod.schedule(SimTime::from_micros(500), PodInput::RestartHost(h0));
     pod.run(SimTime::from_millis(20));
 
     let done = pod.take_storage_completions(h0);

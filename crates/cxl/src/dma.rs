@@ -27,3 +27,31 @@ pub trait DmaMemory {
     /// Access latency for a DMA transaction against `mem`.
     fn dma_latency_ns(&self, mem: MemRef) -> u64;
 }
+
+/// A flat byte array reached by DMA at a fixed 850 ns per transaction: the
+/// test double the device models' unit tests (NIC, SSD, accelerator) run
+/// against. A [`MemRef`] of either kind indexes `mem` directly; an access
+/// past its end panics.
+pub struct FlatMem {
+    /// The memory.
+    pub mem: Vec<u8>,
+}
+
+impl FlatMem {
+    fn range(mem: MemRef, len: usize) -> std::ops::Range<usize> {
+        let (MemRef::Pool(a) | MemRef::HostLocal(a)) = mem;
+        a as usize..a as usize + len
+    }
+}
+
+impl DmaMemory for FlatMem {
+    fn dma_read(&mut self, _now: SimTime, mem: MemRef, out: &mut [u8]) {
+        out.copy_from_slice(&self.mem[Self::range(mem, out.len())]);
+    }
+    fn dma_write(&mut self, _now: SimTime, mem: MemRef, data: &[u8]) {
+        self.mem[Self::range(mem, data.len())].copy_from_slice(data);
+    }
+    fn dma_latency_ns(&self, _mem: MemRef) -> u64 {
+        850
+    }
+}

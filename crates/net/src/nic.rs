@@ -23,7 +23,7 @@ use oasis_cxl::dma::{DmaMemory, MemRef};
 use oasis_sim::time::{SimDuration, SimTime};
 
 use crate::addr::{Ipv4Addr, MacAddr};
-use crate::packet::Frame;
+use crate::packet::{Frame, ETH_HLEN};
 use crate::WIRE_OVERHEAD_BYTES;
 
 /// A TX work-queue entry: transmit `len` bytes from `mem`.
@@ -114,6 +114,9 @@ pub struct NicStats {
     pub rx_dropped_link: u64,
     /// TX descriptors rejected because the TX queue was full.
     pub tx_rejected_full: u64,
+    /// TX descriptors failed because they were shorter than an Ethernet
+    /// header (never put on the wire).
+    pub tx_dropped_runt: u64,
 }
 
 /// The simulated NIC.
@@ -236,8 +239,13 @@ impl Nic {
 
         // --- TX path ---
         while let Some(desc) = self.tx_queue.pop_front() {
-            if !self.link_up {
-                self.stats.tx_dropped_link += 1;
+            let runt = (desc.len as usize) < ETH_HLEN;
+            if runt || !self.link_up {
+                if runt {
+                    self.stats.tx_dropped_runt += 1;
+                } else {
+                    self.stats.tx_dropped_link += 1;
+                }
                 self.tx_completions.push_back(TxCompletion {
                     cookie: desc.cookie,
                     ok: false,
@@ -355,25 +363,7 @@ mod tests {
     use super::*;
     use crate::packet::UdpPacket;
     use bytes::Bytes;
-
-    /// Trivial DMA world: one flat pool-like memory.
-    struct FlatMem {
-        mem: Vec<u8>,
-    }
-
-    impl DmaMemory for FlatMem {
-        fn dma_read(&mut self, _now: SimTime, mem: MemRef, out: &mut [u8]) {
-            let MemRef::Pool(a) = mem else { panic!() };
-            out.copy_from_slice(&self.mem[a as usize..a as usize + out.len()]);
-        }
-        fn dma_write(&mut self, _now: SimTime, mem: MemRef, data: &[u8]) {
-            let MemRef::Pool(a) = mem else { panic!() };
-            self.mem[a as usize..a as usize + data.len()].copy_from_slice(data);
-        }
-        fn dma_latency_ns(&self, _mem: MemRef) -> u64 {
-            850
-        }
-    }
+    use oasis_cxl::dma::FlatMem;
 
     fn test_frame(dst_ip: Ipv4Addr, payload_len: usize) -> Frame {
         UdpPacket {
@@ -390,6 +380,28 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    #[test]
+    fn runt_descriptors_complete_failed_and_never_egress() {
+        let mut nic = Nic::new(MacAddr::nic(0), NicConfig::default());
+        let mut mem = FlatMem {
+            mem: vec![0xab; 64],
+        };
+        for len in 0..ETH_HLEN as u32 {
+            assert!(nic.post_tx(TxDesc {
+                mem: MemRef::Pool(0),
+                len,
+                cookie: len as u64,
+            }));
+        }
+        assert!(nic.process(t(0), &mut mem).is_empty(), "a runt went out");
+        let comps = nic.poll_tx_completions(t(0));
+        let cookies: Vec<u64> = comps.iter().map(|c| c.cookie).collect();
+        assert_eq!(cookies, (0..ETH_HLEN as u64).collect::<Vec<_>>());
+        assert!(comps.iter().all(|c| !c.ok));
+        assert_eq!(nic.stats.tx_dropped_runt, ETH_HLEN as u64);
+        assert_eq!((nic.stats.tx_frames, nic.stats.tx_bytes), (0, 0));
     }
 
     #[test]

@@ -45,24 +45,31 @@ impl Frame {
         self.0.is_empty()
     }
 
-    /// Destination MAC.
+    /// The `N` bytes at `at`; zeros when a runt frame is too short to
+    /// hold them.
+    fn field<const N: usize>(&self, at: usize) -> [u8; N] {
+        let bytes = self.0.get(at..at + N).and_then(|b| b.try_into().ok());
+        bytes.unwrap_or([0; N])
+    }
+
+    /// Destination MAC (zero in a runt frame).
     pub fn dst_mac(&self) -> MacAddr {
-        MacAddr(self.0[0..6].try_into().unwrap())
+        MacAddr(self.field(0))
     }
 
-    /// Source MAC.
+    /// Source MAC (zero in a runt frame).
     pub fn src_mac(&self) -> MacAddr {
-        MacAddr(self.0[6..12].try_into().unwrap())
+        MacAddr(self.field(6))
     }
 
-    /// EtherType.
+    /// EtherType (zero in a runt frame).
     pub fn ethertype(&self) -> u16 {
-        u16::from_be_bytes([self.0[12], self.0[13]])
+        u16::from_be_bytes(self.field(12))
     }
 
     /// Destination IPv4 address, if this is an IPv4 frame.
     pub fn dst_ip(&self) -> Option<Ipv4Addr> {
-        if self.ethertype() != ETHERTYPE_IPV4 || self.0.len() < ETH_HLEN + IPV4_HLEN {
+        if self.0.len() < ETH_HLEN + IPV4_HLEN || self.ethertype() != ETHERTYPE_IPV4 {
             return None;
         }
         Some(Ipv4Addr(
@@ -72,7 +79,7 @@ impl Frame {
 
     /// Source IPv4 address, if this is an IPv4 frame.
     pub fn src_ip(&self) -> Option<Ipv4Addr> {
-        if self.ethertype() != ETHERTYPE_IPV4 || self.0.len() < ETH_HLEN + IPV4_HLEN {
+        if self.0.len() < ETH_HLEN + IPV4_HLEN || self.ethertype() != ETHERTYPE_IPV4 {
             return None;
         }
         Some(Ipv4Addr(
@@ -188,7 +195,7 @@ impl UdpPacket {
     /// malformed packets (bad lengths or checksums).
     pub fn parse(frame: &Frame) -> Option<UdpPacket> {
         let b = frame.bytes();
-        if frame.ethertype() != ETHERTYPE_IPV4 || b.len() < ETH_HLEN + IPV4_HLEN + UDP_HLEN {
+        if b.len() < ETH_HLEN + IPV4_HLEN + UDP_HLEN || frame.ethertype() != ETHERTYPE_IPV4 {
             return None;
         }
         let ip = &b[ETH_HLEN..];
@@ -315,7 +322,7 @@ impl TcpSegment {
     /// Parse a frame as TCP/IPv4; `None` for other traffic or corruption.
     pub fn parse(frame: &Frame) -> Option<TcpSegment> {
         let b = frame.bytes();
-        if frame.ethertype() != ETHERTYPE_IPV4 || b.len() < ETH_HLEN + IPV4_HLEN + TCP_HLEN {
+        if b.len() < ETH_HLEN + IPV4_HLEN + TCP_HLEN || frame.ethertype() != ETHERTYPE_IPV4 {
             return None;
         }
         let ip = &b[ETH_HLEN..];
@@ -439,7 +446,7 @@ impl ArpPacket {
     /// Parse an ARP frame.
     pub fn parse(frame: &Frame) -> Option<ArpPacket> {
         let b = frame.bytes();
-        if frame.ethertype() != ETHERTYPE_ARP || b.len() < ETH_HLEN + 28 {
+        if b.len() < ETH_HLEN + 28 || frame.ethertype() != ETHERTYPE_ARP {
             return None;
         }
         let arp = &b[ETH_HLEN..];

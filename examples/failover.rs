@@ -13,7 +13,7 @@ use oasis::apps::stats::ClientStats;
 use oasis::apps::udp::{EchoServer, Pacing, UdpClient};
 use oasis::core::config::OasisConfig;
 use oasis::core::instance::AppKind;
-use oasis::core::pod::PodBuilder;
+use oasis::core::pod::{PodBuilder, PodInput};
 use oasis::sim::time::{SimDuration, SimTime};
 
 fn main() {
@@ -52,7 +52,7 @@ fn main() {
     // Fail NIC 0 one second in (the paper's method: disable its switch
     // port; the PHY reports carrier loss ~37ms later).
     let fail_at = SimTime::from_secs(1);
-    pod.schedule_nic_failure(fail_at, 0);
+    pod.schedule(fail_at, PodInput::DisableNicPort(0));
     pod.run(SimTime::from_secs(3));
 
     let s = stats.borrow();

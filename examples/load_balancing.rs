@@ -12,7 +12,7 @@ use oasis::apps::stats::ClientStats;
 use oasis::apps::udp::{EchoServer, Pacing, UdpClient};
 use oasis::core::config::OasisConfig;
 use oasis::core::instance::AppKind;
-use oasis::core::pod::PodBuilder;
+use oasis::core::pod::{PodBuilder, PodInput};
 use oasis::sim::time::{SimDuration, SimTime};
 
 fn main() {
@@ -55,7 +55,10 @@ fn main() {
     pod.add_endpoint(Box::new(client));
 
     // The allocator decides to rebalance at t=100ms.
-    pod.schedule_migration(SimTime::from_millis(100), pod.instance_ip(inst), 1);
+    pod.schedule(
+        SimTime::from_millis(100),
+        PodInput::Migrate(pod.instance_ip(inst), 1),
+    );
     pod.run(SimTime::from_millis(500));
 
     let s = stats.borrow();
