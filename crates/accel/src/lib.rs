@@ -15,6 +15,17 @@
 //! jobs (exercising the engine's retry path) and a compute-error window
 //! completes jobs with an error status and poisoned output.
 
+// A crashed driver must degrade, not abort the whole simulated pod
+// (DESIGN.md §14); `clippy.toml` lets tests unwrap, expect and panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod command;
 pub mod device;
 

@@ -12,6 +12,10 @@
 //! vocabulary (`borrow`/`borrow_mut`) so recording sites read the same as
 //! they always have.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a never-contended lock that makes the stats Send + Sync (module docs)"
+)]
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use oasis_sim::hist::Histogram;
@@ -24,8 +28,16 @@ pub type StatsHandle = Arc<StatsCell>;
 /// Interior-mutable cell holding a client's stats; see the module docs for
 /// why this is a (never-contended) lock rather than a `RefCell`.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a never-contended lock that makes the stats Send + Sync (module docs)"
+)]
 pub struct StatsCell(Mutex<ClientStats>);
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a never-contended lock that makes the stats Send + Sync (module docs)"
+)]
 impl StatsCell {
     /// Wrap freshly-zeroed stats.
     pub fn new(stats: ClientStats) -> Self {

@@ -51,9 +51,11 @@ pub struct TcpRequestClient {
 
 impl TcpRequestClient {
     /// Create a client issuing `count` requests, one every `gap`.
-    // Constructor mirrors the experiment-config fields one-to-one; a
-    // builder would just restate them.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "constructor mirrors the experiment-config fields one-to-one; a builder would \
+                  just restate them"
+    )]
     pub fn new(
         id: u64,
         dst_mac: MacAddr,

@@ -108,9 +108,11 @@ pub struct UdpClient {
 impl UdpClient {
     /// Create a client sending `payload_len`-byte requests to
     /// `(dst_ip, dst_mac)`.
-    // Constructor mirrors the experiment-config fields one-to-one; a
-    // builder would just restate them.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "constructor mirrors the experiment-config fields one-to-one; a builder would \
+                  just restate them"
+    )]
     pub fn new(
         id: u64,
         dst_mac: MacAddr,
@@ -144,8 +146,6 @@ impl UdpClient {
 
     /// Create a client that resolves the destination MAC itself with ARP
     /// before sending (no out-of-band MAC configuration).
-    // Same shape as `new` minus the MAC; kept in lockstep with it.
-    #[allow(clippy::too_many_arguments)]
     pub fn new_resolving(
         id: u64,
         dst_ip: Ipv4Addr,
@@ -492,6 +492,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a helper thread, so a livelocked run fails the test at the timeout"
+    )]
     fn empty_replay_schedule_lets_the_pod_finish() {
         // An empty schedule sends nothing, so the client must report no
         // next event rather than its start time forever.

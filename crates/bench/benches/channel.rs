@@ -71,7 +71,10 @@ fn bench_raw_ops(c: &mut Criterion) {
         let mut sent = 0u64;
         b.iter(|| {
             if sent == 4096 {
-                // Fake the receiver catching up so the ring never fills.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "fake the receiver catching up so the ring never fills"
+                )]
                 pool.poke(sender.layout().counter_addr, &sender.sent().to_le_bytes());
                 sent = 0;
             }

@@ -87,9 +87,11 @@ fn bench_raft(c: &mut Criterion) {
                     }
                     committed = nodes[leader].commit_index();
                 }
-                // Indexing sidesteps borrowing `nodes` while
-                // `take_outbox` mutates one element.
-                #[allow(clippy::needless_range_loop)]
+                #[expect(
+                    clippy::needless_range_loop,
+                    reason = "indexing sidesteps borrowing `nodes` while `take_outbox` mutates \
+                              one element"
+                )]
                 for i in 0..nodes.len() {
                     for (to, msg) in nodes[i].take_outbox() {
                         wire.push((i, to, msg));

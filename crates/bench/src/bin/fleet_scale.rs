@@ -18,9 +18,12 @@
 //!   fleet_scale --check   also exit 1 when a build takes longer than
 //!                         1 s or the peak exceeds 4 MiB per pod
 
-// oasis-check: allow-file(nondeterminism) this binary measures wall-clock
-// build time and the process's resident set; both feed only the report,
-// never any simulated byte.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this binary measures wall-clock build time and the process's resident set; both \
+              feed only the report, never any simulated byte"
+)]
+
 use std::time::Instant;
 
 use oasis_apps::udp::EchoServer;

@@ -13,8 +13,14 @@
 //! closure should still build its world *inside* the worker and return only
 //! plain data (numbers, strings) — worlds are big, results are small.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the job-claim counter and the per-job result slots the scoped workers share"
+)]
+use std::sync::{
+    atomic::{AtomicUsize, Ordering},
+    Mutex,
+};
 
 use crossbeam::utils::CachePadded;
 
@@ -55,6 +61,10 @@ impl SweepRunner {
     /// Workers claim job indices from a shared counter, so scheduling is
     /// dynamic, but each result lands in the slot of the job that produced
     /// it; the merged vector is independent of thread count and timing.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the job-claim counter and the per-job result slots the scoped workers share"
+    )]
     pub fn run<J, R, F>(&self, jobs: &[J], f: F) -> Vec<R>
     where
         J: Sync,

@@ -29,6 +29,17 @@
 //! one-way throughput and latency exactly as the paper's two-socket
 //! microbenchmark does.
 
+// A crashed driver must degrade, not abort the whole simulated pod
+// (DESIGN.md §14); `clippy.toml` lets tests unwrap, expect and panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod error;
 pub mod layout;
 pub mod metrics;

@@ -275,6 +275,10 @@ impl Receiver {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests inspect and corrupt ring bytes directly"
+)]
 mod tests {
     use super::*;
     use crate::sender::Sender;

@@ -159,6 +159,10 @@ impl Sender {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests inspect and corrupt ring bytes directly"
+)]
 mod tests {
     use super::*;
     use oasis_cxl::pool::{PortId, TrafficClass};

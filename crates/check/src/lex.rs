@@ -1,26 +1,31 @@
-//! Lexical pass: mask comments/strings, collect comment text per line.
+//! Lexical pass: mask comments/strings, collect comment text per line and
+//! string-literal contents.
 //!
-//! Everything structural (the token pass, the symbol graph, every rule)
+//! Everything structural (the token pass, the symbol walk, every rule)
 //! runs over the *masked* text this module produces, so patterns inside
-//! strings or comments can never trigger (or suppress) a rule. The inverse
-//! extraction — string literal *contents* with their lines — feeds the
-//! rules that police what literals say (metric names, cfg feature names,
-//! float format specs).
+//! strings or comments can never trigger (or suppress) a rule. The string
+//! literal *contents*, kept on the side with their lines, feed the rules
+//! that police what literals say (metric names, cfg feature names).
 
 use std::collections::BTreeMap;
 
 /// The source with every comment and string-literal character replaced by a
-/// space (newlines preserved), plus the comment text found on each line.
+/// space (newlines preserved), plus what was masked: the comment text found
+/// on each line and every string literal's contents.
 pub struct Lexed {
     /// Masked source, byte-for-byte the same shape as the input.
     pub masked: String,
     /// Comment text per 1-indexed line (concatenated if several).
     pub comments: BTreeMap<usize, String>,
+    /// Ordinary, raw and byte string literal contents with their 1-indexed
+    /// starting lines. Escape sequences are kept raw — a literal containing
+    /// one can never look like a metric name or a feature name, which is
+    /// all this feeds.
+    pub literals: Vec<(usize, String)>,
 }
 
 /// Mask comments and string/char literals out of `src`.
 pub fn lex(src: &str) -> Lexed {
-    #[derive(PartialEq)]
     enum St {
         Code,
         Line,
@@ -32,15 +37,15 @@ pub fn lex(src: &str) -> Lexed {
     let b = src.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(b.len());
     let mut comments: BTreeMap<usize, String> = BTreeMap::new();
+    let mut literals: Vec<(usize, String)> = Vec::new();
+    let (mut lit, mut lit_line) = (String::new(), 0usize);
     let mut st = St::Code;
     let mut line = 1usize;
     let mut i = 0usize;
-    let push_comment = |comments: &mut BTreeMap<usize, String>, line: usize, c: u8| {
-        comments.entry(line).or_default().push(c as char);
-    };
     while i < b.len() {
         let c = b[i];
         let nl = c == b'\n';
+        let masked = if nl { c } else { b' ' };
         match st {
             St::Code => match c {
                 b'/' if b.get(i + 1) == Some(&b'/') => {
@@ -57,25 +62,11 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 b'"' => {
                     st = St::Str;
+                    lit_line = line;
                     out.push(b' ');
                 }
-                b'r' | b'b'
-                    if {
-                        // r"...", r#"..."#, b"...", br#"..."# raw/byte strings.
-                        let mut j = i + 1;
-                        if c == b'b' && b.get(j) == Some(&b'r') {
-                            j += 1;
-                        }
-                        let mut h = 0u32;
-                        while b.get(j) == Some(&b'#') {
-                            h += 1;
-                            j += 1;
-                        }
-                        b.get(j) == Some(&b'"')
-                            && (c != b'b' || h > 0 || b[i + 1] == b'"' || b[i + 1] == b'r')
-                    } =>
-                {
-                    // Re-scan to find hash count and the opening quote.
+                b'r' | b'b' => {
+                    // r"...", r#"..."#, b"...", br#"..."# raw/byte strings.
                     let mut j = i + 1;
                     if c == b'b' && b.get(j) == Some(&b'r') {
                         j += 1;
@@ -85,15 +76,15 @@ pub fn lex(src: &str) -> Lexed {
                         h += 1;
                         j += 1;
                     }
-                    // Emit the prefix as spaces, land on the quote.
-                    out.extend(std::iter::repeat_n(b' ', j - i + 1));
-                    i = j + 1;
-                    st = if h > 0 || b[j] == b'"' {
-                        St::RawStr(h)
-                    } else {
-                        St::Code
-                    };
-                    continue;
+                    if b.get(j) == Some(&b'"') {
+                        // Emit the prefix as spaces, land past the quote.
+                        st = St::RawStr(h);
+                        lit_line = line;
+                        out.extend(std::iter::repeat_n(b' ', j - i + 1));
+                        i = j + 1;
+                        continue;
+                    }
+                    out.push(c);
                 }
                 b'\'' => {
                     // Char literal vs lifetime: a literal is '\...' or 'x'
@@ -115,11 +106,10 @@ pub fn lex(src: &str) -> Lexed {
             St::Line => {
                 if nl {
                     st = St::Code;
-                    out.push(c);
                 } else {
-                    push_comment(&mut comments, line, c);
-                    out.push(b' ');
+                    comments.entry(line).or_default().push(c as char);
                 }
+                out.push(masked);
             }
             St::Block(depth) => {
                 if c == b'*' && b.get(i + 1) == Some(&b'/') {
@@ -138,39 +128,44 @@ pub fn lex(src: &str) -> Lexed {
                     i += 2;
                     continue;
                 }
-                if nl {
-                    out.push(c);
-                } else {
-                    push_comment(&mut comments, line, c);
-                    out.push(b' ');
+                if !nl {
+                    comments.entry(line).or_default().push(c as char);
                 }
+                out.push(masked);
             }
-            St::Str => match c {
-                b'\\' => {
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                    if b.get(i - 1) == Some(&b'\n') {
-                        line += 1;
+            St::Str if c == b'\\' => {
+                // An escape, kept raw; an escaped newline stays a newline.
+                lit.push('\\');
+                out.push(b' ');
+                if let Some(&e) = b.get(i + 1) {
+                    lit.push(e as char);
+                    out.push(if e == b'\n' { e } else { b' ' });
+                    line += usize::from(e == b'\n');
+                }
+                i += 2;
+                continue;
+            }
+            St::Str | St::RawStr(_) => {
+                let closes = match st {
+                    St::RawStr(h) => {
+                        c == b'"' && (1..=h as usize).all(|k| b.get(i + k) == Some(&b'#'))
                     }
+                    _ => c == b'"',
+                };
+                if closes {
+                    let hashes = if let St::RawStr(h) = st {
+                        h as usize
+                    } else {
+                        0
+                    };
+                    literals.push((lit_line, std::mem::take(&mut lit)));
+                    out.extend(std::iter::repeat_n(b' ', 1 + hashes));
+                    i += 1 + hashes;
+                    st = St::Code;
                     continue;
                 }
-                b'"' => {
-                    st = St::Code;
-                    out.push(b' ');
-                }
-                _ => out.push(if nl { c } else { b' ' }),
-            },
-            St::RawStr(h) => {
-                if c == b'"' {
-                    let closes = (1..=h as usize).all(|k| b.get(i + k) == Some(&b'#'));
-                    if closes {
-                        out.extend(std::iter::repeat_n(b' ', h as usize + 1));
-                        i += 1 + h as usize;
-                        st = St::Code;
-                        continue;
-                    }
-                }
-                out.push(if nl { c } else { b' ' });
+                lit.push(c as char);
+                out.push(masked);
             }
             St::Char => match c {
                 b'\\' => {
@@ -182,7 +177,7 @@ pub fn lex(src: &str) -> Lexed {
                     st = St::Code;
                     out.push(b' ');
                 }
-                _ => out.push(if nl { c } else { b' ' }),
+                _ => out.push(masked),
             },
         }
         if nl {
@@ -193,143 +188,8 @@ pub fn lex(src: &str) -> Lexed {
     Lexed {
         masked: String::from_utf8_lossy(&out).into_owned(),
         comments,
+        literals,
     }
-}
-
-/// Extract ordinary and raw string literal contents from `src` with their
-/// 1-indexed starting lines. The inverse concern of [`lex`]: comments are
-/// skipped, literal *contents* are kept. Escape sequences are passed
-/// through raw — a literal containing one can never look like a metric
-/// name or a feature name, which is all this feeds.
-pub fn string_literals(src: &str) -> Vec<(usize, String)> {
-    #[derive(PartialEq)]
-    enum St {
-        Code,
-        Line,
-        Block(u32),
-        Str,
-        RawStr(u32),
-        Char,
-    }
-    let b = src.as_bytes();
-    let mut out: Vec<(usize, String)> = Vec::new();
-    let mut cur = String::new();
-    let mut cur_line = 1usize;
-    let mut st = St::Code;
-    let mut line = 1usize;
-    let mut i = 0usize;
-    while i < b.len() {
-        let c = b[i];
-        match st {
-            St::Code => match c {
-                b'/' if b.get(i + 1) == Some(&b'/') => {
-                    st = St::Line;
-                    i += 2;
-                    continue;
-                }
-                b'/' if b.get(i + 1) == Some(&b'*') => {
-                    st = St::Block(1);
-                    i += 2;
-                    continue;
-                }
-                b'"' => {
-                    st = St::Str;
-                    cur.clear();
-                    cur_line = line;
-                }
-                b'r' | b'b' => {
-                    let mut j = i + 1;
-                    if c == b'b' && b.get(j) == Some(&b'r') {
-                        j += 1;
-                    }
-                    let mut h = 0u32;
-                    while b.get(j) == Some(&b'#') {
-                        h += 1;
-                        j += 1;
-                    }
-                    if b.get(j) == Some(&b'"') && (c != b'b' || h > 0 || b[i + 1] != b'\'') {
-                        st = St::RawStr(h);
-                        cur.clear();
-                        cur_line = line;
-                        i = j + 1;
-                        continue;
-                    }
-                }
-                b'\'' => {
-                    let is_char = match b.get(i + 1) {
-                        Some(b'\\') => true,
-                        Some(_) => b.get(i + 2) == Some(&b'\''),
-                        None => false,
-                    };
-                    if is_char {
-                        st = St::Char;
-                    }
-                }
-                _ => {}
-            },
-            St::Line => {
-                if c == b'\n' {
-                    st = St::Code;
-                }
-            }
-            St::Block(depth) => {
-                if c == b'*' && b.get(i + 1) == Some(&b'/') {
-                    st = if depth == 1 {
-                        St::Code
-                    } else {
-                        St::Block(depth - 1)
-                    };
-                    i += 2;
-                    continue;
-                }
-                if c == b'/' && b.get(i + 1) == Some(&b'*') {
-                    st = St::Block(depth + 1);
-                    i += 2;
-                    continue;
-                }
-            }
-            St::Str => match c {
-                b'\\' => {
-                    cur.push('\\');
-                    if let Some(&e) = b.get(i + 1) {
-                        cur.push(e as char);
-                        if e == b'\n' {
-                            line += 1;
-                        }
-                    }
-                    i += 2;
-                    continue;
-                }
-                b'"' => {
-                    out.push((cur_line, std::mem::take(&mut cur)));
-                    st = St::Code;
-                }
-                _ => cur.push(c as char),
-            },
-            St::RawStr(h) => {
-                if c == b'"' && (1..=h as usize).all(|k| b.get(i + k) == Some(&b'#')) {
-                    out.push((cur_line, std::mem::take(&mut cur)));
-                    i += 1 + h as usize;
-                    st = St::Code;
-                    continue;
-                }
-                cur.push(c as char);
-            }
-            St::Char => match c {
-                b'\\' => {
-                    i += 2;
-                    continue;
-                }
-                b'\'' => st = St::Code,
-                _ => {}
-            },
-        }
-        if c == b'\n' {
-            line += 1;
-        }
-        i += 1;
-    }
-    out
 }
 
 /// 1-indexed line ranges (inclusive) covered by `#[cfg(test)]` items,

@@ -1,4 +1,6 @@
-//! Repo-wide static analyzer for the Oasis workspace.
+//! Repo-wide static analyzer for the Oasis workspace: the rules no
+//! compiler or clippy lint can state (DESIGN.md §14 maps every rule of the
+//! workspace to its enforcer).
 //!
 //! Three passes, no external deps:
 //!
@@ -8,63 +10,31 @@
 //!    patterns inside strings or comments can never trigger (or suppress) a
 //!    rule.
 //! 2. **Token/symbol** ([`token`], [`symbols`]): the masked text becomes a
-//!    token stream, and a recursive item walk builds a per-file symbol
-//!    graph — fns with callee names, float sites, and cfg gates; enums with
-//!    ordered variants; consts; `impl Trait for Type` sites; struct fields.
-//! 3. **Rules** ([`rules`]): per-file families run over each file's masked
-//!    lines; workspace families run once over the whole symbol graph.
-//!
-//! The per-file rule families (see `oasis-check --explain <rule>` or
-//! [`registry::REGISTRY`]):
-//!
-//! - **no-panic**: no `unwrap()` / `expect()` / `panic!` family on runtime
-//!   paths (the pod, engine, channel, and memory-model crates).
-//! - **wire-assert**: every `impl WireDescriptor for T` is paired with an
-//!   `assert_wire_size!(T)` compile-time 64-byte layout assertion.
-//! - **pool-escape**: no raw `CxlPool` byte access outside `oasis-cxl`.
-//! - **nondeterminism**: no wall-clock or randomly-seeded state in
-//!   simulation crates — experiments must be bit-reproducible.
-//! - **allow-comment**: every `#[allow(...)]` carries a justification.
-//! - **metric-name**: metric-name literals live only in their crate's
-//!   `src/metrics.rs`, as `const` declarations.
-//! - **thread-discipline**: no unscoped `thread::spawn`; concurrency
-//!   primitives in simulation crates carry coordination-state waivers.
-//!
-//! The symbol-graph families, which need the whole workspace:
-//!
-//! - **float-determinism**: no f32/f64 arithmetic or formatting in — or
-//!   reachable from — replicated-state, metrics-snapshot, or
-//!   stranding-integral modules. Integer-only counters are the invariant
-//!   behind `consistent_with_log` and the figure byte-identity gates.
-//! - **schema-evolution**: `AllocCommand`/`FleetCommand` variant order and
-//!   the `WireDescriptor` impl set are pinned by the golden registry in
-//!   [`policy`]; drift without a version bump is an error.
-//! - **unchecked-epoch-arithmetic**: `+`/`*` on epoch/byte-integral
-//!   operands in allocator and stranding paths must be `checked_` /
-//!   `saturating_` or waived with the overflow bound.
-//! - **cfg-pairing**: private `#[cfg(feature = "obs"/"sanitize")]` fns pair
-//!   with their `#[cfg(not(...))]` inline stubs, and vice versa.
-//! - **stale-waiver**: a waiver that no longer suppresses anything is
-//!   itself an error.
+//!    token stream, and an item walk lists each file's fns with their
+//!    visibility and `#[cfg(feature = ...)]` gate.
+//! 3. **Rules** ([`rules`]), see `oasis-check --explain <rule>` or
+//!    [`registry::REGISTRY`]:
+//!    - **metric-name**: metric-name literals live only in their crate's
+//!      `src/metrics.rs`, as `const` declarations.
+//!    - **unchecked-epoch-arithmetic**: `+`/`*` on epoch/byte-integral
+//!      operands in allocator and stranding paths must be `checked_` /
+//!      `saturating_` or waived with the overflow bound.
+//!    - **cfg-pairing**: private `#[cfg(feature = "obs"/"sanitize")]` fns
+//!      pair with their `#[cfg(not(...))]` inline stubs, and vice versa.
+//!    - **waiver**: a waiver names one of the rules above, gives a reason,
+//!      and still suppresses a finding.
 //!
 //! Test code is exempt: files under `tests/` and `benches/` are skipped
 //! where appropriate, and `#[cfg(test)]` blocks are excluded by brace
-//! matching. Deliberate exceptions in runtime code are waived in place:
+//! matching. A deliberate exception in runtime code is waived in place,
+//! covering the next statement:
 //!
 //! ```text
-//! // oasis-check: allow(no-panic) <reason>          (next statement)
-//! // oasis-check: allow-file(nondeterminism) <reason> (whole file)
+//! // oasis-check: allow(metric-name) <reason>
 //! ```
 //!
-//! A waiver without a reason is itself a finding, and — on workspace runs,
-//! where every rule has had its chance to fire — so is a waiver that no
-//! longer suppresses anything.
-//!
-//! Findings feed a committed ratchet baseline (`check_baseline.json`, see
-//! [`baseline`]): CI fails on any count above baseline, and the baseline
-//! may only shrink (explicitly, via `--update-baseline`).
+//! Any finding fails the run.
 
-pub mod baseline;
 pub mod lex;
 pub mod policy;
 pub mod registry;
@@ -75,25 +45,17 @@ pub mod token;
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 
-pub use lex::{cfg_test_ranges, lex, string_literals, Lexed};
+pub use lex::{cfg_test_ranges, lex, Lexed};
 
 use symbols::FileSymbols;
 
-/// The rule identifiers accepted in waiver comments, in display order.
-/// Kept in sync with [`registry::REGISTRY`] by a unit test.
+/// The rule identifiers, in display order. Kept in sync with
+/// [`registry::REGISTRY`] by a unit test.
 pub const RULES: &[&str] = &[
-    "no-panic",
-    "wire-assert",
-    "pool-escape",
-    "nondeterminism",
-    "allow-comment",
     "metric-name",
-    "thread-discipline",
-    "float-determinism",
-    "schema-evolution",
     "unchecked-epoch-arithmetic",
     "cfg-pairing",
-    "stale-waiver",
+    "waiver",
 ];
 
 /// One lint finding.
@@ -139,20 +101,15 @@ pub struct FileCtx {
     pub kind: FileKind,
 }
 
-/// One parsed waiver with its liveness mark. `used` flips when the waiver
-/// actually suppresses a finding; on workspace runs an unused waiver is a
-/// `stale-waiver` finding.
+/// One parsed waiver. `used` flips when it suppresses a finding; an
+/// unused waiver is a `waiver` finding.
 struct Waiver {
     /// Rule being waived.
     rule: &'static str,
-    /// Line of the waiver comment.
+    /// Line of the waiver comment, the first covered line.
     line: usize,
-    /// First covered line (== `line` for file-wide).
-    first: usize,
-    /// Last covered line (`usize::MAX` for file-wide).
+    /// Last covered line.
     last: usize,
-    /// Whole-file scope?
-    file_wide: bool,
     /// Did this waiver suppress at least one finding?
     used: Cell<bool>,
 }
@@ -160,10 +117,10 @@ struct Waiver {
 /// Parsed waivers for one file.
 #[derive(Default)]
 pub struct Waivers {
-    /// Every parsed waiver, in file order.
+    /// Every well-formed waiver, in file order.
     entries: Vec<Waiver>,
-    /// Malformed waivers (missing reason / unknown rule) become findings.
-    pub(crate) bad: Vec<(usize, String)>,
+    /// Malformed waivers (unknown rule, missing reason) become findings.
+    bad: Vec<(usize, String)>,
 }
 
 impl Waivers {
@@ -171,28 +128,19 @@ impl Waivers {
     pub fn waived(&self, rule: &str, line: usize) -> bool {
         let mut hit = false;
         for w in &self.entries {
-            if w.rule == rule && (w.file_wide || (line >= w.first && line <= w.last)) {
+            if w.rule == rule && (w.line..=w.last).contains(&line) {
                 w.used.set(true);
                 hit = true;
             }
         }
         hit
     }
-
-    /// Waivers that never suppressed a finding: (line, rule, file_wide).
-    pub(crate) fn stale(&self) -> Vec<(usize, &'static str, bool)> {
-        self.entries
-            .iter()
-            .filter(|w| !w.used.get())
-            .map(|w| (w.line, w.rule, w.file_wide))
-            .collect()
-    }
 }
 
-/// Extract waiver comments (the `allow` / `allow-file` markers described
-/// in the module docs) from the comment map. A line-scoped waiver covers
-/// its comment line through the end of the next statement (the first
-/// following line holding `;`, `{`, or `}`).
+/// Extract waiver comments (the `allow` marker described in the module
+/// docs) from the comment map. A waiver covers its comment line through
+/// the end of the next statement (the first following line holding `;`,
+/// `{`, or `}`).
 pub fn parse_waivers(lex: &Lexed) -> Waivers {
     let lines: Vec<&str> = lex.masked.lines().collect();
     let mut w = Waivers::default();
@@ -201,57 +149,35 @@ pub fn parse_waivers(lex: &Lexed) -> Waivers {
             continue;
         };
         let rest = text[pos + "oasis-check:".len()..].trim_start();
-        let (file_wide, rest) = if let Some(r) = rest.strip_prefix("allow-file(") {
-            (true, r)
-        } else if let Some(r) = rest.strip_prefix("allow(") {
-            (false, r)
-        } else {
+        let Some((rule_txt, reason)) = rest.strip_prefix("allow(").and_then(|r| r.split_once(')'))
+        else {
             w.bad.push((line, "malformed oasis-check waiver".into()));
             continue;
         };
-        let Some(close) = rest.find(')') else {
-            w.bad.push((line, "unclosed oasis-check waiver".into()));
-            continue;
-        };
-        let rule_txt = rest[..close].trim();
-        let reason = rest[close + 1..].trim();
-        let Some(rule) = RULES.iter().find(|&&r| r == rule_txt) else {
+        let rule_txt = rule_txt.trim();
+        let Some(rule) = RULES.iter().find(|&&r| r == rule_txt && r != "waiver") else {
             w.bad
                 .push((line, format!("unknown waiver rule '{rule_txt}'")));
             continue;
         };
-        if reason.is_empty() {
+        if reason.trim().is_empty() {
             w.bad.push((
                 line,
                 format!("waiver for '{rule}' has no justification text"),
             ));
             continue;
         }
-        if file_wide {
-            w.entries.push(Waiver {
-                rule,
-                line,
-                first: line,
-                last: usize::MAX,
-                file_wide: true,
-                used: Cell::new(false),
-            });
-            continue;
-        }
-        // Scope: this line through the end of the next statement.
-        let mut last = line;
-        for (off, l) in lines.iter().enumerate().skip(line).take(12) {
-            last = off + 1;
-            if l.contains(';') || l.contains('{') || l.contains('}') {
-                break;
-            }
-        }
+        let last = lines
+            .iter()
+            .enumerate()
+            .skip(line)
+            .take(12)
+            .find(|(_, l)| l.contains(';') || l.contains('{') || l.contains('}'))
+            .map_or((line + 12).min(lines.len()), |(i, _)| i + 1);
         w.entries.push(Waiver {
             rule,
             line,
-            first: line,
             last,
-            file_wide: false,
             used: Cell::new(false),
         });
     }
@@ -259,19 +185,15 @@ pub fn parse_waivers(lex: &Lexed) -> Waivers {
 }
 
 /// One file, fully analyzed through the lexical, token, and symbol passes —
-/// the unit the workspace rules consume.
+/// the unit the rules consume.
 pub struct AnalyzedFile {
     /// File context.
     pub ctx: FileCtx,
-    /// Raw source.
-    pub src: String,
-    /// Masked source + comments.
+    /// Masked source, comments and string literals.
     pub lexed: Lexed,
     /// `#[cfg(test)]` line ranges.
     pub tests: Vec<(usize, usize)>,
-    /// String literal contents with lines.
-    pub literals: Vec<(usize, String)>,
-    /// The symbol graph for this file.
+    /// The fns of this file.
     pub symbols: FileSymbols,
     /// Parsed waivers (with liveness marks).
     pub waivers: Waivers,
@@ -279,74 +201,53 @@ pub struct AnalyzedFile {
 
 impl AnalyzedFile {
     /// Run every pass over one file's source.
-    pub fn analyze(ctx: FileCtx, src: String) -> AnalyzedFile {
-        let lexed = lex(&src);
+    pub fn analyze(ctx: FileCtx, src: &str) -> AnalyzedFile {
+        let lexed = lex(src);
         let tests = cfg_test_ranges(&lexed.masked);
-        let literals = string_literals(&src);
-        let symbols = symbols::extract(&lexed, &tests, &literals);
+        let symbols = symbols::extract(&lexed, &tests);
         let waivers = parse_waivers(&lexed);
         AnalyzedFile {
             ctx,
-            src,
             lexed,
             tests,
-            literals,
             symbols,
             waivers,
         }
     }
-}
 
-fn run_file_rules(f: &AnalyzedFile, out: &mut Vec<Finding>) {
-    for &(line, ref msg) in &f.waivers.bad {
-        out.push(Finding {
-            file: f.ctx.rel_path.clone(),
-            line,
-            rule: "allow-comment",
-            message: msg.clone(),
-        });
+    /// Record a finding unless a waiver covers it.
+    fn report(&self, out: &mut Vec<Finding>, line: usize, rule: &'static str, message: String) {
+        if !self.waivers.waived(rule, line) {
+            out.push(self.finding(line, rule, message));
+        }
     }
-    rules::rule_no_panic(&f.ctx, &f.lexed, &f.tests, &f.waivers, out);
-    rules::rule_wire_assert(&f.ctx, &f.lexed, &f.waivers, out);
-    rules::rule_pool_escape(&f.ctx, &f.lexed, &f.tests, &f.waivers, out);
-    rules::rule_nondeterminism(&f.ctx, &f.lexed, &f.tests, &f.waivers, out);
-    rules::rule_allow_comment(&f.ctx, &f.lexed, &f.waivers, out);
-    rules::rule_metric_name(&f.ctx, &f.src, &f.lexed, &f.tests, &f.waivers, out);
-    rules::rule_thread_discipline(&f.ctx, &f.lexed, &f.tests, &f.waivers, out);
+
+    fn finding(&self, line: usize, rule: &'static str, message: String) -> Finding {
+        Finding {
+            file: self.ctx.rel_path.clone(),
+            line,
+            rule,
+            message,
+        }
+    }
 }
 
-/// Run the per-file rules over one file's source.
-///
-/// This is the single-file entry point: the symbol-graph families
-/// (`float-determinism`, `schema-evolution`, `unchecked-epoch-arithmetic`,
-/// `cfg-pairing`, `stale-waiver`) need the whole analyzed set and only run
-/// through [`analyze_files`] / [`check_workspace`].
-pub fn check_source(ctx: &FileCtx, src: &str) -> Vec<Finding> {
-    let f = AnalyzedFile::analyze(ctx.clone(), src.to_string());
-    let mut out = Vec::new();
-    run_file_rules(&f, &mut out);
-    out
-}
-
-/// Run every rule — per-file and symbol-graph — over an in-memory set of
-/// files. This is what [`check_workspace`] uses, and what the red-path
-/// integration tests drive with seeded violations. Findings are sorted by
-/// (file, line, rule).
+/// Run every rule over an in-memory set of files. This is what
+/// [`check_workspace`] uses, and what the red-path integration tests drive
+/// with seeded violations. Findings are sorted by (file, line, rule).
 pub fn analyze_files(inputs: Vec<(FileCtx, String)>) -> Vec<Finding> {
     let files: Vec<AnalyzedFile> = inputs
         .into_iter()
-        .map(|(ctx, src)| AnalyzedFile::analyze(ctx, src))
+        .map(|(ctx, src)| AnalyzedFile::analyze(ctx, &src))
         .collect();
     let mut out = Vec::new();
     for f in &files {
-        run_file_rules(f, &mut out);
+        rules::rule_metric_name(f, &mut out);
+        rules::rule_epoch_arithmetic(f, &mut out);
+        rules::rule_cfg_pairing(f, &mut out);
+        // Last: every other rule has had its chance to mark waivers live.
+        rules::rule_waiver(f, &mut out);
     }
-    rules::rule_float_determinism(&files, &mut out);
-    rules::rule_schema_evolution(&files, &mut out);
-    rules::rule_epoch_arithmetic(&files, &mut out);
-    rules::rule_cfg_pairing(&files, &mut out);
-    // Last: every other rule has had its chance to mark waivers live.
-    rules::rule_stale_waiver(&files, &mut out);
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     out
 }
@@ -408,12 +309,19 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    fn src_ctx(krate: &str) -> FileCtx {
-        FileCtx {
-            rel_path: format!("crates/{krate}/src/x.rs"),
-            crate_name: krate.into(),
-            kind: FileKind::Src,
-        }
+    fn one(krate: &str, path: &str, src: &str) -> Vec<Finding> {
+        analyze_files(vec![(
+            FileCtx {
+                rel_path: path.to_string(),
+                crate_name: krate.into(),
+                kind: FileKind::Src,
+            },
+            src.to_string(),
+        )])
+    }
+
+    fn src_file(krate: &str, src: &str) -> Vec<Finding> {
+        one(krate, &format!("crates/{krate}/src/x.rs"), src)
     }
 
     fn rules_of(f: &[Finding]) -> Vec<&'static str> {
@@ -437,85 +345,30 @@ mod tests {
     }
 
     #[test]
-    fn no_panic_flags_runtime_only() {
-        let f = check_source(&src_ctx("core"), "fn f() { x.unwrap(); }\n");
-        assert_eq!(rules_of(&f), ["no-panic"]);
-        // Non-runtime crate: clean.
-        let f = check_source(&src_ctx("sim"), "fn f() { x.unwrap(); }\n");
-        assert!(f.is_empty());
-        // Harness file: clean.
-        let ctx = FileCtx {
-            rel_path: "crates/core/tests/t.rs".into(),
-            crate_name: "core".into(),
-            kind: FileKind::Harness,
-        };
-        assert!(check_source(&ctx, "fn f() { x.unwrap(); }\n").is_empty());
-    }
-
-    #[test]
-    fn no_panic_skips_cfg_test_blocks() {
-        let src =
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); panic!(\"y\"); }\n}\n";
-        assert!(check_source(&src_ctx("channel"), src).is_empty());
-    }
-
-    #[test]
-    fn no_panic_waiver_covers_statement() {
-        let src = "fn f() {\n    // oasis-check: allow(no-panic) construction-time contract.\n    let x = y\n        .iter()\n        .position(|v| v)\n        .expect(\"present\");\n    x\n}\n";
-        assert!(check_source(&src_ctx("core"), src).is_empty());
+    fn waiver_covers_statement() {
+        let src = "fn f() {\n    // oasis-check: allow(metric-name) a label, not a metric.\n    let x = y\n        .iter()\n        .find(\"core.not_a_metric\");\n    x\n}\n";
+        assert!(src_file("core", src).is_empty());
         // The waiver does not leak past its statement.
-        let src2 = format!("{src}fn g() {{ z.unwrap(); }}\n");
-        assert_eq!(
-            rules_of(&check_source(&src_ctx("core"), &src2)),
-            ["no-panic"]
-        );
+        let src2 = format!("{src}fn g() {{ z(\"core.not_a_metric\"); }}\n");
+        assert_eq!(rules_of(&src_file("core", &src2)), ["metric-name"]);
     }
 
     #[test]
     fn waiver_without_reason_is_a_finding() {
-        let src = "// oasis-check: allow(no-panic)\nfn f() { x.unwrap(); }\n";
-        let f = check_source(&src_ctx("core"), src);
-        assert_eq!(rules_of(&f), ["allow-comment", "no-panic"]);
-    }
-
-    #[test]
-    fn wire_assert_pairing() {
-        let bad = "impl WireDescriptor for Foo {\n    const WIRE_SIZE: usize = 64;\n}\n";
-        let f = check_source(&src_ctx("core"), bad);
-        assert_eq!(rules_of(&f), ["wire-assert"]);
-        let good = format!("{bad}assert_wire_size!(Foo);\n");
-        assert!(check_source(&src_ctx("core"), &good).is_empty());
-    }
-
-    #[test]
-    fn pool_escape_outside_cxl() {
-        let src = "fn f(pool: &mut CxlPool) { pool.poke(0, &[1]); }\n";
-        assert_eq!(
-            rules_of(&check_source(&src_ctx("core"), src)),
-            ["pool-escape"]
-        );
-        // Inside oasis-cxl the same access is the implementation.
-        assert!(check_source(&src_ctx("cxl"), src).is_empty());
-        // A heap's .peek() is not pool access.
-        let heap = "fn g(q: &BinaryHeap<u64>) { q.peek(); }\n";
-        assert!(check_source(&src_ctx("core"), heap).is_empty());
-    }
-
-    #[test]
-    fn nondeterminism_sources_flagged() {
-        let src = "use std::collections::HashMap;\nfn f() { let t = Instant::now(); }\n";
-        let f = check_source(&src_ctx("sim"), src);
-        assert_eq!(rules_of(&f), ["nondeterminism", "nondeterminism"]);
-        // File-wide waiver silences the whole file.
-        let waived =
-            format!("// oasis-check: allow-file(nondeterminism) wall-clock reporter.\n{src}");
-        assert!(check_source(&src_ctx("sim"), &waived).is_empty());
+        let src = "// oasis-check: allow(metric-name)\nfn f() { x(\"core.a_metric\"); }\n";
+        assert_eq!(rules_of(&src_file("core", src)), ["waiver", "metric-name"]);
+        // A rule clippy enforces is not waivable here.
+        let src = "// oasis-check: allow(no-panic) gone\nfn f() { x.unwrap(); }\n";
+        assert_eq!(rules_of(&src_file("core", src)), ["waiver"]);
     }
 
     #[test]
     fn string_literal_extraction() {
-        let lits = string_literals("let a = \"x.y\"; // \"not.this\"\nlet b = r#\"raw.one\"#;\n");
+        let lits = lex("let a = \"x.y\"; // \"not.this\"\nlet b = r#\"raw.one\"#;\n").literals;
         assert_eq!(lits, vec![(1, "x.y".into()), (2, "raw.one".into())]);
+        // An escaped newline keeps the masked text in step with the source.
+        let l = lex("let a = \"one \\\n two\";\nlet b = 1;\n");
+        assert_eq!(l.masked.lines().nth(2), Some("let b = 1;"));
     }
 
     #[test]
@@ -532,31 +385,20 @@ mod tests {
     #[test]
     fn metric_name_outside_registry_flagged() {
         let src = "fn f(s: &Snap) -> u64 { s.counter(\"core.net_fe_tx_packets\", 0) }\n";
-        assert_eq!(
-            rules_of(&check_source(&src_ctx("bench"), src)),
-            ["metric-name"]
-        );
+        assert_eq!(rules_of(&src_file("bench", src)), ["metric-name"]);
         // Non-registry prefixes (region labels etc.) are not metric names.
         let label = "fn g(p: &mut Pool) { p.alloc(\"storage.fe0.data\", 64); }\n";
-        assert!(check_source(&src_ctx("core"), label).is_empty());
+        assert!(src_file("core", label).is_empty());
         // Tests may spot-check raw names.
         let test =
             "#[cfg(test)]\nmod t {\n    fn c() { s.counter(\"sim.sched_dispatches\", 0); }\n}\n";
-        assert!(check_source(&src_ctx("sim"), test).is_empty());
+        assert!(src_file("sim", test).is_empty());
     }
 
     #[test]
     fn metric_registry_prefix_and_const() {
-        let reg = |krate: &str, src: &str| {
-            check_source(
-                &FileCtx {
-                    rel_path: format!("crates/{krate}/src/metrics.rs"),
-                    crate_name: krate.into(),
-                    kind: FileKind::Src,
-                },
-                src,
-            )
-        };
+        let reg =
+            |krate: &str, src: &str| one(krate, &format!("crates/{krate}/src/metrics.rs"), src);
         let good = "pub const X: &str = \"sim.sched_dispatches\";\n";
         assert!(reg("sim", good).is_empty());
         // Wrong prefix for the owning crate.
@@ -567,199 +409,39 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawn_flagged_everywhere_scoped_spawn_clean() {
-        // Unscoped spawn is a finding even outside the simulation crates.
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(
-            rules_of(&check_source(&src_ctx("apps"), src)),
-            ["thread-discipline"]
-        );
-        // The vendored scoped helper's spawn does not match.
-        let scoped = "fn g(s: &Scope) { s.spawn(|| {}); }\n";
-        assert!(check_source(&src_ctx("apps"), scoped).is_empty());
-        // Harness code may thread however it likes.
-        let ctx = FileCtx {
-            rel_path: "crates/bench/tests/t.rs".into(),
-            crate_name: "bench".into(),
-            kind: FileKind::Harness,
-        };
-        assert!(check_source(&ctx, src).is_empty());
-    }
-
-    #[test]
-    fn thread_state_policed_in_simulation_crates() {
-        let src = "fn f() { let m = Mutex::new(0); let c = AtomicUsize::new(0); }\n";
-        assert_eq!(
-            rules_of(&check_source(&src_ctx("sim"), src)),
-            ["thread-discipline", "thread-discipline"]
-        );
-        // Harness-side crates may hold wall-clock state.
-        assert!(check_source(&src_ctx("bench"), src).is_empty());
-        // A waiver with a reason covers the statement it precedes.
-        let waived = "fn f() {\n    // oasis-check: allow(thread-discipline) claim counter, once per round.\n    let c = AtomicUsize::new(0);\n}\n";
-        assert!(check_source(&src_ctx("sim"), waived).is_empty());
-        // Imports alone are not state.
-        let imports = "use std::sync::{Barrier, Mutex};\n";
-        assert!(check_source(&src_ctx("sim"), imports).is_empty());
-    }
-
-    #[test]
-    fn allow_needs_comment() {
-        let bare = "#[allow(clippy::type_complexity)]\nfn f() {}\n";
-        assert_eq!(
-            rules_of(&check_source(&src_ctx("sim"), bare)),
-            ["allow-comment"]
-        );
-        let ok = "// The tuple documents the exact projection.\n#[allow(clippy::type_complexity)]\nfn f() {}\n";
-        assert!(check_source(&src_ctx("sim"), ok).is_empty());
-        let trailing = "#[allow(dead_code)] // kept for the harness\nfn f() {}\n";
-        assert!(check_source(&src_ctx("sim"), trailing).is_empty());
-    }
-
-    // -- symbol-graph families ------------------------------------------
-
-    fn one(krate: &str, path: &str, src: &str) -> Vec<Finding> {
-        analyze_files(vec![(
-            FileCtx {
-                rel_path: path.to_string(),
-                crate_name: krate.into(),
-                kind: FileKind::Src,
-            },
-            src.to_string(),
-        )])
-    }
-
-    #[test]
-    fn float_direct_site_in_policed_file() {
-        let f = one(
-            "core",
-            "crates/core/src/allocator/thing.rs",
-            "fn apply(&mut self, used: u64, cap: u64) { self.load = used as f64 / cap as f64; }\n",
-        );
-        assert!(f.iter().any(|x| x.rule == "float-determinism"), "{f:?}");
-        // The same code outside a policed path is clean.
-        let f = one(
-            "core",
-            "crates/core/src/pod.rs",
-            "fn apply(&mut self, used: u64, cap: u64) { self.load = used as f64 / cap as f64; }\n",
-        );
-        assert!(f.iter().all(|x| x.rule != "float-determinism"), "{f:?}");
-    }
-
-    #[test]
-    fn float_reachability_across_files() {
-        let policed = (
-            FileCtx {
-                rel_path: "crates/core/src/allocator/svc.rs".into(),
-                crate_name: "core".into(),
-                kind: FileKind::Src,
-            },
-            "pub fn apply_cmd(x: u64) -> u64 { score_host(x) }\n".to_string(),
-        );
-        let helper = (
-            FileCtx {
-                rel_path: "crates/core/src/pod.rs".into(),
-                crate_name: "core".into(),
-                kind: FileKind::Src,
-            },
-            "pub fn score_host(x: u64) -> u64 { (x as f64 * 1.5) as u64 }\n".to_string(),
-        );
-        let f = analyze_files(vec![policed.clone(), helper]);
-        let hit: Vec<&Finding> = f.iter().filter(|x| x.rule == "float-determinism").collect();
-        assert_eq!(hit.len(), 1, "{f:?}");
-        assert!(hit[0].message.contains("score_host"), "{}", hit[0].message);
-        assert!(hit[0].file.ends_with("svc.rs"));
-        // A waiver at the helper's float site silences all callers.
-        let waived_helper = (
-            FileCtx {
-                rel_path: "crates/core/src/pod.rs".into(),
-                crate_name: "core".into(),
-                kind: FileKind::Src,
-            },
-            "pub fn score_host(x: u64) -> u64 {\n    // oasis-check: allow(float-determinism) display-only ranking, never persisted.\n    (x as f64 * 1.5) as u64\n}\n"
-                .to_string(),
-        );
-        let f = analyze_files(vec![policed, waived_helper]);
-        assert!(f.iter().all(|x| x.rule != "float-determinism"), "{f:?}");
-    }
-
-    #[test]
-    fn schema_evolution_pins_variant_order() {
-        let good = "pub const ALLOC_SCHEMA_VERSION: u32 = 1;\npub const FLEET_SCHEMA_VERSION: u32 = 2;\npub enum AllocCommand { RegisterNic, Assign, Unassign, MarkFailed, MarkRepaired, RegisterSsd, AssignVolume, ReleaseVolumes, MarkHostFailed, MarkHostRestarted, RegisterAccel }\npub enum FleetCommand { RegisterPod, AddLink, CreateInstance, ResizeInstance, KillInstance, QueryFleetState, MigrateInstance, FinishMigration }\npub enum TransferPath { Cxl, Nic }\n";
-        let f = one("core", "crates/core/src/allocator/command.rs", good);
-        assert!(f.iter().all(|x| x.rule != "schema-evolution"), "{f:?}");
-        // Reordering two variants without touching the version: finding.
-        let reordered = good.replace("RegisterNic, Assign,", "Assign, RegisterNic,");
-        let f = one("core", "crates/core/src/allocator/command.rs", &reordered);
-        assert!(f.iter().any(|x| x.rule == "schema-evolution"), "{f:?}");
-        // Dropping the version const: finding.
-        let no_const = good.replace("pub const ALLOC_SCHEMA_VERSION: u32 = 1;\n", "");
-        let f = one("core", "crates/core/src/allocator/command.rs", &no_const);
-        assert!(f
-            .iter()
-            .any(|x| x.rule == "schema-evolution" && x.message.contains("ALLOC_SCHEMA_VERSION")));
-    }
-
-    #[test]
-    fn schema_evolution_pins_wire_impl_set() {
-        let f = one(
-            "core",
-            "crates/core/src/other.rs",
-            "impl WireDescriptor for BrandNewMsg { fn x(&self) {} }\nassert_wire_size!(BrandNewMsg);\n",
-        );
-        assert!(
-            f.iter()
-                .any(|x| x.rule == "schema-evolution" && x.message.contains("BrandNewMsg")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
     fn epoch_arithmetic_checked_and_waived() {
         let bad = "fn tick(&mut self, dt: u64) { self.nic_acc += nic * dt; }\n";
         let f = one("trace", "crates/trace/src/stranding.rs", bad);
-        assert!(
-            f.iter().any(|x| x.rule == "unchecked-epoch-arithmetic"),
-            "{f:?}"
-        );
+        assert_eq!(rules_of(&f), ["unchecked-epoch-arithmetic"]);
         let good = "fn tick(&mut self, dt: u64) { self.nic_acc = self.nic_acc.saturating_add(nic * dt); }\n";
-        let f = one("trace", "crates/trace/src/stranding.rs", good);
-        assert!(
-            f.iter().all(|x| x.rule != "unchecked-epoch-arithmetic"),
-            "{f:?}"
-        );
+        assert!(one("trace", "crates/trace/src/stranding.rs", good).is_empty());
+        let waived = format!("// oasis-check: allow(unchecked-epoch-arithmetic) dt < 2^32.\n{bad}");
+        assert!(one("trace", "crates/trace/src/stranding.rs", &waived).is_empty());
         // Outside policed paths the same line is fine.
-        let f = one("sim", "crates/sim/src/clock.rs", bad);
-        assert!(f.iter().all(|x| x.rule != "unchecked-epoch-arithmetic"));
+        assert!(one("sim", "crates/sim/src/clock.rs", bad).is_empty());
     }
 
     #[test]
     fn cfg_pairing_requires_stub() {
         let unpaired = "#[cfg(feature = \"obs\")]\nfn note_x(&mut self) { self.n += 1; }\n";
         let f = one("sim", "crates/sim/src/sched.rs", unpaired);
-        assert!(f.iter().any(|x| x.rule == "cfg-pairing"), "{f:?}");
+        assert_eq!(rules_of(&f), ["cfg-pairing"]);
         let paired = format!(
             "{unpaired}#[cfg(not(feature = \"obs\"))]\n#[inline(always)]\nfn note_x(&mut self) {{}}\n"
         );
-        let f = one("sim", "crates/sim/src/sched.rs", &paired);
-        assert!(f.iter().all(|x| x.rule != "cfg-pairing"), "{f:?}");
+        assert!(one("sim", "crates/sim/src/sched.rs", &paired).is_empty());
         // Pub gated fns are caller-gated by convention: exempt.
         let pub_gated = "#[cfg(feature = \"obs\")]\npub fn stats(&self) -> u64 { self.n }\n";
-        let f = one("sim", "crates/sim/src/sched.rs", pub_gated);
-        assert!(f.iter().all(|x| x.rule != "cfg-pairing"), "{f:?}");
+        assert!(one("sim", "crates/sim/src/sched.rs", pub_gated).is_empty());
     }
 
     #[test]
     fn stale_waiver_detected_live_waiver_kept() {
         // Live: the waiver suppresses a real finding.
-        let live = "fn f() {\n    // oasis-check: allow(no-panic) boot-time contract.\n    x.unwrap();\n}\n";
-        let f = one("core", "crates/core/src/x.rs", live);
-        assert!(f.is_empty(), "{f:?}");
+        let live = "fn f() {\n    // oasis-check: allow(metric-name) boot-time label.\n    x(\"core.boot\");\n}\n";
+        assert!(src_file("core", live).is_empty());
         // Stale: nothing to suppress.
-        let stale = "fn f() {\n    // oasis-check: allow(no-panic) boot-time contract.\n    let y = 1;\n}\n";
-        let f = one("core", "crates/core/src/x.rs", stale);
-        assert_eq!(rules_of(&f), ["stale-waiver"], "{f:?}");
-        // check_source (single-file mode) never reports stale waivers.
-        assert!(check_source(&src_ctx("core"), stale).is_empty());
+        let stale = "fn f() {\n    // oasis-check: allow(metric-name) boot-time label.\n    let y = 1;\n}\n";
+        assert_eq!(rules_of(&src_file("core", stale)), ["waiver"]);
     }
 }

@@ -2,245 +2,71 @@
 //! (or pass it as the first argument).
 //!
 //! ```text
-//! oasis-check [ROOT] [--json] [--no-ratchet] [--update-baseline]
-//!             [--baseline PATH] [--explain RULE] [--list-rules]
+//! oasis-check [ROOT] [--explain RULE] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 clean (no findings beyond the ratchet baseline, baseline
-//! not stale), 1 violations or stale baseline, 2 usage/IO errors.
+//! Exit codes: 0 clean, 1 findings, 2 usage/IO errors.
 
-use oasis_check::baseline::{json_string, Baseline};
-use oasis_check::{registry, Finding, RULES};
+use oasis_check::{registry, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Opts {
-    root: PathBuf,
-    json: bool,
-    ratchet: bool,
-    update_baseline: bool,
-    baseline_path: Option<PathBuf>,
-    explain: Option<String>,
-    list_rules: bool,
-}
+const USAGE: &str = "usage: oasis-check [ROOT] [--explain RULE] [--list-rules]";
 
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        root: PathBuf::from("."),
-        json: false,
-        ratchet: true,
-        update_baseline: false,
-        baseline_path: None,
-        explain: None,
-        list_rules: false,
-    };
+fn main() -> ExitCode {
+    let mut root = PathBuf::from(".");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => opts.json = true,
-            "--no-ratchet" => opts.ratchet = false,
-            "--update-baseline" => opts.update_baseline = true,
-            "--baseline" => {
-                opts.baseline_path =
-                    Some(PathBuf::from(args.next().ok_or("--baseline needs a path")?));
+            "--list-rules" => {
+                for r in registry::REGISTRY {
+                    let summary = r.summary.split_whitespace().collect::<Vec<_>>();
+                    println!("{:28} {}", r.id, summary.join(" "));
+                }
+                return ExitCode::SUCCESS;
             }
             "--explain" => {
-                opts.explain = Some(args.next().ok_or("--explain needs a rule id")?);
-            }
-            "--list-rules" => opts.list_rules = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: oasis-check [ROOT] [--json] [--no-ratchet] [--update-baseline] \
-                     [--baseline PATH] [--explain RULE] [--list-rules]"
-                        .into(),
-                )
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            path => opts.root = PathBuf::from(path),
-        }
-    }
-    Ok(opts)
-}
-
-fn findings_json(findings: &[Finding]) -> String {
-    let mut s = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{ \"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {} }}",
-            json_string(&f.file),
-            f.line,
-            json_string(f.rule),
-            json_string(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push(']');
-    s
-}
-
-fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("oasis-check: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if opts.list_rules {
-        for r in registry::REGISTRY {
-            println!(
-                "{:28} {}",
-                r.id,
-                r.summary.split_whitespace().collect::<Vec<_>>().join(" ")
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-    if let Some(rule) = &opts.explain {
-        match registry::find(rule) {
-            Some(info) => {
+                let rule = args.next().unwrap_or_default();
+                let Some(info) = registry::find(&rule) else {
+                    eprintln!(
+                        "oasis-check: unknown rule '{rule}'. Rules: {}",
+                        RULES.join(", ")
+                    );
+                    return ExitCode::from(2);
+                };
                 print!("{}", registry::explain(info));
                 return ExitCode::SUCCESS;
             }
-            None => {
-                eprintln!(
-                    "oasis-check: unknown rule '{rule}'. Rules: {}",
-                    RULES.join(", ")
-                );
+            flag if flag.starts_with('-') => {
+                eprintln!("oasis-check: unknown flag {flag}\n{USAGE}");
                 return ExitCode::from(2);
             }
+            path => root = PathBuf::from(path),
         }
     }
 
-    if !opts.root.join("crates").is_dir() {
+    if !root.join("crates").is_dir() {
         eprintln!(
             "oasis-check: {} has no crates/ directory (run from the workspace root)",
-            opts.root.display()
+            root.display()
         );
         return ExitCode::from(2);
     }
-    let findings = match oasis_check::check_workspace(&opts.root) {
+    let findings = match oasis_check::check_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("oasis-check: walk failed: {e}");
             return ExitCode::from(2);
         }
     };
-
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| opts.root.join("check_baseline.json"));
-    let current = Baseline::from_findings(&findings);
-
-    if opts.update_baseline {
-        if let Err(e) = std::fs::write(&baseline_path, current.to_json()) {
-            eprintln!("oasis-check: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        if !opts.json {
-            println!(
-                "oasis-check: baseline refreshed ({} entries) at {}",
-                current.entries.len(),
-                baseline_path.display()
-            );
-        }
+    for f in &findings {
+        println!("{f}");
     }
-
-    let report = if opts.ratchet && !opts.update_baseline {
-        let base = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("oasis-check: {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            // No baseline yet: everything counts as new debt.
-            Err(_) => Baseline::default(),
-        };
-        Some(base.compare(&current))
+    if findings.is_empty() {
+        println!("oasis-check: clean ({} rules)", RULES.len());
+        ExitCode::SUCCESS
     } else {
-        None
-    };
-
-    if opts.json {
-        let mut s = String::from("{\n  \"schema\": 1,\n  \"findings\": ");
-        s.push_str(&findings_json(&findings));
-        if let Some(rep) = &report {
-            s.push_str(&format!(
-                ",\n  \"ratchet\": {{ \"regressions\": {}, \"improvements\": {} }}",
-                rep.regressions.len(),
-                rep.improvements.len()
-            ));
-        }
-        s.push_str("\n}");
-        println!("{s}");
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-    }
-
-    match report {
-        Some(rep) => {
-            if !rep.regressions.is_empty() {
-                for d in &rep.regressions {
-                    eprintln!(
-                        "oasis-check: ratchet: {}:[{}] {} finding(s), baseline allows {}",
-                        d.file, d.rule, d.now, d.was
-                    );
-                }
-                eprintln!(
-                    "oasis-check: {} (file, rule) count(s) above baseline — fix or waive \
-                     with a reason",
-                    rep.regressions.len()
-                );
-                ExitCode::FAILURE
-            } else if !rep.improvements.is_empty() {
-                for d in &rep.improvements {
-                    eprintln!(
-                        "oasis-check: ratchet: {}:[{}] improved {} -> {}",
-                        d.file, d.rule, d.was, d.now
-                    );
-                }
-                eprintln!(
-                    "oasis-check: baseline is stale (debt shrank) — run with \
-                     --update-baseline and commit check_baseline.json"
-                );
-                ExitCode::FAILURE
-            } else {
-                if !opts.json {
-                    println!(
-                        "oasis-check: clean ({} rules, {} baselined finding(s))",
-                        RULES.len(),
-                        findings.len()
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-        }
-        None => {
-            // No ratchet: plain pass/fail on findings (red-path CI mode).
-            if findings.is_empty() {
-                if !opts.json {
-                    println!("oasis-check: clean ({} rules)", RULES.len());
-                }
-                ExitCode::SUCCESS
-            } else if opts.update_baseline {
-                ExitCode::SUCCESS
-            } else {
-                if !opts.json {
-                    println!("oasis-check: {} finding(s)", findings.len());
-                }
-                ExitCode::FAILURE
-            }
-        }
+        println!("oasis-check: {} finding(s)", findings.len());
+        ExitCode::FAILURE
     }
 }

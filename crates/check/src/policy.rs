@@ -1,26 +1,12 @@
-//! Policy tables: which paths each rule family polices and the golden
-//! schema registry the `schema-evolution` rule pins encodings against.
+//! Policy tables: which paths each rule family polices.
 //!
 //! Everything here is deliberate configuration, reviewed like code: adding
-//! a file to a policed set tightens the build, and editing a golden entry
-//! is the explicit act that accompanies a schema version bump.
-
-/// Path fragments (workspace-relative) whose files are float-policed:
-/// replicated state machines, the fleet ledger, metrics snapshots, and the
-/// integer stranding integral. A file is policed when its `rel_path`
-/// contains any of these fragments.
-pub const FLOAT_POLICED: &[&str] = &[
-    "core/src/allocator/",
-    "core/src/fleet.rs",
-    "raft/src/",
-    "obs/src/snapshot.rs",
-    "obs/src/sink.rs",
-    "trace/src/stranding.rs",
-];
+//! a file to a policed set tightens the build.
 
 /// Path fragments policed by `unchecked-epoch-arithmetic`: the allocator
 /// control plane (epoch-stamped leases, byte-second spill accounting) and
-/// the fleet stranding integral.
+/// the fleet stranding integral. A file is policed when its `rel_path`
+/// contains any of these fragments.
 pub const EPOCH_POLICED: &[&str] = &["core/src/allocator/", "trace/src/stranding.rs"];
 
 /// Identifier shapes treated as epoch/timestamp/byte-integral operands.
@@ -51,169 +37,22 @@ pub fn policed(rel_path: &str, fragments: &[&str]) -> bool {
     fragments.iter().any(|f| rel_path.contains(f))
 }
 
-/// Callee names too ubiquitous to resolve through the name-based call
-/// graph — resolving `new` or `len` across the workspace would connect
-/// everything to everything.
-pub const CALL_IGNORE: &[&str] = &[
-    "new",
-    "default",
-    "clone",
-    "len",
-    "is_empty",
-    "get",
-    "get_mut",
-    "insert",
-    "remove",
-    "push",
-    "pop",
-    "iter",
-    "iter_mut",
-    "next",
-    "fmt",
-    "from",
-    "into",
-    "as_ref",
-    "as_mut",
-    "drain",
-    "clear",
-    "contains",
-    "contains_key",
-    "extend",
-    "sort",
-    "min",
-    "max",
-    "abs",
-    "take",
-    "write",
-    "read",
-    "send",
-    "recv",
-    "tick",
-    "apply",
-    "encode",
-    "decode",
-    "eq",
-    "cmp",
-    "hash",
-    "drop",
-    "index",
-    "reset",
-    "init",
-    "run",
-    "start",
-    "stop",
-    "name",
-    "id",
-    "kind",
-    "value",
-    "set",
-];
-
-/// One pinned enum schema: the file that declares it, its variant names in
-/// declaration order, and the version const that must accompany any change.
-pub struct EnumGolden {
-    /// Workspace-relative path suffix of the declaring file.
-    pub file: &'static str,
-    /// Enum name.
-    pub enum_name: &'static str,
-    /// Version const that must exist in the same file...
-    pub version_const: &'static str,
-    /// ...with exactly this literal value.
-    pub version: &'static str,
-    /// Variant names, in declaration (= discriminant) order.
-    pub variants: &'static [&'static str],
-}
-
-/// The pinned command schemas. Discriminant bytes are assigned in variant
-/// order by the hand-rolled encoders, so order *is* the wire format.
-pub const ENUM_GOLDENS: &[EnumGolden] = &[
-    EnumGolden {
-        file: "core/src/allocator/command.rs",
-        enum_name: "AllocCommand",
-        version_const: "ALLOC_SCHEMA_VERSION",
-        version: "1",
-        variants: &[
-            "RegisterNic",
-            "Assign",
-            "Unassign",
-            "MarkFailed",
-            "MarkRepaired",
-            "RegisterSsd",
-            "AssignVolume",
-            "ReleaseVolumes",
-            "MarkHostFailed",
-            "MarkHostRestarted",
-            "RegisterAccel",
-        ],
-    },
-    EnumGolden {
-        file: "core/src/allocator/command.rs",
-        enum_name: "FleetCommand",
-        version_const: "FLEET_SCHEMA_VERSION",
-        version: "2",
-        variants: &[
-            "RegisterPod",
-            "AddLink",
-            "CreateInstance",
-            "ResizeInstance",
-            "KillInstance",
-            "QueryFleetState",
-            "MigrateInstance",
-            "FinishMigration",
-        ],
-    },
-    // TransferPath rides inside MigrateInstance's wire encoding, so its
-    // variant order is pinned to the same fleet schema version.
-    EnumGolden {
-        file: "core/src/allocator/command.rs",
-        enum_name: "TransferPath",
-        version_const: "FLEET_SCHEMA_VERSION",
-        version: "2",
-        variants: &["Cxl", "Nic"],
-    },
-    // Snapshot container: section tags are assigned in variant order, so
-    // the enum's shape is the on-disk checkpoint format (DESIGN.md §15).
-    EnumGolden {
-        file: "core/src/snapshot.rs",
-        enum_name: "SnapshotSection",
-        version_const: "SNAPSHOT_SCHEMA_VERSION",
-        version: "2",
-        variants: &["Meta", "Engine", "FleetState", "ReplayCursor"],
-    },
-];
-
-/// The pinned `WireDescriptor` impl set: every 64-byte CXL slot type, and
-/// the one file allowed to declare them. A new impl (anywhere) or a missing
-/// impl is a `schema-evolution` finding until this registry and the
-/// golden-bytes test are updated together.
-pub const WIRE_GOLDEN_TYPES: &[&str] = &[
-    "NetMsg",
-    "NvmeCommand",
-    "NvmeCompletion",
-    "AccelCommand",
-    "AccelCompletion",
-];
-
-/// The file `WireDescriptor` impls are pinned to.
-pub const WIRE_GOLDEN_FILE: &str = "core/src/engine.rs";
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn policed_matching() {
-        assert!(policed("crates/core/src/allocator/fleet.rs", FLOAT_POLICED));
-        assert!(policed("crates/trace/src/stranding.rs", FLOAT_POLICED));
-        assert!(!policed(
-            "crates/trace/src/stranding_sweep.rs",
-            FLOAT_POLICED
-        ));
-        assert!(!policed("crates/core/src/pod.rs", FLOAT_POLICED));
         assert!(policed(
             "crates/core/src/allocator/service.rs",
             EPOCH_POLICED
         ));
+        assert!(policed("crates/trace/src/stranding.rs", EPOCH_POLICED));
+        assert!(!policed(
+            "crates/trace/src/stranding_sweep.rs",
+            EPOCH_POLICED
+        ));
+        assert!(!policed("crates/core/src/pod.rs", EPOCH_POLICED));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Rule registry: the single table every rule id, rationale, example, and
 //! waiver form lives in.
 //!
-//! `oasis-check --explain <rule>` prints from here, the waiver parser
-//! validates rule names against here, and README's rule list is asserted
-//! against here in CI docs — one table, no drift.
+//! `oasis-check --explain <rule>` and `--list-rules` print from here; a
+//! unit test keeps it in step with [`crate::RULES`].
 
 /// Everything `--explain` knows about one rule.
 pub struct RuleInfo {
@@ -19,55 +18,8 @@ pub struct RuleInfo {
     pub waiver: &'static str,
 }
 
-/// The full rule table, in stable display order: the original masking-pass
-/// rules first, then the symbol-graph families.
+/// The full rule table, in display order.
 pub const REGISTRY: &[RuleInfo] = &[
-    RuleInfo {
-        id: "no-panic",
-        summary: "no unwrap/expect/panic family on runtime paths",
-        rationale: "A crashed driver must degrade, not abort the whole simulated pod. \
-                    Runtime crates (cxl, channel, core, storage, accel) return errors \
-                    or park the device instead of panicking.",
-        example: "fn apply(&mut self) { self.leases.get(&ip).unwrap(); }",
-        waiver: "// oasis-check: allow(no-panic) <why this cannot fail at runtime>",
-    },
-    RuleInfo {
-        id: "wire-assert",
-        summary: "every WireDescriptor impl pairs with assert_wire_size!",
-        rationale: "Wire messages are copied through the CXL window as raw 64-byte \
-                    slots; a silently grown struct corrupts its neighbours. The \
-                    compile-time size assertion must live in the same file as the impl.",
-        example: "impl WireDescriptor for Foo { .. }  // no assert_wire_size!(Foo)",
-        waiver: "// oasis-check: allow(wire-assert) <reason>",
-    },
-    RuleInfo {
-        id: "pool-escape",
-        summary: "no raw CxlPool poke/peek outside oasis-cxl",
-        rationale: "All runtime traffic goes through HostCtx so the coherence model \
-                    (and its sanitizer) observes every access. Raw pool bytes bypass \
-                    the model entirely.",
-        example: "fn f(pool: &mut CxlPool) { pool.poke(off, &bytes); }",
-        waiver: "// oasis-check: allow(pool-escape) <reason>",
-    },
-    RuleInfo {
-        id: "nondeterminism",
-        summary: "no wall clock or seeded-random state in simulation code",
-        rationale: "Experiments must be bit-reproducible: same trace in, same figure \
-                    out. SystemTime/Instant::now, rand, and std HashMap/HashSet \
-                    iteration order all break that.",
-        example: "let started = Instant::now();",
-        waiver: "// oasis-check: allow-file(nondeterminism) <reason> (whole file) or \
-                 allow(...) per statement",
-    },
-    RuleInfo {
-        id: "allow-comment",
-        summary: "every #[allow(...)] carries a justification comment",
-        rationale: "Suppressing a compiler or clippy lint is a decision; the reason \
-                    must be visible at the suppression site, not in git archaeology. \
-                    Malformed oasis-check waivers are reported under this rule too.",
-        example: "#[allow(dead_code)]\nfn helper() {}",
-        waiver: "write the justification comment on or directly above the attribute",
-    },
     RuleInfo {
         id: "metric-name",
         summary: "metric name literals live only in their crate's metrics.rs",
@@ -76,49 +28,6 @@ pub const REGISTRY: &[RuleInfo] = &[
                     registered once as consts and referenced everywhere else.",
         example: "snap.counter(\"core.net_fe_tx_packets\", 0)  // outside metrics.rs",
         waiver: "// oasis-check: allow(metric-name) <reason>",
-    },
-    RuleInfo {
-        id: "thread-discipline",
-        summary: "no unscoped thread::spawn; sim-crate shared state is waived state",
-        rationale: "Worker pools go through the vendored crossbeam scoped helper so \
-                    shards can borrow; every Mutex/Atomic in a simulation crate is \
-                    coordination state and must say so — intra-shard hot paths stay \
-                    lock-free.",
-        example: "std::thread::spawn(move || pump(rx));",
-        waiver: "// oasis-check: allow(thread-discipline) <what this coordinates>",
-    },
-    RuleInfo {
-        id: "float-determinism",
-        summary: "no f32/f64 arithmetic or formatting reachable from replicated \
-                  state, metrics snapshots, or stranding integrals",
-        rationale: "Replicated state machines, fleet counters, and the stranding \
-                    integral are integer-only (parts-per-billion fixed point) so \
-                    every replica and every thread count computes identical bytes. \
-                    Float rounding is platform- and order-sensitive; one f64 in a \
-                    replicated path breaks consistent_with_log and the Fig. 2/6/8 \
-                    byte-identity gates. The rule walks the symbol graph: direct \
-                    float sites in policed files, float-typed struct fields, and \
-                    float arithmetic transitively reachable through same-workspace \
-                    calls are all findings.",
-        example: "fn apply(&mut self) { self.load = used as f64 / cap as f64; }",
-        waiver: "// oasis-check: allow(float-determinism) <why this site cannot \
-                 affect replicated bytes>",
-    },
-    RuleInfo {
-        id: "schema-evolution",
-        summary: "Command and WireDescriptor encodings are pinned by a golden \
-                  registry; changes require a version bump",
-        rationale: "AllocCommand/FleetCommand bytes are the Raft log and the replay \
-                    wire format; WireDescriptor structs are the 64-byte CXL slots. \
-                    Appending, reordering, or renaming a variant silently re-numbers \
-                    discriminants and corrupts every persisted log. The analyzer \
-                    pins variant names *in order* plus a schema-version const; both \
-                    must change together with the golden registry in \
-                    crates/check/src/policy.rs and the golden-bytes test.",
-        example: "pub enum AllocCommand { RegisterNic {..}, NewVariant {..}, .. } \
-                  // golden still pins the old order, version const unchanged",
-        waiver: "// oasis-check: allow(schema-evolution) <reason> (prefer bumping \
-                 the version and updating the registry)",
     },
     RuleInfo {
         id: "unchecked-epoch-arithmetic",
@@ -148,14 +57,17 @@ pub const REGISTRY: &[RuleInfo] = &[
         waiver: "// oasis-check: allow(cfg-pairing) <why single-sided is correct>",
     },
     RuleInfo {
-        id: "stale-waiver",
-        summary: "a waiver whose rule no longer fires at its site is an error",
-        rationale: "Waivers are precise suppressions, not decoration. When the code \
-                    under a waiver is fixed or deleted, the waiver must go too — \
-                    otherwise it silently licenses the next regression at that site.",
-        example: "// oasis-check: allow(no-panic) lock poisoned only on panic\n\
-                  let g = m.lock().unwrap_or_else(|p| p.into_inner()); // no unwrap()",
-        waiver: "not waivable — delete the stale waiver instead",
+        id: "waiver",
+        summary: "a waiver names a rule above, gives a reason, and still suppresses \
+                  a finding",
+        rationale: "Waivers are precise suppressions, not decoration. A waiver \
+                    without a reason hides the decision; one whose code was fixed \
+                    or deleted silently licenses the next regression at that site. \
+                    Rules clippy enforces are excepted with #[expect(lint, reason = \
+                    \"..\")] instead, which the compiler checks the same way.",
+        example: "// oasis-check: allow(metric-name) boot-time label\n\
+                  let y = 1;  // no metric name here",
+        waiver: "not waivable — fix or delete the waiver instead",
     },
 ];
 
@@ -197,7 +109,7 @@ mod tests {
             assert!(text.contains(r.id));
             assert!(text.contains("Why:"));
         }
-        assert!(find("float-determinism").is_some());
+        assert!(find("cfg-pairing").is_some());
         assert!(find("nope").is_none());
     }
 }

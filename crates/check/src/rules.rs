@@ -1,185 +1,25 @@
-//! Rule families.
-//!
-//! The first seven rules run per file over the masked text (exactly the
-//! original masking-lexer behavior). The symbol-graph families below them
-//! (`float-determinism`, `schema-evolution`, `unchecked-epoch-arithmetic`,
-//! `cfg-pairing`, `stale-waiver`) run once over the whole analyzed set,
-//! because what they police — reachability, cross-file schema pins, waiver
-//! liveness — cannot be seen one file at a time.
+//! Rule families. Each runs over one analyzed file; `rule_waiver` runs
+//! last, once every other rule has had its chance to use a waiver.
 
-use crate::lex::{in_ranges, line_of, string_literals, Lexed};
+use crate::lex::in_ranges;
 use crate::policy;
-use crate::symbols::FnSym;
 use crate::token::{tokenize, Tok};
-use crate::{AnalyzedFile, FileCtx, FileKind, Finding, Waivers};
+use crate::{AnalyzedFile, FileKind, Finding};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Crates whose `src/` trees are runtime paths for the `no-panic` rule.
-pub(crate) const RUNTIME_CRATES: &[&str] = &["cxl", "channel", "core", "storage", "accel"];
 
 /// Crates that own a metric-name registry (`src/metrics.rs`). These are
 /// also the only legal first segments of a metric name.
 pub(crate) const METRIC_REGISTRY_CRATES: &[&str] =
     &["sim", "cxl", "channel", "core", "trace", "bench"];
 
-pub(crate) fn push(
-    out: &mut Vec<Finding>,
-    ctx: &FileCtx,
-    waivers: &Waivers,
-    line: usize,
-    rule: &'static str,
-    message: String,
-) {
-    if !waivers.waived(rule, line) {
-        out.push(Finding {
-            file: ctx.rel_path.clone(),
-            line,
-            rule,
-            message,
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-file rules (the original masking-pass families).
-// ---------------------------------------------------------------------------
-
-/// Patterns whose presence on a runtime line is a `no-panic` finding.
-const PANIC_PATTERNS: &[(&str, &str)] = &[
-    (".unwrap()", "unwrap() on a runtime path"),
-    (".expect(", "expect() on a runtime path"),
-    ("panic!(", "panic! on a runtime path"),
-    ("unreachable!(", "unreachable! on a runtime path"),
-    ("todo!(", "todo! on a runtime path"),
-    ("unimplemented!(", "unimplemented! on a runtime path"),
-];
-
-pub(crate) fn rule_no_panic(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    tests: &[(usize, usize)],
-    waivers: &Waivers,
-    out: &mut Vec<Finding>,
-) {
-    if ctx.kind != FileKind::Src || !RUNTIME_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    for (i, l) in lexed.masked.lines().enumerate() {
-        let line = i + 1;
-        if in_ranges(line, tests) {
-            continue;
-        }
-        for &(pat, msg) in PANIC_PATTERNS {
-            // The trailing `(` in each pattern keeps `.expect(` from
-            // matching `.expect_err(`.
-            if l.contains(pat) {
-                push(out, ctx, waivers, line, "no-panic", msg.to_string());
-            }
-        }
-    }
-}
-
-pub(crate) fn rule_wire_assert(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    waivers: &Waivers,
-    out: &mut Vec<Finding>,
-) {
-    let masked = &lexed.masked;
-    let mut search = 0usize;
-    while let Some(pos) = masked[search..].find("impl WireDescriptor for ") {
-        let start = search + pos + "impl WireDescriptor for ".len();
-        search = start;
-        let ty: String = masked[start..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
-            .collect();
-        if ty.is_empty() {
-            continue;
-        }
-        let needle = format!("assert_wire_size!({ty})");
-        if !masked.contains(&needle) {
-            push(
-                out,
-                ctx,
-                waivers,
-                line_of(masked, start),
-                "wire-assert",
-                format!("impl WireDescriptor for {ty} lacks {needle}"),
-            );
-        }
-    }
-}
-
-pub(crate) fn rule_pool_escape(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    tests: &[(usize, usize)],
-    waivers: &Waivers,
-    out: &mut Vec<Finding>,
-) {
-    if ctx.kind != FileKind::Src || ctx.crate_name == "cxl" || ctx.crate_name == "check" {
-        return;
-    }
-    for (i, l) in lexed.masked.lines().enumerate() {
-        let line = i + 1;
-        if in_ranges(line, tests) {
-            continue;
-        }
-        // `poke` exists only on CxlPool; `peek` is common (heaps), so it is
-        // only flagged on a receiver literally named `pool`.
-        if l.contains(".poke(") || l.contains("pool.peek(") {
-            push(
-                out,
-                ctx,
-                waivers,
-                line,
-                "pool-escape",
-                "raw CxlPool byte access outside oasis-cxl (use HostCtx)".into(),
-            );
-        }
-    }
-}
-
-/// Nondeterminism sources forbidden in simulation code.
-const NONDET_PATTERNS: &[(&str, &str)] = &[
-    ("SystemTime::now", "wall-clock time in simulation code"),
-    ("Instant::now", "wall-clock time in simulation code"),
-    ("thread_rng", "OS-seeded randomness in simulation code"),
-    ("rand::", "external randomness in simulation code"),
-    ("HashMap::new", "randomly-seeded std HashMap (use DetMap)"),
-    ("HashSet::new", "randomly-seeded std HashSet (use DetSet)"),
-    (
-        "collections::HashMap",
-        "randomly-seeded std HashMap (use DetMap)",
-    ),
-    (
-        "collections::HashSet",
-        "randomly-seeded std HashSet (use DetSet)",
-    ),
-];
-
-pub(crate) fn rule_nondeterminism(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    tests: &[(usize, usize)],
-    waivers: &Waivers,
-    out: &mut Vec<Finding>,
-) {
-    if ctx.kind != FileKind::Src {
-        return;
-    }
-    for (i, l) in lexed.masked.lines().enumerate() {
-        let line = i + 1;
-        if in_ranges(line, tests) {
-            continue;
-        }
-        for &(pat, msg) in NONDET_PATTERNS {
-            if l.contains(pat) {
-                push(out, ctx, waivers, line, "nondeterminism", msg.to_string());
-            }
-        }
-    }
+/// Runtime source outside the check crate, minus `#[cfg(test)]`-included
+/// sibling files: what the rules police.
+fn policed_src(f: &AnalyzedFile) -> bool {
+    let name = f.ctx.rel_path.rsplit('/').next().unwrap_or("");
+    f.ctx.kind == FileKind::Src
+        && f.ctx.crate_name != "check"
+        && !name.ends_with("_tests.rs")
+        && name != "tests.rs"
 }
 
 /// Does `s` have the shape of a metric name: two or more non-empty
@@ -195,53 +35,43 @@ pub(crate) fn is_metric_shaped(s: &str) -> bool {
         })
 }
 
-pub(crate) fn rule_metric_name(
-    ctx: &FileCtx,
-    src: &str,
-    lexed: &Lexed,
-    tests: &[(usize, usize)],
-    waivers: &Waivers,
-    out: &mut Vec<Finding>,
-) {
+/// `metric-name`: registered names are `const`s in their crate's
+/// `src/metrics.rs`, prefixed with the crate; every other runtime file
+/// refers to the const.
+pub(crate) fn rule_metric_name(f: &AnalyzedFile, out: &mut Vec<Finding>) {
     // Harness code reads snapshots through registered consts too, but only
     // src trees are policed; the check crate's own fixtures are exempt.
-    if ctx.kind != FileKind::Src || ctx.crate_name == "check" {
+    if f.ctx.kind != FileKind::Src || f.ctx.crate_name == "check" {
         return;
     }
-    let is_registry = ctx.rel_path.ends_with("src/metrics.rs");
-    let masked_lines: Vec<&str> = lexed.masked.lines().collect();
-    for (line, lit) in string_literals(src) {
-        if !is_metric_shaped(&lit) {
-            continue;
-        }
+    let is_registry = f.ctx.rel_path.ends_with("src/metrics.rs");
+    let masked_lines: Vec<&str> = f.lexed.masked.lines().collect();
+    for (line, lit) in &f.lexed.literals {
+        let line = *line;
         let prefix = lit.split('.').next().unwrap_or("");
-        if !METRIC_REGISTRY_CRATES.contains(&prefix) {
-            continue;
-        }
-        if in_ranges(line, tests) {
+        if !is_metric_shaped(lit)
+            || !METRIC_REGISTRY_CRATES.contains(&prefix)
+            || in_ranges(line, &f.tests)
+        {
             continue;
         }
         if !is_registry {
-            push(
+            f.report(
                 out,
-                ctx,
-                waivers,
                 line,
                 "metric-name",
                 format!("metric name \"{lit}\" outside metrics.rs — use the registered const"),
             );
             continue;
         }
-        if prefix != ctx.crate_name {
-            push(
+        if prefix != f.ctx.crate_name {
+            f.report(
                 out,
-                ctx,
-                waivers,
                 line,
                 "metric-name",
                 format!(
                     "metric \"{lit}\" registered in crate '{}' but prefixed '{prefix}.'",
-                    ctx.crate_name
+                    f.ctx.crate_name
                 ),
             );
         }
@@ -251,10 +81,8 @@ pub(crate) fn rule_metric_name(
             .get(line - 1)
             .is_some_and(|l| l.contains("const "));
         if !declared {
-            push(
+            f.report(
                 out,
-                ctx,
-                waivers,
                 line,
                 "metric-name",
                 format!("metric \"{lit}\" in metrics.rs is not a `const` declaration"),
@@ -263,495 +91,70 @@ pub(crate) fn rule_metric_name(
     }
 }
 
-/// Construction sites of shared-state concurrency primitives. The rule
-/// audits state where it is *declared* (one waiver per primitive), not at
-/// every load/store — `Ordering::` traffic downstream of a waived atomic
-/// is already accounted for.
-const THREAD_STATE_PATTERNS: &[&str] = &[
-    "Mutex::new(",
-    "RwLock::new(",
-    "Condvar::new(",
-    "Barrier::new(",
-    "AtomicBool::new(",
-    "AtomicUsize::new(",
-    "AtomicIsize::new(",
-    "AtomicU8::new(",
-    "AtomicU16::new(",
-    "AtomicU32::new(",
-    "AtomicU64::new(",
-    "AtomicI8::new(",
-    "AtomicI16::new(",
-    "AtomicI32::new(",
-    "AtomicI64::new(",
-    "OnceLock::new(",
-    "mpsc::channel(",
-    "thread::scope(",
-];
-
-pub(crate) fn rule_thread_discipline(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    tests: &[(usize, usize)],
-    waivers: &Waivers,
-    out: &mut Vec<Finding>,
-) {
-    if ctx.kind != FileKind::Src || ctx.crate_name == "check" {
-        return;
-    }
-    // The shared-state half polices the deterministic substrate and the
-    // runtime crates built on it; harness crates (bench, apps, obs) may
-    // hold wall-clock-side state freely.
-    let policed = ctx.crate_name == "sim" || RUNTIME_CRATES.contains(&ctx.crate_name.as_str());
-    for (i, l) in lexed.masked.lines().enumerate() {
-        let line = i + 1;
-        if in_ranges(line, tests) {
-            continue;
-        }
-        // Catches `std::thread::spawn` and a bare `thread::spawn` import in
-        // every crate; the vendored scoped helper's `s.spawn(..)` does not
-        // match, which is exactly the discipline being enforced.
-        if l.contains("thread::spawn") {
-            push(
-                out,
-                ctx,
-                waivers,
-                line,
-                "thread-discipline",
-                "unscoped thread::spawn (use the vendored crossbeam scoped helper)".into(),
-            );
-        }
-        if !policed {
-            continue;
-        }
-        for &pat in THREAD_STATE_PATTERNS {
-            if l.contains(pat) {
-                push(
-                    out,
-                    ctx,
-                    waivers,
-                    line,
-                    "thread-discipline",
-                    format!(
-                        "{} in a simulation crate — waive as coordination state; \
-                         intra-shard hot paths stay lock-free",
-                        pat.trim_end_matches('(')
-                    ),
-                );
-            }
-        }
-    }
-}
-
-pub(crate) fn rule_allow_comment(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    waivers: &Waivers,
-    out: &mut Vec<Finding>,
-) {
-    for (i, l) in lexed.masked.lines().enumerate() {
-        let line = i + 1;
-        if !(l.contains("#[allow(") || l.contains("#![allow(")) {
-            continue;
-        }
-        let justified = lexed
-            .comments
-            .get(&line)
-            .is_some_and(|c| !c.trim().is_empty())
-            || line > 1
-                && lexed
-                    .comments
-                    .get(&(line - 1))
-                    .is_some_and(|c| !c.trim().is_empty());
-        if !justified {
-            push(
-                out,
-                ctx,
-                waivers,
-                line,
-                "allow-comment",
-                "#[allow(...)] without a justification comment on or above it".into(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Symbol-graph rules (workspace scope).
-// ---------------------------------------------------------------------------
-
-/// Is this file part of the call/symbol graph? Harness files, the check
-/// crate itself, and `#[cfg(test)]`-included sibling files are not.
-fn in_graph(f: &AnalyzedFile) -> bool {
-    let name = f.ctx.rel_path.rsplit('/').next().unwrap_or("");
-    f.ctx.kind == FileKind::Src
-        && f.ctx.crate_name != "check"
-        && !name.ends_with("_tests.rs")
-        && name != "tests.rs"
-}
-
-/// `float-determinism`: no f32/f64 arithmetic or formatting in — or
-/// reachable from — the float-policed modules (replicated state, metrics
-/// snapshots, stranding integrals).
-pub(crate) fn rule_float_determinism(files: &[AnalyzedFile], out: &mut Vec<Finding>) {
-    // Name → fn sites, for call resolution.
-    let mut by_name: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
-    for (fi, f) in files.iter().enumerate() {
-        if !in_graph(f) {
-            continue;
-        }
-        for (fj, fun) in f.symbols.fns.iter().enumerate() {
-            if !fun.in_tests {
-                by_name.entry(fun.name.as_str()).or_default().push((fi, fj));
-            }
-        }
-    }
-    let resolve = |caller_crate: &str, name: &str| -> Vec<(usize, usize)> {
-        if policy::CALL_IGNORE.contains(&name) {
-            return Vec::new();
-        }
-        let Some(cands) = by_name.get(name) else {
-            return Vec::new();
-        };
-        let same: Vec<(usize, usize)> = cands
-            .iter()
-            .copied()
-            .filter(|&(fi, _)| files[fi].ctx.crate_name == caller_crate)
-            .collect();
-        let chosen = if same.is_empty() { cands.clone() } else { same };
-        // More than a few candidates means the name is too generic to
-        // resolve honestly; stay silent rather than guess.
-        if chosen.len() > 3 {
-            Vec::new()
-        } else {
-            chosen
-        }
-    };
-
-    // An "offender" is a non-policed graph fn with an unwaived float site;
-    // policed fns report their own sites directly below.
-    let offender_site = |fi: usize, fj: usize| -> Option<(usize, String)> {
-        let f = &files[fi];
-        if policy::policed(&f.ctx.rel_path, policy::FLOAT_POLICED) {
-            return None;
-        }
-        let fun = &f.symbols.fns[fj];
-        fun.floats
-            .iter()
-            .find(|s| !f.waivers.waived("float-determinism", s.line))
-            .map(|s| (s.line, s.what.clone()))
-    };
-
-    for (fi, f) in files.iter().enumerate() {
-        if !in_graph(f) || !policy::policed(&f.ctx.rel_path, policy::FLOAT_POLICED) {
-            continue;
-        }
-        // Float-typed fields in policed structs.
-        for st in &f.symbols.structs {
-            if st.in_tests {
-                continue;
-            }
-            for site in &st.floats {
-                push(
-                    out,
-                    &f.ctx,
-                    &f.waivers,
-                    site.line,
-                    "float-determinism",
-                    format!(
-                        "float-typed field in struct '{}' on a float-policed path ({})",
-                        st.name, site.what
-                    ),
-                );
-            }
-        }
-        for (fj, fun) in f.symbols.fns.iter().enumerate() {
-            if fun.in_tests {
-                continue;
-            }
-            // Direct sites.
-            let mut direct = false;
-            for site in &fun.floats {
-                direct = true;
-                push(
-                    out,
-                    &f.ctx,
-                    &f.waivers,
-                    site.line,
-                    "float-determinism",
-                    format!("{} in float-policed fn '{}'", site.what, fun.name),
-                );
-            }
-            if direct {
-                continue; // already flagged at the sites themselves
-            }
-            // Transitive reachability over the name-resolved call graph.
-            let mut visited: BTreeSet<(usize, usize)> = BTreeSet::new();
-            let mut frontier: Vec<(usize, usize)> = vec![(fi, fj)];
-            visited.insert((fi, fj));
-            let mut offender: Option<(String, String, usize, String)> = None;
-            for _depth in 0..4 {
-                if offender.is_some() {
-                    break;
-                }
-                let mut next = Vec::new();
-                for &(ci, cj) in &frontier {
-                    let caller: &FnSym = &files[ci].symbols.fns[cj];
-                    let crate_name = files[ci].ctx.crate_name.clone();
-                    for callee in &caller.calls {
-                        for tgt in resolve(&crate_name, callee) {
-                            if !visited.insert(tgt) {
-                                continue;
-                            }
-                            if let Some((line, what)) = offender_site(tgt.0, tgt.1) {
-                                offender = Some((
-                                    files[tgt.0].symbols.fns[tgt.1].name.clone(),
-                                    files[tgt.0].ctx.rel_path.clone(),
-                                    line,
-                                    what,
-                                ));
-                            }
-                            next.push(tgt);
-                        }
-                    }
-                    if offender.is_some() {
-                        break;
-                    }
-                }
-                frontier = next;
-            }
-            if let Some((name, file, line, what)) = offender {
-                push(
-                    out,
-                    &f.ctx,
-                    &f.waivers,
-                    fun.line,
-                    "float-determinism",
-                    format!(
-                        "float-policed fn '{}' reaches {what} in '{name}' ({file}:{line})",
-                        fun.name
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// `schema-evolution`: command enums and the WireDescriptor impl set must
-/// match the golden registry in `policy.rs`; any drift is a finding until
-/// the registry (and the golden-bytes test) are updated with a version
-/// bump.
-pub(crate) fn rule_schema_evolution(files: &[AnalyzedFile], out: &mut Vec<Finding>) {
-    for g in policy::ENUM_GOLDENS {
-        let Some(f) = files.iter().find(|f| f.ctx.rel_path.ends_with(g.file)) else {
-            continue; // partial analysis set (tests); workspace runs always include it
-        };
-        match f.symbols.enums.iter().find(|e| e.name == g.enum_name) {
-            None => push(
-                out,
-                &f.ctx,
-                &f.waivers,
-                1,
-                "schema-evolution",
-                format!(
-                    "enum {} is pinned by the golden registry but no longer declared here",
-                    g.enum_name
-                ),
-            ),
-            Some(e) => {
-                let found: Vec<&str> = e.variants.iter().map(String::as_str).collect();
-                if found != g.variants {
-                    push(
-                        out,
-                        &f.ctx,
-                        &f.waivers,
-                        e.line,
-                        "schema-evolution",
-                        format!(
-                            "{} variants diverged from pinned schema v{}: expected [{}], \
-                             found [{}] — bump {} and update the golden registry and \
-                             golden-bytes test together",
-                            g.enum_name,
-                            g.version,
-                            g.variants.join(", "),
-                            found.join(", "),
-                            g.version_const,
-                        ),
-                    );
-                }
-            }
-        }
-        match f.symbols.consts.iter().find(|c| c.name == g.version_const) {
-            None => push(
-                out,
-                &f.ctx,
-                &f.waivers,
-                1,
-                "schema-evolution",
-                format!(
-                    "missing schema version const {} (golden registry pins v{})",
-                    g.version_const, g.version
-                ),
-            ),
-            Some(c) => {
-                if c.value.as_deref() != Some(g.version) {
-                    push(
-                        out,
-                        &f.ctx,
-                        &f.waivers,
-                        c.line,
-                        "schema-evolution",
-                        format!(
-                            "{} = {} but the golden registry pins v{} — update the \
-                             registry entry alongside the bump",
-                            g.version_const,
-                            c.value.as_deref().unwrap_or("?"),
-                            g.version
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // WireDescriptor impl set: pinned types, pinned file.
-    let golden_file_present = files
-        .iter()
-        .any(|f| f.ctx.rel_path.ends_with(policy::WIRE_GOLDEN_FILE));
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    for f in files {
-        if !in_graph(f) {
-            continue;
-        }
-        for im in &f.symbols.impls {
-            if im.trait_name.as_deref() != Some("WireDescriptor") {
-                continue;
-            }
-            let ty = im.type_name.as_str();
-            if !policy::WIRE_GOLDEN_TYPES.contains(&ty) {
-                push(
-                    out,
-                    &f.ctx,
-                    &f.waivers,
-                    im.line,
-                    "schema-evolution",
-                    format!(
-                        "WireDescriptor impl for {ty} is not pinned — add it to the \
-                         golden registry and the golden-bytes test"
-                    ),
-                );
-            } else if !f.ctx.rel_path.ends_with(policy::WIRE_GOLDEN_FILE) {
-                push(
-                    out,
-                    &f.ctx,
-                    &f.waivers,
-                    im.line,
-                    "schema-evolution",
-                    format!(
-                        "WireDescriptor impl for {ty} outside the pinned registry \
-                         file {}",
-                        policy::WIRE_GOLDEN_FILE
-                    ),
-                );
-            }
-            if let Some(known) = policy::WIRE_GOLDEN_TYPES.iter().find(|&&t| t == ty) {
-                seen.insert(known);
-            }
-        }
-    }
-    if golden_file_present {
-        for &ty in policy::WIRE_GOLDEN_TYPES {
-            if !seen.contains(ty) {
-                let f = files
-                    .iter()
-                    .find(|f| f.ctx.rel_path.ends_with(policy::WIRE_GOLDEN_FILE))
-                    .expect("checked above");
-                push(
-                    out,
-                    &f.ctx,
-                    &f.waivers,
-                    1,
-                    "schema-evolution",
-                    format!(
-                        "pinned WireDescriptor impl for {ty} not found — remove the \
-                         golden registry entry with a version note if retired"
-                    ),
-                );
-            }
-        }
-    }
-}
-
 /// `unchecked-epoch-arithmetic`: `+`/`*` (including `+=`/`*=`) on lines
 /// whose operands look epoch/byte-integral, in the policed allocator and
 /// stranding-integral paths, must be `checked_`/`saturating_`/`wrapping_`
 /// or carry a waiver.
-pub(crate) fn rule_epoch_arithmetic(files: &[AnalyzedFile], out: &mut Vec<Finding>) {
-    for f in files {
-        if !in_graph(f) || !policy::policed(&f.ctx.rel_path, policy::EPOCH_POLICED) {
+pub(crate) fn rule_epoch_arithmetic(f: &AnalyzedFile, out: &mut Vec<Finding>) {
+    if !policed_src(f) || !policy::policed(&f.ctx.rel_path, policy::EPOCH_POLICED) {
+        return;
+    }
+    let toks = tokenize(&f.lexed.masked);
+    // Idents per line, for the operand-shape test.
+    let mut line_idents: BTreeMap<usize, Vec<&str>> = BTreeMap::new();
+    for t in &toks {
+        if let Some(id) = t.ident() {
+            line_idents.entry(t.line).or_default().push(id);
+        }
+    }
+    let masked_lines: Vec<&str> = f.lexed.masked.lines().collect();
+    let mut reported: BTreeSet<usize> = BTreeSet::new();
+    for (i, t) in toks.iter().enumerate() {
+        let op = match t.tok {
+            Tok::Punct('+') => '+',
+            Tok::Punct('*') => '*',
+            _ => continue,
+        };
+        let line = t.line;
+        if reported.contains(&line) || in_ranges(line, &f.tests) {
             continue;
         }
-        let toks = tokenize(&f.lexed.masked);
-        // Idents per line, for the operand-shape test.
-        let mut line_idents: BTreeMap<usize, Vec<&str>> = BTreeMap::new();
-        for t in &toks {
-            if let Some(id) = t.ident() {
-                line_idents.entry(t.line).or_default().push(id);
-            }
-        }
-        let masked_lines: Vec<&str> = f.lexed.masked.lines().collect();
-        let mut reported: BTreeSet<usize> = BTreeSet::new();
-        for (i, t) in toks.iter().enumerate() {
-            let op = match t.tok {
-                Tok::Punct('+') => '+',
-                Tok::Punct('*') => '*',
-                _ => continue,
-            };
-            let line = t.line;
-            if reported.contains(&line) || in_ranges(line, &f.tests) {
-                continue;
-            }
-            // Binary-operator shape: the left operand ends in an ident,
-            // number, or closing bracket (rules out derefs, `&*`, generic
-            // arrows, unary positions).
-            let prev_ok = i > 0
-                && match &toks[i - 1].tok {
-                    Tok::Num { .. } => true,
-                    Tok::Punct(')') | Tok::Punct(']') => true,
-                    Tok::Ident(id) => !matches!(
-                        id.as_str(),
-                        "return" | "break" | "in" | "if" | "while" | "match" | "move" | "impl"
-                    ),
-                    _ => false,
-                };
-            if !prev_ok {
-                continue;
-            }
-            let epochy = line_idents
-                .get(&line)
-                .is_some_and(|ids| ids.iter().any(|id| policy::is_epoch_ident(id)));
-            if !epochy {
-                continue;
-            }
-            let text = masked_lines.get(line - 1).copied().unwrap_or("");
-            if text.contains("checked_")
-                || text.contains("saturating_")
-                || text.contains("wrapping_")
-            {
-                continue;
-            }
-            reported.insert(line);
-            push(
-                out,
-                &f.ctx,
-                &f.waivers,
-                line,
-                "unchecked-epoch-arithmetic",
-                format!(
-                    "unchecked '{op}' on epoch/byte-integral operands — use \
-                     checked_/saturating_ or waive with the overflow bound"
+        // Binary-operator shape: the left operand ends in an ident,
+        // number, or closing bracket (rules out derefs, `&*`, generic
+        // arrows, unary positions).
+        let prev_ok = i > 0
+            && match &toks[i - 1].tok {
+                Tok::Num { .. } => true,
+                Tok::Punct(')') | Tok::Punct(']') => true,
+                Tok::Ident(id) => !matches!(
+                    id.as_str(),
+                    "return" | "break" | "in" | "if" | "while" | "match" | "move" | "impl"
                 ),
-            );
+                _ => false,
+            };
+        if !prev_ok {
+            continue;
         }
+        let epochy = line_idents
+            .get(&line)
+            .is_some_and(|ids| ids.iter().any(|id| policy::is_epoch_ident(id)));
+        if !epochy {
+            continue;
+        }
+        let text = masked_lines.get(line - 1).copied().unwrap_or("");
+        if text.contains("checked_") || text.contains("saturating_") || text.contains("wrapping_") {
+            continue;
+        }
+        reported.insert(line);
+        f.report(
+            out,
+            line,
+            "unchecked-epoch-arithmetic",
+            format!(
+                "unchecked '{op}' on epoch/byte-integral operands — use \
+                 checked_/saturating_ or waive with the overflow bound"
+            ),
+        );
     }
 }
 
@@ -759,71 +162,61 @@ pub(crate) fn rule_epoch_arithmetic(files: &[AnalyzedFile], out: &mut Vec<Findin
 /// features) has its `#[cfg(not(feature = ...))]` inline stub in the same
 /// file, and every stub has its implementation. Pub gated fns are exempt —
 /// callers gate themselves by convention.
-pub(crate) fn rule_cfg_pairing(files: &[AnalyzedFile], out: &mut Vec<Finding>) {
-    for f in files {
-        if !in_graph(f) {
+pub(crate) fn rule_cfg_pairing(f: &AnalyzedFile, out: &mut Vec<Finding>) {
+    if !policed_src(f) {
+        return;
+    }
+    for fun in &f.symbols.fns {
+        let Some(gate) = &fun.gate else {
+            continue;
+        };
+        if fun.in_tests || fun.is_pub || !policy::PAIRED_FEATURES.contains(&gate.feature.as_str()) {
             continue;
         }
-        for fun in &f.symbols.fns {
-            let Some(gate) = &fun.gate else {
-                continue;
-            };
-            if fun.in_tests
-                || fun.is_pub
-                || !policy::PAIRED_FEATURES.contains(&gate.feature.as_str())
-            {
-                continue;
-            }
-            let paired = f.symbols.fns.iter().any(|g| {
-                g.name == fun.name
-                    && g.gate
-                        .as_ref()
-                        .is_some_and(|h| h.feature == gate.feature && h.not != gate.not)
-            });
-            if paired {
-                continue;
-            }
-            let message = if gate.not {
-                format!(
-                    "stub '{}' has no #[cfg(feature = \"{}\")] implementation — dead \
-                     stub or deleted impl",
-                    fun.name, gate.feature
-                )
-            } else {
-                format!(
-                    "gated fn '{}' has no #[cfg(not(feature = \"{}\"))] inline stub — \
-                     the no-feature build breaks at its call sites",
-                    fun.name, gate.feature
-                )
-            };
-            push(out, &f.ctx, &f.waivers, fun.line, "cfg-pairing", message);
+        let paired = f.symbols.fns.iter().any(|g| {
+            g.name == fun.name
+                && g.gate
+                    .as_ref()
+                    .is_some_and(|h| h.feature == gate.feature && h.not != gate.not)
+        });
+        if paired {
+            continue;
         }
+        let message = if gate.not {
+            format!(
+                "stub '{}' has no #[cfg(feature = \"{}\")] implementation — dead \
+                 stub or deleted impl",
+                fun.name, gate.feature
+            )
+        } else {
+            format!(
+                "gated fn '{}' has no #[cfg(not(feature = \"{}\"))] inline stub — \
+                 the no-feature build breaks at its call sites",
+                fun.name, gate.feature
+            )
+        };
+        f.report(out, fun.line, "cfg-pairing", message);
     }
 }
 
-/// `stale-waiver`: after every other rule has run, any waiver that never
-/// suppressed a finding is itself a finding. Not waivable — delete the
-/// waiver instead. The check crate is exempt: its docs and fixtures quote
-/// waiver syntax.
-pub(crate) fn rule_stale_waiver(files: &[AnalyzedFile], out: &mut Vec<Finding>) {
-    for f in files {
-        if f.ctx.crate_name == "check" {
-            continue;
-        }
-        for (line, rule, file_wide) in f.waivers.stale() {
-            let scope = if file_wide {
-                "file-wide waiver"
-            } else {
-                "waiver"
-            };
-            out.push(Finding {
-                file: f.ctx.rel_path.clone(),
-                line,
-                rule: "stale-waiver",
-                message: format!(
-                    "{scope} for '{rule}' no longer suppresses any finding — delete it"
-                ),
-            });
-        }
+/// `waiver`: malformed waivers, and waivers that never suppressed a
+/// finding. Not waivable — fix or delete the waiver instead. The check
+/// crate is exempt: its docs and fixtures quote waiver syntax.
+pub(crate) fn rule_waiver(f: &AnalyzedFile, out: &mut Vec<Finding>) {
+    if f.ctx.crate_name == "check" {
+        return;
+    }
+    for (line, msg) in &f.waivers.bad {
+        out.push(f.finding(*line, "waiver", msg.clone()));
+    }
+    for w in f.waivers.entries.iter().filter(|w| !w.used.get()) {
+        out.push(f.finding(
+            w.line,
+            "waiver",
+            format!(
+                "waiver for '{}' no longer suppresses any finding — delete it",
+                w.rule
+            ),
+        ));
     }
 }

@@ -1,23 +1,12 @@
-//! Symbol pass: a per-file item/use graph over the token stream.
+//! Symbol pass: the fns of a file, over the token stream.
 //!
 //! A lightweight recursive-descent walk (no syn, no external deps) that
-//! extracts the items the rule families reason about:
-//!
-//! - functions, with their `#[cfg(feature = ...)]` gate, visibility,
-//!   callee-name set (the use edges of the call graph), and every float
-//!   site (f32/f64 tokens, float literals, `{:.N}` format specs) in the
-//!   signature or body;
-//! - enums with their variant names *in declaration order* (the
-//!   `schema-evolution` contract);
-//! - consts with literal values (schema version pins);
-//! - `impl Trait for Type` sites (the `WireDescriptor` registry);
-//! - structs with float-typed fields.
-//!
-//! The walk recurses into `mod`/`impl`/`trait` bodies so nested items are
-//! seen; function bodies are scanned as leaves. Items whose header line
-//! falls in a `#[cfg(test)]` range, and files named `*tests.rs` (included
-//! via `#[cfg(test)] mod ...;` from a sibling), are marked test-only so
-//! runtime rules skip them.
+//! lists every function with its visibility and `#[cfg(feature = ...)]`
+//! gate — what `cfg-pairing` reasons about. The walk recurses into
+//! `mod`/`impl`/`trait` bodies so methods are seen; every other braced
+//! body (fn bodies, struct and enum bodies, initializers) is skipped whole.
+//! Fns whose header line falls in a `#[cfg(test)]` range are marked
+//! test-only.
 
 use crate::lex::{in_ranges, Lexed};
 use crate::token::{tokenize, Tok, Token};
@@ -31,15 +20,6 @@ pub struct CfgGate {
     pub not: bool,
 }
 
-/// One float-typed site, for the `float-determinism` rule.
-#[derive(Clone, Debug)]
-pub struct FloatSite {
-    /// 1-indexed line.
-    pub line: usize,
-    /// What was found ("f64 token", "float literal", "float format spec").
-    pub what: String,
-}
-
 /// A function item.
 #[derive(Clone, Debug)]
 pub struct FnSym {
@@ -47,66 +27,12 @@ pub struct FnSym {
     pub name: String,
     /// 1-indexed line of the `fn` keyword.
     pub line: usize,
-    /// Last line of the body (== `line` for bodyless trait methods).
-    pub end_line: usize,
     /// Declared `pub` (any visibility qualifier counts).
     pub is_pub: bool,
     /// Header line falls inside a `#[cfg(test)]` range.
     pub in_tests: bool,
     /// Feature gate, when the item carries one.
     pub gate: Option<CfgGate>,
-    /// Callee names referenced as `name(...)` in the body, sorted, deduped.
-    pub calls: Vec<String>,
-    /// Float sites in signature or body.
-    pub floats: Vec<FloatSite>,
-}
-
-/// An enum item with ordered variants.
-#[derive(Clone, Debug)]
-pub struct EnumSym {
-    /// Enum name.
-    pub name: String,
-    /// 1-indexed line.
-    pub line: usize,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-    /// Inside a `#[cfg(test)]` range.
-    pub in_tests: bool,
-}
-
-/// A const (or associated const) with its literal initializer, if any.
-#[derive(Clone, Debug)]
-pub struct ConstSym {
-    /// Const name.
-    pub name: String,
-    /// 1-indexed line.
-    pub line: usize,
-    /// First literal token text of the initializer (e.g. `"2"`).
-    pub value: Option<String>,
-}
-
-/// An `impl [Trait for] Type` site.
-#[derive(Clone, Debug)]
-pub struct ImplSym {
-    /// Trait name (last path segment), when this is a trait impl.
-    pub trait_name: Option<String>,
-    /// Implementing type (last path segment).
-    pub type_name: String,
-    /// 1-indexed line.
-    pub line: usize,
-}
-
-/// A struct item with any float-typed fields.
-#[derive(Clone, Debug)]
-pub struct StructSym {
-    /// Struct name.
-    pub name: String,
-    /// 1-indexed line.
-    pub line: usize,
-    /// Float-typed field sites.
-    pub floats: Vec<FloatSite>,
-    /// Inside a `#[cfg(test)]` range.
-    pub in_tests: bool,
 }
 
 /// Everything the symbol pass extracted from one file.
@@ -114,40 +40,21 @@ pub struct StructSym {
 pub struct FileSymbols {
     /// Functions (including methods in impls and trait defaults).
     pub fns: Vec<FnSym>,
-    /// Enums.
-    pub enums: Vec<EnumSym>,
-    /// Consts.
-    pub consts: Vec<ConstSym>,
-    /// Impl sites.
-    pub impls: Vec<ImplSym>,
-    /// Structs.
-    pub structs: Vec<StructSym>,
 }
 
-/// Keywords that look like calls when followed by `(`.
-const CALL_KEYWORDS: &[&str] = &[
-    "if", "while", "for", "match", "loop", "return", "fn", "move", "in", "as", "let", "else",
-    "unsafe", "break", "continue", "where", "impl", "dyn",
-];
-
 /// Extract symbols from one file. `tests` are the `#[cfg(test)]` line
-/// ranges from the lexical pass; `literals` the (line, content) string
-/// literals from the raw source (feature names live in them).
-pub fn extract(
-    lexed: &Lexed,
-    tests: &[(usize, usize)],
-    literals: &[(usize, String)],
-) -> FileSymbols {
+/// ranges from the lexical pass; feature names come from its string
+/// literals.
+pub fn extract(lexed: &Lexed, tests: &[(usize, usize)]) -> FileSymbols {
     let toks = tokenize(&lexed.masked);
     let mut out = FileSymbols::default();
     let mut w = Walker {
         toks: &toks,
         tests,
-        literals,
+        literals: &lexed.literals,
         out: &mut out,
     };
-    let end = toks.len();
-    w.items(0, end);
+    w.items(0, toks.len());
     out
 }
 
@@ -158,10 +65,10 @@ struct Walker<'a> {
     out: &'a mut FileSymbols,
 }
 
-impl<'a> Walker<'a> {
+impl Walker<'_> {
     /// Index just past the group closed by the matching delimiter for the
-    /// opener at `open` (`{`/`(`/`[`), counting only that delimiter kind.
-    /// `<`/`>` are matched with a guard against `->` arrows.
+    /// opener at `open` (`{`/`(`/`[`/`<`), counting only that delimiter
+    /// kind. `<`/`>` are matched with a guard against `->` arrows.
     fn skip_group(&self, open: usize) -> usize {
         let (o, c) = match self.toks[open].tok {
             Tok::Punct('{') => ('{', '}'),
@@ -171,8 +78,7 @@ impl<'a> Walker<'a> {
             _ => return open + 1,
         };
         let mut depth = 0usize;
-        let mut i = open;
-        while i < self.toks.len() {
+        for i in open..self.toks.len() {
             if self.toks[i].is_punct(o) && (o != '<' || !self.prev_is(i, '-')) {
                 depth += 1;
             } else if self.toks[i].is_punct(c) && (c != '>' || !self.prev_is(i, '-')) {
@@ -181,7 +87,6 @@ impl<'a> Walker<'a> {
                     return i + 1;
                 }
             }
-            i += 1;
         }
         self.toks.len()
     }
@@ -190,12 +95,19 @@ impl<'a> Walker<'a> {
         i > 0 && self.toks[i - 1].is_punct(p)
     }
 
-    /// First string literal on `line`, if any.
-    fn literal_on(&self, line: usize) -> Option<&str> {
-        self.literals
-            .iter()
-            .find(|&&(l, _)| l == line)
-            .map(|(_, s)| s.as_str())
+    /// The item body opener at or after `j`: the index of its `{`, or of
+    /// the `;` ending a bodyless item. Generics, parameter lists and array
+    /// types are skipped whole.
+    fn body_start(&self, mut j: usize, end: usize) -> usize {
+        while j < end {
+            match self.toks[j].tok {
+                Tok::Punct('{') | Tok::Punct(';') => return j,
+                Tok::Punct('<') if !self.prev_is(j, '-') => j = self.skip_group(j),
+                Tok::Punct('(') | Tok::Punct('[') => j = self.skip_group(j),
+                _ => j += 1,
+            }
+        }
+        end
     }
 
     /// Walk `[i, end)` at item level.
@@ -203,8 +115,7 @@ impl<'a> Walker<'a> {
         let mut gate: Option<CfgGate> = None;
         let mut is_pub = false;
         while i < end {
-            let t = &self.toks[i];
-            match &t.tok {
+            match &self.toks[i].tok {
                 Tok::Punct('#') => {
                     // Attribute: `#[...]` or `#![...]`.
                     let mut j = i + 1;
@@ -220,6 +131,7 @@ impl<'a> Walker<'a> {
                     } else {
                         i += 1;
                     }
+                    continue;
                 }
                 Tok::Ident(k) if k == "pub" => {
                     is_pub = true;
@@ -227,37 +139,18 @@ impl<'a> Walker<'a> {
                     if i < end && self.toks[i].is_punct('(') {
                         i = self.skip_group(i); // pub(crate) etc.
                     }
+                    continue;
+                }
+                Tok::Ident(k) if matches!(k.as_str(), "unsafe" | "extern" | "async" | "const") => {
+                    i += 1; // modifier; keep pending attrs/visibility
+                    continue;
                 }
                 Tok::Ident(k) if k == "fn" => {
                     i = self.item_fn(i, end, is_pub, gate.take());
-                    is_pub = false;
                 }
-                Tok::Ident(k) if k == "enum" => {
-                    i = self.item_enum(i, end);
-                    gate = None;
-                    is_pub = false;
-                }
-                Tok::Ident(k) if k == "struct" => {
-                    i = self.item_struct(i, end);
-                    gate = None;
-                    is_pub = false;
-                }
-                Tok::Ident(k) if (k == "const" || k == "static") => {
-                    i = self.item_const(i, end);
-                    gate = None;
-                    is_pub = false;
-                }
-                Tok::Ident(k) if k == "impl" => {
-                    i = self.item_impl(i, end);
-                    gate = None;
-                    is_pub = false;
-                }
-                Tok::Ident(k) if (k == "mod" || k == "trait") => {
+                Tok::Ident(k) if matches!(k.as_str(), "impl" | "mod" | "trait") => {
                     // Recurse into the body at item level.
-                    let mut j = i + 1;
-                    while j < end && !self.toks[j].is_punct('{') && !self.toks[j].is_punct(';') {
-                        j += 1;
-                    }
+                    let j = self.body_start(i + 1, end);
                     if j < end && self.toks[j].is_punct('{') {
                         let close = self.skip_group(j);
                         self.items(j + 1, close - 1);
@@ -265,28 +158,12 @@ impl<'a> Walker<'a> {
                     } else {
                         i = j + 1;
                     }
-                    gate = None;
-                    is_pub = false;
                 }
-                Tok::Ident(k) if k == "use" => {
-                    while i < end && !self.toks[i].is_punct(';') {
-                        i += 1;
-                    }
-                    i += 1;
-                    gate = None;
-                    is_pub = false;
-                }
-                Tok::Ident(k)
-                    if matches!(k.as_str(), "unsafe" | "extern" | "async" | "default") =>
-                {
-                    i += 1; // modifier; keep pending attrs/visibility
-                }
-                _ => {
-                    i += 1;
-                    gate = None;
-                    is_pub = false;
-                }
+                Tok::Punct('{') => i = self.skip_group(i),
+                _ => i += 1,
             }
+            gate = None;
+            is_pub = false;
         }
     }
 
@@ -297,333 +174,48 @@ impl<'a> Walker<'a> {
             return None;
         }
         let line = self.toks.get(a)?.line;
-        match idents.get(1) {
-            Some(&"feature") => Some(CfgGate {
-                feature: self.literal_on(line)?.to_string(),
-                not: false,
-            }),
-            Some(&"not") if idents.get(2) == Some(&"feature") => Some(CfgGate {
-                feature: self.literal_on(line)?.to_string(),
-                not: true,
-            }),
-            _ => None,
-        }
+        let not = match &idents[1..] {
+            ["feature", ..] => false,
+            ["not", "feature", ..] => true,
+            _ => return None,
+        };
+        let feature = self
+            .literals
+            .iter()
+            .find(|&&(l, _)| l == line)
+            .map(|(_, s)| s.clone())?;
+        Some(CfgGate { feature, not })
     }
 
     fn item_fn(&mut self, at: usize, end: usize, is_pub: bool, gate: Option<CfgGate>) -> usize {
         let line = self.toks[at].line;
-        let name = match self.toks.get(at + 1).and_then(|t| t.ident()) {
-            Some(n) => n.to_string(),
-            None => return at + 1,
+        let Some(name) = self.toks.get(at + 1).and_then(|t| t.ident()) else {
+            return at + 1; // a `fn(..)` pointer type
         };
-        // Scan the header: skip the generics and the parameter group, stop
-        // at the body `{` or a terminating `;` (trait method declaration).
-        let mut j = at + 2;
-        let mut sig_floats: Vec<FloatSite> = Vec::new();
-        let mut body: Option<(usize, usize)> = None;
-        while j < end {
-            match &self.toks[j].tok {
-                Tok::Punct('<') if !self.prev_is(j, '-') => j = self.skip_group(j),
-                Tok::Punct('(') | Tok::Punct('[') => {
-                    let close = self.skip_group(j);
-                    self.scan_floats(j, close, &mut sig_floats);
-                    j = close;
-                }
-                Tok::Punct('{') => {
-                    body = Some((j, self.skip_group(j)));
-                    break;
-                }
-                Tok::Punct(';') => break,
-                Tok::Ident(s) if s == "f32" || s == "f64" => {
-                    sig_floats.push(FloatSite {
-                        line: self.toks[j].line,
-                        what: format!("{s} in fn signature"),
-                    });
-                    j += 1;
-                }
-                _ => j += 1,
-            }
-        }
-        let mut calls: Vec<String> = Vec::new();
-        let mut floats = sig_floats;
-        let mut end_line = line;
-        if let Some((open, close)) = body {
-            end_line = self.toks[close.saturating_sub(1).min(self.toks.len() - 1)].line;
-            self.scan_floats(open, close, &mut floats);
-            for k in open + 1..close.saturating_sub(1) {
-                let Some(callee) = self.toks[k].ident() else {
-                    continue;
-                };
-                if !self.toks.get(k + 1).is_some_and(|t| t.is_punct('(')) {
-                    continue;
-                }
-                if CALL_KEYWORDS.contains(&callee) {
-                    continue;
-                }
-                // `fn name(` is a nested definition, `name!(` never occurs
-                // (the `!` sits between), but `#[cfg(` attrs do: skip when
-                // preceded by `fn`, `[`, or another attr shape.
-                if k > 0 && (self.toks[k - 1].ident() == Some("fn") || self.prev_is(k, '[')) {
-                    continue;
-                }
-                calls.push(callee.to_string());
-            }
-            // Float format specs in literals within the body's line span.
-            let first = self.toks[open].line;
-            for &(l, ref s) in self.literals {
-                if l >= first && l <= end_line && s.contains("{:.") {
-                    floats.push(FloatSite {
-                        line: l,
-                        what: "float format spec in literal".into(),
-                    });
-                }
-            }
-        }
-        calls.sort();
-        calls.dedup();
-        floats.sort_by_key(|f| f.line);
         self.out.fns.push(FnSym {
-            name,
+            name: name.to_string(),
             line,
-            end_line,
             is_pub,
             in_tests: in_ranges(line, self.tests),
             gate,
-            calls,
-            floats,
         });
-        match body {
-            Some((_, close)) => close,
-            None => j + 1,
-        }
-    }
-
-    fn scan_floats(&self, a: usize, b: usize, out: &mut Vec<FloatSite>) {
-        for t in &self.toks[a..b.min(self.toks.len())] {
-            match &t.tok {
-                Tok::Ident(s) if s == "f32" || s == "f64" => out.push(FloatSite {
-                    line: t.line,
-                    what: format!("{s} type/cast"),
-                }),
-                Tok::Num { float: true, text } => out.push(FloatSite {
-                    line: t.line,
-                    what: format!("float literal {text}"),
-                }),
-                _ => {}
-            }
-        }
-    }
-
-    fn item_enum(&mut self, at: usize, end: usize) -> usize {
-        let line = self.toks[at].line;
-        let name = match self.toks.get(at + 1).and_then(|t| t.ident()) {
-            Some(n) => n.to_string(),
-            None => return at + 1,
-        };
-        let mut j = at + 2;
-        while j < end && !self.toks[j].is_punct('{') {
-            if self.toks[j].is_punct('<') && !self.prev_is(j, '-') {
-                j = self.skip_group(j);
-            } else if self.toks[j].is_punct(';') {
-                return j + 1;
-            } else {
-                j += 1;
-            }
-        }
-        if j >= end {
-            return end;
-        }
-        let close = self.skip_group(j);
-        let mut variants = Vec::new();
-        let mut k = j + 1;
-        while k + 1 < close {
-            match &self.toks[k].tok {
-                Tok::Punct('#') => {
-                    // Variant attribute.
-                    let mut m = k + 1;
-                    if m < close && self.toks[m].is_punct('[') {
-                        m = self.skip_group(m);
-                    }
-                    k = m;
-                }
-                Tok::Ident(v) => {
-                    variants.push(v.clone());
-                    // Skip payload / discriminant to the next top-level `,`.
-                    let mut m = k + 1;
-                    while m + 1 < close {
-                        match self.toks[m].tok {
-                            Tok::Punct('(') | Tok::Punct('{') | Tok::Punct('[') => {
-                                m = self.skip_group(m)
-                            }
-                            Tok::Punct(',') => break,
-                            _ => m += 1,
-                        }
-                    }
-                    k = m + 1;
-                }
-                _ => k += 1,
-            }
-        }
-        self.out.enums.push(EnumSym {
-            name,
-            line,
-            variants,
-            in_tests: in_ranges(line, self.tests),
-        });
-        close
-    }
-
-    fn item_struct(&mut self, at: usize, end: usize) -> usize {
-        let line = self.toks[at].line;
-        let name = match self.toks.get(at + 1).and_then(|t| t.ident()) {
-            Some(n) => n.to_string(),
-            None => return at + 1,
-        };
-        let mut j = at + 2;
-        let mut floats = Vec::new();
-        while j < end {
-            match self.toks[j].tok {
-                Tok::Punct('<') if !self.prev_is(j, '-') => j = self.skip_group(j),
-                Tok::Punct('(') | Tok::Punct('{') => {
-                    let close = self.skip_group(j);
-                    self.scan_floats(j, close, &mut floats);
-                    j = close;
-                    if self.toks.get(j).is_some_and(|t| t.is_punct(';')) {
-                        j += 1; // tuple struct
-                    }
-                    break;
-                }
-                Tok::Punct(';') => {
-                    j += 1;
-                    break;
-                }
-                _ => j += 1,
-            }
-        }
-        self.out.structs.push(StructSym {
-            name,
-            line,
-            floats,
-            in_tests: in_ranges(line, self.tests),
-        });
-        j
-    }
-
-    fn item_const(&mut self, at: usize, end: usize) -> usize {
-        let line = self.toks[at].line;
-        // `const fn` is a function, `const _` an anonymous assertion site.
-        if self.toks.get(at + 1).and_then(|t| t.ident()) == Some("fn") {
-            return at + 1;
-        }
-        let name = match self.toks.get(at + 1).and_then(|t| t.ident()) {
-            Some(n) => n.to_string(),
-            None => return at + 1,
-        };
-        let mut j = at + 2;
-        let mut value = None;
-        let mut seen_eq = false;
-        while j < end && !self.toks[j].is_punct(';') {
-            match &self.toks[j].tok {
-                Tok::Punct('=') => seen_eq = true,
-                Tok::Num { text, .. } if seen_eq && value.is_none() => {
-                    value = Some(text.clone());
-                }
-                Tok::Punct('{') | Tok::Punct('(') | Tok::Punct('[') => {
-                    j = self.skip_group(j);
-                    continue;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        self.out.consts.push(ConstSym { name, line, value });
-        j + 1
-    }
-
-    fn item_impl(&mut self, at: usize, end: usize) -> usize {
-        let line = self.toks[at].line;
-        let mut j = at + 1;
-        if j < end && self.toks[j].is_punct('<') {
-            j = self.skip_group(j);
-        }
-        // Collect the path up to `for`, `{`, or `where`.
-        let mut first_path: Vec<String> = Vec::new();
-        let mut second_path: Vec<String> = Vec::new();
-        let mut cur = &mut first_path;
-        while j < end {
-            match &self.toks[j].tok {
-                Tok::Ident(s) if s == "for" => {
-                    cur = &mut second_path;
-                    j += 1;
-                }
-                Tok::Ident(s) if s == "where" => break,
-                Tok::Ident(s) => {
-                    cur.push(s.clone());
-                    j += 1;
-                }
-                Tok::Punct('<') if !self.prev_is(j, '-') => j = self.skip_group(j),
-                Tok::Punct('{') => break,
-                Tok::Punct(';') => return j + 1,
-                _ => j += 1,
-            }
-        }
-        let (trait_name, type_name) = if second_path.is_empty() {
-            (None, first_path.last().cloned().unwrap_or_default())
-        } else {
-            (
-                first_path.last().cloned(),
-                second_path.last().cloned().unwrap_or_default(),
-            )
-        };
-        if !type_name.is_empty() {
-            self.out.impls.push(ImplSym {
-                trait_name,
-                type_name,
-                line,
-            });
-        }
+        let j = self.body_start(at + 2, end);
         if j < end && self.toks[j].is_punct('{') {
-            let close = self.skip_group(j);
-            self.items(j + 1, close - 1);
-            return close;
+            self.skip_group(j)
+        } else {
+            j + 1
         }
-        j + 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::{cfg_test_ranges, lex, string_literals};
+    use crate::lex::{cfg_test_ranges, lex};
 
     fn sym(src: &str) -> FileSymbols {
         let lexed = lex(src);
-        let tests = cfg_test_ranges(&lexed.masked);
-        let lits = string_literals(src);
-        extract(&lexed, &tests, &lits)
-    }
-
-    #[test]
-    fn fn_calls_and_floats() {
-        let s = sym("pub fn a(x: u64) -> u64 { helper(x) + other::thing(x) }\n\
-             fn b(r: f64) { let y = 1.5 * r; fmt(\"{:.1}\", y); }\n");
-        assert_eq!(s.fns.len(), 2);
-        assert!(s.fns[0].is_pub && !s.fns[1].is_pub);
-        assert_eq!(s.fns[0].calls, vec!["helper", "thing"]);
-        assert!(s.fns[0].floats.is_empty());
-        let what: Vec<&str> = s.fns[1].floats.iter().map(|f| f.what.as_str()).collect();
-        assert!(what.iter().any(|w| w.contains("f64")), "{what:?}");
-        assert!(what.iter().any(|w| w.contains("1.5")), "{what:?}");
-        assert!(what.iter().any(|w| w.contains("format spec")), "{what:?}");
-    }
-
-    #[test]
-    fn enum_variant_order() {
-        let s = sym(
-            "pub enum Cmd {\n    #[doc = \"x\"]\n    A { x: u32 },\n    B(u64, u8),\n    C,\n}\n",
-        );
-        assert_eq!(s.enums.len(), 1);
-        assert_eq!(s.enums[0].variants, vec!["A", "B", "C"]);
+        extract(&lexed, &cfg_test_ranges(&lexed.masked))
     }
 
     #[test]
@@ -650,35 +242,22 @@ mod tests {
     }
 
     #[test]
-    fn consts_and_impls() {
-        let s = sym("pub const SCHEMA_V: u64 = 3;\n\
-             impl WireDescriptor for crate::msg::NetMsg { fn wire(&self) {} }\n\
-             impl Plain { fn m(&self) { q(); } }\n");
-        assert_eq!(s.consts[0].name, "SCHEMA_V");
-        assert_eq!(s.consts[0].value.as_deref(), Some("3"));
-        assert_eq!(s.impls[0].trait_name.as_deref(), Some("WireDescriptor"));
-        assert_eq!(s.impls[0].type_name, "NetMsg");
-        assert_eq!(s.impls[1].trait_name, None);
-        assert_eq!(s.impls[1].type_name, "Plain");
-        // Methods inside impls are visible as fns.
-        let names: Vec<&str> = s.fns.iter().map(|f| f.name.as_str()).collect();
-        assert!(names.contains(&"wire") && names.contains(&"m"));
-    }
-
-    #[test]
-    fn struct_float_fields_and_test_marking() {
-        let s = sym("struct P { ratio: f64, n: u64 }\n\
-             #[cfg(test)]\nmod tests {\n    fn t() { let x = 0.5; }\n}\n");
-        assert_eq!(s.structs[0].floats.len(), 1);
-        let t = s.fns.iter().find(|f| f.name == "t").unwrap();
-        assert!(t.in_tests);
-    }
-
-    #[test]
     fn generic_fn_and_arrow_in_generics() {
-        let s = sym("fn g<F: Fn() -> u64>(f: F) -> u64 { f() + seed() }\n");
-        assert_eq!(s.fns.len(), 1);
-        assert_eq!(s.fns[0].name, "g");
-        assert!(s.fns[0].calls.contains(&"seed".to_string()));
+        let s = sym("fn g<F: Fn() -> u64>(f: F) -> u64 { f() + seed() }\nfn h() {}\n");
+        let names: Vec<&str> = s.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["g", "h"]);
+    }
+
+    #[test]
+    fn methods_visibility_and_test_marking() {
+        let s = sym("pub struct P { f: fn(u32) }\n\
+             impl Tr for [u8; 4] {\n    pub(crate) fn m(&self) {}\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { let x = 0.5; }\n}\n");
+        let got: Vec<(&str, bool, bool)> = s
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.in_tests))
+            .collect();
+        assert_eq!(got, [("m", true, false), ("t", false, true)]);
     }
 }

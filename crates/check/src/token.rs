@@ -2,9 +2,10 @@
 //!
 //! Runs over [`crate::lex::Lexed::masked`] text, so string and comment
 //! contents are already gone and tokenization is purely structural.
-//! Numbers are classified integer vs float — the distinction the
-//! `float-determinism` rule is built on — and every token carries its
-//! 1-indexed line for reporting.
+//! Numbers are lexed whole and classified integer vs float, so `1.5`,
+//! `1e9` and `2.0f32` are one literal while `0..10` and `x.0.1` split where
+//! Rust splits them, and every token carries its 1-indexed line for
+//! reporting.
 
 /// One token of masked source.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -189,11 +190,6 @@ impl Token {
     /// Is this token exactly the punctuation `c`?
     pub fn is_punct(&self, c: char) -> bool {
         self.tok == Tok::Punct(c)
-    }
-
-    /// Is this token a float literal?
-    pub fn is_float_lit(&self) -> bool {
-        matches!(self.tok, Tok::Num { float: true, .. })
     }
 }
 

@@ -1,8 +1,8 @@
-//! Red-path coverage: every new rule family must fire on a seeded
-//! violation. CI runs the same experiment against the *real* workspace
-//! (inject one violation per family into a policed file, assert the rule
-//! id appears in `oasis-check --json`, restore); this test pins the same
-//! guarantee in-process so a silently dead rule cannot pass the suite.
+//! Red-path coverage: every rule family must fire on a seeded violation.
+//! CI runs the same experiment against the *real* workspace (inject one
+//! violation per family into a policed file, assert the rule id appears in
+//! `oasis-check`'s findings, restore); this test pins the same guarantee
+//! in-process so a silently dead rule cannot pass the suite.
 
 use oasis_check::{analyze_files, FileCtx, FileKind};
 
@@ -19,99 +19,6 @@ fn src(rel_path: &str, crate_name: &str, body: &str) -> (FileCtx, String) {
 
 fn rules_fired(findings: &[oasis_check::Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule).collect()
-}
-
-#[test]
-fn float_determinism_fires_on_seeded_float() {
-    let findings = analyze_files(vec![src(
-        "crates/core/src/fleet.rs",
-        "core",
-        "pub fn drift(x: u64) -> u64 { (x as f64 * 1.5) as u64 }\n",
-    )]);
-    assert!(
-        rules_fired(&findings).contains(&"float-determinism"),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn float_determinism_fires_via_call_graph() {
-    // The float lives in an unpoliced helper crate; only reachability from
-    // the policed root can find it.
-    let findings = analyze_files(vec![
-        src(
-            "crates/core/src/fleet.rs",
-            "core",
-            "pub fn spill_rate(x: u64) -> u64 { scale_helper(x) }\n",
-        ),
-        src(
-            "crates/trace/src/helpers.rs",
-            "trace",
-            "pub fn scale_helper(x: u64) -> u64 { (x as f64 * 0.5) as u64 }\n",
-        ),
-    ]);
-    assert!(
-        rules_fired(&findings).contains(&"float-determinism"),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn schema_evolution_fires_on_reordered_variants() {
-    // AllocCommand with its first two variants swapped: the discriminant
-    // bytes silently change, which is exactly the drift the golden pins.
-    let findings = analyze_files(vec![src(
-        "crates/core/src/allocator/command.rs",
-        "core",
-        "pub const ALLOC_SCHEMA_VERSION: u32 = 1;\n\
-         pub const FLEET_SCHEMA_VERSION: u32 = 1;\n\
-         pub enum AllocCommand {\n\
-             Assign { ip: u32 },\n\
-             RegisterNic { nic: u32 },\n\
-             Unassign { ip: u32 },\n\
-             MarkFailed { nic: u32 },\n\
-             MarkRepaired { nic: u32 },\n\
-             RegisterSsd { ssd: u32 },\n\
-             AssignVolume { ip: u32 },\n\
-             ReleaseVolumes { ip: u32 },\n\
-             MarkHostFailed { host: u32 },\n\
-             MarkHostRestarted { host: u32 },\n\
-             RegisterAccel { accel: u32 },\n\
-         }\n\
-         pub enum FleetCommand {\n\
-             RegisterPod { pod: u32 },\n\
-             AddLink { a: u32 },\n\
-             CreateInstance { at: u64 },\n\
-             ResizeInstance { at: u64 },\n\
-             KillInstance { at: u64 },\n\
-             QueryFleetState,\n\
-         }\n",
-    )]);
-    let schema: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == "schema-evolution")
-        .collect();
-    assert!(!schema.is_empty(), "{findings:?}");
-    assert!(
-        schema.iter().any(|f| f.message.contains("AllocCommand")),
-        "{schema:?}"
-    );
-}
-
-#[test]
-fn schema_evolution_fires_on_version_bump_without_golden() {
-    // Variant added at the tail AND version const untouched: the rule
-    // demands the version bump accompany any shape change.
-    let findings = analyze_files(vec![src(
-        "crates/core/src/allocator/command.rs",
-        "core",
-        "pub const ALLOC_SCHEMA_VERSION: u32 = 2;\n\
-         pub const FLEET_SCHEMA_VERSION: u32 = 1;\n",
-    )]);
-    assert!(
-        rules_fired(&findings).contains(&"schema-evolution"),
-        "{findings:?}"
-    );
 }
 
 #[test]
@@ -149,13 +56,10 @@ fn stale_waiver_fires_on_dead_waiver() {
     let findings = analyze_files(vec![src(
         "crates/core/src/clean.rs",
         "core",
-        "// oasis-check: allow(no-panic) nothing here panics\n\
+        "// oasis-check: allow(metric-name) no metric name here\n\
          pub fn fine() -> u32 { 7 }\n",
     )]);
-    assert!(
-        rules_fired(&findings).contains(&"stale-waiver"),
-        "{findings:?}"
-    );
+    assert!(rules_fired(&findings).contains(&"waiver"), "{findings:?}");
 }
 
 #[test]

@@ -4,8 +4,8 @@ use oasis_net::addr::Ipv4Addr;
 
 /// Wire-schema version of [`AllocCommand`]. Variant order assigns the
 /// discriminant bytes, so appending, reordering, or renaming a variant is
-/// a schema change: bump this, update the golden registry in
-/// `crates/check/src/policy.rs`, and re-pin the golden-bytes test.
+/// a schema change: bump this and re-pin `core/tests/schema_golden.rs`,
+/// whose exhaustive tag match stops compiling on an appended variant.
 pub const ALLOC_SCHEMA_VERSION: u32 = 1;
 
 /// Wire-schema version of [`FleetCommand`]; same contract as

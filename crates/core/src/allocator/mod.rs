@@ -22,6 +22,10 @@
 //! [`FleetAllocator`] places instances across pods, spilling device
 //! backends to topologically-near neighbors when local devices strand.
 
+// Replicated and exported state is integer-only, so every replica and
+// every thread count computes the same bytes (DESIGN.md §14).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 pub mod command;
 pub mod fleet;
 pub mod migrate;

@@ -13,31 +13,6 @@ use super::command::{AllocCommand, FleetCommand};
 use super::fleet::FleetState;
 use super::service::AllocState;
 
-/// A deterministic fingerprint of allocator state, used to compare
-/// replicas.
-pub fn state_fingerprint(s: &AllocState) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for (i, n) in s.nics.iter().enumerate() {
-        if let Some(n) = n {
-            mix(i as u64);
-            mix(n.host as u64);
-            mix(n.capacity_mbps as u64);
-            mix(n.allocated_mbps as u64);
-            mix(n.failed as u64 | (n.backup as u64) << 1);
-        }
-    }
-    for inst in &s.instances {
-        mix(inst.ip.to_u32() as u64);
-        mix(inst.nic as u64);
-        mix(inst.lease_mbps as u64);
-    }
-    h
-}
-
 /// Apply a committed command stream to a fresh state (what each replica
 /// does when draining its Raft apply queue).
 pub fn replay(commands: &[Vec<u8>]) -> AllocState {
@@ -49,45 +24,6 @@ pub fn replay(commands: &[Vec<u8>]) -> AllocState {
         }
     }
     s
-}
-
-/// A deterministic fingerprint of fleet allocator state. Covers everything
-/// the log determines: pod capacity layers, live instances (including
-/// where their devices landed), and the placement/spill tallies.
-pub fn fleet_fingerprint(s: &FleetState) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for (i, p) in s.pods.iter().enumerate() {
-        mix(i as u64);
-        mix(p.nic_mbps_cap);
-        mix(p.nic_mbps_used);
-        mix(p.ssd_cap);
-        mix(p.ssd_used);
-        for (&v, &m) in p.host_vcpus_used.iter().zip(&p.host_mem_used) {
-            mix((v as u64) << 32 | m as u64);
-        }
-    }
-    for (i, inst) in s.instances.iter().enumerate() {
-        if let Some(inst) = inst {
-            mix(i as u64);
-            mix((inst.pod as u64) << 40 | (inst.host as u64) << 20 | inst.device_pod as u64);
-            mix((inst.nic_mbps as u64) << 32 | inst.ssd as u64);
-            mix(inst.placed_at);
-        }
-    }
-    mix(s.placed);
-    mix(s.rejected);
-    mix(s.killed);
-    mix(s.resizes);
-    mix(s.resize_rejections);
-    for (&sp, &sb) in s.spill_placements.iter().zip(&s.spill_bytes) {
-        mix(sp);
-        mix(sb);
-    }
-    h
 }
 
 /// Apply a committed fleet command stream to a fresh fleet state machine.
@@ -104,6 +40,7 @@ pub fn replay_fleet_log(commands: &[Vec<u8>]) -> FleetState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocator::PodAllocator;
     use oasis_net::addr::Ipv4Addr;
     use oasis_raft::{RaftConfig, RaftNode};
     use oasis_sim::event::EventQueue;
@@ -159,9 +96,11 @@ mod tests {
                                         nodes[to].handle(now, from, msg);
                                     }
                                 }
-                                // Indexing sidesteps borrowing `nodes`
-                                // while `take_outbox` mutates one element.
-                                #[allow(clippy::needless_range_loop)]
+                                #[expect(
+                                    clippy::needless_range_loop,
+                                    reason = "indexing sidesteps borrowing `nodes` while \
+                                              `take_outbox` mutates one element"
+                                )]
                                 for i in 0..n {
                                     for (to, msg) in nodes[i].take_outbox() {
                                         wire.push(now + SimDuration::from_micros(5), (i, to, msg));
@@ -244,11 +183,11 @@ mod tests {
         .collect();
 
         let streams = run_cluster(&commands, 3);
-        let fp0 = state_fingerprint(&replay(&streams[0]));
+        let view0 = PodAllocator::log_view(&replay(&streams[0]));
         for (i, stream) in streams.iter().enumerate().skip(1) {
             assert_eq!(
-                fp0,
-                state_fingerprint(&replay(stream)),
+                view0,
+                PodAllocator::log_view(&replay(stream)),
                 "replica {i} diverged"
             );
         }
@@ -304,15 +243,10 @@ mod tests {
         .collect();
 
         let streams = run_cluster(&commands, 4);
-        let fp0 = fleet_fingerprint(&replay_fleet_log(&streams[0]));
-        for (i, stream) in streams.iter().enumerate().skip(1) {
-            assert_eq!(
-                fp0,
-                fleet_fingerprint(&replay_fleet_log(stream)),
-                "fleet replica {i} diverged"
-            );
-        }
         let s = replay_fleet_log(&streams[0]);
+        for (i, stream) in streams.iter().enumerate().skip(1) {
+            assert_eq!(s, replay_fleet_log(stream), "fleet replica {i} diverged");
+        }
         assert_eq!(s.placed, 2);
         assert_eq!(s.killed, 1);
         assert_eq!(s.resizes, 1);
@@ -321,25 +255,5 @@ mod tests {
             s.spill_bytes[0] > 0,
             "killing the spilled instance closes its traffic epoch"
         );
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_states() {
-        let a = replay(&[AllocCommand::RegisterNic {
-            nic: 0,
-            host: 0,
-            capacity_mbps: 1,
-            backup: false,
-        }
-        .encode()]);
-        let b = replay(&[AllocCommand::RegisterNic {
-            nic: 0,
-            host: 1,
-            capacity_mbps: 1,
-            backup: false,
-        }
-        .encode()]);
-        assert_ne!(state_fingerprint(&a), state_fingerprint(&b));
-        assert_eq!(state_fingerprint(&a), state_fingerprint(&a));
     }
 }

@@ -377,6 +377,13 @@ pub struct PodAllocator {
     pub state: AllocState,
     cfg: OasisConfig,
     raft: RaftNode,
+    /// Compaction point: the state a restored snapshot installed and the
+    /// commit index it was installed at.
+    /// [`consistent_with_log`](Self::consistent_with_log) replays only the
+    /// entries after the index on top of the state, so the invariant holds
+    /// across a restore even though the log holds another history.
+    base: AllocState,
+    base_index: u64,
     /// (host, sender) per frontend.
     to_frontends: Vec<(usize, Sender)>,
     from_frontends: Vec<(usize, Receiver)>,
@@ -411,7 +418,6 @@ pub struct PodAllocator {
 #[derive(Clone, Debug)]
 pub struct RebalancePolicy {
     /// Hot/cold load ratio that triggers a migration.
-    // oasis-check: allow(float-determinism) local trigger knob compared against telemetry; never enters replicated state
     pub ratio: f64,
     /// Minimum hot-NIC load (bytes per telemetry window) before the policy
     /// acts at all.
@@ -423,7 +429,6 @@ pub struct RebalancePolicy {
 
 impl RebalancePolicy {
     /// Policy with the given trigger ratio and cooldown.
-    // oasis-check: allow(float-determinism) constructor for the local trigger knob above
     pub fn new(ratio: f64, min_load_bytes: u64, cooldown: SimDuration) -> Self {
         RebalancePolicy {
             ratio,
@@ -448,6 +453,8 @@ impl PodAllocator {
             state: AllocState::default(),
             cfg,
             raft,
+            base: AllocState::default(),
+            base_index: 0,
             to_frontends: Vec::new(),
             from_frontends: Vec::new(),
             from_backends: Vec::new(),
@@ -481,8 +488,11 @@ impl PodAllocator {
     /// Propose a command through Raft and apply everything committed.
     pub fn propose(&mut self, cmd: AllocCommand) {
         let now = self.core.clock;
-        // oasis-check: allow(no-panic) single-node Raft group: propose can
-        // only fail on a non-leader, which cannot exist here.
+        #[expect(
+            clippy::expect_used,
+            reason = "single-node Raft group: propose can only fail on a non-leader, which cannot \
+                      exist here"
+        )]
         self.raft
             .propose(now, cmd.encode())
             .expect("single-node allocator group is always leader");
@@ -626,15 +636,16 @@ impl PodAllocator {
         std::mem::take(&mut self.newly_restarted_hosts)
     }
 
-    /// Replay the committed prefix of the Raft log through a fresh state
-    /// machine and compare with the live state on every log-derived field
-    /// (times like lease expiries are volatile and excluded). This is the
-    /// chaos harness's "allocator state is consistent with the log"
-    /// invariant.
+    /// Replay the committed log after the compaction point on top of its
+    /// state (empty unless a snapshot was restored) and compare with the
+    /// live state on every log-derived field (times like lease expiries are
+    /// volatile and excluded). This is the chaos harness's "allocator state
+    /// is consistent with the log" invariant.
     pub fn consistent_with_log(&self) -> bool {
-        let mut replayed = AllocState::default();
-        let commit = self.raft.commit_index();
-        for entry in self.raft.log_entries().iter().take(commit as usize) {
+        let mut replayed = self.base.clone();
+        let commit = self.raft.commit_index() as usize;
+        let committed = self.raft.log_entries().iter().take(commit);
+        for entry in committed.skip(self.base_index as usize) {
             if entry.command.is_empty() {
                 continue; // election no-op barrier
             }
@@ -647,10 +658,12 @@ impl PodAllocator {
 
     /// The log-derived projection of an [`AllocState`] (excludes telemetry
     /// timestamps and lease expiries, which are allocator-local).
-    // The tuple type is written out once, here, as documentation of exactly
-    // which fields the log determines; a named struct would hide that.
-    #[allow(clippy::type_complexity)]
-    fn log_view(
+    #[expect(
+        clippy::type_complexity,
+        reason = "the tuple type is written out once, here, as documentation of exactly which \
+                  fields the log determines; a named struct would hide that"
+    )]
+    pub(super) fn log_view(
         s: &AllocState,
     ) -> (
         Vec<Option<(u32, u32, u32, bool, bool)>>,
@@ -805,11 +818,14 @@ impl PodAllocator {
                     usable.iter().max_by_key(|&&(_, l)| l),
                     usable.iter().min_by_key(|&&(_, l)| l),
                 ) {
-                    // oasis-check: allow(float-determinism) trigger compare on local telemetry; migration itself goes through the log
-                    if hot != cold
-                        && hot_load >= policy.min_load_bytes
-                        && hot_load as f64 > policy.ratio * (cold_load.max(1)) as f64
-                    {
+                    #[expect(
+                        clippy::float_arithmetic,
+                        clippy::cast_precision_loss,
+                        reason = "trigger compare on local telemetry; migration itself goes \
+                                  through the log"
+                    )]
+                    let hot_enough = hot_load as f64 > policy.ratio * (cold_load.max(1)) as f64;
+                    if hot != cold && hot_load >= policy.min_load_bytes && hot_enough {
                         // Move the instance with the largest lease first
                         // (it most likely carries the load).
                         if let Some(inst) = self
@@ -888,8 +904,9 @@ impl crate::snapshot::Snapshottable for PodAllocator {
     /// Serializes the full lease ledger ([`AllocState`]) plus the failure
     /// detector's working set. The Raft node itself is *not* serialized:
     /// the pod runtime runs a single-replica group where every command
-    /// commits immediately, so the applied state machine is authoritative
-    /// and the restored node starts from an empty (already-compacted) log.
+    /// commits immediately, so the applied state machine is authoritative.
+    /// A restore makes it the compaction point: the node keeps its own
+    /// log, and only entries committed after the restore replay on top.
     fn snapshot_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.put_u64(self.core.clock.as_nanos());
         let s = &self.state;
@@ -1091,6 +1108,8 @@ impl crate::snapshot::Snapshottable for PodAllocator {
         if let Some(p) = &mut self.rebalance {
             p.last_migration = SimTime(r.u64("alloc rebalance cursor")?);
         }
+        self.base = self.state.clone();
+        self.base_index = self.raft.commit_index();
         Ok(())
     }
 }

@@ -203,6 +203,7 @@ pub fn alloc_descriptor_channel<D: crate::engine::WireDescriptor>(
     name: &str,
     slots: u64,
 ) -> ChannelPair {
+    let () = D::FITS_A_LINE;
     alloc_msg_channel(pool, ra, name, slots, D::WIRE_SIZE as u64)
 }
 

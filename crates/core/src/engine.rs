@@ -51,6 +51,14 @@ use crate::park::IdleRound;
 pub trait WireDescriptor: Sized {
     /// Encoded size in bytes; equals the channel slot size.
     const WIRE_SIZE: usize;
+    /// The wire contract, checked at compile time for every implementing
+    /// type whose channel is allocated: the descriptor fits in one 64 B
+    /// cache line, divides it evenly (so slots never straddle lines), and
+    /// is at least a word wide.
+    const FITS_A_LINE: () = assert!(
+        Self::WIRE_SIZE >= 8 && Self::WIRE_SIZE <= 64 && 64 % Self::WIRE_SIZE == 0,
+        "a WireDescriptor must be 8..=64 bytes and divide a 64 B line"
+    );
     /// Encode into `buf` (exactly `WIRE_SIZE` bytes).
     fn encode_into(&self, buf: &mut [u8]);
     /// Decode from `buf`; `None` when the bytes are not this descriptor —
@@ -58,23 +66,6 @@ pub trait WireDescriptor: Sized {
     /// does not write (the epoch bit is the receiver's, cleared before
     /// decoding).
     fn decode_from(buf: &[u8]) -> Option<Self>;
-}
-
-/// Compile-time wire-contract checks for a [`WireDescriptor`] impl: the
-/// descriptor must fit in one 64 B cache line, divide it evenly (so slots
-/// never straddle lines), and be at least a word wide. Every impl below is
-/// paired with one of these blocks; `oasis-check` enforces the pairing.
-/// Exported so a device class defined outside this crate can assert the
-/// same contract on its descriptors.
-#[macro_export]
-macro_rules! assert_wire_size {
-    ($t:ty) => {
-        const _: () = {
-            assert!(<$t as $crate::engine::WireDescriptor>::WIRE_SIZE <= 64);
-            assert!(64 % <$t as $crate::engine::WireDescriptor>::WIRE_SIZE == 0);
-            assert!(<$t as $crate::engine::WireDescriptor>::WIRE_SIZE >= 8);
-        };
-    };
 }
 
 impl WireDescriptor for crate::msg::NetMsg {
@@ -87,7 +78,6 @@ impl WireDescriptor for crate::msg::NetMsg {
         Self::decode(buf.get(..16)?.try_into().ok()?)
     }
 }
-assert_wire_size!(crate::msg::NetMsg);
 
 impl WireDescriptor for oasis_storage::command::NvmeCommand {
     const WIRE_SIZE: usize = oasis_channel::MSG64;
@@ -99,7 +89,6 @@ impl WireDescriptor for oasis_storage::command::NvmeCommand {
         Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
-assert_wire_size!(oasis_storage::command::NvmeCommand);
 
 impl WireDescriptor for oasis_storage::command::NvmeCompletion {
     const WIRE_SIZE: usize = oasis_channel::MSG64;
@@ -111,7 +100,6 @@ impl WireDescriptor for oasis_storage::command::NvmeCompletion {
         Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
-assert_wire_size!(oasis_storage::command::NvmeCompletion);
 
 impl WireDescriptor for oasis_accel::AccelCommand {
     const WIRE_SIZE: usize = oasis_channel::MSG64;
@@ -123,7 +111,6 @@ impl WireDescriptor for oasis_accel::AccelCommand {
         Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
-assert_wire_size!(oasis_accel::AccelCommand);
 
 impl WireDescriptor for oasis_accel::AccelCompletion {
     const WIRE_SIZE: usize = oasis_channel::MSG64;
@@ -135,7 +122,6 @@ impl WireDescriptor for oasis_accel::AccelCompletion {
         Self::decode(buf.get(..64)?.try_into().ok()?)
     }
 }
-assert_wire_size!(oasis_accel::AccelCompletion);
 
 /// A host-level fault delivered to every engine core on the affected host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

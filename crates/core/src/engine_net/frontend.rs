@@ -504,7 +504,7 @@ impl Snapshottable for FrontendDriver {
     /// assignment / migration / policer state, and TX free lists. Links and
     /// channel endpoints are topology, rebuilt by the pod builder. Policer
     /// floats are serialized via `to_bits` (this path is outside the
-    /// float-determinism policed set; the bits round-trip exactly).
+    /// modules that deny float arithmetic; the bits round-trip exactly).
     fn snapshot_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.put_u64(self.core.clock.as_nanos());
         w.put_u64(self.next_heartbeat.as_nanos());

@@ -30,6 +30,10 @@
 //! (create/resize/kill/query) so experiments drive placement through
 //! commands instead of hard-coded setup.
 
+// Replicated and exported state is integer-only, so every replica and
+// every thread count computes the same bytes (DESIGN.md §14).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 use oasis_sim::shard::{self, Envelope, Outgoing, ShardError, ShardWorld, ShardedRunner};
 use oasis_sim::time::{SimDuration, SimTime};
 
@@ -375,8 +379,10 @@ impl Fleet {
     /// Place and launch a live instance through the control plane,
     /// choosing pod and host via the fleet allocator. Placement rejection
     /// surfaces as [`FleetError::NoCapacity`].
-    // The parameter list mirrors the CreateInstance wire fields one-for-one.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the parameter list mirrors the CreateInstance wire fields one-for-one"
+    )]
     pub fn create_instance(
         &mut self,
         now: SimTime,

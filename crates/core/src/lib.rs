@@ -47,6 +47,17 @@
 //!   network stack, shared by Oasis instances and external client
 //!   endpoints.
 
+// A crashed driver must degrade, not abort the whole simulated pod
+// (DESIGN.md §14); `clippy.toml` lets tests unwrap, expect and panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod allocator;
 pub mod baseline;
 pub mod config;

@@ -233,8 +233,11 @@ impl PodBuilder {
         for (host, &(_, baseline)) in self.hosts.iter().enumerate() {
             match baseline {
                 Some(placement) => {
-                    // oasis-check: allow(no-panic) pod construction, not a runtime path: a
-                    // baseline placement without a NIC is a config error caught at build.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "pod construction, not a runtime path: a baseline placement \
+                                  without a NIC is a config error caught at build"
+                    )]
                     let nic_id = nic_host
                         .iter()
                         .position(|&h| h == host)
@@ -289,8 +292,11 @@ impl PodBuilder {
                             self.cfg.channel_slots,
                         );
                         fe.add_backend_link(nic_id, fe_be.sender, be_fe.receiver);
-                        // oasis-check: allow(no-panic) pod construction: every Oasis NIC id
-                        // was assigned a backend in the loop above.
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "pod construction: every Oasis NIC id was assigned a \
+                                      backend in the loop above"
+                        )]
                         let be_idx = backend_of_nic[nic_id].unwrap();
                         backends[be_idx].add_frontend_link(host, be_fe.sender, fe_be.receiver);
                     }

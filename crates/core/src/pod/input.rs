@@ -331,8 +331,11 @@ impl Pod {
     pub fn launch_instance(&mut self, host: usize, app: AppKind, lease_mbps: u32) -> usize {
         match self.try_launch_instance(host, app, lease_mbps) {
             Ok(idx) => idx,
-            // oasis-check: allow(no-panic) documented panicking convenience wrapper;
-            // runtime callers use try_launch_instance.
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking convenience wrapper; runtime callers use \
+                          try_launch_instance"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

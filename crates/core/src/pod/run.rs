@@ -550,7 +550,10 @@ pub type UplinkMsg = (usize, Frame);
 /// binaries and CI set the variable before launch, so a cached read keeps
 /// the per-`run` overhead at one atomic load.
 fn shard_threads() -> usize {
-    // oasis-check: allow(thread-discipline) write-once env cache, never mutated after init
+    #[expect(
+        clippy::disallowed_types,
+        reason = "write-once env cache, never mutated after init"
+    )]
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(shard::threads_from_env)
 }

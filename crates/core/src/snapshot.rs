@@ -12,8 +12,8 @@
 //! The section tag enum is schema-pinned exactly like the command enums
 //! ([`crate::allocator::command`]): variant order assigns the tag bytes,
 //! so appending, reordering, or renaming a variant is a schema change —
-//! bump [`SNAPSHOT_SCHEMA_VERSION`], update the golden registry in
-//! `crates/check/src/policy.rs`, and refresh the committed version-skew
+//! bump [`SNAPSHOT_SCHEMA_VERSION`], re-pin the section tags in
+//! `core/tests/schema_golden.rs`, and refresh the committed version-skew
 //! fixture together.
 //!
 //! Version skew is handled at open time: [`SnapshotReader::open`] accepts
@@ -22,7 +22,7 @@
 //! upgrade older layouts field-by-field (v1 fleet states predate the
 //! migration table and upgrade to an empty one). Anything outside the
 //! window is a typed [`SnapshotError::UnsupportedVersion`] — never a
-//! panic, which keeps the `no-panic` rule clean on this runtime path.
+//! panic, as the runtime crates' `clippy::panic` denial requires.
 
 /// Magic bytes opening every snapshot container.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OASISNAP";
@@ -30,8 +30,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OASISNAP";
 /// Wire-schema version of the snapshot container and its section
 /// payloads. Variant order of [`SnapshotSection`] assigns the tag bytes,
 /// so appending, reordering, or renaming a variant is a schema change:
-/// bump this, update the golden registry in `crates/check/src/policy.rs`,
-/// and refresh the committed v1 fixture test.
+/// bump this, re-pin the tags in `core/tests/schema_golden.rs`, and
+/// refresh the committed v1 fixture test.
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// Oldest container version the reader still upgrades (v1 predates the

@@ -9,7 +9,6 @@
 use std::collections::VecDeque;
 
 use oasis_channel::RetryPolicy;
-use oasis_core::assert_wire_size;
 use oasis_core::config::OasisConfig;
 use oasis_core::engine::{DeviceEngine, EngineFault, WireDescriptor};
 use oasis_core::engine_req::{Outcome, ReqClass, ReqPair};
@@ -60,7 +59,6 @@ impl WireDescriptor for RegMsg {
         known.then(|| msg(buf[0], buf[1], cid, frontend, value))
     }
 }
-assert_wire_size!(RegMsg);
 
 /// The device: one command per 500 ns; swallows commands whole while a
 /// fault window is open.

@@ -50,6 +50,11 @@
 //!   came). `evicting_frontend_twin` fails within five steps; `pod_twin`
 //!   alone meets the pattern too rarely, which is why that property exists.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the twins are compared on raw pool bytes"
+)]
+
 use oasis_accel::{AccelConfig, AccelOp};
 use oasis_apps::memcached::{GetRequests, MemcachedFramer, MemcachedServer};
 use oasis_apps::tcp_client::TcpRequestClient;

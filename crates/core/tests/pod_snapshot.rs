@@ -58,6 +58,9 @@ fn snapshot_restores_byte_identically() {
     // the source bytes exactly.
     dst.restore(&snap).expect("restore succeeds");
     assert_eq!(dst.snapshot(), snap, "restore → snapshot is byte-identical");
+    // The restored allocator state came from another pod's history; the
+    // log check replays only what this pod commits after the restore.
+    assert!(dst.allocator.consistent_with_log());
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! deterministic pod built below, serialized by the v1 writer (payload
 //! layout unchanged since; the container version byte says 1). The
 //! current decoder must either upgrade it in place or reject it with a
-//! typed [`SnapshotError`] — it must never panic, so the `oasis-check`
-//! no-panic rule stays clean across schema bumps.
+//! typed [`SnapshotError`] — it must never panic across schema bumps
+//! (the runtime crates deny `clippy::panic`).
 //!
 //! Regenerate after an *intentional* v1-compatible layout change with:
 //! `cargo test -p oasis-core --test snapshot_version_skew -- --ignored`

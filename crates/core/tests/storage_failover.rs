@@ -3,7 +3,7 @@
 //! in-flight SSD commands survive injected device timeouts and a host
 //! crash/restart, are retried, and complete **exactly once**.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
@@ -50,7 +50,7 @@ fn ssd_timeout_window_commands_retried_and_completed_exactly_once() {
     pod.run(SimTime::from_millis(60));
 
     let done = pod.take_storage_completions(h0);
-    let mut seen: HashMap<u16, u32> = HashMap::new();
+    let mut seen: BTreeMap<u16, u32> = BTreeMap::new();
     for r in &done {
         assert!(r.status.is_ok(), "cid {} failed: {:?}", r.cid, r.status);
         *seen.entry(r.cid).or_insert(0) += 1;
@@ -109,7 +109,7 @@ fn host_restart_replays_inflight_commands_exactly_once() {
     pod.run(SimTime::from_millis(20));
 
     let done = pod.take_storage_completions(h0);
-    let mut seen: HashMap<u16, u32> = HashMap::new();
+    let mut seen: BTreeMap<u16, u32> = BTreeMap::new();
     for r in &done {
         assert!(r.status.is_ok(), "cid {} failed: {:?}", r.cid, r.status);
         *seen.entry(r.cid).or_insert(0) += 1;

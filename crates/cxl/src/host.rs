@@ -715,6 +715,10 @@ impl HostCtx {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests seed and read pool bytes directly"
+)]
 mod tests {
     use super::*;
 

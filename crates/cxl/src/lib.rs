@@ -26,6 +26,17 @@
 //! Latency constants are calibrated to the paper's published ratios: CXL
 //! load-to-use ≈ 2.3× local DDR, one-way message latency ≈ 0.6 µs.
 
+// A crashed driver must degrade, not abort the whole simulated pod
+// (DESIGN.md §14); `clippy.toml` lets tests unwrap, expect and panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod cache;
 pub mod cost;
 pub mod dma;

@@ -808,6 +808,10 @@ impl CxlPool {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests seed and read pool bytes directly"
+)]
 mod tests {
     use super::*;
 

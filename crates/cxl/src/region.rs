@@ -149,13 +149,16 @@ impl RegionAllocator {
             "free of a region never handed out"
         );
         assert!(region.size.is_multiple_of(LINE), "regions are line-sized");
-        // oasis-check: allow(no-panic) allocator-misuse contract like the
-        // asserts above: freeing more than was allocated is a setup bug in
-        // the calling driver, caught at development time.
-        self.outstanding = self
+        #[expect(
+            clippy::expect_used,
+            reason = "allocator-misuse contract like the asserts above: freeing more than was \
+                      allocated is a setup bug in the calling driver, caught at development time"
+        )]
+        let outstanding = self
             .outstanding
             .checked_sub(region.size)
             .expect("more bytes freed than allocated");
+        self.outstanding = outstanding;
         let idx = self.free_list.partition_point(|&(b, _, _)| b < region.base);
         debug_assert!(
             idx == self.free_list.len() || self.free_list[idx].0 >= region.end(),

@@ -43,8 +43,6 @@
 use oasis_sim::detmap::DetMap;
 use oasis_sim::time::SimTime;
 
-use oasis_sim::addrmap::AddrMap;
-
 use crate::line_base;
 use crate::pool::PortId;
 
@@ -239,7 +237,7 @@ const MAX_REPORTS: usize = 1024;
 /// `sanitize` feature is enabled.
 pub struct Sanitizer {
     ports: usize,
-    lines: AddrMap<LineShadow>,
+    lines: DetMap<u64, LineShadow>,
     hosts: Vec<HostShadow>,
     /// Region name registry: (base, end, name), sorted by base, disjoint.
     regions: Vec<(u64, u64, String)>,
@@ -259,7 +257,7 @@ impl Sanitizer {
     pub fn new(ports: usize) -> Self {
         Sanitizer {
             ports,
-            lines: AddrMap::new(),
+            lines: DetMap::default(),
             hosts: vec![HostShadow::default(); ports],
             regions: Vec::new(),
             next_ver: 0,
@@ -356,7 +354,9 @@ impl Sanitizer {
 
     fn line_mut(&mut self, la: u64) -> &mut LineShadow {
         let ports = self.ports;
-        self.lines.get_or_insert_with(la, || LineShadow::new(ports))
+        self.lines
+            .entry(la)
+            .or_insert_with(|| LineShadow::new(ports))
     }
 
     fn snap_mut<'a>(
@@ -529,7 +529,7 @@ impl Sanitizer {
             return;
         }
         for la in crate::lines_covering(addr, len) {
-            let Some(sh) = self.lines.get(la) else {
+            let Some(sh) = self.lines.get(&la) else {
                 continue;
             };
             if let Some(&(wport, at)) = sh.pending.iter().find(|&&(_, at)| at > now) {
@@ -612,7 +612,7 @@ impl Sanitizer {
         dirty: Option<bool>,
         now: SimTime,
     ) {
-        let Some(sh) = self.lines.get(la) else {
+        let Some(sh) = self.lines.get(&la) else {
             return; // never written: zeroed memory is trivially fresh
         };
         match dirty {

@@ -12,6 +12,11 @@
 //! 4. **DMA isolation**: device DMA never observes un-written-back CPU
 //!    state.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the model is checked against raw pool bytes"
+)]
+
 use oasis_cxl::pool::{PortId, TrafficClass};
 use oasis_cxl::{CxlPool, HostCtx, RegionAllocator};
 use oasis_sim::time::SimTime;

@@ -17,6 +17,11 @@
 //! With the `sanitize` feature on, the sanitizer must also have been told
 //! the same story.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the model is checked against raw pool bytes"
+)]
+
 use oasis_cxl::pool::{PortId, TrafficClass};
 use oasis_cxl::{lines_covering, CostModel, CxlPool, HostCtx, RegionAllocator};
 use oasis_sim::time::{SimDuration, SimTime};

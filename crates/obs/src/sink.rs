@@ -1,6 +1,10 @@
 //! The recording surface: counters, histograms, spans and timelines keyed
 //! by `(static name, numeric tag)`.
 
+// Replicated and exported state is integer-only, so every replica and
+// every thread count computes the same bytes (DESIGN.md §14).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 use oasis_sim::detmap::DetMap;
 use oasis_sim::time::SimTime;
 

@@ -11,6 +11,10 @@
 //!    timelines as sparse bins, so `merge(merge(a, b), c)` equals
 //!    `merge(a, merge(b, c))` byte-for-byte.
 
+// Replicated and exported state is integer-only, so every replica and
+// every thread count computes the same bytes (DESIGN.md §14).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 use crate::hist::quantile_from_buckets;
 use crate::timeline::Timeline;
 
@@ -40,7 +44,6 @@ pub struct HistEntry {
 impl HistEntry {
     /// Value at quantile `q` in `[0, 1]` — same answer the live
     /// [`crate::ObsHistogram`] would give.
-    // oasis-check: allow(float-determinism) read-side presentation over a frozen snapshot; nothing flows back into state
     pub fn value_at_quantile(&self, q: f64) -> u64 {
         quantile_from_buckets(
             q,
@@ -52,9 +55,12 @@ impl HistEntry {
     }
 
     /// Percentile shorthand: `percentile(99.0)`.
-    // oasis-check: allow(float-determinism) read-side presentation over a frozen snapshot; nothing flows back into state
     pub fn percentile(&self, p: f64) -> u64 {
-        // oasis-check: allow(float-determinism) same presentation path; the divisor only rescales the argument
+        #[expect(
+            clippy::float_arithmetic,
+            reason = "read-side presentation over a frozen snapshot; the divisor only rescales the \
+                      argument and nothing flows back into state"
+        )]
         self.value_at_quantile(p / 100.0)
     }
 

@@ -14,6 +14,10 @@
 //! log-matching via `prev_log_index`/`prev_log_term`, commit only of
 //! current-term entries, and apply in log order.
 
+// Replicated and exported state is integer-only, so every replica and
+// every thread count computes the same bytes (DESIGN.md §14).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 pub mod node;
 
 pub use node::{LogEntry, RaftConfig, RaftMessage, RaftNode, Role};

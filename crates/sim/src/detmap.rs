@@ -5,6 +5,11 @@
 //! nondeterministic. All simulator state uses these fixed-seed FxHash-style
 //! containers instead, so that every run of an experiment is bit-identical.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "these are std's containers with a fixed-seed hasher, the replacement the rule names"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -23,7 +23,6 @@
 //! Everything is deterministic: given the same seed, every experiment binary
 //! in `oasis-bench` reproduces bit-identical output.
 
-pub mod addrmap;
 pub mod detmap;
 pub mod event;
 pub mod fault;
@@ -36,7 +35,6 @@ pub mod series;
 pub mod shard;
 pub mod time;
 
-pub use addrmap::AddrMap;
 pub use detmap::{DetMap, DetSet};
 pub use event::EventQueue;
 pub use fault::{

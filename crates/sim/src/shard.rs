@@ -65,8 +65,14 @@
 //! `run_window` call processes *every* local event in the window in one
 //! visit, amortizing scheduler heap traffic over the batch.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the parallel path's coordination state: the block mutexes and the rendezvous flags"
+)]
+use std::sync::{
+    atomic::{AtomicBool, AtomicU64, Ordering},
+    Mutex, MutexGuard,
+};
 use std::thread::{ScopedJoinHandle, Thread};
 
 use crossbeam::utils::CachePadded;
@@ -384,14 +390,17 @@ impl<M> ShardedRunner<M> {
                 .collect();
             let first_next = slots.iter().map(|s| s.world.next_time()).min();
             next.push(first_next.unwrap_or(SimTime::MAX));
-            // oasis-check: allow(thread-discipline) hands a block between its worker (in a window) and the caller (between windows); the rendezvous orders them, so it is never contended
+            #[expect(
+                clippy::disallowed_types,
+                reason = "hands a block between its worker (in a window) and the caller (between \
+                          windows); the rendezvous orders them, so it is never contended"
+            )]
             blocks.push(CachePadded::new(Mutex::new(slots)));
             ranges.push(range);
         }
 
         let rdv = Rendezvous::new(workers - 1);
         let caller = std::thread::current();
-        // oasis-check: allow(thread-discipline) vendored scoped-thread helper, as SweepRunner uses
         let scope = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = blocks[1..]
                 .iter()
@@ -613,6 +622,7 @@ struct Slot<'w, W, M> {
 /// [`Rendezvous`] keeps the two apart, so the lock is bookkeeping that lets
 /// safe code hand `&mut` shard state back and forth, never a wait. Padded
 /// so neighbouring blocks' locks never share a cache line.
+#[expect(clippy::disallowed_types, reason = "the block mutex described above")]
 type Block<'w, W, M> = CachePadded<Mutex<Vec<Slot<'w, W, M>>>>;
 
 /// Advance every shard of a block through the window ending at `w_end`.
@@ -633,6 +643,7 @@ fn run_block<W: ShardWorld>(slots: &mut [Slot<W, W::Msg>], w_end: SimTime) -> (S
     (next, sent)
 }
 
+#[expect(clippy::disallowed_types, reason = "the block mutex of a Block")]
 fn lock<T>(block: &Mutex<T>) -> MutexGuard<'_, T> {
     block.lock().expect(
         "a block is only poisoned by a shard panic, which ends the run before the next lock",
@@ -671,6 +682,10 @@ const YIELD_ROUNDS: u32 = 1024;
 /// its block and stamps its [`Arrival`] with that epoch; the caller, after
 /// running its own block, waits for every stamp and then owns every block
 /// again.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the poison flag: Release-set by an unwinding worker, Acquire-read by waiters"
+)]
 struct Rendezvous {
     /// Written by the caller only; one line, so a worker that sees the new
     /// epoch already holds the rest.
@@ -684,6 +699,10 @@ struct Rendezvous {
 }
 
 /// The caller's side of the [`Rendezvous`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the window epoch and what it publishes"
+)]
 struct Opened {
     /// Windows opened so far, plus one for the shutdown bump. Stored with
     /// `Release` after everything a worker reads for the window (`w_end_ns`,
@@ -701,6 +720,10 @@ struct Opened {
 /// one way, worker to caller, and carries the block's summary with it, so
 /// an idle block costs the caller this one line and nothing under the
 /// block's mutex.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the arrival stamp and the block summary it publishes"
+)]
 struct Arrival {
     /// Epoch of the last window this worker finished. Stored with `Release`
     /// after the block's last write and after `next_ns` / `sent`; read by
@@ -726,23 +749,48 @@ impl Rendezvous {
     fn new(others: usize) -> Self {
         Rendezvous {
             opened: CachePadded::new(Opened {
-                // oasis-check: allow(thread-discipline) window epoch: caller Release-stores, workers Acquire-read, once per window
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "window epoch: caller Release-stores, workers Acquire-read, once per \
+                              window"
+                )]
                 epoch: AtomicU64::new(0),
-                // oasis-check: allow(thread-discipline) window end, published by the epoch Release/Acquire pair
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "window end, published by the epoch Release/Acquire pair"
+                )]
                 w_end_ns: AtomicU64::new(0),
-                // oasis-check: allow(thread-discipline) shutdown flag, published by the epoch Release/Acquire pair
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "shutdown flag, published by the epoch Release/Acquire pair"
+                )]
                 stop: AtomicBool::new(false),
             }),
-            // oasis-check: allow(thread-discipline) panic flag: Release-set by an unwinding worker, Acquire-read by waiters
+            #[expect(
+                clippy::disallowed_types,
+                reason = "panic flag: Release-set by an unwinding worker, Acquire-read by waiters"
+            )]
             poisoned: AtomicBool::new(false),
             arrivals: (0..others)
                 .map(|_| {
                     CachePadded::new(Arrival {
-                        // oasis-check: allow(thread-discipline) arrival stamp: worker Release-stores, caller Acquire-reads, once per window
+                        #[expect(
+                            clippy::disallowed_types,
+                            reason = "arrival stamp: worker Release-stores, caller Acquire-reads, \
+                                      once per window"
+                        )]
                         epoch: AtomicU64::new(0),
-                        // oasis-check: allow(thread-discipline) block summary, published by the arrival stamp's Release/Acquire pair
+                        #[expect(
+                            clippy::disallowed_types,
+                            reason = "block summary, published by the arrival stamp's \
+                                      Release/Acquire pair"
+                        )]
                         next_ns: AtomicU64::new(0),
-                        // oasis-check: allow(thread-discipline) block summary, published by the arrival stamp's Release/Acquire pair
+                        #[expect(
+                            clippy::disallowed_types,
+                            reason = "block summary, published by the arrival stamp's \
+                                      Release/Acquire pair"
+                        )]
                         sent: AtomicBool::new(false),
                     })
                 })
@@ -1133,6 +1181,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the run under test sits on a helper thread so a hang fails instead of blocking"
+    )]
     fn a_panicking_shard_unwinds_out_of_run() {
         use std::sync::mpsc;
         use std::time::Duration;
@@ -1164,6 +1216,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "a waiter thread and its poll counter are what the test observes"
+    )]
     fn a_parked_waiter_wakes_on_ready_and_on_poison() {
         use std::sync::atomic::AtomicU32;
         use std::sync::mpsc;

@@ -8,6 +8,17 @@
 //! caches), a latency/bandwidth model matching Table 1's datacenter-SSD
 //! figures, and failure injection for the engine's error-propagation path.
 
+// A crashed driver must degrade, not abort the whole simulated pod
+// (DESIGN.md §14); `clippy.toml` lets tests unwrap, expect and panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod command;
 pub mod ssd;
 

@@ -61,7 +61,6 @@ impl InstanceType {
     /// exactly here, once, on catalog constants, so downstream arithmetic
     /// is integer-only.
     pub fn nic_mbps(&self) -> u64 {
-        // oasis-check: allow(float-determinism) catalog constants convert to fixed point at this single boundary
         (self.nic_gbps * 1000.0) as u64
     }
 }
@@ -147,7 +146,6 @@ pub struct HostCapacity {
 impl HostCapacity {
     /// Host NIC capacity in integer Mbit/s (see [`InstanceType::nic_mbps`]).
     pub fn nic_mbps(&self) -> u64 {
-        // oasis-check: allow(float-determinism) capacity constants convert to fixed point at this single boundary
         (self.nic_gbps * 1000.0) as u64
     }
 }

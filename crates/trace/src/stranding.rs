@@ -3,10 +3,14 @@
 //! Per-pod stranding over a fleet replay, computed entirely in integer
 //! parts per billion so the figures round-trip through snapshots
 //! losslessly and the measurement is byte-identical at any
-//! `OASIS_SHARD_THREADS`. The `float-determinism` rule in `oasis-check`
-//! polices this file; the f64 presentation sweep (Fig. 2 by pod size)
+//! `OASIS_SHARD_THREADS`. `clippy::float_arithmetic` is denied in this
+//! file; the f64 presentation sweep (Fig. 2 by pod size)
 //! lives in [`crate::stranding_sweep`] and is re-exported here for API
 //! stability.
+
+// Replicated and exported state is integer-only, so every replica and
+// every thread count computes the same bytes (DESIGN.md §14).
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use oasis_obs::{MetricSink, MetricsSnapshot};
 use oasis_sim::shard::{threads_from_env, Envelope, Outgoing, ShardWorld, ShardedRunner};

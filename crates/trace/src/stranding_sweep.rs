@@ -14,8 +14,8 @@
 //!
 //! This module is the presentation half: fractions are f64 and only ever
 //! flow *into* snapshots as ppb integers, never into replicated state. The
-//! integer-only fleet integral lives in [`crate::stranding`], which the
-//! `float-determinism` rule polices; this file deliberately is not.
+//! integer-only fleet integral lives in [`crate::stranding`], which
+//! denies `clippy::float_arithmetic`; this file deliberately does not.
 
 use oasis_obs::{MetricSink, MetricsSnapshot};
 use oasis_sim::time::SimDuration;
