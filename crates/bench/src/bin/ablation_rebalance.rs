@@ -78,7 +78,7 @@ fn main() {
         let (pod, stats, instances) = run(rebalance);
         let nic_of = |inst: usize| {
             pod.allocator
-                .state
+                .books()
                 .instances
                 .iter()
                 .find(|i| i.ip == pod.instance_ip(inst))

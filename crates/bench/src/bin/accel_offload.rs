@@ -17,14 +17,13 @@
 //! Usage:
 //!
 //! ```text
-//! accel_offload              measure; keep any recorded baseline
-//! accel_offload --baseline   measure and record this run as the baseline
-//! accel_offload --check      fail (exit 1) when aggregate throughput fell
-//!                            below the tolerance band vs BENCH_accel.json
+//! accel_offload              measure and write BENCH_accel.json
+//! accel_offload --check      fail (exit 1) unless the measurement equals
+//!                            the committed BENCH_accel.json byte for byte
 //! ```
 
 use oasis_accel::{AccelConfig, AccelOp};
-use oasis_bench::{metrics, regress};
+use oasis_bench::metrics;
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
 use oasis_core::pod::{Pod, PodBuilder};
@@ -97,7 +96,6 @@ fn run_batch(pod: &mut Pod, hosts: &[usize]) -> (SimDuration, usize) {
 }
 
 fn main() {
-    let record_baseline = std::env::args().any(|a| a == "--baseline");
     let check = std::env::args().any(|a| a == "--check");
     println!("== Accel offload over the pooled engine fabric (64 KiB checksum jobs) ==\n");
 
@@ -175,46 +173,30 @@ fn main() {
          one-device-per-host deployment would leave each device mostly idle.\n"
     );
 
-    // Regression bookkeeping. The gated metric is aggregate GB/s per
-    // sharing-host count — a pure function of the deterministic simulation,
-    // so any drift is a behavioral change in the engine fabric, not noise.
-    let prior = std::fs::read_to_string("BENCH_accel.json").ok();
-    let baseline_for = |consumers: usize| -> Option<f64> {
-        prior
-            .as_deref()
-            .and_then(|text| regress::read_json_number(text, &format!("baseline_gbps_{consumers}")))
-    };
+    // The gated metric is aggregate GB/s per sharing-host count — a pure
+    // function of the deterministic simulation, so any drift is a
+    // behavioral change in the engine fabric, not noise: the gate is exact.
+    let mut json = String::from("{\n  \"bench\": \"accel_offload\",\n");
+    for (i, &(consumers, gbps)) in gbps_at.iter().enumerate() {
+        json.push_str(&format!("  \"gbps_{consumers}\": {gbps:.3}"));
+        json.push_str(if i + 1 == gbps_at.len() { "\n" } else { ",\n" });
+    }
+    json.push_str("}\n");
 
     if check {
-        let mut ok = true;
-        for &(consumers, gbps) in &gbps_at {
-            let baseline = baseline_for(consumers).expect(
-                "--check needs a committed BENCH_accel.json with baseline_gbps_<hosts> entries",
-            );
-            ok &= regress::gate(
-                &format!("accel aggregate GB/s @ {consumers} hosts"),
-                regress::handicapped(gbps),
-                baseline,
-            );
+        let committed = std::fs::read_to_string("BENCH_accel.json")
+            .expect("--check needs the committed BENCH_accel.json");
+        let ok = committed == json;
+        println!(
+            "check accel aggregate GB/s equals BENCH_accel.json exactly -> {}",
+            if ok { "OK" } else { "FAIL" }
+        );
+        if !ok {
+            print!("measured:\n{json}");
         }
         std::process::exit(if ok { 0 } else { 1 });
     }
 
-    let mut json = String::from("{\n  \"bench\": \"accel_offload\",\n");
-    for (i, &(consumers, gbps)) in gbps_at.iter().enumerate() {
-        let baseline = if record_baseline {
-            Some(gbps)
-        } else {
-            baseline_for(consumers)
-        };
-        json.push_str(&format!("  \"gbps_{consumers}\": {gbps:.3},\n"));
-        match baseline {
-            Some(b) => json.push_str(&format!("  \"baseline_gbps_{consumers}\": {b:.3}")),
-            None => json.push_str(&format!("  \"baseline_gbps_{consumers}\": null")),
-        }
-        json.push_str(if i + 1 == gbps_at.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("}\n");
     std::fs::write("BENCH_accel.json", &json).expect("write BENCH_accel.json");
     println!("wrote BENCH_accel.json");
 }

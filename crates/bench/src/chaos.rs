@@ -45,7 +45,6 @@ use oasis_core::allocator::{
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
 use oasis_core::pod::{PodBuilder, PodInput};
-use oasis_core::snapshot::{SnapshotWriter, Snapshottable};
 use oasis_sim::fault::{FaultKind, FaultMix, FaultPlan};
 use oasis_sim::time::{SimDuration, SimTime};
 use oasis_sim::SimRng;
@@ -151,14 +150,6 @@ fn pattern(tag: u8) -> Vec<u8> {
 enum Io {
     Write { lba: u64, tag: u8 },
     Read { lba: u64 },
-}
-
-/// The fleet state's canonical snapshot bytes — two states are equal for
-/// the exactly-once audit iff their checkpoints are byte-identical.
-fn fleet_state_bytes(st: &FleetState) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    st.snapshot_state(&mut w);
-    w.finish()
 }
 
 /// Recompute every pod's capacity books from first principles — the live
@@ -313,14 +304,14 @@ fn migration_storm(seed: u64, violations: &mut Vec<String>) -> (u64, u64, u64) {
             )),
         }
         if scenario == 2 {
-            let before = fleet_state_bytes(&alloc.state);
+            let before = alloc.state.clone();
             let dup = alloc.state.apply(&finish);
             if dup != FleetResponse::Rejected {
                 violations.push(format!(
                     "migration round {round}: duplicate finish answered {dup:?}, want Rejected"
                 ));
             }
-            if fleet_state_bytes(&alloc.state) != before {
+            if alloc.state != before {
                 violations.push(format!(
                     "migration round {round}: duplicate finish mutated the fleet state"
                 ));

@@ -8,7 +8,6 @@ pub mod chaos;
 pub mod fig13;
 pub mod harness;
 pub mod metrics;
-pub mod regress;
 pub mod sweep;
 
 pub use harness::Mode;

@@ -2,16 +2,14 @@
 
 use oasis_net::addr::Ipv4Addr;
 
-/// Wire-schema version of [`AllocCommand`]. Variant order assigns the
-/// discriminant bytes, so appending, reordering, or renaming a variant is
-/// a schema change: bump this and re-pin `core/tests/schema_golden.rs`,
-/// whose exhaustive tag match stops compiling on an appended variant.
-pub const ALLOC_SCHEMA_VERSION: u32 = 1;
-
-/// Wire-schema version of [`FleetCommand`]; same contract as
-/// [`ALLOC_SCHEMA_VERSION`]. v2 appended `MigrateInstance` and
-/// `FinishMigration` (ISSUE 10 live migration).
-pub const FLEET_SCHEMA_VERSION: u32 = 2;
+/// Wire-schema version of [`FleetCommand`]. Variant order assigns the
+/// tag bytes, so appending, reordering, or renaming a variant is a schema
+/// change: bump this and re-pin `core/tests/schema_golden.rs`, whose
+/// exhaustive tag match stops compiling on an appended variant. v2
+/// appended `MigrateInstance` and `FinishMigration`; v3 appended the
+/// eleven device commands (tags 9–19) when the pod allocator's command
+/// set folded in.
+pub const FLEET_SCHEMA_VERSION: u32 = 3;
 
 /// How a live migration moves instance state to the target pod.
 ///
@@ -90,233 +88,66 @@ impl Fields<'_> {
     }
 }
 
-/// A command applied to the replicated allocator state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AllocCommand {
-    /// Register a NIC attached to `host` with `capacity_mbps` of
-    /// allocatable bandwidth.
-    RegisterNic {
-        /// NIC id.
-        nic: u32,
-        /// Host the NIC is attached to.
-        host: u32,
-        /// Allocatable bandwidth in Mbit/s.
-        capacity_mbps: u32,
-        /// Reserved as the pod's failover backup (§3.3.3).
-        backup: bool,
-    },
-    /// Assign an instance to a NIC with a bandwidth lease.
-    Assign {
-        /// Instance IP.
-        ip: Ipv4Addr,
-        /// Instance host.
-        host: u32,
-        /// Serving NIC.
-        nic: u32,
-        /// Leased bandwidth in Mbit/s.
-        lease_mbps: u32,
-    },
-    /// Remove an instance's assignment.
-    Unassign {
-        /// Instance IP.
-        ip: Ipv4Addr,
-    },
-    /// Mark a NIC failed; its leases are revoked by the state machine.
-    MarkFailed {
-        /// NIC id.
-        nic: u32,
-    },
-    /// Mark a NIC healthy again after repair.
-    MarkRepaired {
-        /// NIC id.
-        nic: u32,
-    },
-    /// Register an SSD attached to `host` with allocatable capacity.
-    RegisterSsd {
-        /// SSD id.
-        ssd: u32,
-        /// Host the SSD is attached to.
-        host: u32,
-        /// Allocatable capacity in whole blocks.
-        capacity_blocks: u32,
-    },
-    /// Carve a volume for an instance out of an SSD.
-    AssignVolume {
-        /// Owning instance IP.
-        ip: Ipv4Addr,
-        /// SSD the volume lives on.
-        ssd: u32,
-        /// First block of the volume.
-        base_block: u32,
-        /// Volume length in blocks.
-        blocks: u32,
-    },
-    /// Release an instance's volumes (instance teardown; local NVMe is
-    /// ephemeral, as §3.4 notes).
-    ReleaseVolumes {
-        /// Owning instance IP.
-        ip: Ipv4Addr,
-    },
-    /// Declare a frontend host dead (ISSUE 2 heartbeat detection). The
-    /// state machine revokes every lease and volume owned by instances on
-    /// that host so nothing leaks while it is down.
-    MarkHostFailed {
-        /// Host id.
-        host: u32,
-    },
-    /// A failed host heartbeated again after restarting.
-    MarkHostRestarted {
-        /// Host id.
-        host: u32,
-    },
-    /// Register a compute-offload accelerator attached to `host`.
-    RegisterAccel {
-        /// Accelerator id.
-        accel: u32,
-        /// Host the accelerator is attached to.
-        host: u32,
-    },
+/// One fixed-width little-endian field of an encoded command: the
+/// writing half of [`Fields`].
+trait Field {
+    fn put(&self, b: &mut Vec<u8>);
 }
 
-impl AllocCommand {
-    /// Serialize for the Raft log.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(16);
-        match self {
-            AllocCommand::RegisterNic {
-                nic,
-                host,
-                capacity_mbps,
-                backup,
-            } => {
-                b.push(1);
-                b.extend_from_slice(&nic.to_le_bytes());
-                b.extend_from_slice(&host.to_le_bytes());
-                b.extend_from_slice(&capacity_mbps.to_le_bytes());
-                b.push(*backup as u8);
-            }
-            AllocCommand::Assign {
-                ip,
-                host,
-                nic,
-                lease_mbps,
-            } => {
-                b.push(2);
-                b.extend_from_slice(&ip.0);
-                b.extend_from_slice(&host.to_le_bytes());
-                b.extend_from_slice(&nic.to_le_bytes());
-                b.extend_from_slice(&lease_mbps.to_le_bytes());
-            }
-            AllocCommand::Unassign { ip } => {
-                b.push(3);
-                b.extend_from_slice(&ip.0);
-            }
-            AllocCommand::MarkFailed { nic } => {
-                b.push(4);
-                b.extend_from_slice(&nic.to_le_bytes());
-            }
-            AllocCommand::MarkRepaired { nic } => {
-                b.push(5);
-                b.extend_from_slice(&nic.to_le_bytes());
-            }
-            AllocCommand::RegisterSsd {
-                ssd,
-                host,
-                capacity_blocks,
-            } => {
-                b.push(6);
-                b.extend_from_slice(&ssd.to_le_bytes());
-                b.extend_from_slice(&host.to_le_bytes());
-                b.extend_from_slice(&capacity_blocks.to_le_bytes());
-            }
-            AllocCommand::AssignVolume {
-                ip,
-                ssd,
-                base_block,
-                blocks,
-            } => {
-                b.push(7);
-                b.extend_from_slice(&ip.0);
-                b.extend_from_slice(&ssd.to_le_bytes());
-                b.extend_from_slice(&base_block.to_le_bytes());
-                b.extend_from_slice(&blocks.to_le_bytes());
-            }
-            AllocCommand::ReleaseVolumes { ip } => {
-                b.push(8);
-                b.extend_from_slice(&ip.0);
-            }
-            AllocCommand::MarkHostFailed { host } => {
-                b.push(9);
-                b.extend_from_slice(&host.to_le_bytes());
-            }
-            AllocCommand::MarkHostRestarted { host } => {
-                b.push(10);
-                b.extend_from_slice(&host.to_le_bytes());
-            }
-            AllocCommand::RegisterAccel { accel, host } => {
-                b.push(11);
-                b.extend_from_slice(&accel.to_le_bytes());
-                b.extend_from_slice(&host.to_le_bytes());
-            }
-        }
-        b
+impl Field for u32 {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&self.to_le_bytes());
     }
+}
 
-    /// Deserialize from the Raft log. `None` on malformed input: anything
-    /// but the exact bytes [`encode`](Self::encode) writes for a command.
-    pub fn decode(b: &[u8]) -> Option<AllocCommand> {
-        let mut f = Fields(b);
-        let cmd = match f.u8()? {
-            1 => AllocCommand::RegisterNic {
-                nic: f.u32()?,
-                host: f.u32()?,
-                capacity_mbps: f.u32()?,
-                backup: f.bool()?,
-            },
-            2 => AllocCommand::Assign {
-                ip: f.ip()?,
-                host: f.u32()?,
-                nic: f.u32()?,
-                lease_mbps: f.u32()?,
-            },
-            3 => AllocCommand::Unassign { ip: f.ip()? },
-            4 => AllocCommand::MarkFailed { nic: f.u32()? },
-            5 => AllocCommand::MarkRepaired { nic: f.u32()? },
-            6 => AllocCommand::RegisterSsd {
-                ssd: f.u32()?,
-                host: f.u32()?,
-                capacity_blocks: f.u32()?,
-            },
-            7 => AllocCommand::AssignVolume {
-                ip: f.ip()?,
-                ssd: f.u32()?,
-                base_block: f.u32()?,
-                blocks: f.u32()?,
-            },
-            8 => AllocCommand::ReleaseVolumes { ip: f.ip()? },
-            9 => AllocCommand::MarkHostFailed { host: f.u32()? },
-            10 => AllocCommand::MarkHostRestarted { host: f.u32()? },
-            11 => AllocCommand::RegisterAccel {
-                accel: f.u32()?,
-                host: f.u32()?,
-            },
-            _ => return None,
-        };
-        f.end(cmd)
+impl Field for u64 {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&self.to_le_bytes());
     }
+}
+
+impl Field for bool {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(*self as u8);
+    }
+}
+
+impl Field for Ipv4Addr {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&self.0);
+    }
+}
+
+impl Field for TransferPath {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(self.to_byte());
+    }
+}
+
+/// A tag byte followed by the fields in order (statically dispatched:
+/// every command the log carries is encoded once).
+macro_rules! encoded {
+    ($tag:expr $(, $field:expr)*) => {{
+        let mut b = Vec::with_capacity(32);
+        b.push($tag);
+        $(Field::put($field, &mut b);)*
+        b
+    }};
 }
 
 /// Home-pod value meaning "place anywhere in the fleet".
 pub const ANY_POD: u32 = u32::MAX;
 
-/// A command applied to the replicated *fleet* allocator state.
+/// A command applied to the replicated allocator state: the one log of
+/// the control plane.
 ///
-/// This is the typed control-plane API: experiment harnesses and the
-/// trace replayer drive the fleet exclusively through these commands, and
-/// every state-changing command is appended to the fleet allocator's Raft
-/// log before it is applied. Timestamps are embedded in the commands (not
-/// taken from the applying replica) so replicas replaying the same log
-/// compute byte-identical spill-traffic accounting.
+/// This is the typed control-plane API. A fleet's harnesses and the trace
+/// replayer drive it with the fleet-scope commands (tags 1–8); a pod's
+/// control actor drives its device books with the device commands (tags
+/// 9–19). Every state-changing command is appended to the allocator's
+/// Raft log before it is applied. Timestamps are embedded in the commands
+/// (not taken from the applying replica) so replicas replaying the same
+/// log compute byte-identical state, spill-traffic accounting included.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FleetCommand {
     /// Register pod `pod` (must arrive in index order) with its local
@@ -410,12 +241,98 @@ pub enum FleetCommand {
         /// Commit (land on target) vs abort (stay on source).
         commit: bool,
     },
+    /// Register a NIC attached to `host` with `capacity_mbps` of
+    /// allocatable bandwidth.
+    RegisterNic {
+        /// NIC id.
+        nic: u32,
+        /// Host the NIC is attached to.
+        host: u32,
+        /// Allocatable bandwidth in Mbit/s.
+        capacity_mbps: u32,
+        /// Reserved as the pod's failover backup (§3.3.3).
+        backup: bool,
+    },
+    /// Assign an instance to a NIC with a bandwidth lease.
+    Assign {
+        /// Instance IP.
+        ip: Ipv4Addr,
+        /// Instance host.
+        host: u32,
+        /// Serving NIC.
+        nic: u32,
+        /// Leased bandwidth in Mbit/s.
+        lease_mbps: u32,
+    },
+    /// Remove an instance's assignment.
+    Unassign {
+        /// Instance IP.
+        ip: Ipv4Addr,
+    },
+    /// Mark a NIC failed; its leases are revoked by the state machine.
+    MarkFailed {
+        /// NIC id.
+        nic: u32,
+    },
+    /// Mark a NIC healthy again after repair.
+    MarkRepaired {
+        /// NIC id.
+        nic: u32,
+    },
+    /// Register an SSD attached to `host` with allocatable capacity.
+    RegisterSsd {
+        /// SSD id.
+        ssd: u32,
+        /// Host the SSD is attached to.
+        host: u32,
+        /// Allocatable capacity in whole blocks.
+        capacity_blocks: u32,
+    },
+    /// Carve a volume for an instance out of an SSD.
+    AssignVolume {
+        /// Owning instance IP.
+        ip: Ipv4Addr,
+        /// SSD the volume lives on.
+        ssd: u32,
+        /// First block of the volume.
+        base_block: u32,
+        /// Volume length in blocks.
+        blocks: u32,
+    },
+    /// Release an instance's volumes (instance teardown; local NVMe is
+    /// ephemeral, as §3.4 notes).
+    ReleaseVolumes {
+        /// Owning instance IP.
+        ip: Ipv4Addr,
+    },
+    /// Declare a frontend host dead (heartbeat detection). The state
+    /// machine revokes every lease and volume owned by instances on that
+    /// host so nothing leaks while it is down.
+    MarkHostFailed {
+        /// Host id.
+        host: u32,
+    },
+    /// A failed host heartbeated again after restarting.
+    MarkHostRestarted {
+        /// Host id.
+        host: u32,
+    },
+    /// Register a compute-offload accelerator attached to `host`.
+    RegisterAccel {
+        /// Accelerator id.
+        accel: u32,
+        /// Host the accelerator is attached to.
+        host: u32,
+    },
 }
+
+// The largest variant (`RegisterPod`) sets the size; the device variants
+// fit inside it.
+const _: () = assert!(std::mem::size_of::<FleetCommand>() == 40);
 
 impl FleetCommand {
     /// Serialize for the Raft log.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(32);
         match self {
             FleetCommand::RegisterPod {
                 pod,
@@ -424,25 +341,16 @@ impl FleetCommand {
                 mem_gb_per_host,
                 nic_mbps,
                 ssd_cap,
-            } => {
-                b.push(1);
-                b.extend_from_slice(&pod.to_le_bytes());
-                b.extend_from_slice(&hosts.to_le_bytes());
-                b.extend_from_slice(&vcpus_per_host.to_le_bytes());
-                b.extend_from_slice(&mem_gb_per_host.to_le_bytes());
-                b.extend_from_slice(&nic_mbps.to_le_bytes());
-                b.extend_from_slice(&ssd_cap.to_le_bytes());
-            }
-            FleetCommand::AddLink {
-                a,
-                b: pb,
-                latency_ns,
-            } => {
-                b.push(2);
-                b.extend_from_slice(&a.to_le_bytes());
-                b.extend_from_slice(&pb.to_le_bytes());
-                b.extend_from_slice(&latency_ns.to_le_bytes());
-            }
+            } => encoded!(
+                1,
+                pod,
+                hosts,
+                vcpus_per_host,
+                mem_gb_per_host,
+                nic_mbps,
+                ssd_cap
+            ),
+            FleetCommand::AddLink { a, b, latency_ns } => encoded!(2, a, b, latency_ns),
             FleetCommand::CreateInstance {
                 at,
                 vcpus,
@@ -450,53 +358,53 @@ impl FleetCommand {
                 ssd,
                 nic_mbps,
                 home_pod,
-            } => {
-                b.push(3);
-                b.extend_from_slice(&at.to_le_bytes());
-                b.extend_from_slice(&vcpus.to_le_bytes());
-                b.extend_from_slice(&mem_gb.to_le_bytes());
-                b.extend_from_slice(&ssd.to_le_bytes());
-                b.extend_from_slice(&nic_mbps.to_le_bytes());
-                b.extend_from_slice(&home_pod.to_le_bytes());
-            }
+            } => encoded!(3, at, vcpus, mem_gb, ssd, nic_mbps, home_pod),
             FleetCommand::ResizeInstance {
                 at,
                 id,
                 nic_mbps,
                 ssd,
-            } => {
-                b.push(4);
-                b.extend_from_slice(&at.to_le_bytes());
-                b.extend_from_slice(&id.to_le_bytes());
-                b.extend_from_slice(&nic_mbps.to_le_bytes());
-                b.extend_from_slice(&ssd.to_le_bytes());
-            }
-            FleetCommand::KillInstance { at, id } => {
-                b.push(5);
-                b.extend_from_slice(&at.to_le_bytes());
-                b.extend_from_slice(&id.to_le_bytes());
-            }
-            FleetCommand::QueryFleetState => b.push(6),
+            } => encoded!(4, at, id, nic_mbps, ssd),
+            FleetCommand::KillInstance { at, id } => encoded!(5, at, id),
+            FleetCommand::QueryFleetState => encoded!(6),
             FleetCommand::MigrateInstance {
                 at,
                 id,
                 dst_pod,
                 path,
-            } => {
-                b.push(7);
-                b.extend_from_slice(&at.to_le_bytes());
-                b.extend_from_slice(&id.to_le_bytes());
-                b.extend_from_slice(&dst_pod.to_le_bytes());
-                b.push(path.to_byte());
-            }
-            FleetCommand::FinishMigration { at, id, commit } => {
-                b.push(8);
-                b.extend_from_slice(&at.to_le_bytes());
-                b.extend_from_slice(&id.to_le_bytes());
-                b.push(*commit as u8);
-            }
+            } => encoded!(7, at, id, dst_pod, path),
+            FleetCommand::FinishMigration { at, id, commit } => encoded!(8, at, id, commit),
+            FleetCommand::RegisterNic {
+                nic,
+                host,
+                capacity_mbps,
+                backup,
+            } => encoded!(9, nic, host, capacity_mbps, backup),
+            FleetCommand::Assign {
+                ip,
+                host,
+                nic,
+                lease_mbps,
+            } => encoded!(10, ip, host, nic, lease_mbps),
+            FleetCommand::Unassign { ip } => encoded!(11, ip),
+            FleetCommand::MarkFailed { nic } => encoded!(12, nic),
+            FleetCommand::MarkRepaired { nic } => encoded!(13, nic),
+            FleetCommand::RegisterSsd {
+                ssd,
+                host,
+                capacity_blocks,
+            } => encoded!(14, ssd, host, capacity_blocks),
+            FleetCommand::AssignVolume {
+                ip,
+                ssd,
+                base_block,
+                blocks,
+            } => encoded!(15, ip, ssd, base_block, blocks),
+            FleetCommand::ReleaseVolumes { ip } => encoded!(16, ip),
+            FleetCommand::MarkHostFailed { host } => encoded!(17, host),
+            FleetCommand::MarkHostRestarted { host } => encoded!(18, host),
+            FleetCommand::RegisterAccel { accel, host } => encoded!(19, accel, host),
         }
-        b
     }
 
     /// Deserialize from the Raft log. `None` on malformed input: anything
@@ -547,6 +455,39 @@ impl FleetCommand {
                 id: f.u64()?,
                 commit: f.bool()?,
             },
+            9 => FleetCommand::RegisterNic {
+                nic: f.u32()?,
+                host: f.u32()?,
+                capacity_mbps: f.u32()?,
+                backup: f.bool()?,
+            },
+            10 => FleetCommand::Assign {
+                ip: f.ip()?,
+                host: f.u32()?,
+                nic: f.u32()?,
+                lease_mbps: f.u32()?,
+            },
+            11 => FleetCommand::Unassign { ip: f.ip()? },
+            12 => FleetCommand::MarkFailed { nic: f.u32()? },
+            13 => FleetCommand::MarkRepaired { nic: f.u32()? },
+            14 => FleetCommand::RegisterSsd {
+                ssd: f.u32()?,
+                host: f.u32()?,
+                capacity_blocks: f.u32()?,
+            },
+            15 => FleetCommand::AssignVolume {
+                ip: f.ip()?,
+                ssd: f.u32()?,
+                base_block: f.u32()?,
+                blocks: f.u32()?,
+            },
+            16 => FleetCommand::ReleaseVolumes { ip: f.ip()? },
+            17 => FleetCommand::MarkHostFailed { host: f.u32()? },
+            18 => FleetCommand::MarkHostRestarted { host: f.u32()? },
+            19 => FleetCommand::RegisterAccel {
+                accel: f.u32()?,
+                host: f.u32()?,
+            },
             _ => return None,
         };
         f.end(cmd)
@@ -560,51 +501,51 @@ mod tests {
     #[test]
     fn roundtrip_all_commands() {
         let cmds = vec![
-            AllocCommand::RegisterNic {
+            FleetCommand::RegisterNic {
                 nic: 3,
                 host: 1,
                 capacity_mbps: 100_000,
                 backup: true,
             },
-            AllocCommand::Assign {
+            FleetCommand::Assign {
                 ip: Ipv4Addr::instance(9),
                 host: 2,
                 nic: 0,
                 lease_mbps: 10_000,
             },
-            AllocCommand::Unassign {
+            FleetCommand::Unassign {
                 ip: Ipv4Addr::instance(9),
             },
-            AllocCommand::MarkFailed { nic: 7 },
-            AllocCommand::MarkRepaired { nic: 7 },
-            AllocCommand::RegisterSsd {
+            FleetCommand::MarkFailed { nic: 7 },
+            FleetCommand::MarkRepaired { nic: 7 },
+            FleetCommand::RegisterSsd {
                 ssd: 2,
                 host: 1,
                 capacity_blocks: 4096,
             },
-            AllocCommand::AssignVolume {
+            FleetCommand::AssignVolume {
                 ip: Ipv4Addr::instance(9),
                 ssd: 2,
                 base_block: 128,
                 blocks: 256,
             },
-            AllocCommand::ReleaseVolumes {
+            FleetCommand::ReleaseVolumes {
                 ip: Ipv4Addr::instance(9),
             },
-            AllocCommand::MarkHostFailed { host: 4 },
-            AllocCommand::MarkHostRestarted { host: 4 },
-            AllocCommand::RegisterAccel { accel: 1, host: 3 },
+            FleetCommand::MarkHostFailed { host: 4 },
+            FleetCommand::MarkHostRestarted { host: 4 },
+            FleetCommand::RegisterAccel { accel: 1, host: 3 },
         ];
         for c in cmds {
-            assert_eq!(AllocCommand::decode(&c.encode()), Some(c));
+            assert_eq!(FleetCommand::decode(&c.encode()), Some(c));
         }
     }
 
     #[test]
     fn malformed_rejected() {
-        assert!(AllocCommand::decode(&[]).is_none());
-        assert!(AllocCommand::decode(&[99]).is_none());
-        assert!(AllocCommand::decode(&[1, 0]).is_none());
+        assert!(FleetCommand::decode(&[]).is_none());
+        assert!(FleetCommand::decode(&[99]).is_none());
+        assert!(FleetCommand::decode(&[9, 0]).is_none());
     }
 
     #[test]

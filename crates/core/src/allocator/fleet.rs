@@ -1,26 +1,28 @@
-//! Fleet-scope allocation: topology-aware placement over many pods.
+//! The one replicated control-plane state machine, and fleet-scope
+//! placement: topology-aware placement over many pods.
 //!
-//! The pod allocator ([`super::service`]) answers "which NIC / which SSD
-//! inside this pod"; this module answers the question above it: *which pod
-//! and host get the instance at all*, with device backends allowed to land
-//! on a different, reachable pod when the home pod's devices strand.
+//! A [`FleetState`] holds two sets of books. The pod books — one
+//! [`PodCapacity`] per pod, the links between pods, the fleet's instances —
+//! answer *which pod and host get the instance at all*, with device
+//! backends allowed to land on a different, reachable pod when the home
+//! pod's devices strand. The device books ([`DeviceBooks`]) answer *which
+//! NIC / which SSD inside this pod*. A pod runs the machine with device
+//! commands; a fleet runs it with fleet commands.
 //!
 //! The split mirrors the paper's §2.3 fleet argument. Each pod contributes
-//! a [`PodCapacity`] — the pod-local capacity layer, summarizing what the
-//! pod allocator could serve — and the [`FleetAllocator`] places against
-//! those summaries, consulting [`FleetTopology::spill_order`] (hop count,
-//! then uplink latency, then pod index — deterministically tie-broken) to
-//! pick the nearest neighbor pod whenever an instance's CPU/memory fit
-//! locally but its chunky device request does not.
+//! a [`PodCapacity`] — what its device books could serve — and placement
+//! runs against those summaries, consulting
+//! [`FleetTopology::spill_order`] (hop count, then uplink latency, then pod
+//! index — deterministically tie-broken) to pick the nearest neighbor pod
+//! whenever an instance's CPU/memory fit locally but its chunky device
+//! request does not.
 //!
 //! Every state-changing [`FleetCommand`] flows through a replicated Raft
-//! log, exactly like the pod allocator's [`super::command::AllocCommand`]
-//! stream: the state machine ([`FleetState::apply`]) is a pure function of
+//! log: the state machine ([`FleetState::apply`]) is a pure function of
 //! the log, so replicas converge and [`FleetAllocator::consistent_with_log`]
 //! can re-derive the live state from the committed prefix. Command
 //! timestamps travel *in* the commands, never from the applying replica's
-//! clock, so cross-pod spill-traffic accounting is identical on every
-//! replica.
+//! clock.
 
 use oasis_cxl::topology::{CrossPodLink, FleetTopology, PodTopology, SpillHop};
 use oasis_obs::MetricSink;
@@ -28,6 +30,7 @@ use oasis_raft::{RaftConfig, RaftNode};
 use oasis_sim::time::{SimDuration, SimTime};
 
 use super::command::{FleetCommand, TransferPath, ANY_POD};
+use super::devices::DeviceBooks;
 use crate::error::FleetError;
 use crate::metrics;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, Snapshottable};
@@ -221,6 +224,8 @@ pub enum FleetResponse {
         /// Committed (target) vs aborted (source).
         committed: bool,
     },
+    /// A device command updated the device books.
+    Booked,
     /// The utilization report.
     State(FleetStateReport),
 }
@@ -254,7 +259,7 @@ impl PartialEq for SpillOrders {
 
 impl Eq for SpillOrders {}
 
-/// The replicated fleet state machine: a pure function of the
+/// The replicated control-plane state machine: a pure function of the
 /// [`FleetCommand`] log.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetState {
@@ -292,6 +297,8 @@ pub struct FleetState {
     pub migrations_committed: u64,
     /// Migrations rolled back onto their source pod.
     pub migrations_aborted: u64,
+    /// The device books a pod's control actor keeps.
+    pub devices: DeviceBooks,
 }
 
 /// A pass-2 spill candidate: the `(hops, vcpu slack, mem slack)` ranking
@@ -679,6 +686,7 @@ impl FleetState {
                 }
             }
             FleetCommand::QueryFleetState => FleetResponse::State(self.report()),
+            _ => self.devices.apply(cmd),
         }
     }
 
@@ -759,8 +767,7 @@ impl Snapshottable for FleetState {
     /// (deterministic) storage order; `spill` is derived from the link
     /// set and rebuilt after restore instead of being serialized.
     fn snapshot_state(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.pods.len() as u64);
-        for pc in &self.pods {
+        w.put_list(&self.pods, |w, pc| {
             w.put_u32(pc.vcpus_per_host);
             w.put_u32(pc.mem_gb_per_host);
             w.put_u64(pc.host_vcpus_used.len() as u64);
@@ -774,27 +781,22 @@ impl Snapshottable for FleetState {
             w.put_u64(pc.nic_mbps_used);
             w.put_u64(pc.ssd_cap);
             w.put_u64(pc.ssd_used);
-        }
-        w.put_u64(self.links.len() as u64);
-        for &(a, b, ns) in &self.links {
+        });
+        w.put_list(&self.links, |w, &(a, b, ns)| {
             w.put_u32(a);
             w.put_u32(b);
             w.put_u64(ns);
-        }
-        w.put_u64(self.instances.len() as u64);
-        for slot in &self.instances {
-            w.put_bool(slot.is_some());
-            if let Some(i) = slot {
-                w.put_u32(i.vcpus);
-                w.put_u32(i.mem_gb);
-                w.put_u32(i.ssd);
-                w.put_u32(i.nic_mbps);
-                w.put_u32(i.pod);
-                w.put_u32(i.host);
-                w.put_u32(i.device_pod);
-                w.put_u64(i.placed_at);
-            }
-        }
+        });
+        w.put_slots(&self.instances, |w, _, i| {
+            w.put_u32(i.vcpus);
+            w.put_u32(i.mem_gb);
+            w.put_u32(i.ssd);
+            w.put_u32(i.nic_mbps);
+            w.put_u32(i.pod);
+            w.put_u32(i.host);
+            w.put_u32(i.device_pod);
+            w.put_u64(i.placed_at);
+        });
         for v in [
             self.placed,
             self.rejected,
@@ -809,19 +811,15 @@ impl Snapshottable for FleetState {
             &self.spill_bytes,
             &self.pod_placements,
         ] {
-            w.put_u64(table.len() as u64);
-            for &v in table.iter() {
-                w.put_u64(v);
-            }
+            w.put_list(table, |w, &v| w.put_u64(v));
         }
-        w.put_u64(self.migrations.len() as u64);
-        for &(id, t) in &self.migrations {
+        w.put_list(&self.migrations, |w, &(id, t)| {
             w.put_u64(id);
             w.put_u32(t.dst_pod);
             w.put_u32(t.dst_host);
             w.put_u8(t.path.to_byte());
             w.put_u64(t.opened_at);
-        }
+        });
         for v in [
             self.migrations_started,
             self.migrations_committed,
@@ -829,24 +827,21 @@ impl Snapshottable for FleetState {
         ] {
             w.put_u64(v);
         }
+        self.devices.write(w, |_, _| {}, |_, _| {});
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.count("fleet pod count")?;
-        let mut pods = Vec::with_capacity(n);
-        for _ in 0..n {
+        self.pods = r.list("fleet pod", |r| {
             let vcpus_per_host = r.u32("fleet pod vcpus/host")?;
             let mem_gb_per_host = r.u32("fleet pod mem/host")?;
             let hosts = r.count("fleet pod host count")?;
-            let mut host_vcpus_used = Vec::with_capacity(hosts);
-            for _ in 0..hosts {
-                host_vcpus_used.push(r.u32("fleet pod host vcpus")?);
-            }
-            let mut host_mem_used = Vec::with_capacity(hosts);
-            for _ in 0..hosts {
-                host_mem_used.push(r.u32("fleet pod host mem")?);
-            }
-            pods.push(PodCapacity {
+            let host_vcpus_used = (0..hosts)
+                .map(|_| r.u32("fleet pod host vcpus"))
+                .collect::<Result<_, _>>()?;
+            let host_mem_used = (0..hosts)
+                .map(|_| r.u32("fleet pod host mem"))
+                .collect::<Result<_, _>>()?;
+            Ok(PodCapacity {
                 vcpus_per_host,
                 mem_gb_per_host,
                 host_vcpus_used,
@@ -855,100 +850,79 @@ impl Snapshottable for FleetState {
                 nic_mbps_used: r.u64("fleet pod nic used")?,
                 ssd_cap: r.u64("fleet pod ssd cap")?,
                 ssd_used: r.u64("fleet pod ssd used")?,
-            });
-        }
-        self.pods = pods;
-        let n = r.count("fleet link count")?;
-        let mut links = Vec::with_capacity(n);
-        for _ in 0..n {
+            })
+        })?;
+        self.links = r.list("fleet link", |r| {
             let a = r.u32("fleet link a")?;
             let b = r.u32("fleet link b")?;
-            let ns = r.u64("fleet link latency")?;
-            links.push((a, b, ns));
-        }
-        self.links = links;
-        let n = r.count("fleet instance count")?;
-        let mut instances = Vec::with_capacity(n);
-        for _ in 0..n {
-            instances.push(if r.bool("fleet instance present")? {
-                Some(FleetInstance {
-                    vcpus: r.u32("fleet instance vcpus")?,
-                    mem_gb: r.u32("fleet instance mem")?,
-                    ssd: r.u32("fleet instance ssd")?,
-                    nic_mbps: r.u32("fleet instance nic")?,
-                    pod: r.u32("fleet instance pod")?,
-                    host: r.u32("fleet instance host")?,
-                    device_pod: r.u32("fleet instance device pod")?,
-                    placed_at: r.u64("fleet instance placed_at")?,
-                })
-            } else {
-                None
-            });
-        }
-        self.instances = instances;
+            Ok((a, b, r.u64("fleet link latency")?))
+        })?;
+        self.instances = r.slots("fleet instance", |r, _| {
+            Ok(FleetInstance {
+                vcpus: r.u32("fleet instance vcpus")?,
+                mem_gb: r.u32("fleet instance mem")?,
+                ssd: r.u32("fleet instance ssd")?,
+                nic_mbps: r.u32("fleet instance nic")?,
+                pod: r.u32("fleet instance pod")?,
+                host: r.u32("fleet instance host")?,
+                device_pod: r.u32("fleet instance device pod")?,
+                placed_at: r.u64("fleet instance placed_at")?,
+            })
+        })?;
         self.placed = r.u64("fleet placed")?;
         self.rejected = r.u64("fleet rejected")?;
         self.killed = r.u64("fleet killed")?;
         self.resizes = r.u64("fleet resizes")?;
         self.resize_rejections = r.u64("fleet resize rejections")?;
-        let mut tables: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for table in tables.iter_mut() {
-            let n = r.u64("fleet table length")?;
-            for _ in 0..n {
-                table.push(r.u64("fleet table entry")?);
-            }
-        }
-        let [spill_placements, spill_bytes, pod_placements] = tables;
-        self.spill_placements = spill_placements;
-        self.spill_bytes = spill_bytes;
-        self.pod_placements = pod_placements;
-        let n = r.count("fleet migration count")?;
-        let mut migrations = Vec::with_capacity(n);
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
+        let mut table = || r.list("fleet table", |r| r.u64("fleet table entry"));
+        self.spill_placements = table()?;
+        self.spill_bytes = table()?;
+        self.pod_placements = table()?;
+        self.migrations = r.list("fleet migration", |r| {
             let id = r.u64("fleet migration id")?;
-            if prev.is_some_and(|p| p >= id) {
-                return Err(SnapshotError::Corrupt("fleet migration order"));
-            }
-            prev = Some(id);
             let dst_pod = r.u32("fleet migration dst pod")?;
             let dst_host = r.u32("fleet migration dst host")?;
             let path = TransferPath::from_byte(r.u8("fleet migration path")?)
                 .ok_or(SnapshotError::Corrupt("fleet migration path"))?;
             let opened_at = r.u64("fleet migration opened_at")?;
-            migrations.push((
-                id,
-                MigrationTicket {
-                    dst_pod,
-                    dst_host,
-                    path,
-                    opened_at,
-                },
-            ));
+            let ticket = MigrationTicket {
+                dst_pod,
+                dst_host,
+                path,
+                opened_at,
+            };
+            Ok((id, ticket))
+        })?;
+        if self.migrations.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(SnapshotError::Corrupt("fleet migration order"));
         }
-        self.migrations = migrations;
         self.migrations_started = r.u64("fleet migrations started")?;
         self.migrations_committed = r.u64("fleet migrations committed")?;
         self.migrations_aborted = r.u64("fleet migrations aborted")?;
+        self.devices = DeviceBooks::read(r, |_, _| Ok(()), |_, _| Ok(()))?;
         self.spill = SpillOrders::default();
         Ok(())
     }
 }
 
-/// The fleet-level allocator service: validates typed commands, runs them
-/// through a Raft log, and applies the committed prefix to a
-/// [`FleetState`]. Single-replica by default (commands commit
-/// immediately), with the multi-node convergence covered in
-/// [`super::replicated`].
+/// The allocator service: validates typed commands, runs them through a
+/// Raft log, and applies the committed prefix to a [`FleetState`].
+/// Single-replica (commands commit immediately), with the multi-node
+/// convergence covered in [`super::replicated`]. A [`Fleet`] runs one for
+/// its pods; every pod's control actor runs one for its devices.
+///
+/// [`Fleet`]: crate::fleet::Fleet
 pub struct FleetAllocator {
     /// The replicated state (readable for reports and tests).
     pub state: FleetState,
     raft: RaftNode,
-    /// Compaction point: the state a restored checkpoint started from.
-    /// [`consistent_with_log`](Self::consistent_with_log) replays the log
-    /// on top of this base, so the invariant keeps holding across
-    /// checkpoint/resume even though the pre-checkpoint log is gone.
+    /// Compaction point: the state a restore installed and the commit
+    /// index it was installed at.
+    /// [`consistent_with_log`](Self::consistent_with_log) replays only the
+    /// entries after the index on top of the state, so the invariant holds
+    /// across a restore even though the log holds another history.
     base: FleetState,
+    base_index: u64,
 }
 
 impl Default for FleetAllocator {
@@ -958,7 +932,7 @@ impl Default for FleetAllocator {
 }
 
 impl FleetAllocator {
-    /// A fleet allocator backed by a single-replica Raft group.
+    /// An allocator backed by a single-replica Raft group.
     pub fn new() -> Self {
         let mut raft = RaftNode::new(0, vec![], RaftConfig::default(), 0xF1EE7);
         // A single-node group elects itself on the first tick.
@@ -968,6 +942,7 @@ impl FleetAllocator {
             state: FleetState::default(),
             raft,
             base: FleetState::default(),
+            base_index: 0,
         }
     }
 
@@ -977,13 +952,21 @@ impl FleetAllocator {
         self.state.snapshot_state(w);
     }
 
-    /// Install a checkpoint written by [`checkpoint`](Self::checkpoint):
-    /// the restored state becomes both the live state and the replay base.
-    /// Only meaningful on a freshly created allocator (empty log).
+    /// Install a checkpoint written by [`checkpoint`](Self::checkpoint) as
+    /// the live state and the compaction point.
     pub fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.state.restore_state(r)?;
-        self.base = self.state.clone();
+        let mut state = FleetState::default();
+        state.restore_state(r)?;
+        self.install(state);
         Ok(())
+    }
+
+    /// Make `state` the live state and the compaction point at the current
+    /// commit index.
+    pub(super) fn install(&mut self, state: FleetState) {
+        self.base = state.clone();
+        self.base_index = self.raft.commit_index();
+        self.state = state;
     }
 
     /// Execute one control-plane command at simulation time `now`:
@@ -998,10 +981,8 @@ impl FleetAllocator {
             FleetCommand::QueryFleetState => {
                 return Ok(FleetResponse::State(self.state.report()));
             }
-            FleetCommand::RegisterPod { pod, .. } => {
-                if pod as usize != self.state.pods.len() {
-                    return Err(FleetError::NoSuchPod(pod as usize));
-                }
+            FleetCommand::RegisterPod { pod, .. } if pod as usize != self.state.pods.len() => {
+                return Err(FleetError::NoSuchPod(pod as usize));
             }
             FleetCommand::AddLink { a, b, .. } => {
                 let (a, b) = (a as usize, b as usize);
@@ -1020,10 +1001,10 @@ impl FleetAllocator {
                     });
                 }
             }
-            FleetCommand::CreateInstance { home_pod, .. } => {
-                if home_pod != ANY_POD && home_pod as usize >= self.state.pods.len() {
-                    return Err(FleetError::NoSuchPod(home_pod as usize));
-                }
+            FleetCommand::CreateInstance { home_pod, .. }
+                if home_pod != ANY_POD && home_pod as usize >= self.state.pods.len() =>
+            {
+                return Err(FleetError::NoSuchPod(home_pod as usize));
             }
             FleetCommand::ResizeInstance { id, .. } => {
                 if !self.state.is_live(id) {
@@ -1033,10 +1014,8 @@ impl FleetAllocator {
                     return Err(FleetError::MigrationInProgress(id));
                 }
             }
-            FleetCommand::KillInstance { id, .. } => {
-                if !self.state.is_live(id) {
-                    return Err(FleetError::NoSuchInstance(id));
-                }
+            FleetCommand::KillInstance { id, .. } if !self.state.is_live(id) => {
+                return Err(FleetError::NoSuchInstance(id));
             }
             FleetCommand::MigrateInstance { id, dst_pod, .. } => {
                 let Some(Some(inst)) = self.state.instances.get(id as usize).copied() else {
@@ -1063,6 +1042,9 @@ impl FleetAllocator {
                     return Err(FleetError::NotMigrating(id));
                 }
             }
+            // The rest are valid as they stand. Device commands carry a
+            // device their proposer already picked from the books.
+            _ => {}
         }
         self.raft
             .propose(now, cmd.encode())
@@ -1076,14 +1058,14 @@ impl FleetAllocator {
         Ok(last)
     }
 
-    /// Replay the committed log prefix on top of the compaction base
-    /// (empty unless a checkpoint was restored) and compare with the live
-    /// state — the fleet-level "state is consistent with the log"
-    /// invariant.
+    /// Replay the committed log after the compaction point on top of its
+    /// state (empty unless a checkpoint was restored) and compare with the
+    /// live state — the "state is consistent with the log" invariant.
     pub fn consistent_with_log(&self) -> bool {
         let mut replayed = self.base.clone();
-        let commit = self.raft.commit_index();
-        for entry in self.raft.log_entries().iter().take(commit as usize) {
+        let commit = self.raft.commit_index() as usize;
+        let committed = self.raft.log_entries().iter().take(commit);
+        for entry in committed.skip(self.base_index as usize) {
             if entry.command.is_empty() {
                 continue; // election no-op barrier
             }
@@ -1120,17 +1102,38 @@ mod tests {
         }
     }
 
+    fn try_link(
+        alloc: &mut FleetAllocator,
+        a: u32,
+        b: u32,
+        latency_ns: u64,
+    ) -> Result<FleetResponse, FleetError> {
+        alloc.execute(SimTime::ZERO, &FleetCommand::AddLink { a, b, latency_ns })
+    }
+
     fn link(alloc: &mut FleetAllocator, a: u32, b: u32) {
-        alloc
-            .execute(
-                SimTime::ZERO,
-                &FleetCommand::AddLink {
-                    a,
-                    b,
-                    latency_ns: 2_000,
-                },
-            )
-            .unwrap();
+        try_link(alloc, a, b, 2_000).unwrap();
+    }
+
+    fn kill(alloc: &mut FleetAllocator, at: u64, id: u64) -> FleetResponse {
+        let cmd = FleetCommand::KillInstance { at, id };
+        alloc.execute(SimTime::from_nanos(at), &cmd).unwrap()
+    }
+
+    fn try_resize(
+        alloc: &mut FleetAllocator,
+        at: u64,
+        id: u64,
+        nic_mbps: u32,
+        ssd: u32,
+    ) -> Result<FleetResponse, FleetError> {
+        let cmd = FleetCommand::ResizeInstance {
+            at,
+            id,
+            nic_mbps,
+            ssd,
+        };
+        alloc.execute(SimTime::from_nanos(at), &cmd)
     }
 
     fn create(alloc: &mut FleetAllocator, at: u64, nic_mbps: u32, ssd: u32) -> FleetResponse {
@@ -1167,37 +1170,13 @@ mod tests {
         );
         assert_eq!(err, Err(FleetError::NoSuchPod(7)));
         assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::AddLink {
-                    a: 1,
-                    b: 1,
-                    latency_ns: 1
-                }
-            ),
+            try_link(&mut alloc, 1, 1, 1),
             Err(FleetError::SelfLink { pod: 1 })
         );
-        assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::AddLink {
-                    a: 0,
-                    b: 5,
-                    latency_ns: 1
-                }
-            ),
-            Err(FleetError::NoSuchPod(5))
-        );
+        assert_eq!(try_link(&mut alloc, 0, 5, 1), Err(FleetError::NoSuchPod(5)));
         link(&mut alloc, 0, 1);
         assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::AddLink {
-                    a: 1,
-                    b: 0,
-                    latency_ns: 9
-                }
-            ),
+            try_link(&mut alloc, 1, 0, 9),
             Err(FleetError::DuplicateLink { a: 0, b: 1 })
         );
         assert_eq!(
@@ -1252,12 +1231,7 @@ mod tests {
                 assert_eq!(alloc.state.spill_placements[0], 1);
                 assert_eq!(alloc.state.spill_bytes[0], 0, "open epoch not yet flushed");
                 // Kill after 8 ms: 5_000 Mbit/s * 8e6 ns / 8000 = 5e6 B.
-                alloc
-                    .execute(
-                        SimTime::from_nanos(8_000_010),
-                        &FleetCommand::KillInstance { at: 8_000_010, id },
-                    )
-                    .unwrap();
+                kill(&mut alloc, 8_000_010, id);
                 assert_eq!(alloc.state.spill_bytes[0], 5_000_000);
                 assert_eq!(alloc.state.pods[1].nic_mbps_used, 0);
                 assert_eq!(alloc.state.pods[1].ssd_used, 0);
@@ -1286,33 +1260,13 @@ mod tests {
             panic!("create failed");
         };
         assert_eq!(
-            alloc
-                .execute(
-                    SimTime::from_nanos(5),
-                    &FleetCommand::ResizeInstance {
-                        at: 5,
-                        id,
-                        nic_mbps: 45_000,
-                        ssd: 500
-                    },
-                )
-                .unwrap(),
+            try_resize(&mut alloc, 5, id, 45_000, 500).unwrap(),
             FleetResponse::Resized { id }
         );
         assert_eq!(alloc.state.pods[0].nic_mbps_used, 45_000);
         assert_eq!(alloc.state.pods[0].ssd_used, 500);
         assert_eq!(
-            alloc
-                .execute(
-                    SimTime::from_nanos(6),
-                    &FleetCommand::ResizeInstance {
-                        at: 6,
-                        id,
-                        nic_mbps: 200_000,
-                        ssd: 0
-                    },
-                )
-                .unwrap(),
+            try_resize(&mut alloc, 6, id, 200_000, 0).unwrap(),
             FleetResponse::ResizeRejected { id }
         );
         assert_eq!(
@@ -1359,15 +1313,7 @@ mod tests {
             if i % 3 == 2 {
                 if let Some(id) = live.first().copied() {
                     live.remove(0);
-                    alloc
-                        .execute(
-                            SimTime::from_nanos(i * 100 + 1),
-                            &FleetCommand::KillInstance {
-                                at: i * 100 + 1,
-                                id,
-                            },
-                        )
-                        .unwrap();
+                    kill(&mut alloc, i * 100 + 1, id);
                 }
             }
         }
@@ -1420,15 +1366,7 @@ mod tests {
         let before_nic: Vec<u64> = alloc.state.pods.iter().map(|p| p.nic_mbps_used).collect();
 
         // Compensate.
-        alloc
-            .execute(
-                SimTime::from_nanos(1_000),
-                &FleetCommand::KillInstance {
-                    at: 1_000,
-                    id: spilled_id,
-                },
-            )
-            .unwrap();
+        kill(&mut alloc, 1_000, spilled_id);
         let after_nic: Vec<u64> = alloc.state.pods.iter().map(|p| p.nic_mbps_used).collect();
         assert_eq!(after_nic[device_pod], before_nic[device_pod] - 20_000);
         assert!(
@@ -1448,27 +1386,38 @@ mod tests {
         assert!(alloc.consistent_with_log());
     }
 
+    fn try_migrate(
+        alloc: &mut FleetAllocator,
+        at: u64,
+        id: u64,
+        dst_pod: u32,
+        path: TransferPath,
+    ) -> Result<FleetResponse, FleetError> {
+        let cmd = FleetCommand::MigrateInstance {
+            at,
+            id,
+            dst_pod,
+            path,
+        };
+        alloc.execute(SimTime::from_nanos(at), &cmd)
+    }
+
     fn migrate(alloc: &mut FleetAllocator, at: u64, id: u64, dst: u32) -> FleetResponse {
-        alloc
-            .execute(
-                SimTime::from_nanos(at),
-                &FleetCommand::MigrateInstance {
-                    at,
-                    id,
-                    dst_pod: dst,
-                    path: TransferPath::Cxl,
-                },
-            )
-            .unwrap()
+        try_migrate(alloc, at, id, dst, TransferPath::Cxl).unwrap()
+    }
+
+    fn try_finish(
+        alloc: &mut FleetAllocator,
+        at: u64,
+        id: u64,
+        commit: bool,
+    ) -> Result<FleetResponse, FleetError> {
+        let cmd = FleetCommand::FinishMigration { at, id, commit };
+        alloc.execute(SimTime::from_nanos(at), &cmd)
     }
 
     fn finish(alloc: &mut FleetAllocator, at: u64, id: u64, commit: bool) -> FleetResponse {
-        alloc
-            .execute(
-                SimTime::from_nanos(at),
-                &FleetCommand::FinishMigration { at, id, commit },
-            )
-            .unwrap()
+        try_finish(alloc, at, id, commit).unwrap()
     }
 
     #[test]
@@ -1548,41 +1497,18 @@ mod tests {
         // Double-start is refused while the ticket is open.
         migrate(&mut alloc, 10, id, 1);
         assert_eq!(
-            alloc.execute(
-                SimTime::from_nanos(11),
-                &FleetCommand::MigrateInstance {
-                    at: 11,
-                    id,
-                    dst_pod: 1,
-                    path: TransferPath::Nic,
-                }
-            ),
+            try_migrate(&mut alloc, 11, id, 1, TransferPath::Nic),
             Err(FleetError::MigrationInProgress(id))
         );
         // Resize is refused mid-copy.
         assert_eq!(
-            alloc.execute(
-                SimTime::from_nanos(12),
-                &FleetCommand::ResizeInstance {
-                    at: 12,
-                    id,
-                    nic_mbps: 5_000,
-                    ssd: 0
-                }
-            ),
+            try_resize(&mut alloc, 12, id, 5_000, 0),
             Err(FleetError::MigrationInProgress(id))
         );
         finish(&mut alloc, 20, id, true);
         // Double-finish finds no ticket.
         assert_eq!(
-            alloc.execute(
-                SimTime::from_nanos(21),
-                &FleetCommand::FinishMigration {
-                    at: 21,
-                    id,
-                    commit: false
-                }
-            ),
+            try_finish(&mut alloc, 21, id, false),
             Err(FleetError::NotMigrating(id))
         );
         // And the state machine itself rejects a replayed finish: apply
@@ -1608,12 +1534,7 @@ mod tests {
             panic!("create failed");
         };
         migrate(&mut alloc, 10, id, 1);
-        alloc
-            .execute(
-                SimTime::from_nanos(20),
-                &FleetCommand::KillInstance { at: 20, id },
-            )
-            .unwrap();
+        kill(&mut alloc, 20, id);
         for p in 0..2 {
             assert_eq!(alloc.state.pods[p].nic_mbps_used, 0, "pod {p}");
             assert_eq!(alloc.state.pods[p].ssd_used, 0, "pod {p}");
@@ -1632,65 +1553,26 @@ mod tests {
             panic!("create failed");
         };
         assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::MigrateInstance {
-                    at: 0,
-                    id: 99,
-                    dst_pod: 1,
-                    path: TransferPath::Cxl
-                }
-            ),
+            try_migrate(&mut alloc, 0, 99, 1, TransferPath::Cxl),
             Err(FleetError::NoSuchInstance(99))
         );
         assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::MigrateInstance {
-                    at: 0,
-                    id,
-                    dst_pod: 7,
-                    path: TransferPath::Cxl
-                }
-            ),
+            try_migrate(&mut alloc, 0, id, 7, TransferPath::Cxl),
             Err(FleetError::NoSuchPod(7))
         );
         // Migrating onto the pod it already runs on is infeasible.
         assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::MigrateInstance {
-                    at: 0,
-                    id,
-                    dst_pod: 0,
-                    path: TransferPath::Cxl
-                }
-            ),
+            try_migrate(&mut alloc, 0, id, 0, TransferPath::Cxl),
             Err(FleetError::MigrationInfeasible { id, dst_pod: 0 })
         );
         // A saturated target is infeasible too.
         alloc.state.pods[1].nic_mbps_used = alloc.state.pods[1].nic_mbps_cap;
         assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::MigrateInstance {
-                    at: 0,
-                    id,
-                    dst_pod: 1,
-                    path: TransferPath::Cxl
-                }
-            ),
+            try_migrate(&mut alloc, 0, id, 1, TransferPath::Cxl),
             Err(FleetError::MigrationInfeasible { id, dst_pod: 1 })
         );
         assert_eq!(
-            alloc.execute(
-                SimTime::ZERO,
-                &FleetCommand::FinishMigration {
-                    at: 0,
-                    id,
-                    commit: true
-                }
-            ),
+            try_finish(&mut alloc, 0, id, true),
             Err(FleetError::NotMigrating(id))
         );
     }
@@ -1756,12 +1638,7 @@ mod tests {
         resumed.restore(&mut r).unwrap();
         assert_eq!(resumed.state, src.state);
         assert!(resumed.consistent_with_log());
-        resumed
-            .execute(
-                SimTime::from_nanos(1_000),
-                &FleetCommand::KillInstance { at: 1_000, id },
-            )
-            .unwrap();
+        kill(&mut resumed, 1_000, id);
         assert!(resumed.consistent_with_log());
         assert_eq!(resumed.state.killed, 1);
     }

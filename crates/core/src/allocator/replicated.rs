@@ -1,33 +1,17 @@
-//! Multi-replica allocator state machines.
+//! The allocator state machine across multiple replicas.
 //!
-//! §3.5: "The allocator itself is replicated with Raft." The pod runtime
-//! runs one replica for simplicity; this module proves the state machines
-//! are replication-safe by driving [`AllocState`] — and the fleet-level
-//! [`FleetState`] — through an `oasis-raft` cluster: every replica applies
-//! the committed command stream and must converge to identical state,
-//! across leader failures.
+//! §3.5: "The allocator itself is replicated with Raft." The runtime runs
+//! one replica for simplicity; this module proves the state machine is
+//! replication-safe by driving [`FleetState`] through an `oasis-raft`
+//! cluster: every replica applies the committed command stream and must
+//! converge to identical state, across leader failures.
 
-use oasis_sim::time::{SimDuration, SimTime};
-
-use super::command::{AllocCommand, FleetCommand};
+use super::command::FleetCommand;
 use super::fleet::FleetState;
-use super::service::AllocState;
 
 /// Apply a committed command stream to a fresh state (what each replica
 /// does when draining its Raft apply queue).
-pub fn replay(commands: &[Vec<u8>]) -> AllocState {
-    let mut s = AllocState::default();
-    let ttl = SimDuration::from_millis(300);
-    for bytes in commands {
-        if let Some(cmd) = AllocCommand::decode(bytes) {
-            s.apply(SimTime::ZERO, ttl, &cmd);
-        }
-    }
-    s
-}
-
-/// Apply a committed fleet command stream to a fresh fleet state machine.
-pub fn replay_fleet_log(commands: &[Vec<u8>]) -> FleetState {
+pub fn replay(commands: &[Vec<u8>]) -> FleetState {
     let mut s = FleetState::default();
     for bytes in commands {
         if let Some(cmd) = FleetCommand::decode(bytes) {
@@ -40,10 +24,10 @@ pub fn replay_fleet_log(commands: &[Vec<u8>]) -> FleetState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::PodAllocator;
     use oasis_net::addr::Ipv4Addr;
     use oasis_raft::{RaftConfig, RaftNode};
     use oasis_sim::event::EventQueue;
+    use oasis_sim::time::{SimDuration, SimTime};
 
     /// Drive a 3-node cluster over a simulated wire, proposing the encoded
     /// `commands` at whichever node is leader, crashing the leader after
@@ -63,53 +47,40 @@ mod tests {
         let mut now = SimTime::ZERO;
 
         let mut next_cmd = 0usize;
-        let mut crashed = false;
+        // The leader to crash and the round it goes down: proposals pause
+        // for 20 rounds first, so the last one replicates.
+        let mut crash: Option<(usize, usize)> = None;
 
-        for _round in 0..4000 {
+        for round in 0..4000 {
             now += SimDuration::from_micros(500);
             while let Some((_, (from, to, msg))) = wire.pop_due(now) {
                 if up[to] && up[from] {
                     nodes[to].handle(now, from, msg);
                 }
             }
+            match crash {
+                Some((leader, at)) if round == at => up[leader] = false,
+                Some((_, at)) if round < at => {}
+                // Propose the next command once a leader exists.
+                _ if next_cmd < commands.len() => {
+                    if let Some(leader) = (0..n).find(|&i| up[i] && nodes[i].is_leader()) {
+                        if nodes[leader]
+                            .propose(now, commands[next_cmd].clone())
+                            .is_some()
+                        {
+                            next_cmd += 1;
+                            // Crash the leader midway through the workload.
+                            if next_cmd == crash_after {
+                                crash = Some((leader, round + 20));
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
             for i in 0..n {
                 if up[i] {
                     nodes[i].tick(now);
-                }
-            }
-            // Propose the next command once a leader exists.
-            if next_cmd < commands.len() {
-                if let Some(leader) = (0..n).find(|&i| up[i] && nodes[i].is_leader()) {
-                    if nodes[leader]
-                        .propose(now, commands[next_cmd].clone())
-                        .is_some()
-                    {
-                        next_cmd += 1;
-                        // Crash the leader midway through the workload.
-                        if next_cmd == crash_after && !crashed {
-                            crashed = true;
-                            // Let this proposal replicate first.
-                            for _ in 0..20 {
-                                now += SimDuration::from_micros(500);
-                                while let Some((_, (from, to, msg))) = wire.pop_due(now) {
-                                    if up[to] && up[from] {
-                                        nodes[to].handle(now, from, msg);
-                                    }
-                                }
-                                #[expect(
-                                    clippy::needless_range_loop,
-                                    reason = "indexing sidesteps borrowing `nodes` while \
-                                              `take_outbox` mutates one element"
-                                )]
-                                for i in 0..n {
-                                    for (to, msg) in nodes[i].take_outbox() {
-                                        wire.push(now + SimDuration::from_micros(5), (i, to, msg));
-                                    }
-                                }
-                            }
-                            up[leader] = false;
-                        }
-                    }
                 }
             }
             for i in 0..n {
@@ -146,60 +117,108 @@ mod tests {
             .collect()
     }
 
-    /// Drive a 3-node cluster, proposing allocator commands at the leader,
-    /// with a leader crash in the middle; all surviving replicas must
-    /// converge to the same allocator state.
+    /// One log of device and fleet commands — NIC failover, a volume,
+    /// pods, a link, creates with a spill, a resize, a kill — proposed at
+    /// whichever node leads, with the leader crashing midway: every
+    /// surviving replica must converge to the same whole state.
     #[test]
     fn replicas_converge_across_leader_failure() {
+        let pod = |p: u32| FleetCommand::RegisterPod {
+            pod: p,
+            hosts: 2,
+            vcpus_per_host: 96,
+            mem_gb_per_host: 512,
+            nic_mbps: 40_000,
+            ssd_cap: 4_000,
+        };
+        let create = |at: u64, nic_mbps: u32, home_pod: u32| FleetCommand::CreateInstance {
+            at,
+            vcpus: 8,
+            mem_gb: 32,
+            ssd: 1_000,
+            nic_mbps,
+            home_pod,
+        };
+        let ip = Ipv4Addr::instance(1);
+        let assign = |nic: u32| FleetCommand::Assign {
+            ip,
+            host: 0,
+            nic,
+            lease_mbps: 10_000,
+        };
         let commands: Vec<Vec<u8>> = [
-            AllocCommand::RegisterNic {
+            FleetCommand::RegisterNic {
                 nic: 0,
                 host: 0,
                 capacity_mbps: 100_000,
                 backup: false,
             },
-            AllocCommand::RegisterNic {
+            FleetCommand::RegisterNic {
                 nic: 1,
                 host: 1,
                 capacity_mbps: 100_000,
                 backup: true,
             },
-            AllocCommand::Assign {
-                ip: Ipv4Addr::instance(1),
-                host: 0,
-                nic: 0,
-                lease_mbps: 10_000,
+            pod(0),
+            pod(1),
+            assign(0),
+            FleetCommand::AddLink {
+                a: 0,
+                b: 1,
+                latency_ns: 2_000,
             },
-            AllocCommand::MarkFailed { nic: 0 },
-            AllocCommand::Assign {
-                ip: Ipv4Addr::instance(1),
-                host: 0,
-                nic: 1,
-                lease_mbps: 10_000,
+            // Two 30 Gb/s leases pinned to pod 0: the second cannot fit
+            // pod 0's remaining 10 Gb/s and spills its devices to pod 1.
+            create(100, 30_000, 0),
+            FleetCommand::MarkFailed { nic: 0 },
+            create(200, 30_000, 0),
+            assign(1),
+            FleetCommand::RegisterSsd {
+                ssd: 0,
+                host: 1,
+                capacity_blocks: 4_096,
             },
+            FleetCommand::AssignVolume {
+                ip,
+                ssd: 0,
+                base_block: 0,
+                blocks: 64,
+            },
+            FleetCommand::ResizeInstance {
+                at: 300,
+                id: 0,
+                nic_mbps: 10_000,
+                ssd: 500,
+            },
+            FleetCommand::KillInstance { at: 400, id: 1 },
         ]
         .iter()
         .map(|c| c.encode())
         .collect();
 
-        let streams = run_cluster(&commands, 3);
-        let view0 = PodAllocator::log_view(&replay(&streams[0]));
-        for (i, stream) in streams.iter().enumerate().skip(1) {
-            assert_eq!(
-                view0,
-                PodAllocator::log_view(&replay(stream)),
-                "replica {i} diverged"
-            );
-        }
-        // And the final state reflects the failover.
+        let streams = run_cluster(&commands, 7);
         let s = replay(&streams[0]);
-        assert!(s.nics[0].as_ref().unwrap().failed);
-        assert_eq!(s.instances_on(1).len(), 1);
+        for (i, stream) in streams.iter().enumerate().skip(1) {
+            assert_eq!(s, replay(stream), "replica {i} diverged");
+        }
+        // The device books reflect the failover...
+        assert!(s.devices.nics[0].as_ref().unwrap().failed);
+        assert_eq!(s.devices.instances_on(1).len(), 1);
+        assert_eq!(s.devices.ssds[0].as_ref().unwrap().allocated_blocks, 64);
+        // ...and the pod books the spill, resize and kill.
+        assert_eq!(s.placed, 2);
+        assert_eq!(s.killed, 1);
+        assert_eq!(s.resizes, 1);
+        assert_eq!(s.spill_placements, vec![1, 0], "second create spilled");
+        assert!(
+            s.spill_bytes[0] > 0,
+            "killing the spilled instance closes its traffic epoch"
+        );
     }
 
-    /// The fleet state machine is replication-safe too: the same typed
-    /// control-plane command stream (pods, a link, creates with a spill,
-    /// a resize, a kill) converges across a leader failure.
+    /// The fleet command stream alone — pods, a link, creates with a
+    /// spill, a resize, a kill, no device commands — converges across a
+    /// leader failure that lands inside the creates.
     #[test]
     fn fleet_replicas_converge_across_leader_failure() {
         let pod = |p: u32| FleetCommand::RegisterPod {
@@ -226,8 +245,6 @@ mod tests {
                 b: 1,
                 latency_ns: 2_000,
             },
-            // Two 30 Gb/s leases pinned to pod 0: the second cannot fit
-            // pod 0's remaining 10 Gb/s and spills its devices to pod 1.
             create(100, 30_000, 0),
             create(200, 30_000, 0),
             FleetCommand::ResizeInstance {
@@ -243,10 +260,15 @@ mod tests {
         .collect();
 
         let streams = run_cluster(&commands, 4);
-        let s = replay_fleet_log(&streams[0]);
+        let s = replay(&streams[0]);
         for (i, stream) in streams.iter().enumerate().skip(1) {
-            assert_eq!(s, replay_fleet_log(stream), "fleet replica {i} diverged");
+            assert_eq!(s, replay(stream), "fleet replica {i} diverged");
         }
+        assert_eq!(
+            s.devices,
+            Default::default(),
+            "no device commands were booked"
+        );
         assert_eq!(s.placed, 2);
         assert_eq!(s.killed, 1);
         assert_eq!(s.resizes, 1);

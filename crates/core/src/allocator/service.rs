@@ -1,389 +1,41 @@
-//! The allocator service: state machine + control-plane actor.
+//! The pod's control-plane actor: channels, telemetry, heartbeats,
+//! failover and rebalancing around the replicated device books.
 
 use oasis_channel::{Receiver, Sender};
 use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::Ipv4Addr;
-use oasis_raft::{RaftConfig, RaftNode};
 use oasis_sim::time::{SimDuration, SimTime};
 
 use crate::config::OasisConfig;
 use crate::msg::{NetMsg, NetOp};
 
-use super::command::AllocCommand;
+use super::command::FleetCommand;
+use super::devices::{DeviceBooks, InstanceInfo};
+use super::fleet::{FleetAllocator, FleetState};
 
-/// A NIC known to the allocator.
-#[derive(Clone, Debug)]
-pub struct NicInfo {
-    /// Host the NIC is attached to.
-    pub host: u32,
-    /// Allocatable bandwidth, Mbit/s.
-    pub capacity_mbps: u32,
-    /// Currently leased bandwidth, Mbit/s.
-    pub allocated_mbps: u32,
-    /// Reserved as the pod's failover backup.
-    pub backup: bool,
-    /// Marked failed.
-    pub failed: bool,
-    /// Last telemetry receipt (allocator clock).
-    pub last_telemetry: SimTime,
+/// What a NIC's telemetry last said, as the control actor heard it. The
+/// actor's own: the replicated books never read a clock.
+#[derive(Clone, Copy, Debug, Default)]
+struct NicTelemetry {
+    /// Receipt time of the last record (registration counts as one).
+    at: SimTime,
     /// Bytes moved in the last telemetry window (load signal).
-    pub recent_load_bytes: u64,
+    load_bytes: u64,
 }
 
-/// An instance known to the allocator.
-#[derive(Clone, Debug)]
-pub struct InstanceInfo {
-    /// Instance IP.
-    pub ip: Ipv4Addr,
-    /// Instance host.
-    pub host: u32,
-    /// Serving NIC.
-    pub nic: u32,
-    /// Leased bandwidth, Mbit/s.
-    pub lease_mbps: u32,
-    /// Lease expiry (renewed by the serving NIC's telemetry).
-    pub lease_expiry: SimTime,
-}
-
-/// An SSD known to the allocator.
-#[derive(Clone, Debug)]
-pub struct SsdInfo {
-    /// Host the SSD is attached to.
-    pub host: u32,
-    /// Allocatable capacity in blocks.
-    pub capacity_blocks: u32,
-    /// Next unallocated block (volumes are carved bump-style; released
-    /// capacity is reclaimed only when the SSD drains, like real
-    /// ephemeral-store slabs).
-    pub next_block: u32,
-    /// Blocks currently leased.
-    pub allocated_blocks: u32,
-}
-
-/// A compute-offload accelerator known to the allocator.
-#[derive(Clone, Debug)]
-pub struct AccelInfo {
-    /// Host the accelerator is attached to.
-    pub host: u32,
-}
-
-/// A block volume carved for an instance (§3.4: local NVMe is ephemeral).
-#[derive(Clone, Debug)]
-pub struct VolumeInfo {
-    /// Owning instance IP.
-    pub ip: Ipv4Addr,
-    /// SSD the volume lives on.
-    pub ssd: u32,
-    /// First block.
-    pub base_block: u32,
-    /// Length in blocks.
-    pub blocks: u32,
-}
-
-/// The replicated allocator state (the Raft state machine).
-#[derive(Clone, Debug, Default)]
-pub struct AllocState {
-    /// NICs by id.
-    pub nics: Vec<Option<NicInfo>>,
-    /// Instances.
-    pub instances: Vec<InstanceInfo>,
-    /// SSDs by id.
-    pub ssds: Vec<Option<SsdInfo>>,
-    /// Accelerators by id.
-    pub accels: Vec<Option<AccelInfo>>,
-    /// Volumes.
-    pub volumes: Vec<VolumeInfo>,
-    /// Hosts currently declared dead (ISSUE 2), sorted ascending.
-    pub failed_hosts: Vec<u32>,
-}
-
-impl AllocState {
-    /// Apply a committed command.
-    pub fn apply(&mut self, now: SimTime, lease_ttl: SimDuration, cmd: &AllocCommand) {
-        match *cmd {
-            AllocCommand::RegisterNic {
-                nic,
-                host,
-                capacity_mbps,
-                backup,
-            } => {
-                let idx = nic as usize;
-                if self.nics.len() <= idx {
-                    self.nics.resize_with(idx + 1, || None);
-                }
-                self.nics[idx] = Some(NicInfo {
-                    host,
-                    capacity_mbps,
-                    allocated_mbps: 0,
-                    backup,
-                    failed: false,
-                    last_telemetry: now,
-                    recent_load_bytes: 0,
-                });
-            }
-            AllocCommand::Assign {
-                ip,
-                host,
-                nic,
-                lease_mbps,
-            } => {
-                // Release any previous assignment first.
-                self.release(ip);
-                if let Some(Some(n)) = self.nics.get_mut(nic as usize) {
-                    n.allocated_mbps = n.allocated_mbps.saturating_add(lease_mbps);
-                }
-                self.instances.push(InstanceInfo {
-                    ip,
-                    host,
-                    nic,
-                    lease_mbps,
-                    // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
-                    lease_expiry: now + lease_ttl,
-                });
-            }
-            AllocCommand::Unassign { ip } => {
-                self.release(ip);
-            }
-            AllocCommand::MarkFailed { nic } => {
-                if let Some(Some(n)) = self.nics.get_mut(nic as usize) {
-                    n.failed = true;
-                }
-            }
-            AllocCommand::MarkRepaired { nic } => {
-                if let Some(Some(n)) = self.nics.get_mut(nic as usize) {
-                    n.failed = false;
-                }
-            }
-            AllocCommand::RegisterSsd {
-                ssd,
-                host,
-                capacity_blocks,
-            } => {
-                let idx = ssd as usize;
-                if self.ssds.len() <= idx {
-                    self.ssds.resize_with(idx + 1, || None);
-                }
-                self.ssds[idx] = Some(SsdInfo {
-                    host,
-                    capacity_blocks,
-                    next_block: 0,
-                    allocated_blocks: 0,
-                });
-            }
-            AllocCommand::AssignVolume {
-                ip,
-                ssd,
-                base_block,
-                blocks,
-            } => {
-                if let Some(Some(s)) = self.ssds.get_mut(ssd as usize) {
-                    s.next_block = s.next_block.max(base_block + blocks);
-                    s.allocated_blocks += blocks;
-                }
-                self.volumes.push(VolumeInfo {
-                    ip,
-                    ssd,
-                    base_block,
-                    blocks,
-                });
-            }
-            AllocCommand::ReleaseVolumes { ip } => {
-                self.release_volumes(ip);
-            }
-            AllocCommand::MarkHostFailed { host } => {
-                if let Err(at) = self.failed_hosts.binary_search(&host) {
-                    self.failed_hosts.insert(at, host);
-                }
-                // Everything the dead host's instances held goes back to
-                // the pool of allocatable resources: NIC leases and
-                // volumes. Nothing may leak while the host is down.
-                let dead: Vec<Ipv4Addr> = self
-                    .instances
-                    .iter()
-                    .filter(|i| i.host == host)
-                    .map(|i| i.ip)
-                    .collect();
-                for ip in dead {
-                    self.release(ip);
-                    self.release_volumes(ip);
-                }
-            }
-            AllocCommand::MarkHostRestarted { host } => {
-                if let Ok(at) = self.failed_hosts.binary_search(&host) {
-                    self.failed_hosts.remove(at);
-                }
-            }
-            AllocCommand::RegisterAccel { accel, host } => {
-                let idx = accel as usize;
-                if self.accels.len() <= idx {
-                    self.accels.resize_with(idx + 1, || None);
-                }
-                self.accels[idx] = Some(AccelInfo { host });
-            }
-        }
-    }
-
-    fn release_volumes(&mut self, ip: Ipv4Addr) {
-        let mut freed: Vec<(u32, u32)> = Vec::new();
-        self.volumes.retain(|v| {
-            if v.ip == ip {
-                freed.push((v.ssd, v.blocks));
-                false
-            } else {
-                true
-            }
-        });
-        for (ssd, blocks) in freed {
-            if let Some(Some(s)) = self.ssds.get_mut(ssd as usize) {
-                s.allocated_blocks = s.allocated_blocks.saturating_sub(blocks);
-                if s.allocated_blocks == 0 {
-                    s.next_block = 0;
-                }
-            }
-        }
-    }
-
-    fn release(&mut self, ip: Ipv4Addr) {
-        if let Some(pos) = self.instances.iter().position(|i| i.ip == ip) {
-            let inst = self.instances.remove(pos);
-            if let Some(Some(n)) = self.nics.get_mut(inst.nic as usize) {
-                n.allocated_mbps = n.allocated_mbps.saturating_sub(inst.lease_mbps);
-            }
-        }
-    }
-
-    /// Local-first, then least-loaded placement (§3.5). Backup NICs are
-    /// kept underutilized: only instances local to the backup's host use it
-    /// (§3.3.3).
-    pub fn pick_nic(&self, host: u32, lease_mbps: u32) -> Option<u32> {
-        let usable = |id: usize, n: &NicInfo, local: bool| {
-            !n.failed
-                && n.allocated_mbps.saturating_add(lease_mbps) <= n.capacity_mbps
-                && (!n.backup || (local && n.host == host))
-                && id < u32::MAX as usize
-        };
-        // Local first.
-        if let Some((id, _)) = self
-            .nics
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
-            .find(|&(i, n)| n.host == host && usable(i, n, true))
-        {
-            return Some(id as u32);
-        }
-        // Otherwise least allocated.
-        self.nics
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
-            .filter(|&(i, n)| usable(i, n, false))
-            .min_by_key(|&(_, n)| n.allocated_mbps)
-            .map(|(i, _)| i as u32)
-    }
-
-    /// The designated backup NIC, if registered and healthy.
-    pub fn backup_nic(&self) -> Option<u32> {
-        self.nics
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
-            .find(|(_, n)| n.backup && !n.failed)
-            .map(|(i, _)| i as u32)
-    }
-
-    /// Pick an SSD for a volume: local-first, then the SSD with the most
-    /// free contiguous space (§3.5's local-first policy applied to the
-    /// storage dimension; pooling makes remote capacity usable, which is
-    /// the Fig. 2 benefit).
-    pub fn pick_ssd(&self, host: u32, blocks: u32) -> Option<u32> {
-        let fits = |s: &SsdInfo| s.next_block + blocks <= s.capacity_blocks;
-        if let Some((id, _)) = self
-            .ssds
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-            .find(|(_, s)| s.host == host && fits(s))
-        {
-            return Some(id as u32);
-        }
-        self.ssds
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-            .filter(|(_, s)| fits(s))
-            .max_by_key(|(_, s)| s.capacity_blocks - s.next_block)
-            .map(|(i, _)| i as u32)
-    }
-
-    /// Pick an accelerator for a host's jobs: local-first, then the
-    /// lowest-numbered remote device (§3.5's local-first policy applied to
-    /// the compute dimension; pooling makes remote accelerators usable at
-    /// all).
-    pub fn pick_accel(&self, host: u32) -> Option<u32> {
-        if let Some((id, _)) = self
-            .accels
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.as_ref().map(|a| (i, a)))
-            .find(|(_, a)| a.host == host)
-        {
-            return Some(id as u32);
-        }
-        self.accels
-            .iter()
-            .position(|a| a.is_some())
-            .map(|i| i as u32)
-    }
-
-    /// Instances currently served by `nic`.
-    pub fn instances_on(&self, nic: u32) -> Vec<InstanceInfo> {
-        self.instances
-            .iter()
-            .filter(|i| i.nic == nic)
-            .cloned()
-            .collect()
-    }
-
-    /// The pod-local capacity summary the fleet layer places against:
-    /// `(nic_mbps, ssd_blocks)` of allocatable capacity. The backup NIC is
-    /// excluded — it is reserved for failover (§3.3.3), not for leases —
-    /// and failed devices don't count.
-    pub fn capacity_summary(&self) -> (u64, u64) {
-        let nic_mbps = self
-            .nics
-            .iter()
-            .flatten()
-            .filter(|n| !n.backup && !n.failed)
-            .map(|n| n.capacity_mbps as u64)
-            .sum();
-        let ssd_blocks = self
-            .ssds
-            .iter()
-            .flatten()
-            .map(|s| s.capacity_blocks as u64)
-            .sum();
-        (nic_mbps, ssd_blocks)
-    }
-}
-
-/// Control-plane actor: owns the state machine (behind a Raft node), the
-/// channels to every frontend and backend, and the failure/telemetry
-/// logic.
+/// Control-plane actor: drives the replicated device books (a
+/// [`FleetAllocator`] run with device commands) and owns the channels to
+/// every frontend and backend and the failure/telemetry logic.
 pub struct PodAllocator {
     /// The core the allocator service runs on.
     pub core: HostCtx,
-    /// The replicated state (readable for tests and reports).
-    pub state: AllocState,
     cfg: OasisConfig,
-    raft: RaftNode,
-    /// Compaction point: the state a restored snapshot installed and the
-    /// commit index it was installed at.
-    /// [`consistent_with_log`](Self::consistent_with_log) replays only the
-    /// entries after the index on top of the state, so the invariant holds
-    /// across a restore even though the log holds another history.
-    base: AllocState,
-    base_index: u64,
+    machine: FleetAllocator,
+    /// Telemetry per NIC id.
+    telemetry: Vec<NicTelemetry>,
+    /// Lease expiry per instance IP: logged at assignment, renewed by the
+    /// serving NIC's telemetry (§3.5).
+    lease_expiry: Vec<(Ipv4Addr, SimTime)>,
     /// (host, sender) per frontend.
     to_frontends: Vec<(usize, Sender)>,
     from_frontends: Vec<(usize, Receiver)>,
@@ -440,21 +92,16 @@ impl RebalancePolicy {
 }
 
 impl PodAllocator {
-    /// Create the allocator with a single-replica Raft group (commands
-    /// commit immediately; see [`super::replicated`] for the multi-node
-    /// state-machine tests).
+    /// Create the allocator around a single-replica [`FleetAllocator`]
+    /// (commands commit immediately; see [`super::replicated`] for the
+    /// multi-node state-machine tests).
     pub fn new(core: HostCtx, cfg: OasisConfig) -> Self {
-        let mut raft = RaftNode::new(0, vec![], RaftConfig::default(), 0xA110C);
-        // A single-node group elects itself on the first tick.
-        raft.tick(SimTime::from_millis(25));
-        assert!(raft.is_leader());
         PodAllocator {
             core,
-            state: AllocState::default(),
             cfg,
-            raft,
-            base: AllocState::default(),
-            base_index: 0,
+            machine: FleetAllocator::new(),
+            telemetry: Vec::new(),
+            lease_expiry: Vec::new(),
             to_frontends: Vec::new(),
             from_frontends: Vec::new(),
             from_backends: Vec::new(),
@@ -485,27 +132,59 @@ impl PodAllocator {
         self.from_backends.push((nic, from));
     }
 
-    /// Propose a command through Raft and apply everything committed.
-    pub fn propose(&mut self, cmd: AllocCommand) {
-        let now = self.core.clock;
-        #[expect(
-            clippy::expect_used,
-            reason = "single-node Raft group: propose can only fail on a non-leader, which cannot \
-                      exist here"
-        )]
-        self.raft
-            .propose(now, cmd.encode())
-            .expect("single-node allocator group is always leader");
-        self.drain_applied();
+    /// The replicated device books.
+    pub fn books(&self) -> &DeviceBooks {
+        &self.machine.state.devices
     }
 
-    fn drain_applied(&mut self) {
+    /// The books' "consistent with the log" invariant
+    /// ([`FleetAllocator::consistent_with_log`]).
+    pub fn consistent_with_log(&self) -> bool {
+        self.machine.consistent_with_log()
+    }
+
+    /// Log a device command and apply it, recording the actor's own side
+    /// of it: a registered NIC counts as heard from now, a lease runs
+    /// three telemetry periods from now, and a released one is forgotten.
+    pub(crate) fn execute(&mut self, cmd: &FleetCommand) {
         let now = self.core.clock;
-        let ttl = self.cfg.telemetry_period * 3;
-        for (_, bytes) in self.raft.drain_committed() {
-            if let Some(cmd) = AllocCommand::decode(bytes) {
-                self.state.apply(now, ttl, &cmd);
+        match *cmd {
+            FleetCommand::RegisterNic { nic, .. } => {
+                let idx = nic as usize;
+                if self.telemetry.len() <= idx {
+                    self.telemetry.resize(idx + 1, NicTelemetry::default());
+                }
+                self.telemetry[idx] = NicTelemetry {
+                    at: now,
+                    load_bytes: 0,
+                };
             }
+            FleetCommand::Assign { ip, .. } => self.renew_lease(ip, now),
+            FleetCommand::Unassign { ip } => self.lease_expiry.retain(|&(l, _)| l != ip),
+            _ => {}
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "single-node Raft group: only a non-leader refuses a command, and none \
+                      exists here"
+        )]
+        self.machine
+            .execute(now, cmd)
+            .expect("single-node allocator group is always leader");
+    }
+
+    /// What NIC `nic`'s telemetry last said.
+    fn heard(&self, nic: usize) -> NicTelemetry {
+        self.telemetry.get(nic).copied().unwrap_or_default()
+    }
+
+    /// Extend `ip`'s lease to three telemetry periods after `now`.
+    fn renew_lease(&mut self, ip: Ipv4Addr, now: SimTime) {
+        // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
+        let expiry = now + self.cfg.telemetry_period * 3;
+        match self.lease_expiry.iter_mut().find(|(l, _)| *l == ip) {
+            Some(entry) => entry.1 = expiry,
+            None => self.lease_expiry.push((ip, expiry)),
         }
     }
 
@@ -513,9 +192,9 @@ impl PodAllocator {
     /// (local-first, then most-free) and record it through the Raft log.
     /// Returns `(ssd, base_block)`.
     pub fn place_volume(&mut self, host: usize, ip: Ipv4Addr, blocks: u32) -> Option<(u32, u32)> {
-        let ssd = self.state.pick_ssd(host as u32, blocks)?;
-        let base = self.state.ssds.get(ssd as usize)?.as_ref()?.next_block;
-        self.propose(AllocCommand::AssignVolume {
+        let ssd = self.books().pick_ssd(host as u32, blocks)?;
+        let base = self.books().ssds.get(ssd as usize)?.as_ref()?.next_block;
+        self.execute(&FleetCommand::AssignVolume {
             ip,
             ssd,
             base_block: base,
@@ -527,8 +206,8 @@ impl PodAllocator {
     /// Synchronous placement at instance launch: pick a NIC (local-first)
     /// and record the lease. Returns the chosen NIC.
     pub fn place_instance(&mut self, host: usize, ip: Ipv4Addr, lease_mbps: u32) -> Option<u32> {
-        let nic = self.state.pick_nic(host as u32, lease_mbps)?;
-        self.propose(AllocCommand::Assign {
+        let nic = self.books().pick_nic(host as u32, lease_mbps)?;
+        self.execute(&FleetCommand::Assign {
             ip,
             host: host as u32,
             nic,
@@ -538,50 +217,54 @@ impl PodAllocator {
     }
 
     fn fail_nic_internal(&mut self, pool: &mut CxlPool, nic: u32) {
-        let already_failed = self
-            .state
-            .nics
+        let nics = &self.books().nics;
+        if nics
             .get(nic as usize)
-            .and_then(|n| n.as_ref())
-            .map(|n| n.failed)
-            .unwrap_or(true);
-        if already_failed {
+            .and_then(Option::as_ref)
+            .is_none_or(|n| n.failed)
+        {
             return;
         }
         self.failovers += 1;
-        self.propose(AllocCommand::MarkFailed { nic });
-        let Some(backup) = self.state.backup_nic() else {
+        self.execute(&FleetCommand::MarkFailed { nic });
+        let Some(backup) = self.books().backup_nic() else {
             return;
         };
         // Revoke leases on the failed device and reroute every affected
         // instance to the backup (§3.5 failure management).
-        for inst in self.state.instances_on(nic) {
-            self.propose(AllocCommand::Assign {
-                ip: inst.ip,
-                host: inst.host,
-                nic: backup,
-                lease_mbps: inst.lease_mbps,
-            });
-            let msg = NetMsg {
-                ptr: backup as u64,
-                size: 0,
-                op: NetOp::Reroute,
-                ip: inst.ip,
-            };
-            if let Some((_, tx)) = self
-                .to_frontends
-                .iter_mut()
-                .find(|(h, _)| *h == inst.host as usize)
-            {
-                if tx
-                    .try_send(&mut self.core, pool, &msg.encode())
-                    .unwrap_or(false)
-                {
-                    tx.flush(&mut self.core, pool);
-                    self.reroutes_sent += 1;
-                }
+        for inst in self.books().instances_on(nic) {
+            if self.move_lease(pool, &inst, backup, NetOp::Reroute) {
+                self.reroutes_sent += 1;
             }
         }
+    }
+
+    /// Move `inst`'s lease to `nic` through the log and tell its host's
+    /// frontend with `op`. True when the frontend took the message.
+    fn move_lease(&mut self, pool: &mut CxlPool, inst: &InstanceInfo, nic: u32, op: NetOp) -> bool {
+        self.execute(&FleetCommand::Assign {
+            ip: inst.ip,
+            host: inst.host,
+            nic,
+            lease_mbps: inst.lease_mbps,
+        });
+        let msg = NetMsg {
+            ptr: nic as u64,
+            size: 0,
+            op,
+            ip: inst.ip,
+        };
+        let host = inst.host as usize;
+        let Some((_, tx)) = self.to_frontends.iter_mut().find(|(h, _)| *h == host) else {
+            return false;
+        };
+        let sent = tx
+            .try_send(&mut self.core, pool, &msg.encode())
+            .unwrap_or(false);
+        if sent {
+            tx.flush(&mut self.core, pool);
+        }
+        sent
     }
 
     /// Record a heartbeat from `host`. A heartbeat from a host previously
@@ -594,8 +277,8 @@ impl PodAllocator {
             Some(entry) => entry.1 = now,
             None => self.last_heartbeat.push((host, now)),
         }
-        if self.state.failed_hosts.contains(&host) {
-            self.propose(AllocCommand::MarkHostRestarted { host });
+        if self.books().failed_hosts.contains(&host) {
+            self.execute(&FleetCommand::MarkHostRestarted { host });
             self.newly_restarted_hosts.push(host);
         }
     }
@@ -610,11 +293,11 @@ impl PodAllocator {
             .last_heartbeat
             .iter()
             // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
-            .filter(|&&(h, last)| now > last + deadline && !self.state.failed_hosts.contains(&h))
+            .filter(|&&(h, last)| now > last + deadline && !self.books().failed_hosts.contains(&h))
             .map(|&(h, last)| (h, last))
             .collect();
         for (host, last) in dead {
-            self.propose(AllocCommand::MarkHostFailed { host });
+            self.execute(&FleetCommand::MarkHostFailed { host });
             self.host_failure_detections.push((host, last, now));
             self.newly_failed_hosts.push(host);
         }
@@ -636,110 +319,11 @@ impl PodAllocator {
         std::mem::take(&mut self.newly_restarted_hosts)
     }
 
-    /// Replay the committed log after the compaction point on top of its
-    /// state (empty unless a snapshot was restored) and compare with the
-    /// live state on every log-derived field (times like lease expiries are
-    /// volatile and excluded). This is the chaos harness's "allocator state
-    /// is consistent with the log" invariant.
-    pub fn consistent_with_log(&self) -> bool {
-        let mut replayed = self.base.clone();
-        let commit = self.raft.commit_index() as usize;
-        let committed = self.raft.log_entries().iter().take(commit);
-        for entry in committed.skip(self.base_index as usize) {
-            if entry.command.is_empty() {
-                continue; // election no-op barrier
-            }
-            if let Some(cmd) = AllocCommand::decode(&entry.command) {
-                replayed.apply(SimTime::ZERO, SimDuration::ZERO, &cmd);
-            }
-        }
-        Self::log_view(&replayed) == Self::log_view(&self.state)
-    }
-
-    /// The log-derived projection of an [`AllocState`] (excludes telemetry
-    /// timestamps and lease expiries, which are allocator-local).
-    #[expect(
-        clippy::type_complexity,
-        reason = "the tuple type is written out once, here, as documentation of exactly which \
-                  fields the log determines; a named struct would hide that"
-    )]
-    pub(super) fn log_view(
-        s: &AllocState,
-    ) -> (
-        Vec<Option<(u32, u32, u32, bool, bool)>>,
-        Vec<(Ipv4Addr, u32, u32, u32)>,
-        Vec<Option<(u32, u32, u32, u32)>>,
-        Vec<Option<u32>>,
-        Vec<(Ipv4Addr, u32, u32, u32)>,
-        Vec<u32>,
-    ) {
-        (
-            s.nics
-                .iter()
-                .map(|n| {
-                    n.as_ref().map(|n| {
-                        (
-                            n.host,
-                            n.capacity_mbps,
-                            n.allocated_mbps,
-                            n.backup,
-                            n.failed,
-                        )
-                    })
-                })
-                .collect(),
-            s.instances
-                .iter()
-                .map(|i| (i.ip, i.host, i.nic, i.lease_mbps))
-                .collect(),
-            s.ssds
-                .iter()
-                .map(|s| {
-                    s.as_ref()
-                        .map(|s| (s.host, s.capacity_blocks, s.next_block, s.allocated_blocks))
-                })
-                .collect(),
-            s.accels
-                .iter()
-                .map(|a| a.as_ref().map(|a| a.host))
-                .collect(),
-            s.volumes
-                .iter()
-                .map(|v| (v.ip, v.ssd, v.base_block, v.blocks))
-                .collect(),
-            s.failed_hosts.clone(),
-        )
-    }
-
     /// Command a graceful migration of `ip` to `nic` (§3.3.4), e.g. for
     /// load balancing.
     pub fn migrate_instance(&mut self, pool: &mut CxlPool, ip: Ipv4Addr, nic: u32) {
-        let Some(inst) = self.state.instances.iter().find(|i| i.ip == ip).cloned() else {
-            return;
-        };
-        self.propose(AllocCommand::Assign {
-            ip,
-            host: inst.host,
-            nic,
-            lease_mbps: inst.lease_mbps,
-        });
-        let msg = NetMsg {
-            ptr: nic as u64,
-            size: 0,
-            op: NetOp::Migrate,
-            ip,
-        };
-        if let Some((_, tx)) = self
-            .to_frontends
-            .iter_mut()
-            .find(|(h, _)| *h == inst.host as usize)
-        {
-            if tx
-                .try_send(&mut self.core, pool, &msg.encode())
-                .unwrap_or(false)
-            {
-                tx.flush(&mut self.core, pool);
-            }
+        if let Some(inst) = self.books().instances.iter().find(|i| i.ip == ip).cloned() {
+            self.move_lease(pool, &inst, nic, NetOp::Migrate);
         }
     }
 
@@ -766,16 +350,23 @@ impl PodAllocator {
                     NetOp::LinkFailed => failed_nics.push(msg.ptr as u32),
                     NetOp::Telemetry => {
                         let now = self.core.clock;
-                        let ttl = self.cfg.telemetry_period * 3;
-                        if let Some(Some(n)) = self.state.nics.get_mut(nic as usize) {
-                            n.last_telemetry = now;
-                            n.recent_load_bytes = msg.ptr;
+                        if let Some(t) = self.telemetry.get_mut(nic as usize) {
+                            *t = NicTelemetry {
+                                at: now,
+                                load_bytes: msg.ptr,
+                            };
                         }
                         // Telemetry renews the leases of instances served
                         // by this device (§3.5).
-                        for inst in self.state.instances.iter_mut().filter(|i| i.nic == nic) {
-                            // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
-                            inst.lease_expiry = now + ttl;
+                        let served: Vec<Ipv4Addr> = self
+                            .books()
+                            .instances
+                            .iter()
+                            .filter(|i| i.nic == nic)
+                            .map(|i| i.ip)
+                            .collect();
+                        for ip in served {
+                            self.renew_lease(ip, now);
                         }
                     }
                     _ => {}
@@ -789,13 +380,14 @@ impl PodAllocator {
         // Host failures are inferred from missing telemetry (§3.5).
         let deadline = self.cfg.telemetry_period * 3 + self.cfg.allocator_poll * 2;
         let stale: Vec<u32> = self
-            .state
+            .books()
             .nics
             .iter()
             .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (i as u32, n)))
-            .filter(|(_, n)| !n.failed && self.core.clock > n.last_telemetry + deadline)
-            .map(|(i, _)| i)
+            .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
+            // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
+            .filter(|&(i, n)| !n.failed && self.core.clock > self.heard(i).at + deadline)
+            .map(|(i, _)| i as u32)
             .collect();
         for nic in stale {
             self.fail_nic_internal(pool, nic);
@@ -806,13 +398,13 @@ impl PodAllocator {
         if let Some(mut policy) = self.rebalance.take() {
             if self.core.clock >= policy.last_migration + policy.cooldown {
                 let usable: Vec<(u32, u64)> = self
-                    .state
+                    .books()
                     .nics
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, n)| n.as_ref().map(|n| (i as u32, n)))
+                    .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
                     .filter(|(_, n)| !n.failed && !n.backup)
-                    .map(|(i, n)| (i, n.recent_load_bytes))
+                    .map(|(i, _)| (i as u32, self.heard(i).load_bytes))
                     .collect();
                 if let (Some(&(hot, hot_load)), Some(&(cold, cold_load))) = (
                     usable.iter().max_by_key(|&&(_, l)| l),
@@ -829,21 +421,20 @@ impl PodAllocator {
                         // Move the instance with the largest lease first
                         // (it most likely carries the load).
                         if let Some(inst) = self
-                            .state
+                            .books()
                             .instances_on(hot)
                             .into_iter()
                             .max_by_key(|i| i.lease_mbps)
                         {
                             let cold_ok = self
-                                .state
+                                .books()
                                 .nics
                                 .get(cold as usize)
-                                .and_then(|n| n.as_ref())
-                                .map(|n| {
+                                .and_then(Option::as_ref)
+                                .is_some_and(|n| {
                                     n.allocated_mbps.saturating_add(inst.lease_mbps)
                                         <= n.capacity_mbps
-                                })
-                                .unwrap_or(false);
+                                });
                             if cold_ok {
                                 self.migrate_instance(pool, inst.ip, cold);
                                 self.rebalance_migrations += 1;
@@ -901,86 +492,41 @@ impl PodAllocator {
 }
 
 impl crate::snapshot::Snapshottable for PodAllocator {
-    /// Serializes the full lease ledger ([`AllocState`]) plus the failure
-    /// detector's working set. The Raft node itself is *not* serialized:
-    /// the pod runtime runs a single-replica group where every command
-    /// commits immediately, so the applied state machine is authoritative.
-    /// A restore makes it the compaction point: the node keeps its own
-    /// log, and only entries committed after the restore replay on top.
+    /// Serializes the device books with the actor's telemetry and lease
+    /// expiries interleaved, plus the failure detector's working set. The
+    /// Raft log itself is *not* serialized: the pod runs a single-replica
+    /// group where every command commits immediately, so the applied books
+    /// are authoritative. A restore makes them the compaction point: the
+    /// node keeps its own log, and only entries committed after the
+    /// restore replay on top.
     fn snapshot_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.put_u64(self.core.clock.as_nanos());
-        let s = &self.state;
-        w.put_u64(s.nics.len() as u64);
-        for slot in &s.nics {
-            w.put_bool(slot.is_some());
-            if let Some(n) = slot {
-                w.put_u32(n.host);
-                w.put_u32(n.capacity_mbps);
-                w.put_u32(n.allocated_mbps);
-                w.put_bool(n.backup);
-                w.put_bool(n.failed);
-                w.put_u64(n.last_telemetry.as_nanos());
-                w.put_u64(n.recent_load_bytes);
-            }
-        }
-        w.put_u64(s.instances.len() as u64);
-        for i in &s.instances {
-            w.put_u32(u32::from_le_bytes(i.ip.0));
-            w.put_u32(i.host);
-            w.put_u32(i.nic);
-            w.put_u32(i.lease_mbps);
-            w.put_u64(i.lease_expiry.as_nanos());
-        }
-        w.put_u64(s.ssds.len() as u64);
-        for slot in &s.ssds {
-            w.put_bool(slot.is_some());
-            if let Some(d) = slot {
-                w.put_u32(d.host);
-                w.put_u32(d.capacity_blocks);
-                w.put_u32(d.next_block);
-                w.put_u32(d.allocated_blocks);
-            }
-        }
-        w.put_u64(s.accels.len() as u64);
-        for slot in &s.accels {
-            w.put_bool(slot.is_some());
-            if let Some(a) = slot {
-                w.put_u32(a.host);
-            }
-        }
-        w.put_u64(s.volumes.len() as u64);
-        for v in &s.volumes {
-            w.put_u32(u32::from_le_bytes(v.ip.0));
-            w.put_u32(v.ssd);
-            w.put_u32(v.base_block);
-            w.put_u32(v.blocks);
-        }
-        w.put_u64(s.failed_hosts.len() as u64);
-        for &h in &s.failed_hosts {
-            w.put_u32(h);
-        }
+        self.books().write(
+            w,
+            |w, nic| {
+                let t = self.heard(nic);
+                w.put_u64(t.at.as_nanos());
+                w.put_u64(t.load_bytes);
+            },
+            |w, ip| {
+                let expiry = self.lease_expiry.iter().find(|(l, _)| *l == ip);
+                w.put_u64(expiry.map_or(0, |&(_, at)| at.as_nanos()));
+            },
+        );
         w.put_u64(self.reroutes_sent);
         w.put_u64(self.failovers);
         w.put_u64(self.rebalance_migrations);
-        w.put_u64(self.last_heartbeat.len() as u64);
-        for &(host, at) in &self.last_heartbeat {
+        w.put_list(&self.last_heartbeat, |w, &(host, at)| {
             w.put_u32(host);
             w.put_u64(at.as_nanos());
-        }
-        w.put_u64(self.newly_failed_hosts.len() as u64);
-        for &h in &self.newly_failed_hosts {
-            w.put_u32(h);
-        }
-        w.put_u64(self.newly_restarted_hosts.len() as u64);
-        for &h in &self.newly_restarted_hosts {
-            w.put_u32(h);
-        }
-        w.put_u64(self.host_failure_detections.len() as u64);
-        for &(host, since, at) in &self.host_failure_detections {
+        });
+        w.put_list(&self.newly_failed_hosts, |w, &h| w.put_u32(h));
+        w.put_list(&self.newly_restarted_hosts, |w, &h| w.put_u32(h));
+        w.put_list(&self.host_failure_detections, |w, &(host, since, at)| {
             w.put_u32(host);
             w.put_u64(since.as_nanos());
             w.put_u64(at.as_nanos());
-        }
+        });
         // Rebalance policy: knobs are construction-time config; only the
         // cooldown cursor mutates.
         w.put_bool(self.rebalance.is_some());
@@ -993,114 +539,42 @@ impl crate::snapshot::Snapshottable for PodAllocator {
         &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
+        use crate::snapshot::{SnapshotError, SnapshotReader};
         self.core.clock = SimTime(r.u64("alloc clock")?);
-        let n = r.count("alloc nic count")?;
-        let mut nics = Vec::with_capacity(n);
-        for _ in 0..n {
-            nics.push(if r.bool("alloc nic present")? {
-                Some(NicInfo {
-                    host: r.u32("alloc nic host")?,
-                    capacity_mbps: r.u32("alloc nic capacity")?,
-                    allocated_mbps: r.u32("alloc nic allocated")?,
-                    backup: r.bool("alloc nic backup")?,
-                    failed: r.bool("alloc nic failed")?,
-                    last_telemetry: SimTime(r.u64("alloc nic telemetry")?),
-                    recent_load_bytes: r.u64("alloc nic load")?,
-                })
-            } else {
-                None
-            });
-        }
-        self.state.nics = nics;
-        let n = r.count("alloc instance count")?;
-        let mut instances = Vec::with_capacity(n);
-        for _ in 0..n {
-            instances.push(InstanceInfo {
-                ip: Ipv4Addr(r.u32("alloc instance ip")?.to_le_bytes()),
-                host: r.u32("alloc instance host")?,
-                nic: r.u32("alloc instance nic")?,
-                lease_mbps: r.u32("alloc instance lease")?,
-                lease_expiry: SimTime(r.u64("alloc instance expiry")?),
-            });
-        }
-        self.state.instances = instances;
-        let n = r.count("alloc ssd count")?;
-        let mut ssds = Vec::with_capacity(n);
-        for _ in 0..n {
-            ssds.push(if r.bool("alloc ssd present")? {
-                Some(SsdInfo {
-                    host: r.u32("alloc ssd host")?,
-                    capacity_blocks: r.u32("alloc ssd capacity")?,
-                    next_block: r.u32("alloc ssd next")?,
-                    allocated_blocks: r.u32("alloc ssd allocated")?,
-                })
-            } else {
-                None
-            });
-        }
-        self.state.ssds = ssds;
-        let n = r.count("alloc accel count")?;
-        let mut accels = Vec::with_capacity(n);
-        for _ in 0..n {
-            accels.push(if r.bool("alloc accel present")? {
-                Some(AccelInfo {
-                    host: r.u32("alloc accel host")?,
-                })
-            } else {
-                None
-            });
-        }
-        self.state.accels = accels;
-        let n = r.count("alloc volume count")?;
-        let mut volumes = Vec::with_capacity(n);
-        for _ in 0..n {
-            volumes.push(VolumeInfo {
-                ip: Ipv4Addr(r.u32("alloc volume ip")?.to_le_bytes()),
-                ssd: r.u32("alloc volume ssd")?,
-                base_block: r.u32("alloc volume base")?,
-                blocks: r.u32("alloc volume blocks")?,
-            });
-        }
-        self.state.volumes = volumes;
-        let n = r.count("alloc failed-host count")?;
-        let mut failed_hosts = Vec::with_capacity(n);
-        for _ in 0..n {
-            failed_hosts.push(r.u32("alloc failed host")?);
-        }
-        self.state.failed_hosts = failed_hosts;
+        let mut telemetry = Vec::new();
+        let mut lease_expiry = Vec::new();
+        let books = DeviceBooks::read(
+            r,
+            |r, nic| {
+                telemetry.resize(nic + 1, NicTelemetry::default());
+                telemetry[nic] = NicTelemetry {
+                    at: SimTime(r.u64("alloc nic telemetry")?),
+                    load_bytes: r.u64("alloc nic load")?,
+                };
+                Ok(())
+            },
+            |r, ip| {
+                lease_expiry.push((ip, SimTime(r.u64("alloc instance expiry")?)));
+                Ok(())
+            },
+        )?;
         self.reroutes_sent = r.u64("alloc reroutes")?;
         self.failovers = r.u64("alloc failovers")?;
         self.rebalance_migrations = r.u64("alloc rebalance migrations")?;
-        let n = r.count("alloc heartbeat count")?;
-        let mut last_heartbeat = Vec::with_capacity(n);
-        for _ in 0..n {
-            let host = r.u32("alloc heartbeat host")?;
-            let at = SimTime(r.u64("alloc heartbeat time")?);
-            last_heartbeat.push((host, at));
-        }
-        self.last_heartbeat = last_heartbeat;
-        let n = r.count("alloc newly-failed count")?;
-        let mut newly_failed = Vec::with_capacity(n);
-        for _ in 0..n {
-            newly_failed.push(r.u32("alloc newly-failed host")?);
-        }
-        self.newly_failed_hosts = newly_failed;
-        let n = r.count("alloc newly-restarted count")?;
-        let mut newly_restarted = Vec::with_capacity(n);
-        for _ in 0..n {
-            newly_restarted.push(r.u32("alloc newly-restarted host")?);
-        }
-        self.newly_restarted_hosts = newly_restarted;
-        let n = r.count("alloc detection count")?;
-        let mut detections = Vec::with_capacity(n);
-        for _ in 0..n {
+        self.last_heartbeat = r.list("alloc heartbeat", |r| {
+            Ok((
+                r.u32("alloc heartbeat host")?,
+                SimTime(r.u64("alloc heartbeat time")?),
+            ))
+        })?;
+        let host = |r: &mut SnapshotReader<'_>| r.u32("alloc host");
+        self.newly_failed_hosts = r.list("alloc newly-failed hosts", host)?;
+        self.newly_restarted_hosts = r.list("alloc newly-restarted hosts", host)?;
+        self.host_failure_detections = r.list("alloc detection", |r| {
             let host = r.u32("alloc detection host")?;
             let since = SimTime(r.u64("alloc detection since")?);
-            let at = SimTime(r.u64("alloc detection at")?);
-            detections.push((host, since, at));
-        }
-        self.host_failure_detections = detections;
+            Ok((host, since, SimTime(r.u64("alloc detection at")?)))
+        })?;
         let has_policy = r.bool("alloc rebalance present")?;
         if has_policy != self.rebalance.is_some() {
             return Err(SnapshotError::Corrupt("alloc rebalance presence"));
@@ -1108,8 +582,11 @@ impl crate::snapshot::Snapshottable for PodAllocator {
         if let Some(p) = &mut self.rebalance {
             p.last_migration = SimTime(r.u64("alloc rebalance cursor")?);
         }
-        self.base = self.state.clone();
-        self.base_index = self.raft.commit_index();
+        self.telemetry = telemetry;
+        self.lease_expiry = lease_expiry;
+        let mut state = FleetState::default();
+        state.devices = books;
+        self.machine.install(state);
         Ok(())
     }
 }
@@ -1119,124 +596,81 @@ mod tests {
     use super::*;
     use oasis_cxl::pool::PortId;
 
-    fn state_with_nics() -> AllocState {
-        let mut s = AllocState::default();
-        let ttl = SimDuration::from_millis(300);
+    fn state_with_nics() -> FleetState {
+        let mut s = FleetState::default();
         for (nic, host, backup) in [(0u32, 0u32, false), (1, 1, false), (2, 2, true)] {
-            s.apply(
-                SimTime::ZERO,
-                ttl,
-                &AllocCommand::RegisterNic {
-                    nic,
-                    host,
-                    capacity_mbps: 100_000,
-                    backup,
-                },
-            );
+            s.apply(&FleetCommand::RegisterNic {
+                nic,
+                host,
+                capacity_mbps: 100_000,
+                backup,
+            });
         }
         s
+    }
+
+    fn assign(s: &mut FleetState, i: u32, nic: u32, lease_mbps: u32) {
+        s.apply(&FleetCommand::Assign {
+            ip: Ipv4Addr::instance(i),
+            host: 0,
+            nic,
+            lease_mbps,
+        });
     }
 
     #[test]
     fn local_first_placement() {
         let s = state_with_nics();
-        assert_eq!(s.pick_nic(0, 10_000), Some(0));
-        assert_eq!(s.pick_nic(1, 10_000), Some(1));
+        assert_eq!(s.devices.pick_nic(0, 10_000), Some(0));
+        assert_eq!(s.devices.pick_nic(1, 10_000), Some(1));
     }
 
     #[test]
     fn remote_least_loaded_when_no_local() {
         let mut s = state_with_nics();
         // Host 3 has no NIC; nic 0 is loaded, nic 1 free.
-        s.apply(
-            SimTime::ZERO,
-            SimDuration::from_millis(300),
-            &AllocCommand::Assign {
-                ip: Ipv4Addr::instance(1),
-                host: 0,
-                nic: 0,
-                lease_mbps: 50_000,
-            },
-        );
-        assert_eq!(s.pick_nic(3, 10_000), Some(1));
+        assign(&mut s, 1, 0, 50_000);
+        assert_eq!(s.devices.pick_nic(3, 10_000), Some(1));
     }
 
     #[test]
     fn backup_excluded_from_remote_placement() {
         let mut s = state_with_nics();
         // Fill both non-backup NICs.
-        for (i, nic) in [(1u32, 0u32), (2, 1)] {
-            s.apply(
-                SimTime::ZERO,
-                SimDuration::from_millis(300),
-                &AllocCommand::Assign {
-                    ip: Ipv4Addr::instance(i),
-                    host: 0,
-                    nic,
-                    lease_mbps: 100_000,
-                },
-            );
-        }
+        assign(&mut s, 1, 0, 100_000);
+        assign(&mut s, 2, 1, 100_000);
         // Remote host cannot land on the backup.
-        assert_eq!(s.pick_nic(3, 10_000), None);
+        assert_eq!(s.devices.pick_nic(3, 10_000), None);
         // But the backup's own host can use it node-locally (§3.3.3).
-        assert_eq!(s.pick_nic(2, 10_000), Some(2));
+        assert_eq!(s.devices.pick_nic(2, 10_000), Some(2));
     }
 
     #[test]
     fn capacity_respected() {
         let mut s = state_with_nics();
-        s.apply(
-            SimTime::ZERO,
-            SimDuration::from_millis(300),
-            &AllocCommand::Assign {
-                ip: Ipv4Addr::instance(1),
-                host: 0,
-                nic: 0,
-                lease_mbps: 95_000,
-            },
-        );
+        assign(&mut s, 1, 0, 95_000);
         // nic0 can't take 10G more; falls to nic1 even for host 0.
-        assert_eq!(s.pick_nic(0, 10_000), Some(1));
+        assert_eq!(s.devices.pick_nic(0, 10_000), Some(1));
     }
 
     #[test]
     fn failed_nic_skipped_and_leases_revoked() {
         let mut s = state_with_nics();
-        let ttl = SimDuration::from_millis(300);
-        s.apply(
-            SimTime::ZERO,
-            ttl,
-            &AllocCommand::Assign {
-                ip: Ipv4Addr::instance(1),
-                host: 0,
-                nic: 0,
-                lease_mbps: 10_000,
-            },
-        );
-        s.apply(SimTime::ZERO, ttl, &AllocCommand::MarkFailed { nic: 0 });
-        assert_ne!(s.pick_nic(0, 10_000), Some(0));
+        assign(&mut s, 1, 0, 10_000);
+        s.apply(&FleetCommand::MarkFailed { nic: 0 });
+        assert_ne!(s.devices.pick_nic(0, 10_000), Some(0));
         // Reassign revokes the old lease.
-        s.apply(
-            SimTime::ZERO,
-            ttl,
-            &AllocCommand::Assign {
-                ip: Ipv4Addr::instance(1),
-                host: 0,
-                nic: 1,
-                lease_mbps: 10_000,
-            },
-        );
-        assert_eq!(s.nics[0].as_ref().unwrap().allocated_mbps, 0);
-        assert_eq!(s.nics[1].as_ref().unwrap().allocated_mbps, 10_000);
-        assert_eq!(s.instances_on(1).len(), 1);
+        assign(&mut s, 1, 1, 10_000);
+        assert_eq!(s.devices.nics[0].as_ref().unwrap().allocated_mbps, 0);
+        assert_eq!(s.devices.nics[1].as_ref().unwrap().allocated_mbps, 10_000);
+        assert_eq!(s.devices.instances_on(1).len(), 1);
     }
 
     #[test]
     fn allocator_places_via_raft_log() {
         let core = HostCtx::new(PortId(0), 0);
         let mut alloc = PodAllocator::new(core, OasisConfig::default());
-        alloc.propose(AllocCommand::RegisterNic {
+        alloc.execute(&FleetCommand::RegisterNic {
             nic: 0,
             host: 0,
             capacity_mbps: 100_000,
@@ -1244,7 +678,11 @@ mod tests {
         });
         let nic = alloc.place_instance(0, Ipv4Addr::instance(1), 5_000);
         assert_eq!(nic, Some(0));
-        assert_eq!(alloc.state.instances.len(), 1);
-        assert_eq!(alloc.state.nics[0].as_ref().unwrap().allocated_mbps, 5_000);
+        assert_eq!(alloc.books().instances.len(), 1);
+        assert_eq!(
+            alloc.books().nics[0].as_ref().unwrap().allocated_mbps,
+            5_000
+        );
+        assert!(alloc.consistent_with_log());
     }
 }

@@ -183,7 +183,7 @@ impl PodBuilder {
             let port = switch.add_port();
             port_owner.push(PortOwner::Nic(nic_id));
             let backup = self.backup_nic_host == Some(host);
-            allocator.propose(AllocCommand::RegisterNic {
+            allocator.execute(&FleetCommand::RegisterNic {
                 nic: nic_id as u32,
                 host: host as u32,
                 capacity_mbps: (nic.bandwidth_gbps() * 1000.0) as u32,
@@ -310,7 +310,7 @@ impl PodBuilder {
         // addresses).
         let mut ssds = Vec::new();
         for (ssd_id, (host, ssd_cfg)) in self.ssds.iter().enumerate() {
-            allocator.propose(AllocCommand::RegisterSsd {
+            allocator.execute(&FleetCommand::RegisterSsd {
                 ssd: ssd_id as u32,
                 host: *host as u32,
                 capacity_blocks: ssd_cfg.blocks_per_ns as u32 * ssd_cfg.namespaces,
@@ -320,7 +320,7 @@ impl PodBuilder {
         let storage = EngineSet::build(&self.cfg, &self.hosts, ssds, &mut pool, &mut ra);
         let mut accels = Vec::new();
         for (dev_id, (host, accel_cfg)) in self.accels.iter().enumerate() {
-            allocator.propose(AllocCommand::RegisterAccel {
+            allocator.execute(&FleetCommand::RegisterAccel {
                 accel: dev_id as u32,
                 host: *host as u32,
             });

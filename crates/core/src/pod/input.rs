@@ -270,16 +270,16 @@ impl Pod {
                 self.forward(at, port, frame);
             }
             MarkNicRepaired(nic) => {
-                let repaired = AllocCommand::MarkRepaired { nic: nic as u32 };
-                self.allocator.propose(repaired);
+                let repaired = FleetCommand::MarkRepaired { nic: nic as u32 };
+                self.allocator.execute(&repaired);
             }
             SsdFailed(ssd, failed) => self.storage.backends[ssd].device.set_failed(failed),
             AccelFailed(accel, failed) => self.accel.backends[accel].device.set_failed(failed),
             Launch(host, app, lease) => return self.launch(host, app, lease).map(|_| None),
             Terminate(inst) => {
                 let ip = self.instances[inst].ip;
-                self.allocator.propose(AllocCommand::Unassign { ip });
-                self.allocator.propose(AllocCommand::ReleaseVolumes { ip });
+                self.allocator.execute(&FleetCommand::Unassign { ip });
+                self.allocator.execute(&FleetCommand::ReleaseVolumes { ip });
                 for nic in 0..self.nics.len() {
                     if let Some(b) = self.backend_of_nic[nic] {
                         self.backends[b].unregister_instance(&mut self.nics[nic], ip);
@@ -308,7 +308,7 @@ impl Pod {
                 if host >= self.drivers.len() {
                     return Err(PodError::NoSuchHost(host));
                 }
-                let Some(dev) = self.allocator.state.pick_accel(host as u32) else {
+                let Some(dev) = self.allocator.books().pick_accel(host as u32) else {
                     return Err(PodError::NoSuchDevice {
                         class: "accel",
                         index: 0,
@@ -370,7 +370,7 @@ impl Pod {
                     .ok_or(PodError::NoNicCapacity)? as usize;
                 let backup = self
                     .allocator
-                    .state
+                    .books()
                     .backup_nic()
                     .map(|b| b as usize)
                     .filter(|&b| b != nic);

@@ -45,7 +45,7 @@ pub use build::PodBuilder;
 pub use input::{Applied, PodInput};
 pub use run::UplinkMsg;
 
-use crate::allocator::{AllocCommand, PodAllocator};
+use crate::allocator::{FleetCommand, PodAllocator};
 use crate::baseline::LocalDriver;
 use crate::config::{BufferPlacement, OasisConfig};
 use crate::datapath::{alloc_descriptor_channel, alloc_net_channel, BufferArea};

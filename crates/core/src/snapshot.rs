@@ -191,6 +191,27 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Append a list: its `u64` length, then what `put` writes per item.
+    pub fn put_list<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
+        self.put_u64(items.len() as u64);
+        for item in items {
+            put(self, item);
+        }
+    }
+
+    /// Append a table of optional slots: its `u64` length, then per slot a
+    /// presence bool and, for a present one, what `put` writes for
+    /// `(index, entry)`.
+    pub fn put_slots<T>(&mut self, slots: &[Option<T>], mut put: impl FnMut(&mut Self, usize, &T)) {
+        self.put_u64(slots.len() as u64);
+        for (i, slot) in slots.iter().enumerate() {
+            self.put_bool(slot.is_some());
+            if let Some(entry) = slot {
+                put(self, i, entry);
+            }
+        }
+    }
+
     /// Open a length-framed section: writes the tag and a length
     /// placeholder patched by [`end_section`](Self::end_section).
     pub fn begin_section(&mut self, s: SnapshotSection) {
@@ -325,6 +346,34 @@ impl<'a> SnapshotReader<'a> {
             1 => Ok(true),
             _ => Err(SnapshotError::Corrupt(what)),
         }
+    }
+
+    /// Read a list written by [`SnapshotWriter::put_list`].
+    pub fn list<T>(
+        &mut self,
+        what: &'static str,
+        mut read: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.count(what)?;
+        (0..n).map(|_| read(self)).collect()
+    }
+
+    /// Read a slot table written by [`SnapshotWriter::put_slots`].
+    pub fn slots<T>(
+        &mut self,
+        what: &'static str,
+        mut read: impl FnMut(&mut Self, usize) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<Option<T>>, SnapshotError> {
+        let n = self.count(what)?;
+        (0..n)
+            .map(|i| {
+                if self.bool(what)? {
+                    read(self, i).map(Some)
+                } else {
+                    Ok(None)
+                }
+            })
+            .collect()
     }
 
     /// Read a length-prefixed byte string.

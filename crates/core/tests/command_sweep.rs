@@ -1,12 +1,12 @@
 //! Truncation and bit-flip sweeps over every allocator command decoder.
 //!
-//! Both command enums are decoded from slices the raft log lends out. For
-//! every variant, every truncation and every single-bit flip of its
-//! encoding is proposed into a single-node raft group and decoded from the
+//! Commands are decoded from slices the raft log lends out. For every
+//! fleet-scope and every device variant, every truncation and every
+//! single-bit flip of its encoding is proposed into a single-node raft group and decoded from the
 //! delivered slice: the result must be `None` or a command that re-encodes
 //! to exactly those bytes, and decoding must never panic.
 
-use oasis_core::allocator::{AllocCommand, FleetCommand, TransferPath, ANY_POD};
+use oasis_core::allocator::{FleetCommand, TransferPath, ANY_POD};
 use oasis_net::addr::Ipv4Addr;
 use oasis_raft::{RaftConfig, RaftNode};
 use oasis_sim::time::SimTime;
@@ -76,45 +76,45 @@ fn fleet_commands() -> Vec<FleetCommand> {
     ]
 }
 
-fn alloc_commands() -> Vec<AllocCommand> {
+fn device_commands() -> Vec<FleetCommand> {
     let ip = Ipv4Addr::instance(9);
     vec![
-        AllocCommand::RegisterNic {
+        FleetCommand::RegisterNic {
             nic: 3,
             host: 1,
             capacity_mbps: 100_000,
             backup: true,
         },
-        AllocCommand::RegisterNic {
+        FleetCommand::RegisterNic {
             nic: 4,
             host: 2,
             capacity_mbps: 40_000,
             backup: false,
         },
-        AllocCommand::Assign {
+        FleetCommand::Assign {
             ip,
             host: 2,
             nic: 0,
             lease_mbps: 10_000,
         },
-        AllocCommand::Unassign { ip },
-        AllocCommand::MarkFailed { nic: 7 },
-        AllocCommand::MarkRepaired { nic: 7 },
-        AllocCommand::RegisterSsd {
+        FleetCommand::Unassign { ip },
+        FleetCommand::MarkFailed { nic: 7 },
+        FleetCommand::MarkRepaired { nic: 7 },
+        FleetCommand::RegisterSsd {
             ssd: 2,
             host: 1,
             capacity_blocks: 4096,
         },
-        AllocCommand::AssignVolume {
+        FleetCommand::AssignVolume {
             ip,
             ssd: 2,
             base_block: 128,
             blocks: 256,
         },
-        AllocCommand::ReleaseVolumes { ip },
-        AllocCommand::MarkHostFailed { host: 4 },
-        AllocCommand::MarkHostRestarted { host: 4 },
-        AllocCommand::RegisterAccel { accel: 1, host: 3 },
+        FleetCommand::ReleaseVolumes { ip },
+        FleetCommand::MarkHostFailed { host: 4 },
+        FleetCommand::MarkHostRestarted { host: 4 },
+        FleetCommand::RegisterAccel { accel: 1, host: 3 },
     ]
 }
 
@@ -156,9 +156,8 @@ fn through_the_log(inputs: &[Vec<u8>], check: impl Fn(&[u8])) {
     assert_eq!(delivered, proposed);
 }
 
-#[test]
-fn fleet_command_sweep() {
-    for cmd in fleet_commands() {
+fn sweep(commands: Vec<FleetCommand>) {
+    for cmd in commands {
         let bytes = cmd.encode();
         assert_eq!(FleetCommand::decode(&bytes), Some(cmd.clone()));
         through_the_log(&mutations(&bytes), |m| {
@@ -170,16 +169,13 @@ fn fleet_command_sweep() {
 }
 
 #[test]
+fn fleet_command_sweep() {
+    sweep(fleet_commands());
+}
+
+#[test]
 fn alloc_command_sweep() {
-    for cmd in alloc_commands() {
-        let bytes = cmd.encode();
-        assert_eq!(AllocCommand::decode(&bytes), Some(cmd.clone()));
-        through_the_log(&mutations(&bytes), |m| {
-            if let Some(c) = AllocCommand::decode(m) {
-                assert_eq!(c.encode(), m, "{cmd:?} mutated to {m:?} decoded as {c:?}");
-            }
-        });
-    }
+    sweep(device_commands());
 }
 
 #[test]
@@ -195,7 +191,7 @@ fn trailing_bytes_and_non_boolean_flags_are_refused() {
     .encode();
     *commit.last_mut().unwrap() = 2;
     assert_eq!(FleetCommand::decode(&commit), None);
-    let mut backup = AllocCommand::RegisterNic {
+    let mut backup = FleetCommand::RegisterNic {
         nic: 0,
         host: 0,
         capacity_mbps: 1,
@@ -203,7 +199,7 @@ fn trailing_bytes_and_non_boolean_flags_are_refused() {
     }
     .encode();
     *backup.last_mut().unwrap() = 0x80;
-    assert_eq!(AllocCommand::decode(&backup), None);
+    assert_eq!(FleetCommand::decode(&backup), None);
 }
 
 proptest! {
@@ -211,15 +207,12 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_decode_exactly_or_not_at_all(
-        tag in 0u8..13,
+        tag in 0u8..21,
         body in proptest::collection::vec(any::<u8>(), 0..40),
     ) {
         let mut bytes = vec![tag];
         bytes.extend(body);
         if let Some(c) = FleetCommand::decode(&bytes) {
-            prop_assert_eq!(c.encode(), bytes.clone());
-        }
-        if let Some(c) = AllocCommand::decode(&bytes) {
             prop_assert_eq!(c.encode(), bytes);
         }
     }

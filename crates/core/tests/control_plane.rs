@@ -139,7 +139,7 @@ fn host_failure_inferred_from_missing_telemetry() {
     pod.run(SimTime::from_millis(200));
 
     assert!(
-        pod.allocator.state.nics[0].as_ref().unwrap().failed,
+        pod.allocator.books().nics[0].as_ref().unwrap().failed,
         "allocator must infer the host failure from missing telemetry"
     );
     assert_eq!(pod.allocator.failovers, 1);
@@ -173,7 +173,7 @@ fn rebalancer_moves_load_off_hot_nic() {
     let i2 = pod.launch_instance(host_a, AppKind::Udp(Box::new(Echo)), 10_000);
     let nic_of = |pod: &oasis_core::pod::Pod, inst: usize| {
         pod.allocator
-            .state
+            .books()
             .instances
             .iter()
             .find(|i| i.ip == pod.instance_ip(inst))

@@ -1,8 +1,8 @@
 //! Golden bytes for the replicated command schemas and the snapshot
 //! container's section tags.
 //!
-//! Every enum here is a wire format: `AllocCommand` / `FleetCommand` bytes
-//! are the Raft log and the replay format, `TransferPath` rides inside
+//! Every enum here is a wire format: `FleetCommand` bytes are the Raft
+//! log and the replay format, `TransferPath` rides inside
 //! `MigrateInstance`, and `SnapshotSection` tags frame every checkpoint.
 //! Three things pin each schema and must move together (DESIGN.md §14):
 //!
@@ -13,27 +13,11 @@
 //!    changes, and which must cover every tag the decoder accepts;
 //! 3. the `*_SCHEMA_VERSION` consts.
 
-use oasis_core::allocator::command::{ALLOC_SCHEMA_VERSION, FLEET_SCHEMA_VERSION};
-use oasis_core::allocator::{AllocCommand, FleetCommand, TransferPath, ANY_POD};
+use oasis_core::allocator::command::FLEET_SCHEMA_VERSION;
+use oasis_core::allocator::{FleetCommand, TransferPath, ANY_POD};
 use oasis_core::snapshot::{SnapshotSection, SNAPSHOT_SCHEMA_VERSION};
 use oasis_net::addr::Ipv4Addr;
 use std::collections::BTreeSet;
-
-fn alloc_tag(cmd: &AllocCommand) -> u8 {
-    match cmd {
-        AllocCommand::RegisterNic { .. } => 1,
-        AllocCommand::Assign { .. } => 2,
-        AllocCommand::Unassign { .. } => 3,
-        AllocCommand::MarkFailed { .. } => 4,
-        AllocCommand::MarkRepaired { .. } => 5,
-        AllocCommand::RegisterSsd { .. } => 6,
-        AllocCommand::AssignVolume { .. } => 7,
-        AllocCommand::ReleaseVolumes { .. } => 8,
-        AllocCommand::MarkHostFailed { .. } => 9,
-        AllocCommand::MarkHostRestarted { .. } => 10,
-        AllocCommand::RegisterAccel { .. } => 11,
-    }
-}
 
 fn fleet_tag(cmd: &FleetCommand) -> u8 {
     match cmd {
@@ -45,6 +29,17 @@ fn fleet_tag(cmd: &FleetCommand) -> u8 {
         FleetCommand::QueryFleetState => 6,
         FleetCommand::MigrateInstance { .. } => 7,
         FleetCommand::FinishMigration { .. } => 8,
+        FleetCommand::RegisterNic { .. } => 9,
+        FleetCommand::Assign { .. } => 10,
+        FleetCommand::Unassign { .. } => 11,
+        FleetCommand::MarkFailed { .. } => 12,
+        FleetCommand::MarkRepaired { .. } => 13,
+        FleetCommand::RegisterSsd { .. } => 14,
+        FleetCommand::AssignVolume { .. } => 15,
+        FleetCommand::ReleaseVolumes { .. } => 16,
+        FleetCommand::MarkHostFailed { .. } => 17,
+        FleetCommand::MarkHostRestarted { .. } => 18,
+        FleetCommand::RegisterAccel { .. } => 19,
     }
 }
 
@@ -76,90 +71,98 @@ fn decodable_tags<T>(decode: impl Fn(&[u8]) -> Option<T>) -> BTreeSet<u8> {
 fn schema_versions_are_pinned() {
     // Bumping any const is a deliberate act: refresh the goldens below in
     // the same commit.
-    assert_eq!(ALLOC_SCHEMA_VERSION, 1);
-    // v2 appended MigrateInstance / FinishMigration (ISSUE 10).
-    assert_eq!(FLEET_SCHEMA_VERSION, 2);
+    // v2 appended MigrateInstance / FinishMigration; v3 appended the
+    // device commands (tags 9-19).
+    assert_eq!(FLEET_SCHEMA_VERSION, 3);
     // v2 added the FleetState / ReplayCursor sections.
     assert_eq!(SNAPSHOT_SCHEMA_VERSION, 2);
 }
 
-#[test]
-fn alloc_command_golden_bytes() {
+/// The device commands: the pod allocator's former command set with its
+/// field layouts unchanged, each tag moved up by 8 behind the fleet-scope
+/// tags.
+fn device_goldens() -> Vec<(FleetCommand, Vec<u8>)> {
     let ip = Ipv4Addr([10, 0, 0, 7]);
-    let cases: Vec<(AllocCommand, Vec<u8>)> = vec![
+    vec![
         (
-            AllocCommand::RegisterNic {
+            FleetCommand::RegisterNic {
                 nic: 1,
                 host: 2,
                 capacity_mbps: 100_000,
                 backup: true,
             },
-            vec![1, 1, 0, 0, 0, 2, 0, 0, 0, 160, 134, 1, 0, 1],
+            vec![9, 1, 0, 0, 0, 2, 0, 0, 0, 160, 134, 1, 0, 1],
         ),
         (
-            AllocCommand::Assign {
+            FleetCommand::Assign {
                 ip,
                 host: 2,
                 nic: 1,
                 lease_mbps: 8_000,
             },
-            vec![2, 10, 0, 0, 7, 2, 0, 0, 0, 1, 0, 0, 0, 64, 31, 0, 0],
+            vec![10, 10, 0, 0, 7, 2, 0, 0, 0, 1, 0, 0, 0, 64, 31, 0, 0],
         ),
-        (AllocCommand::Unassign { ip }, vec![3, 10, 0, 0, 7]),
-        (AllocCommand::MarkFailed { nic: 9 }, vec![4, 9, 0, 0, 0]),
-        (AllocCommand::MarkRepaired { nic: 9 }, vec![5, 9, 0, 0, 0]),
+        (FleetCommand::Unassign { ip }, vec![11, 10, 0, 0, 7]),
+        (FleetCommand::MarkFailed { nic: 9 }, vec![12, 9, 0, 0, 0]),
+        (FleetCommand::MarkRepaired { nic: 9 }, vec![13, 9, 0, 0, 0]),
         (
-            AllocCommand::RegisterSsd {
+            FleetCommand::RegisterSsd {
                 ssd: 3,
                 host: 2,
                 capacity_blocks: 512,
             },
-            vec![6, 3, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0],
+            vec![14, 3, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0],
         ),
         (
-            AllocCommand::AssignVolume {
+            FleetCommand::AssignVolume {
                 ip,
                 ssd: 3,
                 base_block: 256,
                 blocks: 64,
             },
-            vec![7, 10, 0, 0, 7, 3, 0, 0, 0, 0, 1, 0, 0, 64, 0, 0, 0],
+            vec![15, 10, 0, 0, 7, 3, 0, 0, 0, 0, 1, 0, 0, 64, 0, 0, 0],
         ),
-        (AllocCommand::ReleaseVolumes { ip }, vec![8, 10, 0, 0, 7]),
+        (FleetCommand::ReleaseVolumes { ip }, vec![16, 10, 0, 0, 7]),
         (
-            AllocCommand::MarkHostFailed { host: 5 },
-            vec![9, 5, 0, 0, 0],
-        ),
-        (
-            AllocCommand::MarkHostRestarted { host: 5 },
-            vec![10, 5, 0, 0, 0],
+            FleetCommand::MarkHostFailed { host: 5 },
+            vec![17, 5, 0, 0, 0],
         ),
         (
-            AllocCommand::RegisterAccel { accel: 4, host: 2 },
-            vec![11, 4, 0, 0, 0, 2, 0, 0, 0],
+            FleetCommand::MarkHostRestarted { host: 5 },
+            vec![18, 5, 0, 0, 0],
         ),
-    ];
-    let tags: BTreeSet<u8> = cases.iter().map(|(cmd, _)| alloc_tag(cmd)).collect();
-    assert_eq!(
-        tags,
-        decodable_tags(AllocCommand::decode),
-        "a tag without a golden"
-    );
+        (
+            FleetCommand::RegisterAccel { accel: 4, host: 2 },
+            vec![19, 4, 0, 0, 0, 2, 0, 0, 0],
+        ),
+    ]
+}
+
+/// Each case encodes to its golden, carries its pinned tag and decodes
+/// back. Returns the tags covered.
+fn check_goldens(cases: Vec<(FleetCommand, Vec<u8>)>) -> BTreeSet<u8> {
+    let mut tags = BTreeSet::new();
     for (cmd, golden) in cases {
         let bytes = cmd.encode();
         assert_eq!(bytes, golden, "{cmd:?} drifted from its golden encoding");
-        assert_eq!(bytes[0], alloc_tag(&cmd), "{cmd:?} left its pinned tag");
+        assert_eq!(bytes[0], fleet_tag(&cmd), "{cmd:?} left its pinned tag");
+        tags.insert(bytes[0]);
         assert_eq!(
-            AllocCommand::decode(&bytes),
+            FleetCommand::decode(&bytes),
             Some(cmd),
             "golden bytes no longer decode"
         );
     }
+    tags
 }
 
 #[test]
-fn fleet_command_golden_bytes() {
-    let cases: Vec<(FleetCommand, Vec<u8>)> = vec![
+fn alloc_command_golden_bytes() {
+    check_goldens(device_goldens());
+}
+
+fn fleet_goldens() -> Vec<(FleetCommand, Vec<u8>)> {
+    vec![
         (
             FleetCommand::RegisterPod {
                 pod: 0,
@@ -250,23 +253,18 @@ fn fleet_command_golden_bytes() {
             },
             vec![8, 136, 19, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0],
         ),
-    ];
-    let tags: BTreeSet<u8> = cases.iter().map(|(cmd, _)| fleet_tag(cmd)).collect();
+    ]
+}
+
+#[test]
+fn fleet_command_golden_bytes() {
+    let mut tags = check_goldens(fleet_goldens());
+    tags.extend(check_goldens(device_goldens()));
     assert_eq!(
         tags,
         decodable_tags(FleetCommand::decode),
         "a tag without a golden"
     );
-    for (cmd, golden) in cases {
-        let bytes = cmd.encode();
-        assert_eq!(bytes, golden, "{cmd:?} drifted from its golden encoding");
-        assert_eq!(bytes[0], fleet_tag(&cmd), "{cmd:?} left its pinned tag");
-        assert_eq!(
-            FleetCommand::decode(&bytes),
-            Some(cmd),
-            "golden bytes no longer decode"
-        );
-    }
 }
 
 #[test]

@@ -81,7 +81,7 @@ fn main() {
     println!(
         "allocator: NIC 0 marked failed; instance rerouted to NIC {:?}",
         pod.allocator
-            .state
+            .books()
             .instances
             .iter()
             .find(|i| i.ip == pod.instance_ip(inst))

@@ -33,7 +33,7 @@ fn main() {
             "instance {} on host {host} -> NIC {:?} (lease 10 Gbit/s)",
             pod.instance_ip(inst),
             pod.allocator
-                .state
+                .books()
                 .instances
                 .iter()
                 .find(|i| i.ip == pod.instance_ip(inst))
@@ -44,8 +44,14 @@ fn main() {
     }
     println!(
         "allocator: NIC 0 has {} Mbit/s allocated of {} Mbit/s\n",
-        pod.allocator.state.nics[0].as_ref().unwrap().allocated_mbps,
-        pod.allocator.state.nics[0].as_ref().unwrap().capacity_mbps
+        pod.allocator.books().nics[0]
+            .as_ref()
+            .unwrap()
+            .allocated_mbps,
+        pod.allocator.books().nics[0]
+            .as_ref()
+            .unwrap()
+            .capacity_mbps
     );
 
     // Four clients, one per instance, echoing concurrently.

@@ -146,10 +146,10 @@ fn allocator_respects_capacity_across_launches() {
     for _ in 0..9 {
         pod.launch_instance(h0, AppKind::None, 10_000);
     }
-    let nic = pod.allocator.state.nics[0].as_ref().unwrap();
+    let nic = pod.allocator.books().nics[0].as_ref().unwrap();
     assert_eq!(nic.allocated_mbps, 90_000);
-    assert!(pod.allocator.state.pick_nic(h0 as u32, 20_000).is_none());
-    assert!(pod.allocator.state.pick_nic(h0 as u32, 10_000).is_some());
+    assert!(pod.allocator.books().pick_nic(h0 as u32, 20_000).is_none());
+    assert!(pod.allocator.books().pick_nic(h0 as u32, 10_000).is_some());
 }
 
 #[test]
