@@ -24,7 +24,7 @@ fn run(rebalance: bool) -> (Pod, Vec<StatsHandle>, Vec<usize>) {
     let _n1 = b.add_nic_host();
     let mut pod = b.build();
     if rebalance {
-        pod.allocator.enable_rebalancing(RebalancePolicy::new(
+        pod.allocator.actor.enable_rebalancing(RebalancePolicy::new(
             2.0,
             50_000,
             SimDuration::from_millis(200),
@@ -78,6 +78,7 @@ fn main() {
         let (pod, stats, instances) = run(rebalance);
         let nic_of = |inst: usize| {
             pod.allocator
+                .actor
                 .books()
                 .instances
                 .iter()
@@ -97,7 +98,7 @@ fn main() {
         }
         t.row(vec![
             if rebalance { "on" } else { "off" }.to_string(),
-            format!("{}", pod.allocator.rebalance_migrations),
+            format!("{}", pod.allocator.actor.rebalance_migrations),
             format!("{shared}"),
             format!("{:.2}", p50 as f64 / 1e3),
             format!("{:.2}", p99 as f64 / 1e3),

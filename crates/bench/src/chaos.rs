@@ -573,6 +573,7 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
     // minus exactly the reclaimed victim regions.
     let detections: Vec<(u32, u64, u64)> = pod
         .allocator
+        .actor
         .host_failure_detections
         .iter()
         .map(|&(h, s, d)| (h, s.as_nanos(), d.as_nanos()))
@@ -587,7 +588,7 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
     }
 
     // 4. Allocator state must replay from the committed raft log.
-    if !pod.allocator.consistent_with_log() {
+    if !pod.allocator.actor.consistent_with_log() {
         violations.push("allocator state diverged from the raft log".into());
     }
 

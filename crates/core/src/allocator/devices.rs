@@ -2,7 +2,7 @@
 //! volumes carved out of them (§3.5).
 //!
 //! They are the device half of the one replicated [`FleetState`]: a pod's
-//! control actor ([`super::PodAllocator`]) picks a device with the
+//! control actor ([`super::ControlActor`]) picks a device with the
 //! `pick_*` queries here and logs the choice as a device
 //! [`FleetCommand`]; [`FleetState::apply`] hands those commands to
 //! [`DeviceBooks::apply`]. Nothing here reads a clock: telemetry times and
@@ -108,7 +108,7 @@ fn put<T>(table: &mut Vec<Option<T>>, id: u32, value: T) {
 }
 
 /// `(id, entry)` for every occupied slot of a device table.
-fn present<T>(table: &[Option<T>]) -> impl Iterator<Item = (usize, &T)> {
+pub(super) fn present<T>(table: &[Option<T>]) -> impl Iterator<Item = (usize, &T)> {
     table
         .iter()
         .enumerate()

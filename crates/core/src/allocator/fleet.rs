@@ -912,6 +912,7 @@ impl Snapshottable for FleetState {
 /// its pods; every pod's control actor runs one for its devices.
 ///
 /// [`Fleet`]: crate::fleet::Fleet
+#[derive(Clone)]
 pub struct FleetAllocator {
     /// The replicated state (readable for reports and tests).
     pub state: FleetState,
@@ -1063,17 +1064,19 @@ impl FleetAllocator {
     /// live state — the "state is consistent with the log" invariant.
     pub fn consistent_with_log(&self) -> bool {
         let mut replayed = self.base.clone();
-        let commit = self.raft.commit_index() as usize;
-        let committed = self.raft.log_entries().iter().take(commit);
-        for entry in committed.skip(self.base_index as usize) {
-            if entry.command.is_empty() {
-                continue; // election no-op barrier
-            }
-            if let Some(cmd) = FleetCommand::decode(&entry.command) {
-                replayed.apply(&cmd);
-            }
+        for cmd in self.committed() {
+            replayed.apply(&cmd);
         }
         replayed == self.state
+    }
+
+    /// The commands committed after the compaction point, in log order.
+    pub fn committed(&self) -> impl Iterator<Item = FleetCommand> + '_ {
+        let commit = self.raft.commit_index() as usize;
+        let entries = self.raft.log_entries().iter().take(commit);
+        // An election's no-op barrier is empty and decodes to nothing.
+        let commands = entries.skip(self.base_index as usize).map(|e| &e.command);
+        commands.filter_map(|c| FleetCommand::decode(c))
     }
 }
 

@@ -13,8 +13,10 @@
 //! device books ([`DeviceBooks`]). A [`Fleet`](crate::fleet::Fleet) runs
 //! it with fleet commands to place instances across pods, spilling device
 //! backends to topologically-near neighbors when local devices strand
-//! ([`fleet`]). Every pod's control actor, [`PodAllocator`], runs one with
-//! device commands:
+//! ([`fleet`]). Every pod's control actor, [`ControlActor`], runs one
+//! with device commands, and decides everything in one method,
+//! [`ControlActor::process`]; the pod's shell feeds it and carries out
+//! its effects:
 //!
 //! * **Device allocation**: local-first, then least-loaded (§3.5).
 //! * **Monitoring**: backends send telemetry every 100 ms; records renew
@@ -44,4 +46,6 @@ pub use fleet::{
     PodCapacity, PodUtilization,
 };
 pub use migrate::{MigrationOutcome, PrecopyModel};
-pub use service::{PodAllocator, RebalancePolicy};
+pub use service::{
+    Check, ControlActor, ControlEffects, ControlInput, Order, OrderKind, Placed, RebalancePolicy,
+};

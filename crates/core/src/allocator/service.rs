@@ -1,16 +1,16 @@
-//! The pod's control-plane actor: channels, telemetry, heartbeats,
-//! failover and rebalancing around the replicated device books.
+//! The pod's control decisions: a pure machine, [`ControlActor`], whose
+//! one entry point takes an input and returns effects. The pod's shell
+//! ([`crate::pod::PodAllocator`]) turns channel traffic into its inputs
+//! and carries out its effects.
 
-use oasis_channel::{Receiver, Sender};
-use oasis_cxl::{CxlPool, HostCtx};
 use oasis_net::addr::Ipv4Addr;
 use oasis_sim::time::{SimDuration, SimTime};
 
 use crate::config::OasisConfig;
-use crate::msg::{NetMsg, NetOp};
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, Snapshottable};
 
 use super::command::FleetCommand;
-use super::devices::{DeviceBooks, InstanceInfo};
+use super::devices::{present, DeviceBooks, InstanceInfo, NicInfo};
 use super::fleet::{FleetAllocator, FleetState};
 
 /// What a NIC's telemetry last said, as the control actor heard it. The
@@ -23,44 +23,115 @@ struct NicTelemetry {
     load_bytes: u64,
 }
 
-/// Control-plane actor: drives the replicated device books (a
-/// [`FleetAllocator`] run with device commands) and owns the channels to
-/// every frontend and backend and the failure/telemetry logic.
-pub struct PodAllocator {
-    /// The core the allocator service runs on.
-    pub core: HostCtx,
-    cfg: OasisConfig,
-    machine: FleetAllocator,
-    /// Telemetry per NIC id.
-    telemetry: Vec<NicTelemetry>,
-    /// Lease expiry per instance IP: logged at assignment, renewed by the
-    /// serving NIC's telemetry (§3.5).
-    lease_expiry: Vec<(Ipv4Addr, SimTime)>,
-    /// (host, sender) per frontend.
-    to_frontends: Vec<(usize, Sender)>,
-    from_frontends: Vec<(usize, Receiver)>,
-    /// (nic, receiver/sender) per backend.
-    from_backends: Vec<(u32, Receiver)>,
-    /// Reroute commands issued (stat).
-    pub reroutes_sent: u64,
-    /// Failovers executed (stat).
-    pub failovers: u64,
-    /// Load-rebalancing policy (§6), if enabled.
-    rebalance: Option<RebalancePolicy>,
-    /// Graceful migrations initiated by the rebalancer (stat).
-    pub rebalance_migrations: u64,
-    /// Last heartbeat receipt per frontend host, tracked lazily: a host
-    /// enters the table on its first heartbeat, so deployments that never
-    /// send heartbeats are never subject to detection.
-    last_heartbeat: Vec<(u32, SimTime)>,
-    /// Hosts declared failed since the embedding last asked
-    /// ([`PodAllocator::take_failed_hosts`]).
-    newly_failed_hosts: Vec<u32>,
-    /// Hosts that heartbeated again after a failure, since last asked.
-    newly_restarted_hosts: Vec<u32>,
-    /// `(host, silent_since, detected_at)` per host-failure declaration
-    /// (detection-latency distribution for the chaos report).
-    pub host_failure_detections: Vec<(u32, SimTime, SimTime)>,
+/// One stimulus for the [`ControlActor`]. Each is stamped with the time
+/// the shell handled it ([`ControlActor::process`]'s `now`).
+#[derive(Clone, Copy, Debug)]
+pub enum ControlInput {
+    /// NIC `nic`'s backend moved `load_bytes` in its last telemetry window.
+    Telemetry { nic: u32, load_bytes: u64 },
+    /// A backend reported NIC `nic`'s link down.
+    LinkFailed { nic: u32 },
+    /// Host `host`'s frontend is alive.
+    Heartbeat { host: u32 },
+    /// A periodic check of a polling round.
+    Tick(Check),
+    /// The frontend took `order`, which went out at `sent_at`: the lease
+    /// moves, and runs from `sent_at`.
+    Accepted { order: Order, sent_at: SimTime },
+    /// Operator: gracefully migrate instance `ip` to NIC `nic` (§3.3.4),
+    /// if `nic` is registered, healthy and has room.
+    Migrate { ip: Ipv4Addr, nic: u32 },
+    /// Operator: NIC `nic` is usable for placements again.
+    MarkNicRepaired { nic: u32 },
+    /// Place new instance `ip` on `host` with a `lease_mbps` NIC lease.
+    Launch {
+        host: u32,
+        ip: Ipv4Addr,
+        lease_mbps: u32,
+    },
+    /// Carve `blocks` of SSD for instance `ip` on `host`.
+    CreateVolume {
+        host: u32,
+        ip: Ipv4Addr,
+        blocks: u32,
+    },
+    /// Instance `ip` is gone: release its lease and volumes.
+    Terminate { ip: Ipv4Addr },
+}
+
+/// The checks of a polling round, in the order the shell runs them.
+#[derive(Clone, Copy, Debug)]
+pub enum Check {
+    /// Reroute instances stranded on a failed NIC by a refused order, then
+    /// fail NICs whose telemetry went silent (§3.5).
+    Nics,
+    /// §6 load balancing.
+    Rebalance,
+    /// Declare hosts whose heartbeats went silent failed.
+    Hosts,
+}
+
+/// A lease move the actor orders a host's frontend to make. It is logged
+/// only once the frontend takes it ([`ControlInput::Accepted`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Order {
+    /// The instance's host, whose frontend is told.
+    pub host: u32,
+    /// The instance.
+    pub ip: Ipv4Addr,
+    /// Its lease, Mbit/s.
+    pub lease_mbps: u32,
+    /// The NIC it moves to.
+    pub nic: u32,
+    /// Why it moves.
+    pub kind: OrderKind,
+}
+
+/// Why an instance moves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OrderKind {
+    /// Failover to the backup NIC (§3.3.3).
+    Reroute,
+    /// The operator's migration.
+    Migrate,
+    /// The rebalancer's migration (§6).
+    Rebalance,
+}
+
+impl Order {
+    /// Order `inst` to NIC `nic`.
+    fn new(inst: &InstanceInfo, nic: u32, kind: OrderKind) -> Self {
+        let (host, ip, lease_mbps) = (inst.host, inst.ip, inst.lease_mbps);
+        Order {
+            host,
+            ip,
+            lease_mbps,
+            nic,
+            kind,
+        }
+    }
+}
+
+/// Where a placement input landed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Placed {
+    /// [`ControlInput::Launch`]: the serving NIC.
+    Nic(u32),
+    /// [`ControlInput::CreateVolume`]: the SSD and the volume's first
+    /// block.
+    Volume { ssd: u32, base_block: u32 },
+}
+
+/// What one decision asks of the world.
+#[derive(Debug, Default)]
+pub struct ControlEffects {
+    /// Orders to send, in order.
+    pub orders: Vec<Order>,
+    /// Hosts just declared failed: the embedding reclaims their pool
+    /// regions and stops their engines.
+    pub failed_hosts: Vec<u32>,
+    /// The answer to a placement input (`None` when nothing fits).
+    pub placed: Option<Placed>,
 }
 
 /// The §6 load-balancing policy: when one NIC's telemetry load exceeds the
@@ -91,45 +162,51 @@ impl RebalancePolicy {
     }
 }
 
-impl PodAllocator {
-    /// Create the allocator around a single-replica [`FleetAllocator`]
-    /// (commands commit immediately; see [`super::replicated`] for the
-    /// multi-node state-machine tests).
-    pub fn new(core: HostCtx, cfg: OasisConfig) -> Self {
-        PodAllocator {
-            core,
+/// The pod's control decisions (§3.5, §6): the replicated device books (a
+/// [`FleetAllocator`] run with device commands), the telemetry, heartbeats
+/// and leases it has heard, and every decision taken on them. It holds no
+/// channel, pool or clock: [`process`](Self::process) is its one decision
+/// method, so it can be driven without a pod.
+#[derive(Clone, Default)]
+pub struct ControlActor {
+    cfg: OasisConfig,
+    machine: FleetAllocator,
+    /// Telemetry per NIC id.
+    telemetry: Vec<NicTelemetry>,
+    /// Lease expiry per instance IP: logged at assignment, renewed by the
+    /// serving NIC's telemetry (§3.5).
+    lease_expiry: Vec<(Ipv4Addr, SimTime)>,
+    /// Last heartbeat receipt per frontend host, tracked lazily: a host
+    /// enters the table on its first heartbeat, so deployments that never
+    /// send heartbeats are never subject to detection.
+    last_heartbeat: Vec<(u32, SimTime)>,
+    /// Load-rebalancing policy (§6), if enabled.
+    rebalance: Option<RebalancePolicy>,
+    /// Reroutes the frontends took (stat).
+    pub reroutes_sent: u64,
+    /// Failovers executed (stat).
+    pub failovers: u64,
+    /// Rebalancer migrations the frontends took (stat).
+    pub rebalance_migrations: u64,
+    /// `(host, silent_since, detected_at)` per host-failure declaration
+    /// (detection-latency distribution for the chaos report).
+    pub host_failure_detections: Vec<(u32, SimTime, SimTime)>,
+}
+
+impl ControlActor {
+    /// An actor with empty books around a single-replica
+    /// [`FleetAllocator`] (commands commit immediately; see
+    /// [`super::replicated`] for the multi-node state-machine tests).
+    pub fn new(cfg: OasisConfig) -> Self {
+        ControlActor {
             cfg,
-            machine: FleetAllocator::new(),
-            telemetry: Vec::new(),
-            lease_expiry: Vec::new(),
-            to_frontends: Vec::new(),
-            from_frontends: Vec::new(),
-            from_backends: Vec::new(),
-            reroutes_sent: 0,
-            failovers: 0,
-            rebalance: None,
-            rebalance_migrations: 0,
-            last_heartbeat: Vec::new(),
-            newly_failed_hosts: Vec::new(),
-            newly_restarted_hosts: Vec::new(),
-            host_failure_detections: Vec::new(),
+            ..Default::default()
         }
     }
 
     /// Enable the §6 telemetry-driven load-balancing policy.
     pub fn enable_rebalancing(&mut self, policy: RebalancePolicy) {
         self.rebalance = Some(policy);
-    }
-
-    /// Wire the channel pair for a frontend on `host`.
-    pub fn add_frontend(&mut self, host: usize, to: Sender, from: Receiver) {
-        self.to_frontends.push((host, to));
-        self.from_frontends.push((host, from));
-    }
-
-    /// Wire the receive channel from a backend for `nic`.
-    pub fn add_backend(&mut self, nic: u32, from: Receiver) {
-        self.from_backends.push((nic, from));
     }
 
     /// The replicated device books.
@@ -143,21 +220,100 @@ impl PodAllocator {
         self.machine.consistent_with_log()
     }
 
+    /// The commands logged since the compaction point
+    /// ([`FleetAllocator::committed`]).
+    pub fn log(&self) -> impl Iterator<Item = FleetCommand> + '_ {
+        self.machine.committed()
+    }
+
+    /// Decide on `input`, received at `now`: log what it changes and say
+    /// what the world must do about it.
+    pub fn process(&mut self, now: SimTime, input: ControlInput) -> ControlEffects {
+        let mut fx = ControlEffects::default();
+        match input {
+            ControlInput::Telemetry { nic, load_bytes } => self.heard(now, nic, load_bytes),
+            ControlInput::LinkFailed { nic } => self.fail_nic(now, nic, &mut fx),
+            ControlInput::Heartbeat { host } => self.note_heartbeat(now, host),
+            ControlInput::Tick(Check::Nics) => {
+                // An instance on a failed NIC had its reroute refused.
+                if let Some(backup) = self.books().backup_nic() {
+                    let stranded = self.books().instances.iter();
+                    let stranded = stranded.filter(|i| self.nic(i.nic).is_some_and(|n| n.failed));
+                    fx.orders
+                        .extend(stranded.map(|i| Order::new(i, backup, OrderKind::Reroute)));
+                }
+                for nic in self.silent_nics(now) {
+                    self.fail_nic(now, nic, &mut fx);
+                }
+            }
+            ControlInput::Tick(Check::Rebalance) => fx.orders.extend(self.rebalance(now)),
+            ControlInput::Tick(Check::Hosts) => fx.failed_hosts = self.detect_dead_hosts(now),
+            ControlInput::Accepted { order, sent_at } => self.accepted(now, order, sent_at),
+            ControlInput::Migrate { ip, nic } => {
+                let inst = self.books().instances.iter().find(|i| i.ip == ip);
+                if let Some(inst) = inst.filter(|i| self.fits(nic, i.lease_mbps)) {
+                    fx.orders.push(Order::new(inst, nic, OrderKind::Migrate));
+                }
+            }
+            ControlInput::MarkNicRepaired { nic } => {
+                self.execute(now, &FleetCommand::MarkRepaired { nic });
+            }
+            ControlInput::Launch {
+                host,
+                ip,
+                lease_mbps,
+            } => {
+                let nic = self.books().pick_nic(host, lease_mbps);
+                if let Some(nic) = nic {
+                    self.execute(
+                        now,
+                        &FleetCommand::Assign {
+                            ip,
+                            host,
+                            nic,
+                            lease_mbps,
+                        },
+                    );
+                }
+                fx.placed = nic.map(Placed::Nic);
+            }
+            ControlInput::CreateVolume { host, ip, blocks } => {
+                let books = self.books();
+                let ssd = books.pick_ssd(host, blocks);
+                let base_block =
+                    ssd.and_then(|s| Some(books.ssds.get(s as usize)?.as_ref()?.next_block));
+                if let (Some(ssd), Some(base_block)) = (ssd, base_block) {
+                    self.execute(
+                        now,
+                        &FleetCommand::AssignVolume {
+                            ip,
+                            ssd,
+                            base_block,
+                            blocks,
+                        },
+                    );
+                    fx.placed = Some(Placed::Volume { ssd, base_block });
+                }
+            }
+            ControlInput::Terminate { ip } => {
+                self.execute(now, &FleetCommand::Unassign { ip });
+                self.execute(now, &FleetCommand::ReleaseVolumes { ip });
+            }
+        }
+        fx
+    }
+
     /// Log a device command and apply it, recording the actor's own side
     /// of it: a registered NIC counts as heard from now, a lease runs
     /// three telemetry periods from now, and a released one is forgotten.
-    pub(crate) fn execute(&mut self, cmd: &FleetCommand) {
-        let now = self.core.clock;
+    /// Outside [`process`](Self::process) only the pod's builder calls it,
+    /// to register devices.
+    pub(crate) fn execute(&mut self, now: SimTime, cmd: &FleetCommand) {
         match *cmd {
             FleetCommand::RegisterNic { nic, .. } => {
-                let idx = nic as usize;
-                if self.telemetry.len() <= idx {
-                    self.telemetry.resize(idx + 1, NicTelemetry::default());
-                }
-                self.telemetry[idx] = NicTelemetry {
-                    at: now,
-                    load_bytes: 0,
-                };
+                let len = self.telemetry.len().max(nic as usize + 1);
+                self.telemetry.resize(len, NicTelemetry::default());
+                self.heard(now, nic, 0);
             }
             FleetCommand::Assign { ip, .. } => self.renew_lease(ip, now),
             FleetCommand::Unassign { ip } => self.lease_expiry.retain(|&(l, _)| l != ip),
@@ -173,14 +329,40 @@ impl PodAllocator {
             .expect("single-node allocator group is always leader");
     }
 
+    /// NIC `nic`, if registered.
+    fn nic(&self, nic: u32) -> Option<&NicInfo> {
+        self.books().nics.get(nic as usize)?.as_ref()
+    }
+
+    /// Is NIC `nic` registered, healthy, and with room for `lease_mbps`?
+    fn fits(&self, nic: u32, lease_mbps: u32) -> bool {
+        self.nic(nic).is_some_and(|n| {
+            !n.failed && n.allocated_mbps.saturating_add(lease_mbps) <= n.capacity_mbps
+        })
+    }
+
     /// What NIC `nic`'s telemetry last said.
-    fn heard(&self, nic: usize) -> NicTelemetry {
+    fn heard_from(&self, nic: usize) -> NicTelemetry {
         self.telemetry.get(nic).copied().unwrap_or_default()
+    }
+
+    /// Take NIC `nic`'s telemetry record; it renews the leases of the
+    /// instances the NIC serves (§3.5).
+    fn heard(&mut self, now: SimTime, nic: u32, load_bytes: u64) {
+        if let Some(t) = self.telemetry.get_mut(nic as usize) {
+            *t = NicTelemetry {
+                at: now,
+                load_bytes,
+            };
+        }
+        for inst in self.books().instances_on(nic) {
+            self.renew_lease(inst.ip, now);
+        }
     }
 
     /// Extend `ip`'s lease to three telemetry periods after `now`.
     fn renew_lease(&mut self, ip: Ipv4Addr, now: SimTime) {
-        // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
+        // oasis-check: allow(unchecked-epoch-arithmetic) an instant, not a deadline check: SimTime + SimDuration saturates by construction
         let expiry = now + self.cfg.telemetry_period * 3;
         match self.lease_expiry.iter_mut().find(|(l, _)| *l == ip) {
             Some(entry) => entry.1 = expiry,
@@ -188,310 +370,125 @@ impl PodAllocator {
         }
     }
 
-    /// Synchronous volume placement: carve `blocks` out of an SSD
-    /// (local-first, then most-free) and record it through the Raft log.
-    /// Returns `(ssd, base_block)`.
-    pub fn place_volume(&mut self, host: usize, ip: Ipv4Addr, blocks: u32) -> Option<(u32, u32)> {
-        let ssd = self.books().pick_ssd(host as u32, blocks)?;
-        let base = self.books().ssds.get(ssd as usize)?.as_ref()?.next_block;
-        self.execute(&FleetCommand::AssignVolume {
-            ip,
-            ssd,
-            base_block: base,
-            blocks,
-        });
-        Some((ssd, base))
-    }
-
-    /// Synchronous placement at instance launch: pick a NIC (local-first)
-    /// and record the lease. Returns the chosen NIC.
-    pub fn place_instance(&mut self, host: usize, ip: Ipv4Addr, lease_mbps: u32) -> Option<u32> {
-        let nic = self.books().pick_nic(host as u32, lease_mbps)?;
-        self.execute(&FleetCommand::Assign {
-            ip,
-            host: host as u32,
-            nic,
-            lease_mbps,
-        });
-        Some(nic)
-    }
-
-    fn fail_nic_internal(&mut self, pool: &mut CxlPool, nic: u32) {
-        let nics = &self.books().nics;
-        if nics
-            .get(nic as usize)
-            .and_then(Option::as_ref)
-            .is_none_or(|n| n.failed)
-        {
+    /// Fail NIC `nic` over: mark it failed and order every instance it
+    /// serves to the backup (§3.5 failure management). A NIC that is
+    /// unknown or already failed changes nothing.
+    fn fail_nic(&mut self, now: SimTime, nic: u32, fx: &mut ControlEffects) {
+        if self.nic(nic).is_none_or(|n| n.failed) {
             return;
         }
         self.failovers += 1;
-        self.execute(&FleetCommand::MarkFailed { nic });
-        let Some(backup) = self.books().backup_nic() else {
-            return;
-        };
-        // Revoke leases on the failed device and reroute every affected
-        // instance to the backup (§3.5 failure management).
-        for inst in self.books().instances_on(nic) {
-            if self.move_lease(pool, &inst, backup, NetOp::Reroute) {
-                self.reroutes_sent += 1;
+        self.execute(now, &FleetCommand::MarkFailed { nic });
+        if let Some(backup) = self.books().backup_nic() {
+            let moves = self.books().instances_on(nic);
+            fx.orders.extend(
+                moves
+                    .iter()
+                    .map(|i| Order::new(i, backup, OrderKind::Reroute)),
+            );
+        }
+    }
+
+    /// Healthy NICs whose telemetry has been silent past the deadline:
+    /// host failures are inferred from missing telemetry (§3.5).
+    fn silent_nics(&self, now: SimTime) -> Vec<u32> {
+        let deadline = self.cfg.telemetry_period * 3 + self.cfg.allocator_poll * 2;
+        present(&self.books().nics)
+            .filter(|&(i, n)| !n.failed && now.since(self.heard_from(i).at) > deadline)
+            .map(|(i, _)| i as u32)
+            .collect()
+    }
+
+    /// §6 load balancing: migrate an instance off the hottest NIC when its
+    /// telemetry load dwarfs the coldest usable NIC's.
+    fn rebalance(&self, now: SimTime) -> Option<Order> {
+        let policy = self.rebalance.as_ref()?;
+        if now.since(policy.last_migration) < policy.cooldown {
+            return None;
+        }
+        let usable: Vec<(u32, u64)> = present(&self.books().nics)
+            .filter(|(_, n)| !n.failed && !n.backup)
+            .map(|(i, _)| (i as u32, self.heard_from(i).load_bytes))
+            .collect();
+        let &(hot, hot_load) = usable.iter().max_by_key(|&&(_, l)| l)?;
+        let &(cold, cold_load) = usable.iter().min_by_key(|&&(_, l)| l)?;
+        #[expect(
+            clippy::float_arithmetic,
+            clippy::cast_precision_loss,
+            reason = "trigger compare on local telemetry; migration itself goes through the log"
+        )]
+        let hot_enough = hot_load as f64 > policy.ratio * (cold_load.max(1)) as f64;
+        if hot == cold || hot_load < policy.min_load_bytes || !hot_enough {
+            return None;
+        }
+        // Move the instance with the largest lease first (it most likely
+        // carries the load).
+        let moves = self.books().instances_on(hot);
+        let inst = moves.iter().max_by_key(|i| i.lease_mbps)?;
+        let fits = self.fits(cold, inst.lease_mbps);
+        fits.then(|| Order::new(inst, cold, OrderKind::Rebalance))
+    }
+
+    /// The frontend took `order`: log the lease move, running from when
+    /// the order went out, and count it; a rebalancer migration restarts
+    /// the cooldown now.
+    fn accepted(&mut self, now: SimTime, order: Order, sent_at: SimTime) {
+        let (ip, host, nic, lease_mbps) = (order.ip, order.host, order.nic, order.lease_mbps);
+        self.execute(
+            sent_at,
+            &FleetCommand::Assign {
+                ip,
+                host,
+                nic,
+                lease_mbps,
+            },
+        );
+        match order.kind {
+            OrderKind::Reroute => self.reroutes_sent += 1,
+            OrderKind::Migrate => {}
+            OrderKind::Rebalance => {
+                self.rebalance_migrations += 1;
+                if let Some(policy) = &mut self.rebalance {
+                    policy.last_migration = now;
+                }
             }
         }
     }
 
-    /// Move `inst`'s lease to `nic` through the log and tell its host's
-    /// frontend with `op`. True when the frontend took the message.
-    fn move_lease(&mut self, pool: &mut CxlPool, inst: &InstanceInfo, nic: u32, op: NetOp) -> bool {
-        self.execute(&FleetCommand::Assign {
-            ip: inst.ip,
-            host: inst.host,
-            nic,
-            lease_mbps: inst.lease_mbps,
-        });
-        let msg = NetMsg {
-            ptr: nic as u64,
-            size: 0,
-            op,
-            ip: inst.ip,
-        };
-        let host = inst.host as usize;
-        let Some((_, tx)) = self.to_frontends.iter_mut().find(|(h, _)| *h == host) else {
-            return false;
-        };
-        let sent = tx
-            .try_send(&mut self.core, pool, &msg.encode())
-            .unwrap_or(false);
-        if sent {
-            tx.flush(&mut self.core, pool);
-        }
-        sent
-    }
-
     /// Record a heartbeat from `host`. A heartbeat from a host previously
     /// declared failed means it restarted: the declaration is reverted
-    /// through the log and the embedding is told so it can re-admit the
-    /// host's engines.
-    fn note_heartbeat(&mut self, host: u32) {
-        let now = self.core.clock;
+    /// through the log.
+    fn note_heartbeat(&mut self, now: SimTime, host: u32) {
         match self.last_heartbeat.iter_mut().find(|(h, _)| *h == host) {
             Some(entry) => entry.1 = now,
             None => self.last_heartbeat.push((host, now)),
         }
         if self.books().failed_hosts.contains(&host) {
-            self.execute(&FleetCommand::MarkHostRestarted { host });
-            self.newly_restarted_hosts.push(host);
+            self.execute(now, &FleetCommand::MarkHostRestarted { host });
         }
     }
 
     /// Declare hosts dead after three silent heartbeat periods (plus a
     /// polling-slack margin). Reclaim goes through the Raft log so every
     /// replica agrees on what was released.
-    fn detect_dead_hosts(&mut self) {
+    fn detect_dead_hosts(&mut self, now: SimTime) -> Vec<u32> {
         let deadline = self.cfg.heartbeat_period * 3 + self.cfg.allocator_poll * 2;
-        let now = self.core.clock;
+        let failed = &self.books().failed_hosts;
         let dead: Vec<(u32, SimTime)> = self
             .last_heartbeat
             .iter()
-            // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
-            .filter(|&&(h, last)| now > last + deadline && !self.books().failed_hosts.contains(&h))
-            .map(|&(h, last)| (h, last))
+            .filter(|&&(h, last)| now.since(last) > deadline && !failed.contains(&h))
+            .copied()
             .collect();
-        for (host, last) in dead {
-            self.execute(&FleetCommand::MarkHostFailed { host });
+        for &(host, last) in &dead {
+            self.execute(now, &FleetCommand::MarkHostFailed { host });
             self.host_failure_detections.push((host, last, now));
-            self.newly_failed_hosts.push(host);
         }
-    }
-
-    /// Are there failure declarations the embedding has not taken yet?
-    pub fn has_newly_failed_hosts(&self) -> bool {
-        !self.newly_failed_hosts.is_empty()
-    }
-
-    /// Hosts declared failed since the last call (for the embedding to
-    /// reclaim pool regions and stop the dead host's engines).
-    pub fn take_failed_hosts(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.newly_failed_hosts)
-    }
-
-    /// Hosts that heartbeated again after a failure, since the last call.
-    pub fn take_restarted_hosts(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.newly_restarted_hosts)
-    }
-
-    /// Command a graceful migration of `ip` to `nic` (§3.3.4), e.g. for
-    /// load balancing.
-    pub fn migrate_instance(&mut self, pool: &mut CxlPool, ip: Ipv4Addr, nic: u32) {
-        if let Some(inst) = self.books().instances.iter().find(|i| i.ip == ip).cloned() {
-            self.move_lease(pool, &inst, nic, NetOp::Migrate);
-        }
-    }
-
-    /// One control-plane polling round. Advances the clock by the
-    /// allocator's polling period (it is not a busy-polling data-path
-    /// core).
-    pub fn step(&mut self, pool: &mut CxlPool) {
-        self.core.advance(self.cfg.allocator_poll.as_nanos());
-        let mut buf = [0u8; 16];
-
-        // Backend reports: telemetry and failures.
-        let mut failed_nics = Vec::new();
-        for bi in 0..self.from_backends.len() {
-            loop {
-                let (nic, rx) = &mut self.from_backends[bi];
-                if !rx.try_recv(&mut self.core, pool, &mut buf) {
-                    break;
-                }
-                let nic = *nic;
-                let Some(msg) = NetMsg::decode(&buf) else {
-                    continue;
-                };
-                match msg.op {
-                    NetOp::LinkFailed => failed_nics.push(msg.ptr as u32),
-                    NetOp::Telemetry => {
-                        let now = self.core.clock;
-                        if let Some(t) = self.telemetry.get_mut(nic as usize) {
-                            *t = NicTelemetry {
-                                at: now,
-                                load_bytes: msg.ptr,
-                            };
-                        }
-                        // Telemetry renews the leases of instances served
-                        // by this device (§3.5).
-                        let served: Vec<Ipv4Addr> = self
-                            .books()
-                            .instances
-                            .iter()
-                            .filter(|i| i.nic == nic)
-                            .map(|i| i.ip)
-                            .collect();
-                        for ip in served {
-                            self.renew_lease(ip, now);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for nic in failed_nics {
-            self.fail_nic_internal(pool, nic);
-        }
-
-        // Host failures are inferred from missing telemetry (§3.5).
-        let deadline = self.cfg.telemetry_period * 3 + self.cfg.allocator_poll * 2;
-        let stale: Vec<u32> = self
-            .books()
-            .nics
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
-            // oasis-check: allow(unchecked-epoch-arithmetic) SimTime + SimDuration saturates by construction
-            .filter(|&(i, n)| !n.failed && self.core.clock > self.heard(i).at + deadline)
-            .map(|(i, _)| i as u32)
-            .collect();
-        for nic in stale {
-            self.fail_nic_internal(pool, nic);
-        }
-
-        // §6 load balancing: migrate an instance off the hottest NIC when
-        // its telemetry load dwarfs the coldest usable NIC's.
-        if let Some(mut policy) = self.rebalance.take() {
-            if self.core.clock >= policy.last_migration + policy.cooldown {
-                let usable: Vec<(u32, u64)> = self
-                    .books()
-                    .nics
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
-                    .filter(|(_, n)| !n.failed && !n.backup)
-                    .map(|(i, _)| (i as u32, self.heard(i).load_bytes))
-                    .collect();
-                if let (Some(&(hot, hot_load)), Some(&(cold, cold_load))) = (
-                    usable.iter().max_by_key(|&&(_, l)| l),
-                    usable.iter().min_by_key(|&&(_, l)| l),
-                ) {
-                    #[expect(
-                        clippy::float_arithmetic,
-                        clippy::cast_precision_loss,
-                        reason = "trigger compare on local telemetry; migration itself goes \
-                                  through the log"
-                    )]
-                    let hot_enough = hot_load as f64 > policy.ratio * (cold_load.max(1)) as f64;
-                    if hot != cold && hot_load >= policy.min_load_bytes && hot_enough {
-                        // Move the instance with the largest lease first
-                        // (it most likely carries the load).
-                        if let Some(inst) = self
-                            .books()
-                            .instances_on(hot)
-                            .into_iter()
-                            .max_by_key(|i| i.lease_mbps)
-                        {
-                            let cold_ok = self
-                                .books()
-                                .nics
-                                .get(cold as usize)
-                                .and_then(Option::as_ref)
-                                .is_some_and(|n| {
-                                    n.allocated_mbps.saturating_add(inst.lease_mbps)
-                                        <= n.capacity_mbps
-                                });
-                            if cold_ok {
-                                self.migrate_instance(pool, inst.ip, cold);
-                                self.rebalance_migrations += 1;
-                                policy.last_migration = self.core.clock;
-                            }
-                        }
-                    }
-                }
-            }
-            self.rebalance = Some(policy);
-        }
-
-        // Frontend requests (AllocRequest over channels).
-        let mut responses = Vec::new();
-        for fi in 0..self.from_frontends.len() {
-            loop {
-                let (host, rx) = &mut self.from_frontends[fi];
-                if !rx.try_recv(&mut self.core, pool, &mut buf) {
-                    break;
-                }
-                let host = *host;
-                let Some(msg) = NetMsg::decode(&buf) else {
-                    continue;
-                };
-                match msg.op {
-                    NetOp::AllocRequest => responses.push((host, msg.ip, msg.size as u32)),
-                    NetOp::Heartbeat => self.note_heartbeat(msg.ptr as u32),
-                    _ => {}
-                }
-            }
-        }
-        self.detect_dead_hosts();
-        for (host, ip, lease) in responses {
-            let nic = self.place_instance(host, ip, lease.max(1));
-            let msg = NetMsg {
-                ptr: nic.map(|n| n as u64).unwrap_or(u64::MAX),
-                size: 0,
-                op: NetOp::AllocResponse,
-                ip,
-            };
-            if let Some((_, tx)) = self.to_frontends.iter_mut().find(|(h, _)| *h == host) {
-                let _ = tx.try_send(&mut self.core, pool, &msg.encode());
-                tx.flush(&mut self.core, pool);
-            }
-        }
-
-        // Publish consumed counters so producers can reuse slots.
-        for (_, rx) in &mut self.from_backends {
-            rx.publish_consumed(&mut self.core, pool);
-        }
-        for (_, rx) in &mut self.from_frontends {
-            rx.publish_consumed(&mut self.core, pool);
-        }
+        dead.into_iter().map(|(host, _)| host).collect()
     }
 }
 
-impl crate::snapshot::Snapshottable for PodAllocator {
+impl Snapshottable for ControlActor {
     /// Serializes the device books with the actor's telemetry and lease
     /// expiries interleaved, plus the failure detector's working set. The
     /// Raft log itself is *not* serialized: the pod runs a single-replica
@@ -499,12 +496,11 @@ impl crate::snapshot::Snapshottable for PodAllocator {
     /// are authoritative. A restore makes them the compaction point: the
     /// node keeps its own log, and only entries committed after the
     /// restore replay on top.
-    fn snapshot_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_u64(self.core.clock.as_nanos());
+    fn snapshot_state(&self, w: &mut SnapshotWriter) {
         self.books().write(
             w,
             |w, nic| {
-                let t = self.heard(nic);
+                let t = self.heard_from(nic);
                 w.put_u64(t.at.as_nanos());
                 w.put_u64(t.load_bytes);
             },
@@ -520,8 +516,10 @@ impl crate::snapshot::Snapshottable for PodAllocator {
             w.put_u32(host);
             w.put_u64(at.as_nanos());
         });
-        w.put_list(&self.newly_failed_hosts, |w, &h| w.put_u32(h));
-        w.put_list(&self.newly_restarted_hosts, |w, &h| w.put_u32(h));
+        // Two retired host lists (failed and restarted hosts not yet taken
+        // by the embedding) keep their slots, written empty.
+        w.put_list::<u32>(&[], |_, _| {});
+        w.put_list::<u32>(&[], |_, _| {});
         w.put_list(&self.host_failure_detections, |w, &(host, since, at)| {
             w.put_u32(host);
             w.put_u64(since.as_nanos());
@@ -535,12 +533,7 @@ impl crate::snapshot::Snapshottable for PodAllocator {
         }
     }
 
-    fn restore_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{SnapshotError, SnapshotReader};
-        self.core.clock = SimTime(r.u64("alloc clock")?);
+    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let mut telemetry = Vec::new();
         let mut lease_expiry = Vec::new();
         let books = DeviceBooks::read(
@@ -568,8 +561,8 @@ impl crate::snapshot::Snapshottable for PodAllocator {
             ))
         })?;
         let host = |r: &mut SnapshotReader<'_>| r.u32("alloc host");
-        self.newly_failed_hosts = r.list("alloc newly-failed hosts", host)?;
-        self.newly_restarted_hosts = r.list("alloc newly-restarted hosts", host)?;
+        r.list("alloc newly-failed hosts", host)?;
+        r.list("alloc newly-restarted hosts", host)?;
         self.host_failure_detections = r.list("alloc detection", |r| {
             let host = r.u32("alloc detection host")?;
             let since = SimTime(r.u64("alloc detection since")?);
@@ -594,7 +587,6 @@ impl crate::snapshot::Snapshottable for PodAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_cxl::pool::PortId;
 
     fn state_with_nics() -> FleetState {
         let mut s = FleetState::default();
@@ -668,21 +660,28 @@ mod tests {
 
     #[test]
     fn allocator_places_via_raft_log() {
-        let core = HostCtx::new(PortId(0), 0);
-        let mut alloc = PodAllocator::new(core, OasisConfig::default());
-        alloc.execute(&FleetCommand::RegisterNic {
-            nic: 0,
+        let mut actor = ControlActor::new(OasisConfig::default());
+        actor.execute(
+            SimTime::ZERO,
+            &FleetCommand::RegisterNic {
+                nic: 0,
+                host: 0,
+                capacity_mbps: 100_000,
+                backup: false,
+            },
+        );
+        let launch = ControlInput::Launch {
             host: 0,
-            capacity_mbps: 100_000,
-            backup: false,
-        });
-        let nic = alloc.place_instance(0, Ipv4Addr::instance(1), 5_000);
-        assert_eq!(nic, Some(0));
-        assert_eq!(alloc.books().instances.len(), 1);
+            ip: Ipv4Addr::instance(1),
+            lease_mbps: 5_000,
+        };
+        let fx = actor.process(SimTime::ZERO, launch);
+        assert_eq!(fx.placed, Some(Placed::Nic(0)));
+        assert_eq!(actor.books().instances.len(), 1);
         assert_eq!(
-            alloc.books().nics[0].as_ref().unwrap().allocated_mbps,
+            actor.books().nics[0].as_ref().unwrap().allocated_mbps,
             5_000
         );
-        assert!(alloc.consistent_with_log());
+        assert!(actor.consistent_with_log());
     }
 }

@@ -163,7 +163,7 @@ impl Fleet {
             }
         }
         let idx = self.shards.len();
-        let (nic_mbps, ssd_cap) = pod.allocator.books().capacity_summary();
+        let (nic_mbps, ssd_cap) = pod.allocator.actor.books().capacity_summary();
         self.allocator.execute(
             SimTime::ZERO,
             &FleetCommand::RegisterPod {

@@ -35,10 +35,6 @@ pub enum NetOp {
     Telemetry,
     /// Allocator → frontend: reroute instance `ip` to NIC id `ptr`.
     Reroute,
-    /// Frontend → allocator: request a NIC for instance `ip`.
-    AllocRequest,
-    /// Allocator → frontend: NIC id `ptr` allocated for instance `ip`.
-    AllocResponse,
     /// Allocator → frontend: begin graceful migration of `ip` to NIC
     /// `ptr` (§3.3.4 load balancing).
     Migrate,
@@ -59,8 +55,7 @@ impl NetOp {
             NetOp::LinkFailed => 7,
             NetOp::Telemetry => 8,
             NetOp::Reroute => 9,
-            NetOp::AllocRequest => 10,
-            NetOp::AllocResponse => 11,
+            // 10 and 11 are retired: every other opcode keeps its byte.
             NetOp::Migrate => 12,
             NetOp::Heartbeat => 13,
         }
@@ -77,8 +72,6 @@ impl NetOp {
             7 => NetOp::LinkFailed,
             8 => NetOp::Telemetry,
             9 => NetOp::Reroute,
-            10 => NetOp::AllocRequest,
-            11 => NetOp::AllocResponse,
             12 => NetOp::Migrate,
             13 => NetOp::Heartbeat,
             _ => return None,
@@ -147,8 +140,6 @@ mod tests {
             NetOp::LinkFailed,
             NetOp::Telemetry,
             NetOp::Reroute,
-            NetOp::AllocRequest,
-            NetOp::AllocResponse,
             NetOp::Migrate,
             NetOp::Heartbeat,
         ] {

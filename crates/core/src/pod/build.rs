@@ -182,14 +182,16 @@ impl PodBuilder {
             let nic = Nic::new(mac, NicConfig::default());
             let port = switch.add_port();
             port_owner.push(PortOwner::Nic(nic_id));
-            let backup = self.backup_nic_host == Some(host);
-            allocator.execute(&FleetCommand::RegisterNic {
-                nic: nic_id as u32,
-                host: host as u32,
-                capacity_mbps: (nic.bandwidth_gbps() * 1000.0) as u32,
-                backup,
-            });
             if baseline.is_none() {
+                // Only a NIC with an Oasis backend is pooled: a baseline
+                // (Junction) NIC sends no telemetry and serves only its
+                // own host.
+                allocator.register(&FleetCommand::RegisterNic {
+                    nic: nic_id as u32,
+                    host: host as u32,
+                    capacity_mbps: (nic.bandwidth_gbps() * 1000.0) as u32,
+                    backup: self.backup_nic_host == Some(host),
+                });
                 // Oasis backend: RX area + allocator channel.
                 let rx_region = ra.alloc(
                     &mut pool,
@@ -310,7 +312,7 @@ impl PodBuilder {
         // addresses).
         let mut ssds = Vec::new();
         for (ssd_id, (host, ssd_cfg)) in self.ssds.iter().enumerate() {
-            allocator.execute(&FleetCommand::RegisterSsd {
+            allocator.register(&FleetCommand::RegisterSsd {
                 ssd: ssd_id as u32,
                 host: *host as u32,
                 capacity_blocks: ssd_cfg.blocks_per_ns as u32 * ssd_cfg.namespaces,
@@ -320,7 +322,7 @@ impl PodBuilder {
         let storage = EngineSet::build(&self.cfg, &self.hosts, ssds, &mut pool, &mut ra);
         let mut accels = Vec::new();
         for (dev_id, (host, accel_cfg)) in self.accels.iter().enumerate() {
-            allocator.execute(&FleetCommand::RegisterAccel {
+            allocator.register(&FleetCommand::RegisterAccel {
                 accel: dev_id as u32,
                 host: *host as u32,
             });

@@ -263,23 +263,24 @@ impl Pod {
                 // The frontend registers with the new NIC's backend over
                 // its message channel (§3.3.4 ordering); the pod only
                 // relays the operator's intent to the allocator.
-                self.allocator.migrate_instance(&mut self.pool, ip, nic);
+                let migrate = ControlInput::Migrate { ip, nic };
+                self.allocator.handle(&mut self.pool, migrate);
             }
             UplinkFrame(u, frame) => {
                 let port = self.uplink_port[u];
                 self.forward(at, port, frame);
             }
             MarkNicRepaired(nic) => {
-                let repaired = FleetCommand::MarkRepaired { nic: nic as u32 };
-                self.allocator.execute(&repaired);
+                let repaired = ControlInput::MarkNicRepaired { nic: nic as u32 };
+                self.allocator.handle(&mut self.pool, repaired);
             }
             SsdFailed(ssd, failed) => self.storage.backends[ssd].device.set_failed(failed),
             AccelFailed(accel, failed) => self.accel.backends[accel].device.set_failed(failed),
             Launch(host, app, lease) => return self.launch(host, app, lease).map(|_| None),
             Terminate(inst) => {
                 let ip = self.instances[inst].ip;
-                self.allocator.execute(&FleetCommand::Unassign { ip });
-                self.allocator.execute(&FleetCommand::ReleaseVolumes { ip });
+                self.allocator
+                    .handle(&mut self.pool, ControlInput::Terminate { ip });
                 for nic in 0..self.nics.len() {
                     if let Some(b) = self.backend_of_nic[nic] {
                         self.backends[b].unregister_instance(&mut self.nics[nic], ip);
@@ -308,7 +309,7 @@ impl Pod {
                 if host >= self.drivers.len() {
                     return Err(PodError::NoSuchHost(host));
                 }
-                let Some(dev) = self.allocator.books().pick_accel(host as u32) else {
+                let Some(dev) = self.allocator.actor.books().pick_accel(host as u32) else {
                     return Err(PodError::NoSuchDevice {
                         class: "accel",
                         index: 0,
@@ -364,12 +365,19 @@ impl Pod {
 
         match &mut self.drivers[host] {
             HostDriver::Oasis(fe) => {
-                let nic = self
-                    .allocator
-                    .place_instance(host, ip, lease_mbps)
-                    .ok_or(PodError::NoNicCapacity)? as usize;
+                let launch = ControlInput::Launch {
+                    host: host as u32,
+                    ip,
+                    lease_mbps,
+                };
+                let Some(Placed::Nic(nic)) = self.allocator.handle(&mut self.pool, launch).placed
+                else {
+                    return Err(PodError::NoNicCapacity);
+                };
+                let nic = nic as usize;
                 let backup = self
                     .allocator
+                    .actor
                     .books()
                     .backup_nic()
                     .map(|b| b as usize)

@@ -20,6 +20,7 @@
 //! through message channels with simulated timing.
 
 mod build;
+mod control;
 mod input;
 mod run;
 mod snapshot;
@@ -42,10 +43,11 @@ use oasis_sim::time::{SimDuration, SimTime};
 use oasis_storage::ssd::{Ssd, SsdConfig};
 
 pub use build::PodBuilder;
+pub use control::PodAllocator;
 pub use input::{Applied, PodInput};
 pub use run::UplinkMsg;
 
-use crate::allocator::{FleetCommand, PodAllocator};
+use crate::allocator::{ControlInput, FleetCommand, Placed};
 use crate::baseline::LocalDriver;
 use crate::config::{BufferPlacement, OasisConfig};
 use crate::datapath::{alloc_descriptor_channel, alloc_net_channel, BufferArea};
@@ -453,9 +455,10 @@ impl Pod {
         sink.set(
             crate::metrics::ALLOC_REROUTES_SENT,
             0,
-            self.allocator.reroutes_sent,
+            self.allocator.actor.reroutes_sent,
         );
-        sink.set(crate::metrics::ALLOC_FAILOVERS, 0, self.allocator.failovers);
+        let failovers = self.allocator.actor.failovers;
+        sink.set(crate::metrics::ALLOC_FAILOVERS, 0, failovers);
         oasis_cxl::obs::export_host_metrics(&self.allocator.core, &mut sink);
         oasis_cxl::obs::export_pool_metrics(&self.pool, &mut sink);
         self.obs.export(&mut sink);
@@ -509,11 +512,20 @@ impl Pod {
         let host = self.instances[inst].host;
         let ip = self.instances[inst].ip;
         let want = u32::try_from(blocks).ok()?;
-        let (ssd, base) = self.allocator.place_volume(host, ip, want)?;
+        let create = ControlInput::CreateVolume {
+            host: host as u32,
+            ip,
+            blocks: want,
+        };
+        let Some(Placed::Volume { ssd, base_block }) =
+            self.allocator.handle(&mut self.pool, create).placed
+        else {
+            return None;
+        };
         Some(VolumeHandle {
             inst,
             ssd: ssd as usize,
-            base_block: base as u64,
+            base_block: base_block as u64,
             blocks,
         })
     }

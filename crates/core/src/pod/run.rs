@@ -67,9 +67,8 @@ impl Pod {
     /// gone), detach them from the dead frontend, and return their pool
     /// regions to the region allocator. The replicated state machine has
     /// already revoked the leases and volumes, so nothing is proposed here.
-    fn reclaim_failed_hosts(&mut self) {
-        let failed = self.allocator.take_failed_hosts();
-        for &host in &failed {
+    fn reclaim_failed_hosts(&mut self, failed: &[u32]) {
+        for &host in failed {
             let host = host as usize;
             for inst in 0..self.instances.len() {
                 if self.instances[inst].host != host {
@@ -397,10 +396,10 @@ impl Pod {
                 }
                 self.pass_parked(at, actor);
                 self.now = self.now.max(at);
-                self.allocator.step(&mut self.pool);
-                if self.allocator.has_newly_failed_hosts() {
+                let failed = self.allocator.step(&mut self.pool);
+                if !failed.is_empty() {
                     self.unpark_all(Some(ctx));
-                    self.reclaim_failed_hosts();
+                    self.reclaim_failed_hosts(&failed);
                 }
                 self.rearm_woken(map, Some(ctx));
                 StepOutcome::WakeAt(self.allocator.core.clock)

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use oasis_core::allocator::RebalancePolicy;
-use oasis_core::config::OasisConfig;
+use oasis_core::config::{BufferPlacement, OasisConfig};
 use oasis_core::instance::{AppKind, UdpApp, UdpResponse};
 use oasis_core::pod::{Endpoint, HostDriver, PodBuilder, PodInput};
 use oasis_net::addr::{Ipv4Addr, MacAddr};
@@ -139,10 +139,10 @@ fn host_failure_inferred_from_missing_telemetry() {
     pod.run(SimTime::from_millis(200));
 
     assert!(
-        pod.allocator.books().nics[0].as_ref().unwrap().failed,
+        pod.allocator.actor.books().nics[0].as_ref().unwrap().failed,
         "allocator must infer the host failure from missing telemetry"
     );
-    assert_eq!(pod.allocator.failovers, 1);
+    assert_eq!(pod.allocator.actor.failovers, 1);
     let HostDriver::Oasis(fe) = &pod.drivers[host_a] else {
         unreachable!()
     };
@@ -156,7 +156,7 @@ fn rebalancer_moves_load_off_hot_nic() {
     let _host_b = b.add_nic_host(); // nic 0
     let _host_c = b.add_nic_host(); // nic 1
     let mut pod = b.build();
-    pod.allocator.enable_rebalancing(RebalancePolicy::new(
+    pod.allocator.actor.enable_rebalancing(RebalancePolicy::new(
         2.0,
         10_000, // bytes per telemetry window
         SimDuration::from_millis(50),
@@ -173,6 +173,7 @@ fn rebalancer_moves_load_off_hot_nic() {
     let i2 = pod.launch_instance(host_a, AppKind::Udp(Box::new(Echo)), 10_000);
     let nic_of = |pod: &oasis_core::pod::Pod, inst: usize| {
         pod.allocator
+            .actor
             .books()
             .instances
             .iter()
@@ -201,7 +202,7 @@ fn rebalancer_moves_load_off_hot_nic() {
     pod.run(end);
 
     assert!(
-        pod.allocator.rebalance_migrations >= 1,
+        pod.allocator.actor.rebalance_migrations >= 1,
         "hot NIC must shed load"
     );
     // The two heavy instances no longer share a NIC.
@@ -223,7 +224,7 @@ fn rebalancer_idle_pod_does_nothing() {
     let _b = b.add_nic_host();
     let _c = b.add_nic_host();
     let mut pod = b.build();
-    pod.allocator.enable_rebalancing(RebalancePolicy::new(
+    pod.allocator.actor.enable_rebalancing(RebalancePolicy::new(
         2.0,
         10_000,
         SimDuration::from_millis(50),
@@ -231,7 +232,40 @@ fn rebalancer_idle_pod_does_nothing() {
     pod.launch_instance(host_a, AppKind::Udp(Box::new(Echo)), 10_000);
     pod.run(SimTime::from_millis(300));
     assert_eq!(
-        pod.allocator.rebalance_migrations, 0,
+        pod.allocator.actor.rebalance_migrations, 0,
         "no load, no migrations (min_load threshold)"
     );
+}
+
+/// A baseline (Junction) NIC has no Oasis backend, so it never sends
+/// telemetry: pooling it would let the silence check fail a healthy NIC.
+#[test]
+fn junction_nic_is_not_failed_for_silence() {
+    let mut b = PodBuilder::new(OasisConfig::default());
+    let host = b.add_baseline_host(BufferPlacement::LocalDdr);
+    let mut pod = b.build();
+    pod.launch_instance(host, AppKind::Udp(Box::new(Echo)), 10_000);
+    pod.run(SimTime::from_millis(400));
+    assert_eq!(pod.allocator.actor.failovers, 0);
+    let books = pod.allocator.actor.books();
+    assert!(books.nics.iter().flatten().all(|n| !n.failed));
+}
+
+/// An Oasis instance on a NIC-less host leases an Oasis NIC, never the
+/// Junction NIC beside it.
+#[test]
+fn oasis_instance_never_leases_a_junction_nic() {
+    let mut b = PodBuilder::new(OasisConfig::default());
+    let _junction = b.add_baseline_host(BufferPlacement::LocalDdr); // NIC 0
+    let _oasis = b.add_nic_host(); // NIC 1
+    let plain = b.add_host();
+    let mut pod = b.build();
+    let inst = pod.launch_instance(plain, AppKind::Udp(Box::new(Echo)), 10_000);
+    assert_eq!(pod.instance_mac(inst), pod.nic_mac(1));
+    let books = pod.allocator.actor.books();
+    let lease = books
+        .instances
+        .iter()
+        .find(|i| i.ip == pod.instance_ip(inst));
+    assert_eq!(lease.map(|i| i.nic), Some(1));
 }

@@ -171,9 +171,9 @@ fn failover_to_backup_nic_with_mac_borrowing() {
     pod.run(end);
 
     // The failover happened: allocator marked nic 0 failed and rerouted.
-    assert!(pod.allocator.books().nics[0].as_ref().unwrap().failed);
-    assert_eq!(pod.allocator.failovers, 1);
-    assert_eq!(pod.allocator.reroutes_sent, 1);
+    assert!(pod.allocator.actor.books().nics[0].as_ref().unwrap().failed);
+    assert_eq!(pod.allocator.actor.failovers, 1);
+    assert_eq!(pod.allocator.actor.reroutes_sent, 1);
     let HostDriver::Oasis(fe) = &pod.drivers[host_a] else {
         unreachable!()
     };

@@ -26,11 +26,12 @@ fn repaired_nic_serves_new_instances() {
     // Fail nic 0; the allocator marks it failed after detection.
     pod.schedule(SimTime::from_millis(10), PodInput::DisableNicPort(0));
     pod.run(SimTime::from_millis(40));
-    assert!(pod.allocator.books().nics[0].as_ref().unwrap().failed);
+    assert!(pod.allocator.actor.books().nics[0].as_ref().unwrap().failed);
     // While failed, only the backup can serve host-local demand; a remote
     // placement has nowhere to go (nic 1 is reserved as backup).
     assert!(pod
         .allocator
+        .actor
         .books()
         .pick_nic(host_a as u32, 10_000)
         .is_none());
@@ -39,12 +40,13 @@ fn repaired_nic_serves_new_instances() {
     pod.schedule(SimTime::from_millis(50), PodInput::EnableNicPort(0));
     pod.run(SimTime::from_millis(70));
     pod.apply(PodInput::MarkNicRepaired(0)).unwrap();
-    assert!(!pod.allocator.books().nics[0].as_ref().unwrap().failed);
+    assert!(!pod.allocator.actor.books().nics[0].as_ref().unwrap().failed);
 
     // New launches land on the repaired NIC again.
     let inst2 = pod.launch_instance(host_a, AppKind::None, 10_000);
     assert_eq!(
         pod.allocator
+            .actor
             .books()
             .instances
             .iter()
@@ -66,14 +68,14 @@ fn terminate_releases_everything() {
     let _vol = pod.create_volume(inst, 64).unwrap();
 
     assert_eq!(
-        pod.allocator.books().nics[0]
+        pod.allocator.actor.books().nics[0]
             .as_ref()
             .unwrap()
             .allocated_mbps,
         10_000
     );
     assert_eq!(
-        pod.allocator.books().ssds[0]
+        pod.allocator.actor.books().ssds[0]
             .as_ref()
             .unwrap()
             .allocated_blocks,
@@ -86,20 +88,20 @@ fn terminate_releases_everything() {
 
     // NIC lease, volume blocks, registration and flow rule all released.
     assert_eq!(
-        pod.allocator.books().nics[0]
+        pod.allocator.actor.books().nics[0]
             .as_ref()
             .unwrap()
             .allocated_mbps,
         0
     );
     assert_eq!(
-        pod.allocator.books().ssds[0]
+        pod.allocator.actor.books().ssds[0]
             .as_ref()
             .unwrap()
             .allocated_blocks,
         0
     );
-    assert!(pod.allocator.books().volumes.is_empty());
+    assert!(pod.allocator.actor.books().volumes.is_empty());
     assert_eq!(pod.backends[0].registration_count(), 0);
     assert_eq!(pod.nics[0].flow_count(), 0);
     assert_eq!(pod.instance_mac(inst), MacAddr::ZERO);
@@ -107,7 +109,7 @@ fn terminate_releases_everything() {
     // Released capacity is immediately reusable.
     let inst2 = pod.launch_instance(host_a, AppKind::None, 100_000);
     assert_eq!(
-        pod.allocator.books().nics[0]
+        pod.allocator.actor.books().nics[0]
             .as_ref()
             .unwrap()
             .allocated_mbps,

@@ -60,7 +60,7 @@ fn snapshot_restores_byte_identically() {
     assert_eq!(dst.snapshot(), snap, "restore → snapshot is byte-identical");
     // The restored allocator state came from another pod's history; the
     // log check replays only what this pod commits after the restore.
-    assert!(dst.allocator.consistent_with_log());
+    assert!(dst.allocator.actor.consistent_with_log());
 }
 
 #[test]

@@ -26,7 +26,7 @@ fn instance_without_local_ssd_uses_remote_volume() {
     let vol = pod.create_volume(inst, 64).expect("capacity available");
     assert_eq!(vol.ssd, 0);
     assert_eq!(
-        pod.allocator.books().ssds[0]
+        pod.allocator.actor.books().ssds[0]
             .as_ref()
             .unwrap()
             .allocated_blocks,
@@ -147,14 +147,14 @@ fn oversized_volume_request_is_refused_not_truncated() {
     // 2³² + 1 blocks used to reserve `(2³² + 1) as u32` = 1 block and hand
     // out a handle addressing all 2³² + 1.
     assert!(pod.create_volume(inst, (1 << 32) + 1).is_none());
-    let ssd0 = pod.allocator.books().ssds[0].as_ref().unwrap();
+    let ssd0 = pod.allocator.actor.books().ssds[0].as_ref().unwrap();
     assert_eq!(ssd0.allocated_blocks, 0, "nothing was reserved");
     // A request that fits `u32` but whose end does not: 16 + (2³² − 6)
     // used to wrap to 10 and be granted.
     assert!(pod.create_volume(inst, 16).is_some());
-    let before = pod.allocator.books().clone();
+    let before = pod.allocator.actor.books().clone();
     assert!(pod.create_volume(inst, (u32::MAX - 5) as u64).is_none());
-    assert_eq!(pod.allocator.books(), &before, "nothing was reserved");
+    assert_eq!(pod.allocator.actor.books(), &before, "nothing was reserved");
     // Draining a host that does not exist is empty, not a panic.
     assert!(pod.take_storage_completions(99).is_empty());
 }
@@ -240,5 +240,5 @@ fn network_and_storage_share_the_pool() {
     assert!(done.iter().all(|r| r.status.is_ok()));
     // The NIC datapath still works (drivers multiplexed fine).
     assert!(pod.nics[0].stats.tx_frames == 0); // no clients attached
-    assert_eq!(pod.allocator.books().volumes.len(), 1);
+    assert_eq!(pod.allocator.actor.books().volumes.len(), 1);
 }

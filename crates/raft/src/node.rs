@@ -103,6 +103,7 @@ impl Default for RaftConfig {
 /// A Raft node. Drive it with [`RaftNode::tick`] and [`RaftNode::handle`];
 /// collect RPCs with [`RaftNode::take_outbox`] and committed commands with
 /// [`RaftNode::drain_committed`].
+#[derive(Clone)]
 pub struct RaftNode {
     id: NodeId,
     peers: Vec<NodeId>,

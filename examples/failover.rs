@@ -81,6 +81,7 @@ fn main() {
     println!(
         "allocator: NIC 0 marked failed; instance rerouted to NIC {:?}",
         pod.allocator
+            .actor
             .books()
             .instances
             .iter()

@@ -33,6 +33,7 @@ fn main() {
             "instance {} on host {host} -> NIC {:?} (lease 10 Gbit/s)",
             pod.instance_ip(inst),
             pod.allocator
+                .actor
                 .books()
                 .instances
                 .iter()
@@ -44,11 +45,11 @@ fn main() {
     }
     println!(
         "allocator: NIC 0 has {} Mbit/s allocated of {} Mbit/s\n",
-        pod.allocator.books().nics[0]
+        pod.allocator.actor.books().nics[0]
             .as_ref()
             .unwrap()
             .allocated_mbps,
-        pod.allocator.books().nics[0]
+        pod.allocator.actor.books().nics[0]
             .as_ref()
             .unwrap()
             .capacity_mbps

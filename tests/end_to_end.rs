@@ -146,10 +146,20 @@ fn allocator_respects_capacity_across_launches() {
     for _ in 0..9 {
         pod.launch_instance(h0, AppKind::None, 10_000);
     }
-    let nic = pod.allocator.books().nics[0].as_ref().unwrap();
+    let nic = pod.allocator.actor.books().nics[0].as_ref().unwrap();
     assert_eq!(nic.allocated_mbps, 90_000);
-    assert!(pod.allocator.books().pick_nic(h0 as u32, 20_000).is_none());
-    assert!(pod.allocator.books().pick_nic(h0 as u32, 10_000).is_some());
+    assert!(pod
+        .allocator
+        .actor
+        .books()
+        .pick_nic(h0 as u32, 20_000)
+        .is_none());
+    assert!(pod
+        .allocator
+        .actor
+        .books()
+        .pick_nic(h0 as u32, 10_000)
+        .is_some());
 }
 
 #[test]
@@ -166,7 +176,7 @@ fn rebalancing_migration_loses_nothing_and_keeps_neighbors_reachable() {
     let _n0 = b.add_nic_host();
     let _n1 = b.add_nic_host();
     let mut pod = b.build();
-    pod.allocator.enable_rebalancing(RebalancePolicy::new(
+    pod.allocator.actor.enable_rebalancing(RebalancePolicy::new(
         2.0,
         50_000,
         SimDuration::from_millis(100),
@@ -196,7 +206,7 @@ fn rebalancing_migration_loses_nothing_and_keeps_neighbors_reachable() {
     }
     pod.run(end);
 
-    assert!(pod.allocator.rebalance_migrations >= 1, "rebalanced");
+    assert!(pod.allocator.actor.rebalance_migrations >= 1, "rebalanced");
     for (i, h) in handles.iter().enumerate() {
         let s = h.borrow();
         assert_eq!(s.lost(), 0, "client {i} lost traffic across migration");

@@ -44,6 +44,7 @@ fn six_hosts_two_nics_one_ssd_mixed_workloads() {
     // Placement spread the load across both NICs.
     let nics_used: std::collections::BTreeSet<u32> = pod
         .allocator
+        .actor
         .books()
         .instances
         .iter()
