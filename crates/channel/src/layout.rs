@@ -22,6 +22,9 @@ pub struct ChannelLayout {
     pub msg_size: u64,
     /// Address of the 8 B consumed counter.
     pub counter_addr: u64,
+    /// log2 of the messages per line (a power of two: the message size
+    /// divides the line).
+    line_shift: u32,
 }
 
 impl ChannelLayout {
@@ -33,13 +36,19 @@ impl ChannelLayout {
     }
 
     /// Lay a channel out at the start of `region`. Panics if the region is
-    /// too small or the message size does not divide the line size.
+    /// too small, the message size does not divide the line size or the
+    /// slots do not fill whole lines.
     pub fn in_region(region: &Region, slots: u64, msg_size: u64) -> Self {
         assert!(
             LINE.is_multiple_of(msg_size),
             "message size {msg_size} must divide the {LINE} B line"
         );
         assert!(slots > 0, "channel needs at least one slot");
+        let per_line = LINE / msg_size;
+        assert!(
+            slots.is_multiple_of(per_line),
+            "slot count {slots} must be a multiple of the {per_line} messages a {LINE} B line holds"
+        );
         let needed = Self::bytes_needed(slots, msg_size);
         assert!(
             region.size >= needed,
@@ -54,6 +63,7 @@ impl ChannelLayout {
             slots,
             msg_size,
             counter_addr: region.base + padded,
+            line_shift: per_line.trailing_zeros(),
         }
     }
 
@@ -73,7 +83,20 @@ impl ChannelLayout {
     /// Messages per cache line (4 for 16 B, 1 for 64 B).
     #[inline]
     pub fn msgs_per_line(&self) -> u64 {
-        LINE / self.msg_size
+        1 << self.line_shift
+    }
+
+    /// log2 of [`Self::msgs_per_line`]: a slot index shifted right by it is
+    /// the index of its line in the ring.
+    #[inline]
+    pub fn line_shift(&self) -> u32 {
+        self.line_shift
+    }
+
+    /// Lines of message slots in the ring.
+    #[inline]
+    pub fn lines(&self) -> u64 {
+        self.slots >> self.line_shift
     }
 
     /// Base address of the cache line holding a slot.
@@ -142,5 +165,28 @@ mod tests {
     fn bad_msg_size_panics() {
         let (_pool, r) = region(1024);
         ChannelLayout::in_region(&r, 8, 24);
+    }
+
+    /// A ring whose last line is part-filled: three 16 B slots used to
+    /// reach `%` by a zero line count on the first receive under ② and ④,
+    /// and six put the window's line 1 at line 0.
+    #[test]
+    fn slots_that_do_not_fill_whole_lines_are_rejected() {
+        for slots in [3u64, 6, 7, 9] {
+            let (_pool, r) = region(ChannelLayout::bytes_needed(slots, 16));
+            let built = std::panic::catch_unwind(|| ChannelLayout::in_region(&r, slots, 16));
+            let msg = built.err().and_then(|e| e.downcast::<String>().ok());
+            assert!(
+                msg.is_some_and(|m| m.contains("must be a multiple")),
+                "{slots} slots of 16 B"
+            );
+        }
+        // Whole lines are fine, for every message size.
+        for (slots, msg) in [(4u64, 16u64), (8, 16), (3, 64), (6, 32), (1, 64)] {
+            let (_pool, r) = region(ChannelLayout::bytes_needed(slots, msg));
+            let l = ChannelLayout::in_region(&r, slots, msg);
+            assert_eq!(l.lines() * l.msgs_per_line(), slots);
+            assert_eq!(l.msgs_per_line(), LINE / msg);
+        }
     }
 }

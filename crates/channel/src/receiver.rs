@@ -22,7 +22,7 @@
 //!   entire speculatively prefetched window so it is re-fetched fresh. This
 //!   is the design Oasis ships.
 
-use oasis_cxl::{CxlPool, HostCtx};
+use oasis_cxl::{line_base, CxlPool, HostCtx, LINE};
 
 use crate::layout::ChannelLayout;
 use crate::{epoch_bit, EPOCH_MASK};
@@ -66,6 +66,10 @@ pub struct Receiver {
     policy: Policy,
     /// Next absolute sequence number to consume.
     tail: u64,
+    /// Its slot in the ring and the lap it is on: cursors that wrap, so
+    /// that no poll divides.
+    slot: u64,
+    lap: u64,
     /// Prefetch window depth in cache lines (paper: 16 performs best).
     prefetch_depth: u64,
     /// Publish the consumed counter after this many messages (paper
@@ -75,6 +79,8 @@ pub struct Receiver {
     unpublished: u64,
     /// Highest absolute line index for which a prefetch has been issued.
     prefetched_until: u64,
+    /// Its line in the ring (`prefetched_until` modulo the ring's lines).
+    window_pos: u64,
     /// Empty polls observed (stats).
     pub empty_polls: u64,
 }
@@ -99,10 +105,13 @@ impl Receiver {
             layout,
             policy,
             tail: 0,
+            slot: 0,
+            lap: 0,
             prefetch_depth,
             publish_batch,
             unpublished: 0,
             prefetched_until: 0,
+            window_pos: 0,
             empty_polls: 0,
         }
     }
@@ -122,15 +131,28 @@ impl Receiver {
         self.policy
     }
 
+    /// Absolute index of the line holding the next message.
     #[inline]
-    fn line_index(&self, seq: u64) -> u64 {
-        seq / self.layout.msgs_per_line()
+    fn line_index(&self) -> u64 {
+        self.tail >> self.layout.line_shift()
     }
 
+    /// Address of the next message's slot.
     #[inline]
-    fn line_addr_of_index(&self, line_idx: u64) -> u64 {
-        let lines_in_ring = self.layout.slots / self.layout.msgs_per_line();
-        self.layout.base + (line_idx % lines_in_ring) * oasis_cxl::LINE
+    fn slot_addr(&self) -> u64 {
+        self.layout.base + self.slot * self.layout.msg_size
+    }
+
+    /// The line the next poll reads.
+    #[inline]
+    pub fn next_line(&self) -> u64 {
+        line_base(self.slot_addr())
+    }
+
+    /// Address of the ring's line `pos`.
+    #[inline]
+    fn ring_line(&self, pos: u64) -> u64 {
+        self.layout.base + pos * LINE
     }
 
     /// The ring's slot lines `[start, end)` (the consumed counter has its
@@ -150,20 +172,19 @@ impl Receiver {
     /// `None` in any other state. The checks run cheapest first, so a poll
     /// that finds a message usually stops at its cached line.
     pub fn idle_poll_line(&self, host: &HostCtx, pool: &CxlPool) -> Option<u64> {
-        let seq = self.tail;
         let steady = self.policy == Policy::InvalidatePrefetched
             && self.unpublished == 0
-            && self.prefetched_until == self.line_index(seq);
+            && self.prefetched_until == self.line_index();
         if !steady {
             return None;
         }
-        let line = self.layout.line_of(seq);
+        let line = self.next_line();
         if host.cache.contains(line) {
             return None;
         }
         // The epoch bit lives in the slot's last byte.
-        let last = pool.settled_byte(self.layout.slot_addr(seq) + self.layout.msg_size - 1)?;
-        ((last & EPOCH_MASK) != epoch_bit(self.layout.lap(seq))).then_some(line)
+        let last = pool.settled_byte(self.slot_addr() + self.layout.msg_size - 1)?;
+        ((last & EPOCH_MASK) != epoch_bit(self.lap)).then_some(line)
     }
 
     /// Publish the consumed counter so the sender can reuse slots. Called
@@ -203,9 +224,8 @@ impl Receiver {
     fn poll(&mut self, host: &mut HostCtx, pool: &mut CxlPool, out: &mut [u8]) -> bool {
         let msg_size = self.layout.msg_size as usize;
         host.advance(host.costs.poll_overhead_ns);
-        let seq = self.tail;
-        let addr = self.layout.slot_addr(seq);
-        let expected = epoch_bit(self.layout.lap(seq));
+        let addr = self.slot_addr();
+        let expected = epoch_bit(self.lap);
 
         if self.policy == Policy::BypassCache {
             host.clflushopt(pool, addr);
@@ -220,6 +240,11 @@ impl Receiver {
             out.copy_from_slice(&buf[..msg_size]);
             out[msg_size - 1] &= !EPOCH_MASK;
             self.tail += 1;
+            self.slot += 1;
+            if self.slot == self.layout.slots {
+                self.slot = 0;
+                self.lap += 1;
+            }
             self.unpublished += 1;
             if self.unpublished >= self.publish_batch {
                 self.publish_consumed(host, pool);
@@ -230,17 +255,11 @@ impl Receiver {
                 if matches!(
                     self.policy,
                     Policy::InvalidateConsumed | Policy::InvalidatePrefetched
-                ) && self.tail.is_multiple_of(self.layout.msgs_per_line())
+                ) && self.slot & (self.layout.msgs_per_line() - 1) == 0
                 {
-                    host.clflushopt(pool, self.layout.line_of(self.tail - 1));
+                    host.clflushopt(pool, line_base(addr));
                 }
-                // Extend the prefetch window.
-                let target = self.line_index(self.tail) + self.prefetch_depth;
-                while self.prefetched_until < target {
-                    self.prefetched_until += 1;
-                    let la = self.line_addr_of_index(self.prefetched_until);
-                    host.prefetch(pool, la);
-                }
+                self.extend_window(host, pool);
             }
             true
         } else {
@@ -259,18 +278,53 @@ impl Receiver {
                     // fetched before the sender wrote them and would
                     // otherwise serve stale data when we advance into them.
                     host.clflushopt(pool, addr);
-                    let cur = self.line_index(seq);
-                    let mut l = cur + 1;
-                    while l <= self.prefetched_until {
-                        host.clflushopt(pool, self.line_addr_of_index(l));
-                        l += 1;
-                    }
+                    let cur = self.line_index();
+                    let pos = self.slot >> self.layout.line_shift();
+                    self.for_each_ring_run(
+                        pos,
+                        self.prefetched_until.saturating_sub(cur),
+                        |first, n| {
+                            host.clflushopt_range(pool, first, n * LINE);
+                        },
+                    );
                     self.prefetched_until = cur;
+                    self.window_pos = pos;
                     host.mfence(pool);
                 }
             }
             false
         }
+    }
+
+    /// Prefetch the lines past the window up to `prefetch_depth` lines
+    /// ahead of the next message, one [`HostCtx::prefetch_lines`] per
+    /// stretch of the ring between wraps.
+    fn extend_window(&mut self, host: &mut HostCtx, pool: &mut CxlPool) {
+        let target = self.line_index() + self.prefetch_depth;
+        let Some(n) = target.checked_sub(self.prefetched_until).filter(|&n| n > 0) else {
+            return;
+        };
+        let pos = self.window_pos;
+        self.window_pos = self.for_each_ring_run(pos, n, |first, n| {
+            host.prefetch_lines(pool, first, n);
+        });
+        self.prefetched_until = target;
+    }
+
+    /// Call `each(first line address, lines)` for the `n` ring lines after
+    /// line `pos`, split where the ring wraps; returns the last one's
+    /// position.
+    fn for_each_ring_run(&self, pos: u64, n: u64, mut each: impl FnMut(u64, u64)) -> u64 {
+        let lines = self.layout.lines();
+        let (mut pos, mut left) = (pos, n);
+        while left > 0 {
+            let next = if pos + 1 == lines { 0 } else { pos + 1 };
+            let run = left.min(lines - next);
+            each(self.ring_line(next), run);
+            pos = next + run - 1;
+            left -= run;
+        }
+        pos
     }
 }
 
@@ -371,7 +425,7 @@ mod tests {
     fn idle_poll_line_holds_only_in_the_steady_empty_state() {
         let (mut pool, mut th, mut rh, mut s, mut r) = setup(8, 16, Policy::InvalidatePrefetched);
         let mut out = [0u8; 16];
-        let line = r.layout().line_of(0);
+        let line = r.next_line();
         // Fresh ring, cold cache: the next poll is a steady empty one, and
         // really polling leaves the state that says so untouched.
         assert_eq!(r.idle_poll_line(&rh, &pool), Some(line));
@@ -497,7 +551,7 @@ mod tests {
         use proptest::prelude::*;
 
         #[derive(Clone, Debug)]
-        enum Step {
+        pub(super) enum Step {
             /// Up to this many sends, stopping at a full ring.
             Send(u8),
             /// The sender writes back what it has staged.
@@ -511,25 +565,25 @@ mod tests {
             Poll,
         }
 
-        struct Side {
-            pool: CxlPool,
-            th: HostCtx,
-            rh: HostCtx,
-            s: Sender,
-            r: Receiver,
+        pub(super) struct Side {
+            pub(super) pool: CxlPool,
+            pub(super) th: HostCtx,
+            pub(super) rh: HostCtx,
+            pub(super) s: Sender,
+            pub(super) r: Receiver,
         }
 
         #[derive(Clone, Copy, Debug)]
-        struct Shape {
-            policy: Policy,
-            slots: u64,
-            msg: u64,
-            prefetch: u64,
-            batch: u64,
-            cache_lines: usize,
+        pub(super) struct Shape {
+            pub(super) policy: Policy,
+            pub(super) slots: u64,
+            pub(super) msg: u64,
+            pub(super) prefetch: u64,
+            pub(super) batch: u64,
+            pub(super) cache_lines: usize,
         }
 
-        fn side(sh: Shape) -> Side {
+        pub(super) fn side(sh: Shape) -> Side {
             let mut pool = CxlPool::new(1 << 16, 2);
             let mut ra = RegionAllocator::new(&pool);
             let bytes = ChannelLayout::bytes_needed(sh.slots, sh.msg);
@@ -546,7 +600,7 @@ mod tests {
         }
 
         /// Everything a poll can change, read without disturbing it.
-        fn observe(sd: &Side) -> String {
+        pub(super) fn observe(sd: &Side) -> String {
             let lines: Vec<_> = sd
                 .rh
                 .cache
@@ -573,7 +627,12 @@ mod tests {
 
         /// Run `step` on `sd`; a poll goes through `try_recv` when
         /// `elide`, else through the executed poll. Returns what it read.
-        fn run(sd: &mut Side, step: &Step, elide: bool, sent: &mut u64) -> Option<Vec<u8>> {
+        pub(super) fn run(
+            sd: &mut Side,
+            step: &Step,
+            elide: bool,
+            sent: &mut u64,
+        ) -> Option<Vec<u8>> {
             match *step {
                 Step::Send(n) => {
                     for _ in 0..n {
@@ -621,7 +680,7 @@ mod tests {
                 })
         }
 
-        fn step() -> impl Strategy<Value = Step> {
+        pub(super) fn step() -> impl Strategy<Value = Step> {
             // Write-backs become visible ~hundreds of ns after posting: skews
             // on that scale leave them in flight at poll time.
             prop_oneof![
@@ -672,6 +731,180 @@ mod tests {
                     prop_assert_eq!(story(&elided.pool), story(&executed.pool));
                 }
             }
+        }
+    }
+
+    /// The twin behind the unread fills: the receiver's window extensions
+    /// ([`HostCtx::prefetch_lines`]) and window flushes
+    /// ([`HostCtx::clflushopt_range`]) on one side, and on the other the
+    /// same poll with explicit per-line `prefetch` and `clflushopt` calls
+    /// and the ring addressed by division, as it was written before either
+    /// existed.
+    mod window_twin {
+        use super::elision_twin::{observe, run, side, step, Shape, Side, Step};
+        use super::*;
+        use oasis_cxl::LINE;
+        use proptest::prelude::*;
+
+        /// [`Receiver::poll`] with per-line prefetches and flushes.
+        fn explicit_poll(
+            r: &mut Receiver,
+            host: &mut HostCtx,
+            pool: &mut CxlPool,
+            out: &mut [u8],
+        ) -> bool {
+            let l = r.layout.clone();
+            let per_line = LINE / l.msg_size;
+            let ring_line = |idx: u64| l.base + (idx % (l.slots / per_line)) * LINE;
+            let msg_size = l.msg_size as usize;
+            host.advance(host.costs.poll_overhead_ns);
+            let seq = r.tail;
+            let addr = l.slot_addr(seq);
+            if r.policy == Policy::BypassCache {
+                host.clflushopt(pool, addr);
+                host.mfence(pool);
+            }
+            let mut buf = [0u8; 64];
+            host.read(pool, addr, &mut buf[..msg_size]);
+            if (buf[msg_size - 1] & EPOCH_MASK) == epoch_bit(l.lap(seq)) {
+                out.copy_from_slice(&buf[..msg_size]);
+                out[msg_size - 1] &= !EPOCH_MASK;
+                r.tail += 1;
+                r.unpublished += 1;
+                if r.unpublished >= r.publish_batch {
+                    r.publish_consumed(host, pool);
+                }
+                if r.policy != Policy::BypassCache {
+                    if matches!(
+                        r.policy,
+                        Policy::InvalidateConsumed | Policy::InvalidatePrefetched
+                    ) && r.tail.is_multiple_of(per_line)
+                    {
+                        host.clflushopt(pool, l.line_of(r.tail - 1));
+                    }
+                    let target = r.tail / per_line + r.prefetch_depth;
+                    while r.prefetched_until < target {
+                        r.prefetched_until += 1;
+                        host.prefetch(pool, ring_line(r.prefetched_until));
+                    }
+                }
+                return true;
+            }
+            r.empty_polls += 1;
+            match r.policy {
+                Policy::BypassCache => {}
+                Policy::NaivePrefetch | Policy::InvalidateConsumed => {
+                    host.clflushopt(pool, addr);
+                    host.mfence(pool);
+                }
+                Policy::InvalidatePrefetched => {
+                    host.clflushopt(pool, addr);
+                    let cur = seq / per_line;
+                    for idx in cur + 1..=r.prefetched_until {
+                        host.clflushopt(pool, ring_line(idx));
+                    }
+                    r.prefetched_until = cur;
+                    host.mfence(pool);
+                }
+            }
+            false
+        }
+
+        fn run_explicit(sd: &mut Side, st: &Step, sent: &mut u64) -> Option<Vec<u8>> {
+            if !matches!(st, Step::Poll) {
+                return run(sd, st, false, sent);
+            }
+            let mut out = vec![0u8; sd.r.layout().msg_size as usize];
+            explicit_poll(&mut sd.r, &mut sd.rh, &mut sd.pool, &mut out).then_some(out)
+        }
+
+        fn shape() -> impl Strategy<Value = Shape> {
+            (
+                (0..Policy::ALL.len()).prop_map(|i| Policy::ALL[i]),
+                prop_oneof![Just(4u64), Just(8), Just(16), Just(64)],
+                prop_oneof![Just(16u64), Just(64)],
+                prop_oneof![Just(0u64), Just(1), Just(4), Just(16)],
+                any::<u64>(),
+                prop_oneof![Just(2usize), Just(4), Just(24), Just(4096)],
+            )
+                .prop_map(|(policy, slots, msg, prefetch, b, cache_lines)| Shape {
+                    policy,
+                    slots,
+                    msg,
+                    prefetch,
+                    batch: 1 + b % slots,
+                    cache_lines,
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn unread_fills_match_explicit_calls(
+                sh in shape(),
+                steps in proptest::collection::vec(step(), 1..200),
+            ) {
+                let mut fast = side(sh);
+                let mut explicit = side(sh);
+                let (mut sent_a, mut sent_b) = (0, 0);
+                for (i, st) in steps.iter().enumerate() {
+                    let got = run(&mut fast, st, false, &mut sent_a);
+                    let want = run_explicit(&mut explicit, st, &mut sent_b);
+                    prop_assert_eq!(got, want, "step {} {:?}: bytes", i, st);
+                    prop_assert_eq!(
+                        observe(&fast),
+                        observe(&explicit),
+                        "after step {} {:?}",
+                        i,
+                        st
+                    );
+                }
+                #[cfg(feature = "sanitize")]
+                {
+                    let story = |p: &CxlPool| {
+                        let mut v: Vec<String> =
+                            p.san.reports().iter().map(|r| r.to_string()).collect();
+                        v.push(p.san.summary());
+                        v
+                    };
+                    prop_assert_eq!(story(&fast.pool), story(&explicit.pool));
+                }
+                let drained = |sd: &mut Side| {
+                    sd.rh.cache.drain().into_iter().map(|(a, l)| (a, l.data, l.dirty, l.ready_at)).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(drained(&mut fast), drained(&mut explicit), "drain order");
+            }
+        }
+
+        /// The fast path is taken and its lines are evicted: a 24-line cache
+        /// under ④ with a 16-line window holds unread lines after a consume,
+        /// and a full cache evicts the oldest of them first.
+        #[test]
+        fn the_window_is_held_unread_and_evicted_in_fill_order() {
+            let sh = Shape {
+                policy: Policy::InvalidatePrefetched,
+                slots: 64,
+                msg: 64,
+                prefetch: 16,
+                batch: 64,
+                cache_lines: 24,
+            };
+            let mut sd = side(sh);
+            let mut sent = 0;
+            run(&mut sd, &Step::Send(1), false, &mut sent);
+            run(&mut sd, &Step::AdvanceRx(1_000), false, &mut sent);
+            assert!(run(&mut sd, &Step::Poll, false, &mut sent).is_some());
+            let window: Vec<u64> = (1..=16).map(|i| sd.r.layout().base + i * LINE).collect();
+            assert!(window.iter().all(|&la| sd.rh.cache.is_unread(la)));
+            // Nine more lines than the cache has room for: the first nine
+            // window lines go, oldest first.
+            let far = sd.r.layout().counter_addr + LINE;
+            for k in 0..(24 - sd.rh.cache.len() as u64 + 9) {
+                sd.rh.read_u64(&mut sd.pool, far + k * LINE);
+            }
+            let left: Vec<bool> = window.iter().map(|&la| sd.rh.cache.contains(la)).collect();
+            assert_eq!(left, [[false; 9].as_slice(), &[true; 7]].concat());
         }
     }
 }

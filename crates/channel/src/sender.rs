@@ -20,6 +20,10 @@ pub struct Sender {
     layout: ChannelLayout,
     /// Next absolute sequence number to write.
     head: u64,
+    /// Its slot in the ring and the lap it is on: cursors that wrap, so
+    /// that no send divides.
+    slot: u64,
+    lap: u64,
     /// Last value of the consumed counter read from the pool.
     cached_consumed: u64,
     /// Line (base address) holding messages not yet written back. At most
@@ -38,6 +42,8 @@ impl Sender {
         Sender {
             layout,
             head: 0,
+            slot: 0,
+            lap: 0,
             cached_consumed: 0,
             dirty_line: None,
             counter_refreshes: 0,
@@ -111,7 +117,7 @@ impl Sender {
                 return Ok(false);
             }
         }
-        let addr = self.layout.slot_addr(self.head);
+        let addr = self.layout.base + self.slot * self.layout.msg_size;
         let line = line_base(addr);
         // Crossing into a new line: write back any straggler from the
         // previous one first so slots are published in order.
@@ -122,15 +128,20 @@ impl Sender {
                 self.dirty_line = None;
             }
         }
-        let epoch = epoch_bit(self.layout.lap(self.head));
+        let epoch = epoch_bit(self.lap);
         let mut stamped = [0u8; 64];
         let n = msg.len();
         stamped[..n].copy_from_slice(msg);
         stamped[n - 1] |= epoch;
         host.write(pool, addr, &stamped[..n]);
-        let last_in_line =
-            (self.head % self.layout.msgs_per_line()) == self.layout.msgs_per_line() - 1;
+        let mask = self.layout.msgs_per_line() - 1;
+        let last_in_line = self.slot & mask == mask;
         self.head += 1;
+        self.slot += 1;
+        if self.slot == self.layout.slots {
+            self.slot = 0;
+            self.lap += 1;
+        }
 
         // CLWB once the line is full (4 msgs for 16 B, every msg for 64 B).
         if last_in_line {

@@ -235,13 +235,11 @@ impl ControlActor {
             ControlInput::LinkFailed { nic } => self.fail_nic(now, nic, &mut fx),
             ControlInput::Heartbeat { host } => self.note_heartbeat(now, host),
             ControlInput::Tick(Check::Nics) => {
-                // An instance on a failed NIC had its reroute refused.
-                if let Some(backup) = self.books().backup_nic() {
-                    let stranded = self.books().instances.iter();
-                    let stranded = stranded.filter(|i| self.nic(i.nic).is_some_and(|n| n.failed));
-                    fx.orders
-                        .extend(stranded.map(|i| Order::new(i, backup, OrderKind::Reroute)));
-                }
+                // An instance on a failed NIC had its reroute refused, or
+                // the backup had no room for it.
+                let stranded = self.books().instances.iter();
+                let stranded = stranded.filter(|i| self.nic(i.nic).is_some_and(|n| n.failed));
+                self.reroute(stranded, &mut fx);
                 for nic in self.silent_nics(now) {
                     self.fail_nic(now, nic, &mut fx);
                 }
@@ -370,22 +368,40 @@ impl ControlActor {
         }
     }
 
-    /// Fail NIC `nic` over: mark it failed and order every instance it
-    /// serves to the backup (§3.5 failure management). A NIC that is
-    /// unknown or already failed changes nothing.
+    /// Fail NIC `nic` over: mark it failed and order the instances it
+    /// serves to the backup (§3.5 failure management), as many as it has
+    /// room for. A NIC that is unknown or already failed changes nothing.
     fn fail_nic(&mut self, now: SimTime, nic: u32, fx: &mut ControlEffects) {
         if self.nic(nic).is_none_or(|n| n.failed) {
             return;
         }
         self.failovers += 1;
         self.execute(now, &FleetCommand::MarkFailed { nic });
-        if let Some(backup) = self.books().backup_nic() {
-            let moves = self.books().instances_on(nic);
-            fx.orders.extend(
-                moves
-                    .iter()
-                    .map(|i| Order::new(i, backup, OrderKind::Reroute)),
-            );
+        let moves = self.books().instances_on(nic);
+        self.reroute(moves.iter(), fx);
+    }
+
+    /// Order `stranded` to the backup NIC, in turn, each only if its lease
+    /// fits beside what the backup holds and every order to it already in
+    /// `fx` (one NIC check may fail several NICs over, and the books move
+    /// only once the orders are accepted). The rest stay on their failed
+    /// NIC; the next NIC check retries them once room appears.
+    fn reroute<'a>(
+        &self,
+        stranded: impl Iterator<Item = &'a InstanceInfo>,
+        fx: &mut ControlEffects,
+    ) {
+        let Some(backup) = self.books().backup_nic() else {
+            return;
+        };
+        let to_backup = fx.orders.iter().filter(|o| o.nic == backup);
+        let mut ordered = to_backup.fold(0u32, |sum, o| sum.saturating_add(o.lease_mbps));
+        for inst in stranded {
+            let total = ordered.saturating_add(inst.lease_mbps);
+            if self.fits(backup, total) {
+                ordered = total;
+                fx.orders.push(Order::new(inst, backup, OrderKind::Reroute));
+            }
         }
     }
 

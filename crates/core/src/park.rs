@@ -204,7 +204,7 @@ pub(crate) fn account(
     let mut last_line = 0;
     engine.polled(&mut |rx| {
         rx.empty_polls += rounds;
-        last_line = rx.layout().line_of(rx.consumed());
+        last_line = rx.next_line();
         let first_at = start + SimDuration::from_nanos(offset);
         pool.charge_line_fetches(port, last_line, rounds, first_at, round.period_ns);
         offset += poll_ns;

@@ -39,6 +39,8 @@ const REFUSALS: u32 = 2;
 /// Instances at most.
 const MAX_INSTANCES: usize = 3;
 const LEASE_MBPS: u32 = 30_000;
+/// A lease two of which fit a 100 Gbit/s NIC and three do not.
+const BIG_LEASE_MBPS: u32 = 45_000;
 /// Telemetry bytes a hot instance moves per window.
 const HOT_BYTES: u64 = 1_000_000;
 
@@ -81,6 +83,8 @@ struct Layout {
     launch: Vec<usize>,
     /// Launched instances that start hot.
     hot: Vec<usize>,
+    /// Every instance's lease, Mbit/s.
+    lease_mbps: u32,
 }
 
 impl Layout {
@@ -298,7 +302,8 @@ impl Explorer<'_> {
         }
         // The books agree with the frontends, and every instance is
         // served by a healthy NIC unless a reroute to a healthy backup is
-        // due (or there is no healthy backup to reroute to).
+        // due, or the backup has no room for it beside the reroutes that
+        // are (or there is no healthy backup to reroute to).
         if books.instances.len() != w.insts.len() {
             self.fail(format!(
                 "books lease {} instances, frontends serve {}",
@@ -330,7 +335,11 @@ impl Explorer<'_> {
                     .orders
                     .iter()
                     .any(|o| o.ip == inst.ip && o.nic == backup);
-                if !due {
+                let b = books.nics[backup as usize].as_ref();
+                let ordered: u32 = retry.orders.iter().map(|o| o.lease_mbps).sum();
+                let lease = booked.map_or(0, |i| i.lease_mbps);
+                let room = b.is_some_and(|b| b.allocated_mbps + ordered + lease <= b.capacity_mbps);
+                if !due && room {
                     self.fail(format!(
                         "{} stranded on failed NIC {} with no reroute to backup {backup} due",
                         inst.ip, inst.nic
@@ -464,7 +473,7 @@ impl Explorer<'_> {
                 let ip = Ipv4Addr::instance(next.next_ip);
                 self.path
                     .push(format!("r{} launch {ip} on host {host}", w.round));
-                place(&mut next, host);
+                place(&mut next, host, self.layout.lease_mbps);
                 self.after(next, Step::Other, &w.failed_nics());
                 self.path.pop();
             }
@@ -498,13 +507,13 @@ impl Explorer<'_> {
 
 /// Launch the next instance on `host`: the actor places it, and its
 /// frontend serves it from the NIC it was placed on.
-fn place(w: &mut World, host: usize) {
+fn place(w: &mut World, host: usize, lease_mbps: u32) {
     let ip = Ipv4Addr::instance(w.next_ip);
     w.next_ip += 1;
     let launch = ControlInput::Launch {
         host: host as u32,
         ip,
-        lease_mbps: LEASE_MBPS,
+        lease_mbps,
     };
     if let Some(Placed::Nic(nic)) = w.actor.process(w.now(), launch).placed {
         let hot = false;
@@ -530,7 +539,7 @@ fn explore(layout: &Layout) -> usize {
         refusals: REFUSALS,
     };
     for &host in &layout.launch {
-        place(&mut w, host);
+        place(&mut w, host, layout.lease_mbps);
     }
     assert_eq!(
         w.insts.len(),
@@ -563,6 +572,7 @@ fn control_actor_keeps_its_invariants() {
             rebalance: true,
             launch: vec![0, 0, 1],
             hot: vec![0],
+            lease_mbps: LEASE_MBPS,
         },
         // A Junction NIC beside an Oasis one: only the Oasis NIC is pooled.
         Layout {
@@ -572,6 +582,18 @@ fn control_actor_keeps_its_invariants() {
             rebalance: false,
             launch: vec![1, 2],
             hot: vec![],
+            lease_mbps: LEASE_MBPS,
+        },
+        // Leases the backup cannot hold all of: a failover reroutes only
+        // what fits, and the rest waits on the failed NIC.
+        Layout {
+            name: "backup fills up",
+            hosts: vec![HostKind::Nic, HostKind::Nic, HostKind::Nic],
+            backup_on: Some(2),
+            rebalance: false,
+            launch: vec![0, 0, 2],
+            hot: vec![],
+            lease_mbps: BIG_LEASE_MBPS,
         },
     ];
     for layout in &layouts {
@@ -591,6 +613,7 @@ fn refused_reroute_is_retried_and_logged_once() {
         rebalance: false,
         launch: vec![],
         hot: vec![],
+        lease_mbps: LEASE_MBPS,
     };
     let mut actor = layout.actor();
     let ip = Ipv4Addr::instance(1);
@@ -636,4 +659,128 @@ fn refused_reroute_is_retried_and_logged_once() {
         .log()
         .filter(|c| matches!(c, FleetCommand::Assign { nic: 1, .. }));
     assert_eq!(moves.count(), 1);
+}
+
+/// A failover orders to the backup only the leases it has room for: with
+/// 45 Gbit/s on the backup already, one of NIC 0's two 45 Gbit/s instances
+/// moves and the other waits on the failed NIC (the backup once ended at
+/// 135 000 of 100 000 Mbit/s). The NIC check retries it when room appears.
+#[test]
+fn failover_reroutes_only_what_the_backup_holds() {
+    let layout = Layout {
+        name: "full backup",
+        hosts: vec![HostKind::Nic, HostKind::Nic, HostKind::Nic],
+        backup_on: Some(2),
+        rebalance: false,
+        launch: vec![],
+        hot: vec![],
+        lease_mbps: BIG_LEASE_MBPS,
+    };
+    let mut actor = layout.actor();
+    let t0 = SimTime::ZERO;
+    let mut nic_of = Vec::new();
+    for (k, host) in [0u32, 0, 0, 2].into_iter().enumerate() {
+        let ip = Ipv4Addr::instance(k as u32 + 1);
+        let launch = ControlInput::Launch {
+            host,
+            ip,
+            lease_mbps: BIG_LEASE_MBPS,
+        };
+        nic_of.push(actor.process(t0, launch).placed);
+    }
+    let on = |nic| Some(Placed::Nic(nic));
+    assert_eq!(nic_of, [on(0), on(0), on(1), on(2)]);
+
+    let accept_all = |actor: &mut ControlActor, fx: ControlEffects, at: SimTime| {
+        for order in fx.orders {
+            actor.process(at, ControlInput::Accepted { order, sent_at: at });
+        }
+    };
+    let fx = actor.process(t0, ControlInput::LinkFailed { nic: 0 });
+    assert_eq!(
+        fx.orders.len(),
+        1,
+        "room for one of the two: {:?}",
+        fx.orders
+    );
+    accept_all(&mut actor, fx, t0);
+    let nics = |a: &ControlActor| {
+        a.books()
+            .nics
+            .iter()
+            .flatten()
+            .map(|n| n.allocated_mbps)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(nics(&actor), [45_000, 45_000, 90_000]);
+    let t1 = t0 + poll();
+    let calm = actor.process(t1, ControlInput::Tick(Check::Nics));
+    assert!(calm.orders.is_empty(), "no room yet: {:?}", calm.orders);
+
+    // The backup's own-host instance leaves: the stranded one follows.
+    actor.process(
+        t1,
+        ControlInput::Terminate {
+            ip: Ipv4Addr::instance(4),
+        },
+    );
+    let retry = actor.process(t1, ControlInput::Tick(Check::Nics));
+    assert_eq!(retry.orders.len(), 1);
+    assert_eq!(retry.orders[0].nic, 2);
+    accept_all(&mut actor, retry, t1);
+    assert_eq!(nics(&actor), [0, 45_000, 90_000]);
+    assert!(actor.consistent_with_log());
+}
+
+/// Two NICs that go silent in the same NIC check share one backup: their
+/// reroutes are sized against one running total, so with 45 Gbit/s on the
+/// backup already only one of their two 45 Gbit/s instances moves (each
+/// failover once saw room for one, and the backup ended at 135 000 of
+/// 100 000 Mbit/s).
+#[test]
+fn nics_silent_in_one_check_share_the_backup_room() {
+    let layout = Layout {
+        name: "two silent",
+        hosts: vec![HostKind::Nic; 4],
+        backup_on: Some(3),
+        rebalance: false,
+        launch: vec![],
+        hot: vec![],
+        lease_mbps: BIG_LEASE_MBPS,
+    };
+    let mut actor = layout.actor();
+    let t0 = SimTime::ZERO;
+    for (k, host) in [0u32, 1, 3].into_iter().enumerate() {
+        let launch = ControlInput::Launch {
+            host,
+            ip: Ipv4Addr::instance(k as u32 + 1),
+            lease_mbps: BIG_LEASE_MBPS,
+        };
+        assert_eq!(actor.process(t0, launch).placed, Some(Placed::Nic(host)));
+    }
+
+    // NICs 2 and 3 keep reporting; NICs 0 and 1 fall silent together.
+    let t1 = t0 + deadline(cfg().telemetry_period) + poll();
+    for nic in [2, 3] {
+        actor.process(t1, ControlInput::Telemetry { nic, load_bytes: 0 });
+    }
+    let fx = actor.process(t1, ControlInput::Tick(Check::Nics));
+    assert_eq!(actor.failovers, 2);
+    assert_eq!(
+        fx.orders.len(),
+        1,
+        "room for one of the two: {:?}",
+        fx.orders
+    );
+    for order in fx.orders {
+        actor.process(t1, ControlInput::Accepted { order, sent_at: t1 });
+    }
+    for n in actor.books().nics.iter().flatten() {
+        assert!(n.allocated_mbps <= n.capacity_mbps, "{n:?}");
+    }
+    assert_eq!(
+        actor.books().nics[3].as_ref().map(|n| n.allocated_mbps),
+        Some(90_000)
+    );
+    assert!(actor.consistent_with_log());
 }

@@ -17,13 +17,25 @@
 //! (the BTree's tick was strictly monotonic, so address tiebreaks never
 //! fired).
 //!
+//! Lines a prefetch window filled and nothing has touched since are held
+//! apart, as clean *unread* lines ([`HostCache::fill_unread`]): one record
+//! per fill of consecutive lines, with their bytes and a bit per line still
+//! held. They count for [`HostCache::contains`], [`HostCache::len`] and the
+//! victim choice, but a line enters the slab and the recency list only when
+//! something touches it (a read, a store, a `clwb`) or replaces it; a
+//! `clflushopt` just clears its bit. A touch puts a line at the MRU end
+//! however it was held, so where an unread line waited does not matter once
+//! it is touched; until then its place in the recency order is its *stamp*,
+//! the access tick at its fill, and eviction takes the older of the recency
+//! list's head and the oldest unread line (DESIGN.md §7.5).
+//!
 //! The index is addressed, not hashed: a polling core walks the adjacent
 //! lines of a ring, a prefetch window or a payload buffer, and adjacent
 //! pool lines have adjacent index entries — the 16 lines of a receiver's
 //! prefetch window share one 64 B line of the *real* CPU's cache, where a
 //! hash would scatter them over 16.
 
-use oasis_sim::time::SimTime;
+use oasis_sim::time::{SimDuration, SimTime};
 
 use crate::LINE;
 
@@ -50,6 +62,95 @@ struct Link {
 
 /// Sentinel slab index for "no slot" (and leaf index for "no leaf").
 const NIL: u32 = u32::MAX;
+
+/// Set in a [`LineTable`] entry that names an unread line: the other bits
+/// are the index of its [`Fill`], not a slab slot.
+const UNREAD: u32 = 1 << 31;
+
+/// Most lines one [`Fill`] holds (its `live` mask is one `u64`).
+pub(crate) const FILL_LINES: u64 = 64;
+
+/// Consecutive lines one prefetch call filled and nothing has touched since:
+/// line `k` is at `first + k·LINE`, holds `data[k·LINE..]`, is ready at
+/// `ready0 + k·step_ns` and has stamp `stamp0 + k`.
+struct Fill {
+    first: u64,
+    /// Bit `k` set while line `k` is still held here.
+    live: u64,
+    stamp0: u64,
+    ready0: SimTime,
+    step_ns: u64,
+    data: Vec<u8>,
+}
+
+impl Fill {
+    /// Line `k` as a clean cache line.
+    #[inline]
+    fn line(&self, k: u64) -> CacheLine {
+        let mut data = [0u8; LINE as usize];
+        let at = (k * LINE) as usize;
+        data.copy_from_slice(&self.data[at..at + LINE as usize]);
+        CacheLine {
+            data,
+            dirty: false,
+            ready_at: self.ready0 + SimDuration::from_nanos(k * self.step_ns),
+        }
+    }
+
+    /// Index of the line at `line_addr`.
+    #[inline]
+    fn k(&self, line_addr: u64) -> u64 {
+        (line_addr - self.first) / LINE
+    }
+}
+
+/// The two ends of a list threaded through [`HostCache`]'s links.
+#[derive(Clone, Copy)]
+struct Ends {
+    /// Oldest (for the recency list: the LRU line, the eviction victim).
+    head: u32,
+    /// Newest.
+    tail: u32,
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends {
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// Detach slot `i` (it stays in the slab).
+    #[inline]
+    fn unlink(&mut self, links: &mut [Link], i: u32) {
+        let Link { prev, next } = links[i as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            links[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            links[next as usize].prev = prev;
+        }
+    }
+
+    /// Attach slot `i` at the tail.
+    #[inline]
+    fn push(&mut self, links: &mut [Link], i: u32) {
+        let old_tail = self.tail;
+        links[i as usize] = Link {
+            prev: old_tail,
+            next: NIL,
+        };
+        if old_tail == NIL {
+            self.head = i;
+        } else {
+            links[old_tail as usize].next = i;
+        }
+        self.tail = i;
+    }
+}
 
 /// Pool lines per [`LineTable`] leaf: one 4 KiB page.
 const LEAF_LINES: usize = 64;
@@ -128,6 +229,15 @@ impl LineTable {
         self.len += 1;
     }
 
+    /// Re-point a present line at `slot`.
+    #[inline]
+    fn set(&mut self, line_addr: u64, slot: u32) {
+        let (page, i) = Self::split(line_addr);
+        let leaf = self.dir[page] as usize;
+        debug_assert_ne!(self.leaves[leaf].0[i], NIL);
+        self.leaves[leaf].0[i] = slot;
+    }
+
     fn remove(&mut self, line_addr: u64) -> Option<u32> {
         let (page, i) = Self::split(line_addr);
         let leaf = *self.dir.get(page)?;
@@ -145,6 +255,73 @@ impl LineTable {
         Some(slot)
     }
 
+    /// `(page, first index, lines)` of each page's part of the `n` lines
+    /// from `first`.
+    fn pages(first: u64, n: u64) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (mut page, mut i) = Self::split(first);
+        let mut left = n as usize;
+        std::iter::from_fn(move || {
+            let here = left.min(LEAF_LINES - i);
+            let seg = (here > 0).then_some((page, i, here))?;
+            (page, i, left) = (page + 1, 0, left - here);
+            Some(seg)
+        })
+    }
+
+    /// Does every one of the `n` lines from `first` have an entry that
+    /// `keep` accepts (`NIL` for an absent line)?
+    fn all(&self, first: u64, n: u64, keep: impl Fn(u32) -> bool) -> bool {
+        Self::pages(first, n).all(|(page, i, here)| {
+            match self
+                .dir
+                .get(page)
+                .and_then(|&leaf| self.leaves.get(leaf as usize))
+            {
+                Some(leaf) => leaf.0[i..i + here].iter().all(|&e| keep(e)),
+                None => keep(NIL),
+            }
+        })
+    }
+
+    /// Map the `n` absent lines from `first` to `slot`.
+    fn insert_run(&mut self, first: u64, n: u64, slot: u32) {
+        for (page, i, here) in Self::pages(first, n) {
+            if page >= self.dir.len() {
+                self.dir.resize(page + 1, NIL);
+            }
+            let mut leaf = self.dir[page];
+            if leaf == NIL {
+                leaf = self.free.pop().unwrap_or_else(|| {
+                    self.leaves.push(Leaf([NIL; LEAF_LINES]));
+                    self.live.push(0);
+                    (self.leaves.len() - 1) as u32
+                });
+                self.dir[page] = leaf;
+            }
+            let entries = &mut self.leaves[leaf as usize].0[i..i + here];
+            debug_assert!(entries.iter().all(|&e| e == NIL));
+            entries.fill(slot);
+            self.live[leaf as usize] += here as u32;
+        }
+        self.len += n as usize;
+    }
+
+    /// Unmap the `n` present lines from `first`.
+    fn remove_run(&mut self, first: u64, n: u64) {
+        for (page, i, here) in Self::pages(first, n) {
+            let leaf = self.dir[page];
+            let entries = &mut self.leaves[leaf as usize].0[i..i + here];
+            debug_assert!(entries.iter().all(|&e| e != NIL));
+            entries.fill(NIL);
+            self.live[leaf as usize] -= here as u32;
+            if self.live[leaf as usize] == 0 {
+                self.dir[page] = NIL;
+                self.free.push(leaf);
+            }
+        }
+        self.len -= n as usize;
+    }
+
     /// Forget every line, keeping the allocations.
     fn clear(&mut self) {
         self.dir.clear();
@@ -157,21 +334,31 @@ impl LineTable {
 
 /// A host's cache of pool lines, keyed by line base address.
 ///
-/// Slot storage is struct-of-arrays: `addrs`/`lines`/`links` are parallel
-/// vectors indexed by slab slot.
+/// Slot storage is struct-of-arrays: `addrs`/`lines`/`links`/`stamps` are
+/// parallel vectors indexed by slab slot. Unread lines live in `fills`
+/// instead, linked in fill (stamp) order through `fill_links`.
 pub struct HostCache {
     addrs: Vec<u64>,
     lines: Vec<CacheLine>,
     links: Vec<Link>,
-    /// Line base address → slab index.
+    /// The access tick at each slot's last touch or insert.
+    stamps: Vec<u64>,
+    /// Line base address → slab index, or `UNREAD | index into fills`.
     index: LineTable,
-    /// LRU end of the recency list (eviction victim).
-    head: u32,
-    /// MRU end of the recency list.
-    tail: u32,
+    /// The recency list, LRU (head) to MRU (tail).
+    lru: Ends,
     /// Head of the free-slot chain (linked through `Link::next`).
     free: u32,
+    /// Unread fills (a spent one stays, empty, for reuse).
+    fills: Vec<Fill>,
+    fill_links: Vec<Link>,
+    /// The fills holding unread lines, oldest first.
+    unread: Ends,
+    /// Spent fills.
+    free_fills: Vec<u32>,
     capacity: usize,
+    /// Access counter: the next stamp.
+    tick: u64,
 }
 
 /// A victim line evicted to make room; dirty victims must be written back by
@@ -188,16 +375,21 @@ impl HostCache {
     /// 4096 lines (256 KiB), enough for a polling core's working set
     /// including a full 8192-slot 16 B message ring.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        assert!(capacity > 0 && capacity < UNREAD as usize);
         HostCache {
             addrs: Vec::new(),
             lines: Vec::new(),
             links: Vec::new(),
+            stamps: Vec::new(),
             index: LineTable::new(),
-            head: NIL,
-            tail: NIL,
+            lru: Ends::EMPTY,
             free: NIL,
+            fills: Vec::new(),
+            fill_links: Vec::new(),
+            unread: Ends::EMPTY,
+            free_fills: Vec::new(),
             capacity,
+            tick: 0,
         }
     }
 
@@ -221,93 +413,23 @@ impl HostCache {
         self.index.get(line_addr).is_some()
     }
 
-    /// Detach slot `i` from the recency list (it stays in the slab).
-    fn unlink(&mut self, i: u32) {
-        let Link { prev, next } = self.links[i as usize];
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.links[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.links[next as usize].prev = prev;
-        }
+    /// Is the line present as an unread line: filled by a prefetch window
+    /// ([`crate::HostCtx::prefetch_lines`]) and not touched since?
+    pub fn is_unread(&self, line_addr: u64) -> bool {
+        self.index.get(line_addr).is_some_and(|i| i & UNREAD != 0)
     }
 
-    /// Attach slot `i` at the MRU tail.
-    fn link_mru(&mut self, i: u32) {
-        let old_tail = self.tail;
-        self.links[i as usize] = Link {
-            prev: old_tail,
-            next: NIL,
-        };
-        if old_tail == NIL {
-            self.head = i;
-        } else {
-            self.links[old_tail as usize].next = i;
-        }
-        self.tail = i;
+    /// Stamp slot `i` with the next access tick.
+    #[inline]
+    fn stamp(&mut self, i: u32) {
+        self.stamps[i as usize] = self.tick;
+        self.tick += 1;
     }
 
-    /// Access a present line, refreshing its LRU position. Returns `None` on
-    /// miss.
-    pub fn touch(&mut self, line_addr: u64) -> Option<&mut CacheLine> {
-        let i = self.index.get(line_addr)?;
-        if self.tail != i {
-            self.unlink(i);
-            self.link_mru(i);
-        }
-        Some(&mut self.lines[i as usize])
-    }
-
-    /// Look at a line without refreshing LRU (used by assertions/tests).
-    pub fn get(&self, line_addr: u64) -> Option<&CacheLine> {
-        let i = self.index.get(line_addr)?;
-        Some(&self.lines[i as usize])
-    }
-
-    /// Insert (or replace) a line, evicting the LRU victim if at capacity.
-    pub fn insert(
-        &mut self,
-        line_addr: u64,
-        data: [u8; LINE as usize],
-        dirty: bool,
-        ready_at: SimTime,
-    ) -> Option<Evicted> {
-        // Replacing an existing line never evicts.
-        if let Some(i) = self.index.get(line_addr) {
-            let line = &mut self.lines[i as usize];
-            line.data = data;
-            line.dirty = dirty;
-            line.ready_at = ready_at;
-            if self.tail != i {
-                self.unlink(i);
-                self.link_mru(i);
-            }
-            return None;
-        }
-        let line = CacheLine {
-            data,
-            dirty,
-            ready_at,
-        };
-        let mut victim = None;
-        let slot = if self.index.len >= self.capacity {
-            // Reuse the LRU victim's slot for the incoming line.
-            let i = self.head;
-            self.unlink(i);
-            let old_addr = self.addrs[i as usize];
-            self.index.remove(old_addr);
-            victim = Some(Evicted {
-                addr: old_addr,
-                line: self.lines[i as usize],
-            });
-            self.addrs[i as usize] = line_addr;
-            self.lines[i as usize] = line;
-            i
-        } else if self.free != NIL {
+    /// Take a free slab slot for `line` at `line_addr` (index and list are
+    /// the caller's).
+    fn alloc_slot(&mut self, line_addr: u64, line: CacheLine) -> u32 {
+        if self.free != NIL {
             let i = self.free;
             self.free = self.links[i as usize].next;
             self.addrs[i as usize] = line_addr;
@@ -320,18 +442,224 @@ impl HostCache {
                 prev: NIL,
                 next: NIL,
             });
+            self.stamps.push(0);
             (self.addrs.len() - 1) as u32
+        }
+    }
+
+    /// Unread line `line_addr`, held by fill `f`.
+    #[inline]
+    fn unread_line(&self, f: u32, line_addr: u64) -> CacheLine {
+        let fill = &self.fills[f as usize];
+        fill.line(fill.k(line_addr))
+    }
+
+    /// Take unread line `line_addr` out of fill `f` (the index entry is the
+    /// caller's); a fill left with no line is spent.
+    fn forget_unread(&mut self, f: u32, line_addr: u64) {
+        let fill = &mut self.fills[f as usize];
+        fill.live &= !(1 << fill.k(line_addr));
+        if fill.live == 0 {
+            self.unread.unlink(&mut self.fill_links, f);
+            self.free_fills.push(f);
+        }
+    }
+
+    /// The slot of a present line, moved to the MRU end of the recency list
+    /// and stamped (an unread line enters the slab for it). Always inlined:
+    /// it is every hit's path.
+    #[inline(always)]
+    fn touch_slot(&mut self, line_addr: u64) -> Option<u32> {
+        let mut i = self.index.get(line_addr)?;
+        if i & UNREAD != 0 {
+            i = self.materialize(i & !UNREAD, line_addr);
+        } else if self.lru.tail != i {
+            self.lru.unlink(&mut self.links, i);
+            self.lru.push(&mut self.links, i);
+        }
+        self.stamp(i);
+        Some(i)
+    }
+
+    /// Move unread line `line_addr` out of fill `f` into a slab slot at the
+    /// MRU end of the recency list; returns the slot.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, f: u32, line_addr: u64) -> u32 {
+        let line = self.unread_line(f, line_addr);
+        self.forget_unread(f, line_addr);
+        let i = self.alloc_slot(line_addr, line);
+        self.index.set(line_addr, i);
+        self.lru.push(&mut self.links, i);
+        i
+    }
+
+    /// Access a present line, refreshing its LRU position. Returns `None` on
+    /// miss.
+    pub fn touch(&mut self, line_addr: u64) -> Option<&mut CacheLine> {
+        let i = self.touch_slot(line_addr)?;
+        Some(&mut self.lines[i as usize])
+    }
+
+    /// Look at a line without refreshing LRU (used by assertions/tests).
+    pub fn get(&self, line_addr: u64) -> Option<CacheLine> {
+        let i = self.index.get(line_addr)?;
+        Some(if i & UNREAD != 0 {
+            self.unread_line(i & !UNREAD, line_addr)
+        } else {
+            self.lines[i as usize]
+        })
+    }
+
+    /// The oldest unread line: `(stamp, line address)`.
+    fn oldest_unread(&self) -> Option<(u64, u64)> {
+        let fill = self.fills.get(self.unread.head as usize)?;
+        let k = u64::from(fill.live.trailing_zeros());
+        Some((fill.stamp0 + k, fill.first + k * LINE))
+    }
+
+    /// Insert (or replace) a line, evicting the LRU victim if at capacity:
+    /// the least recently used line, the older of the recency list's head
+    /// and the oldest unread line.
+    pub fn insert(
+        &mut self,
+        line_addr: u64,
+        data: [u8; LINE as usize],
+        dirty: bool,
+        ready_at: SimTime,
+    ) -> Option<Evicted> {
+        let line = CacheLine {
+            data,
+            dirty,
+            ready_at,
         };
-        self.index.insert(line_addr, slot);
-        self.link_mru(slot);
+        // Replacing an existing line never evicts.
+        if let Some(i) = self.touch_slot(line_addr) {
+            self.lines[i as usize] = line;
+            return None;
+        }
+        let mut victim = None;
+        let head = self.lru.head;
+        let i = if self.index.len < self.capacity {
+            self.alloc_slot(line_addr, line)
+        } else {
+            match self.oldest_unread() {
+                Some((stamp, addr)) if head == NIL || stamp < self.stamps[head as usize] => {
+                    victim = self.remove(addr).map(|line| Evicted { addr, line });
+                    self.alloc_slot(line_addr, line)
+                }
+                _ => {
+                    // Reuse the LRU victim's slot for the incoming line.
+                    self.lru.unlink(&mut self.links, head);
+                    let old_addr = self.addrs[head as usize];
+                    self.index.remove(old_addr);
+                    victim = Some(Evicted {
+                        addr: old_addr,
+                        line: self.lines[head as usize],
+                    });
+                    self.addrs[head as usize] = line_addr;
+                    self.lines[head as usize] = line;
+                    head
+                }
+            }
+        };
+        self.index.insert(line_addr, i);
+        self.lru.push(&mut self.links, i);
+        self.stamp(i);
         victim
+    }
+
+    /// Cache the `n` consecutive absent lines from `first` (at most
+    /// [`FILL_LINES`]) as clean *unread* lines, line `k` ready at `ready0 +
+    /// k·step_ns`, and return their bytes for the caller to write, every
+    /// one of them (they hold whatever an earlier fill left): observably
+    /// [`Self::insert`] of each clean line in address order at those
+    /// times, but held outside the slab until something touches it. There
+    /// must be room for them all: an unread fill never evicts.
+    pub(crate) fn fill_unread(
+        &mut self,
+        first: u64,
+        n: u64,
+        ready0: SimTime,
+        step_ns: u64,
+    ) -> &mut [u8] {
+        assert!(
+            (1..=FILL_LINES).contains(&n) && self.index.len + n as usize <= self.capacity,
+            "an unread fill of {n} lines must fit without evicting"
+        );
+        let f = match self.free_fills.pop() {
+            Some(f) => f,
+            None => {
+                self.fills.push(Fill {
+                    first: 0,
+                    live: 0,
+                    stamp0: 0,
+                    ready0: SimTime::ZERO,
+                    step_ns: 0,
+                    data: Vec::new(),
+                });
+                self.fill_links.push(Link {
+                    prev: NIL,
+                    next: NIL,
+                });
+                (self.fills.len() - 1) as u32
+            }
+        };
+        self.unread.push(&mut self.fill_links, f);
+        self.index.insert_run(first, n, UNREAD | f);
+        let fill = &mut self.fills[f as usize];
+        fill.first = first;
+        fill.live = u64::MAX >> (FILL_LINES - n);
+        fill.stamp0 = self.tick;
+        fill.ready0 = ready0;
+        fill.step_ns = step_ns;
+        self.tick += n;
+        fill.data.resize((n * LINE) as usize, 0);
+        &mut fill.data
+    }
+
+    /// Are all `n` lines from `first` absent?
+    pub(crate) fn holds_none(&self, first: u64, n: u64) -> bool {
+        self.index.all(first, n, |e| e == NIL)
+    }
+
+    /// If all `n` lines from `first` are unread lines, drop them and return
+    /// true: observably [`Self::remove`] of each. Otherwise change nothing.
+    pub(crate) fn drop_unread(&mut self, first: u64, n: u64) -> bool {
+        if n == 0 || !self.index.all(first, n, |e| e != NIL && e & UNREAD != 0) {
+            return false;
+        }
+        // A stretch at a time: the lines from `la` that one fill holds.
+        let end = first + n * LINE;
+        let mut la = first;
+        while let Some(f) = self.index.get(la).filter(|_| la < end) {
+            let f = f & !UNREAD;
+            let fill = &mut self.fills[f as usize];
+            let k = fill.k(la);
+            let held = u64::from((fill.live >> k).trailing_ones());
+            let m = held.min((end - la) / LINE);
+            fill.live &= !((u64::MAX >> (FILL_LINES - m)) << k);
+            if fill.live == 0 {
+                self.unread.unlink(&mut self.fill_links, f);
+                self.free_fills.push(f);
+            }
+            la += m * LINE;
+        }
+        self.index.remove_run(first, n);
+        true
     }
 
     /// Remove a line (CLFLUSHOPT). Returns it so the caller can write back a
     /// dirty victim.
     pub fn remove(&mut self, line_addr: u64) -> Option<CacheLine> {
         let i = self.index.remove(line_addr)?;
-        self.unlink(i);
+        if i & UNREAD != 0 {
+            let f = i & !UNREAD;
+            let line = self.unread_line(f, line_addr);
+            self.forget_unread(f, line_addr);
+            return Some(line);
+        }
+        self.lru.unlink(&mut self.links, i);
         self.links[i as usize].next = self.free;
         self.free = i;
         // `CacheLine` is `Copy`: the stale bytes stay in the free slot (it
@@ -340,29 +668,43 @@ impl HostCache {
     }
 
     /// Every cached line in LRU→MRU order, refreshing nothing (used by
-    /// assertions/tests).
-    pub fn lru_lines(&self) -> impl Iterator<Item = (u64, &CacheLine)> + '_ {
-        let mut i = self.head;
-        std::iter::from_fn(move || {
-            let at = (i != NIL).then_some(i as usize)?;
+    /// assertions/tests): the recency list and the unread lines merged by
+    /// stamp.
+    pub fn lru_lines(&self) -> impl Iterator<Item = (u64, CacheLine)> + '_ {
+        let mut all: Vec<(u64, u64, CacheLine)> = Vec::with_capacity(self.index.len);
+        let mut i = self.lru.head;
+        while i != NIL {
+            let at = i as usize;
+            all.push((self.stamps[at], self.addrs[at], self.lines[at]));
             i = self.links[at].next;
-            Some((self.addrs[at], &self.lines[at]))
-        })
+        }
+        let mut f = self.unread.head;
+        while f != NIL {
+            let fill = &self.fills[f as usize];
+            let live = (0..FILL_LINES).filter(|&k| fill.live & (1 << k) != 0);
+            all.extend(live.map(|k| (fill.stamp0 + k, fill.first + k * LINE, fill.line(k))));
+            f = self.fill_links[f as usize].next;
+        }
+        all.sort_unstable_by_key(|&(stamp, _, _)| stamp);
+        all.into_iter().map(|(_, addr, line)| (addr, line))
     }
 
-    /// Drop everything (e.g. host reset in failure tests). Dirty lines are
-    /// returned in LRU→MRU order — the recency list itself, which is already
-    /// deterministic — without any intermediate allocation or sort.
+    /// Drop everything (e.g. host reset in failure tests). Lines are
+    /// returned in LRU→MRU order ([`Self::lru_lines`]), which is
+    /// deterministic.
     pub fn drain(&mut self) -> Vec<(u64, CacheLine)> {
-        let mut out = Vec::with_capacity(self.index.len);
-        out.extend(self.lru_lines().map(|(addr, line)| (addr, *line)));
+        let out = self.lru_lines().collect();
         self.addrs.clear();
         self.lines.clear();
         self.links.clear();
+        self.stamps.clear();
         self.index.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.lru = Ends::EMPTY;
         self.free = NIL;
+        self.fills.clear();
+        self.fill_links.clear();
+        self.unread = Ends::EMPTY;
+        self.free_fills.clear();
         out
     }
 }
@@ -714,9 +1056,30 @@ mod tests {
     /// Every operation the cache supports, drawn randomly.
     #[derive(Clone, Debug)]
     enum Op {
-        Insert { addr: u64, byte: u8, dirty: bool },
-        Touch { addr: u64 },
-        Remove { addr: u64 },
+        Insert {
+            addr: u64,
+            byte: u8,
+            dirty: bool,
+        },
+        /// A prefetch fill of `n` consecutive lines (a no-op unless all are
+        /// absent and fit without evicting).
+        FillUnread {
+            addr: u64,
+            n: u64,
+            byte: u8,
+            step: u64,
+        },
+        /// A window flush: drop `n` lines if all are unread.
+        DropUnread {
+            addr: u64,
+            n: u64,
+        },
+        Touch {
+            addr: u64,
+        },
+        Remove {
+            addr: u64,
+        },
         Drain,
     }
 
@@ -729,6 +1092,23 @@ mod tests {
                 byte,
                 dirty
             }),
+            (0u64..32, 1u64..5, any::<u8>(), 0u64..3).prop_map(|(l, n, byte, step)| {
+                Op::FillUnread {
+                    addr: l * 64,
+                    n,
+                    byte,
+                    step,
+                }
+            }),
+            (0u64..32, 1u64..5, any::<u8>(), 0u64..3).prop_map(|(l, n, byte, step)| {
+                Op::FillUnread {
+                    addr: l * 64,
+                    n,
+                    byte,
+                    step,
+                }
+            }),
+            (0u64..32, 1u64..5).prop_map(|(l, n)| Op::DropUnread { addr: l * 64, n }),
             (0u64..32).prop_map(|l| Op::Touch { addr: l * 64 }),
             (0u64..32).prop_map(|l| Op::Remove { addr: l * 64 }),
             Just(Op::Drain),
@@ -739,7 +1119,9 @@ mod tests {
         /// Cross-check the intrusive-list cache against the original
         /// BTreeSet implementation (the `reference` module): identical
         /// evictions (address, data, dirtiness), identical hit/miss
-        /// behaviour, identical contents, identical drain order.
+        /// behaviour, identical contents, identical drain order. An unread
+        /// fill is checked against the reference's plain inserts of the same
+        /// clean lines.
         #[test]
         fn lru_cross_check(
             capacity in prop_oneof![Just(1usize), Just(2), Just(7), Just(16)],
@@ -767,6 +1149,33 @@ mod tests {
                             ),
                         }
                     }
+                    Op::FillUnread { addr, n, byte, step } => {
+                        let lines = (0..n).map(|k| addr + k * 64);
+                        if new.len() + n as usize > capacity
+                            || lines.clone().any(|la| new.contains(la))
+                        {
+                            continue;
+                        }
+                        let data: Vec<u8> = (0..n)
+                            .flat_map(|k| line_of(byte.wrapping_add(k as u8)))
+                            .collect();
+                        let ready = SimTime::from_nanos(u64::from(byte));
+                        new.fill_unread(addr, n, ready, step).copy_from_slice(&data);
+                        for (k, la) in lines.enumerate() {
+                            let k = k as u64;
+                            let at = ready + SimDuration::from_nanos(k * step);
+                            let b = old.insert(la, line_of(byte.wrapping_add(k as u8)), false, at);
+                            prop_assert!(b.is_none(), "the reference evicted for an unread fill");
+                        }
+                    }
+                    Op::DropUnread { addr, n } => {
+                        let unread = (0..n).all(|k| new.is_unread(addr + k * 64));
+                        prop_assert_eq!(new.drop_unread(addr, n), unread);
+                        for k in (0..n).filter(|_| unread) {
+                            let b = old.remove(addr + k * 64).map(|l| l.dirty);
+                            prop_assert_eq!(b, Some(false), "line {} of a dropped run", k);
+                        }
+                    }
                     Op::Touch { addr } => {
                         let a = new.touch(addr).map(|l| (l.data, l.dirty));
                         let b = old.touch(addr).map(|l| (l.data, l.dirty));
@@ -792,6 +1201,11 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(new.len(), old.len());
+                for l in 0..32u64 {
+                    let a = new.get(l * 64).map(|l| (l.data, l.dirty, l.ready_at));
+                    let b = old.get(l * 64).map(|l| (l.data, l.dirty, l.ready_at));
+                    prop_assert_eq!(a, b, "line {} diverged", l);
+                }
             }
         }
     }

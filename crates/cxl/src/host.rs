@@ -15,7 +15,7 @@
 
 use oasis_sim::time::{SimDuration, SimTime};
 
-use crate::cache::HostCache;
+use crate::cache::{HostCache, FILL_LINES};
 use crate::cost::CostModel;
 use crate::pool::{CxlPool, PortId};
 use crate::{line_base, lines_covering, LINE};
@@ -453,8 +453,19 @@ impl HostCtx {
     /// `CLFLUSHOPT` of every line of `[addr, addr+len)`, in address order
     /// (a zero-length range still covers its containing line): per line
     /// exactly [`Self::clflushopt`], with consecutive dirty lines posted as
-    /// one run like [`Self::clwb_range`].
+    /// one run like [`Self::clwb_range`]. A range of unread lines (a
+    /// receiver's prefetch window, [`Self::prefetch_lines`]) is dropped in
+    /// one step and each line charged the flush of a clean line.
     pub fn clflushopt_range(&mut self, pool: &mut CxlPool, addr: u64, len: u64) {
+        // Unread lines are clean: each flush drops one and posts nothing.
+        let first = line_base(addr);
+        let n = (line_base(addr + len.max(1) - 1) - first) / LINE + 1;
+        if self.cache.drop_unread(first, n) {
+            for la in lines_covering(addr, len) {
+                self.flush_unread_fill(pool, la);
+            }
+            return;
+        }
         let step = self.costs.clflushopt_ns;
         for la in lines_covering(addr, len) {
             if !self.clflushopt_line(pool, la) {
@@ -480,8 +491,9 @@ impl HostCtx {
         pool.san.on_fence(self.port, had_inflight, self.clock);
     }
 
-    /// The `CLFLUSHOPT` of a line filled by a miss and neither read again
-    /// nor written since: present and clean, so it posts nothing.
+    /// The `CLFLUSHOPT` of a line filled by a miss or a prefetch and
+    /// neither read again nor written since: present and clean, so it posts
+    /// nothing.
     #[inline]
     fn flush_unread_fill(&mut self, pool: &mut CxlPool, la: u64) {
         self.stats.flushes += 1;
@@ -601,12 +613,7 @@ impl HostCtx {
             }
             self.stats.prefetches += 1;
             let data = pool.fetch_line(self.clock, self.port, la);
-            let ready = self.clock + SimDuration::from_nanos(self.costs.cxl_load_ns);
-            if let Some(v) = self.cache.insert(la, data, false, ready) {
-                self.evict(pool, v);
-            }
-            #[cfg(feature = "sanitize")]
-            pool.san.on_prefetch_fill(self.port, la);
+            self.prefetched(pool, la, Some(data));
         }
     }
 
@@ -623,12 +630,72 @@ impl HostCtx {
         }
         self.stats.prefetches += 1;
         let data = pool.fetch_line(self.clock, self.port, la);
-        let ready = self.clock + SimDuration::from_nanos(self.costs.cxl_load_ns);
-        if let Some(v) = self.cache.insert(la, data, false, ready) {
-            self.evict(pool, v);
+        self.prefetched(pool, la, Some(data));
+    }
+
+    /// The fill behind a prefetch issued now: cache `data`, ready
+    /// `cxl_load_ns` later (`None`: the caller has cached the line), and
+    /// tell the sanitizer.
+    fn prefetched(&mut self, pool: &mut CxlPool, la: u64, data: Option<[u8; LINE as usize]>) {
+        if let Some(data) = data {
+            let ready = self.clock + SimDuration::from_nanos(self.costs.cxl_load_ns);
+            if let Some(v) = self.cache.insert(la, data, false, ready) {
+                self.evict(pool, v);
+            }
         }
         #[cfg(feature = "sanitize")]
         pool.san.on_prefetch_fill(self.port, la);
+    }
+
+    /// `PREFETCHT0` of the `n` consecutive lines from the one holding
+    /// `addr`: observably [`Self::prefetch`] of each, in address order.
+    ///
+    /// When every line is absent, the fills would evict nothing and no
+    /// posted write-back lands while they are issued, the lines are fetched
+    /// as [`CxlPool::fetch_lines`] runs at the instants the calls would
+    /// fetch them (landing, meters, `obs` bins) and held as unread lines
+    /// ([`HostCache::fill_unread`]) until something touches them, with the
+    /// sanitizer told the same prefetch fills (DESIGN.md §7.5). Otherwise
+    /// the calls run.
+    pub fn prefetch_lines(&mut self, pool: &mut CxlPool, addr: u64, n: u64) {
+        let first = line_base(addr);
+        let step = self.costs.prefetch_issue_ns;
+        let t0 = self.clock + SimDuration::from_nanos(step);
+        let last = self.clock + SimDuration::from_nanos(n * step);
+        let fast = n > 0
+            && self.cache.len() as u64 + n <= self.cache.capacity() as u64
+            && self.cache.holds_none(first, n)
+            && {
+                // What the first call's fetch does; a landing after it would
+                // come between two fills.
+                pool.apply_pending(t0);
+                pool.next_landing() > last
+            };
+        if !fast {
+            for i in 0..n {
+                self.prefetch(pool, first + i * LINE);
+            }
+            return;
+        }
+        self.stats.prefetches += n;
+        let end = first + n * LINE;
+        let mut la = first;
+        while la < end {
+            // A run: at most one fill's lines, within one class span.
+            let span_end = line_base(pool.class_span_end(la) - 1) + LINE;
+            let run_end = end.min(span_end).min(la + FILL_LINES * LINE);
+            let t = self.clock + SimDuration::from_nanos(step);
+            let ready = t + SimDuration::from_nanos(self.costs.cxl_load_ns);
+            let lines = self
+                .cache
+                .fill_unread(la, (run_end - la) / LINE, ready, step);
+            pool.fetch_lines(t, step, self.port, la, lines);
+            for k in (la..run_end).step_by(LINE as usize) {
+                self.clock += SimDuration::from_nanos(step);
+                self.prefetched(pool, k, None);
+            }
+            la = run_end;
+        }
     }
 
     /// Sanitizer annotation: declare that `[addr, addr+len)` has just been

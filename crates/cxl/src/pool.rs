@@ -478,25 +478,36 @@ impl CxlPool {
     ) {
         let class = self.classify(line_addr);
         self.meters[port.0].read_bytes[class.index()] += n * LINE;
-        // One timeline add per bin the instants fall in, not one per fetch
-        // (a 10 ms bin holds thousands of ~2 µs rounds).
-        #[cfg(feature = "obs")]
-        {
-            let mut done = 0;
-            while done < n {
-                let at = first_at + SimDuration::from_nanos(done * every_ns);
-                let bin_ns = self.tl_xfer[port.0].bin_ns();
-                let left_in_bin = bin_ns - 1 - at.as_nanos() % bin_ns;
-                let here = match left_in_bin.checked_div(every_ns) {
-                    Some(more) => (more + 1).min(n - done),
-                    None => n - done,
-                };
-                self.note_xfer(at, port, here * LINE);
-                done += here;
-            }
+        self.note_line_xfers(port, n, first_at, every_ns);
+    }
+
+    /// Bin `n` line transfers on `port` at `first_at`, `first_at +
+    /// every_ns`, …: one timeline add per bin the instants fall in, not one
+    /// per line (a 10 ms bin holds thousands of ~2 µs rounds).
+    #[cfg(feature = "obs")]
+    fn note_line_xfers(&mut self, port: PortId, n: u64, first_at: SimTime, every_ns: u64) {
+        let mut done = 0;
+        while done < n {
+            let at = first_at + SimDuration::from_nanos(done * every_ns);
+            let bin_ns = self.tl_xfer[port.0].bin_ns();
+            let left_in_bin = bin_ns - 1 - at.as_nanos() % bin_ns;
+            let here = match left_in_bin.checked_div(every_ns) {
+                Some(more) => (more + 1).min(n - done),
+                None => n - done,
+            };
+            self.note_xfer(at, port, here * LINE);
+            done += here;
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (first_at, every_ns);
+    }
+
+    #[cfg(not(feature = "obs"))]
+    #[inline(always)]
+    fn note_line_xfers(&mut self, _port: PortId, _n: u64, _first_at: SimTime, _every_ns: u64) {}
+
+    /// When the next posted write-back lands (`SimTime::MAX`: none is in
+    /// flight). Only [`Self::apply_pending`] moves it.
+    pub(crate) fn next_landing(&self) -> SimTime {
+        self.next_due
     }
 
     /// Apply all posted write-backs that have become visible by `now`.
@@ -655,7 +666,7 @@ impl CxlPool {
         self.apply_pending(t0);
         let class = self.classify(line_addr);
         self.meters[port.0].read_bytes[class.index()] += out.len() as u64;
-        self.note_xfer(t0, port, out.len() as u64);
+        self.note_line_xfers(port, n_lines, t0, step_ns);
         let base = line_addr as usize;
         out.copy_from_slice(&self.mem[base..base + out.len()]);
         // Per-line fix-ups for writes still in flight after the t0 apply:

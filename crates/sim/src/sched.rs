@@ -16,9 +16,14 @@
 //! Determinism: equal wake times dispatch in ascending actor-id order, so a
 //! pod that registers its components in a fixed order replays bit-identically
 //! run after run. Registration order *is* the priority order on ties.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! The queue is one wake key per actor and an exact minimum over
+//! `(wake, id)`: a wake is a store, registering an actor is a push, and no
+//! entry is ever stale. For the two or three dozen actors a pod registers, a
+//! scan of one contiguous array beats a heap's push and pop (and the stale
+//! entries a heap without deletion leaves behind). The heap this replaced is
+//! kept as a `#[cfg(test)]` reference model that the queue is checked
+//! against.
 
 use crate::time::SimTime;
 
@@ -62,7 +67,9 @@ impl StepCtx {
 pub struct SchedStats {
     /// Total dispatches across the run.
     pub dispatches: u64,
-    /// Superseded heap entries filtered on pop.
+    /// Superseded queue entries filtered on dispatch. The queue keeps one
+    /// exact key per actor, so this stays 0; it is still exported, as
+    /// `sim.sched_stale_skips`, for the readers that expect it.
     pub stale_skips: u64,
     /// Dispatch count per actor id.
     pub actor_polls: Vec<u64>,
@@ -93,13 +100,10 @@ impl SchedStats {
 /// an actor is: `run_until` hands `(world, actor_id, now)` to the closure and
 /// obeys the returned [`StepOutcome`].
 pub struct Scheduler {
-    /// Min-heap on `(wake time, actor id)`: earliest first, lowest actor id
-    /// on ties. Entries are never deleted; stale ones (superseded by an
-    /// earlier `wake`) are filtered against `pending` on pop.
-    queue: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Wake generation per actor: lets `wake` supersede a later scheduled
-    /// wake-up without having to delete heap entries.
-    pending: Vec<Option<SimTime>>,
+    /// Each actor's next dispatch time, `SimTime::MAX` when it has none:
+    /// the next dispatch is the minimum `(wake, id)`, earliest first and
+    /// lowest actor id on ties.
+    wake: Vec<SimTime>,
     now: SimTime,
     /// The [`StepCtx`] wake buffer between dispatches (empty; kept for its
     /// allocation, so a dispatch does not pay a `malloc`/`free` pair).
@@ -121,8 +125,7 @@ impl Scheduler {
     /// Create an empty scheduler at time zero.
     pub fn new() -> Self {
         Scheduler {
-            queue: BinaryHeap::new(),
-            pending: Vec::new(),
+            wake: Vec::new(),
             now: SimTime::ZERO,
             wakes: Vec::new(),
             #[cfg(feature = "obs")]
@@ -137,8 +140,7 @@ impl Scheduler {
     /// order afterwards behaves exactly as on a scheduler fresh from
     /// [`Scheduler::new`].
     pub fn clear(&mut self) {
-        self.queue.clear();
-        self.pending.clear();
+        self.wake.clear();
         self.now = SimTime::ZERO;
         #[cfg(feature = "obs")]
         {
@@ -150,8 +152,7 @@ impl Scheduler {
         }
     }
 
-    /// Telemetry collected so far (per-actor polls, stale skips,
-    /// wake-to-poll latency).
+    /// Telemetry collected so far (per-actor polls, wake-to-poll latency).
     #[cfg(feature = "obs")]
     pub fn stats(&self) -> &SchedStats {
         &self.stats
@@ -185,40 +186,25 @@ impl Scheduler {
     #[inline(always)]
     fn note_dispatch(&mut self, _actor: usize, _at: SimTime) {}
 
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn note_stale_skip(&mut self) {
-        self.stats.stale_skips += 1;
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    fn note_stale_skip(&mut self) {}
-
     /// Current simulated time (the wake time of the most recently dispatched
     /// actor).
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Register a new actor and schedule its first step at `first_wake`.
-    /// Returns the actor id.
+    /// Register a new actor and schedule its first step at `first_wake`
+    /// (`SimTime::MAX`: never, until woken). Returns the actor id.
     pub fn add_actor(&mut self, first_wake: SimTime) -> usize {
-        let id = self.pending.len();
-        self.pending.push(Some(first_wake));
+        let id = self.wake.len();
+        self.wake.push(first_wake);
         #[cfg(feature = "obs")]
         self.wake_origin.push(self.now);
-        self.queue.push(Reverse((first_wake, id)));
         id
     }
 
     /// Register a new actor that starts idle (must be woken explicitly).
     pub fn add_idle_actor(&mut self) -> usize {
-        let id = self.pending.len();
-        self.pending.push(None);
-        #[cfg(feature = "obs")]
-        self.wake_origin.push(self.now);
-        id
+        self.add_actor(SimTime::MAX)
     }
 
     /// Wake `actor` at time `at` (or earlier if it already has an earlier
@@ -226,24 +212,34 @@ impl Scheduler {
     /// caller stops dispatching it; the scheduler itself keeps no done-list.
     pub fn wake(&mut self, actor: usize, at: SimTime) {
         let at = at.max(self.now);
-        match self.pending[actor] {
-            Some(t) if t <= at => {} // already scheduled earlier
-            _ => {
-                self.pending[actor] = Some(at);
-                self.note_armed(actor);
-                self.queue.push(Reverse((at, actor)));
-            }
+        if at < self.wake[actor] {
+            self.wake[actor] = at;
+            self.note_armed(actor);
         }
     }
 
     /// Number of registered actors.
     pub fn actor_count(&self) -> usize {
-        self.pending.len()
+        self.wake.len()
+    }
+
+    /// The next dispatch: the minimum `(wake, id)`, `SimTime::MAX` when no
+    /// actor has a wake queued.
+    #[inline]
+    fn next_due(&self) -> (SimTime, usize) {
+        let mut due = (SimTime::MAX, usize::MAX);
+        for (id, &at) in self.wake.iter().enumerate() {
+            if at < due.0 {
+                due = (at, id);
+            }
+        }
+        due
     }
 
     /// Run the simulation until `deadline` (inclusive) or until no actor has
     /// pending work. `dispatch(world, actor, now)` performs one step of the
-    /// actor. Returns the time the loop stopped at.
+    /// actor. Returns the time the loop stopped at: the deadline (an actor
+    /// waking at `SimTime::MAX` never runs).
     pub fn run_until<W>(
         &mut self,
         world: &mut W,
@@ -263,23 +259,14 @@ impl Scheduler {
         deadline: SimTime,
         mut dispatch: impl FnMut(&mut W, usize, SimTime, &mut StepCtx) -> StepOutcome,
     ) -> SimTime {
-        while let Some(&Reverse((at, actor))) = self.queue.peek() {
-            if at > deadline {
+        loop {
+            let (at, actor) = self.next_due();
+            if at > deadline || at == SimTime::MAX {
                 // Leave it queued; the caller may continue later.
                 self.now = deadline;
                 break;
             }
-            self.queue.pop();
-            // Skip stale heap entries: only the entry matching the actor's
-            // current pending time is live.
-            match self.pending[actor] {
-                Some(t) if t == at => {}
-                _ => {
-                    self.note_stale_skip();
-                    continue;
-                }
-            }
-            self.pending[actor] = None;
+            self.wake[actor] = SimTime::MAX;
             self.now = at;
             self.note_dispatch(actor, at);
             let mut ctx = StepCtx {
@@ -287,10 +274,8 @@ impl Scheduler {
             };
             match dispatch(world, actor, at, &mut ctx) {
                 StepOutcome::WakeAt(next) => {
-                    let next = next.max(at);
-                    self.pending[actor] = Some(next);
+                    self.wake[actor] = next.max(at);
                     self.note_armed(actor);
-                    self.queue.push(Reverse((next, actor)));
                 }
                 StepOutcome::Idle | StepOutcome::Done => {}
             }
@@ -303,10 +288,93 @@ impl Scheduler {
     }
 }
 
+/// The lazy-deletion heap the exact queue replaced, kept as the executable
+/// specification it is cross-checked against (see `queue_cross_check`
+/// below): a min-heap on `(wake, id)` whose superseded entries are filtered
+/// against each actor's live wake on pop.
+#[cfg(test)]
+pub mod reference {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::{StepCtx, StepOutcome};
+    use crate::time::SimTime;
+
+    /// Reference scheduler: `BinaryHeap` plus per-actor live wake.
+    #[derive(Default)]
+    pub struct RefScheduler {
+        queue: BinaryHeap<Reverse<(SimTime, usize)>>,
+        pending: Vec<Option<SimTime>>,
+        now: SimTime,
+    }
+
+    impl RefScheduler {
+        pub fn now(&self) -> SimTime {
+            self.now
+        }
+
+        pub fn add_actor(&mut self, first_wake: SimTime) -> usize {
+            let id = self.pending.len();
+            self.pending.push(Some(first_wake));
+            self.queue.push(Reverse((first_wake, id)));
+            id
+        }
+
+        pub fn add_idle_actor(&mut self) -> usize {
+            let id = self.pending.len();
+            self.pending.push(None);
+            id
+        }
+
+        pub fn wake(&mut self, actor: usize, at: SimTime) {
+            let at = at.max(self.now);
+            match self.pending[actor] {
+                Some(t) if t <= at => {}
+                _ => {
+                    self.pending[actor] = Some(at);
+                    self.queue.push(Reverse((at, actor)));
+                }
+            }
+        }
+
+        pub fn run_until_with<W>(
+            &mut self,
+            world: &mut W,
+            deadline: SimTime,
+            mut dispatch: impl FnMut(&mut W, usize, SimTime, &mut StepCtx) -> StepOutcome,
+        ) -> SimTime {
+            while let Some(&Reverse((at, actor))) = self.queue.peek() {
+                if at > deadline {
+                    self.now = deadline;
+                    break;
+                }
+                self.queue.pop();
+                match self.pending[actor] {
+                    Some(t) if t == at => {}
+                    _ => continue,
+                }
+                self.pending[actor] = None;
+                self.now = at;
+                let mut ctx = StepCtx { wakes: Vec::new() };
+                if let StepOutcome::WakeAt(next) = dispatch(world, actor, at, &mut ctx) {
+                    let next = next.max(at);
+                    self.pending[actor] = Some(next);
+                    self.queue.push(Reverse((next, actor)));
+                }
+                for (who, when) in ctx.wakes {
+                    self.wake(who, when);
+                }
+            }
+            self.now
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     #[test]
     fn actors_interleave_by_time() {
@@ -402,8 +470,7 @@ mod tests {
     #[test]
     fn later_wake_does_not_postpone() {
         // `wake` may only move an actor earlier: a later request while an
-        // earlier one is pending is ignored, and the stale heap entry it
-        // would have left behind is filtered on pop.
+        // earlier one is pending is ignored.
         let mut sched = Scheduler::new();
         let a = sched.add_idle_actor();
         sched.wake(a, SimTime::from_nanos(10));
@@ -630,5 +697,115 @@ mod tests {
             StepOutcome::Idle
         });
         assert_eq!(queued, vec![2, 3, 4]);
+    }
+
+    /// What one dispatch of an actor does in `queue_cross_check`.
+    #[derive(Clone, Debug)]
+    enum Reply {
+        /// `WakeAt(at + d)`, `d` possibly 0.
+        WakeAfter(u64),
+        /// `WakeAt(SimTime::MAX)`, the parked sentinel.
+        Park,
+        Idle,
+        Done,
+    }
+
+    /// One entry of a random history.
+    #[derive(Clone, Debug)]
+    enum QOp {
+        /// Register an actor, first waking `Some(t)` or idle.
+        Add(Option<u64>),
+        /// Wake an actor (index modulo the actors registered) from outside.
+        Wake(usize, u64),
+        /// Run to a deadline, `ns` past the previous one.
+        Run(u64),
+    }
+
+    fn qop() -> impl Strategy<Value = QOp> {
+        let add = || (any::<bool>(), 0u64..60).prop_map(|(idle, t)| QOp::Add((!idle).then_some(t)));
+        let wake = || (any::<usize>(), 0u64..80).prop_map(|(a, t)| QOp::Wake(a, t));
+        let run = || (0u64..50).prop_map(QOp::Run);
+        prop_oneof![add(), add(), wake(), wake(), run(), run(), run()]
+    }
+
+    fn reply() -> impl Strategy<Value = (Reply, Vec<(usize, u64)>)> {
+        let after = || (0u64..12).prop_map(Reply::WakeAfter);
+        let r = prop_oneof![
+            after(),
+            after(),
+            after(),
+            after(),
+            Just(Reply::Park),
+            Just(Reply::Idle),
+            Just(Reply::Idle),
+            Just(Reply::Done),
+        ];
+        // Cross-actor wakes from the dispatch, `ns` after (or at) its time.
+        (
+            r,
+            proptest::collection::vec((any::<usize>(), 0u64..15), 0..3),
+        )
+    }
+
+    proptest::proptest! {
+        /// The exact queue against the heap it replaced: the same
+        /// registrations, outside wakes, replies (`WakeAt`, the `MAX`
+        /// sentinel, `Idle`, `Done`), cross-actor wakes and deadlines
+        /// dispatch the same `(actor, time)` sequence.
+        ///
+        /// Outside wakes are drawn at or after the last deadline: the two
+        /// agree on where a run stops only up to that (the heap stopped at
+        /// the deadline or at its last dispatch, depending on whether a
+        /// stale entry lay past the deadline), and a wake is clamped to it.
+        #[test]
+        fn queue_cross_check(
+            ops in proptest::collection::vec(qop(), 1..60),
+            replies in proptest::collection::vec(reply(), 1..64),
+        ) {
+            let mut new = Scheduler::new();
+            let mut old = reference::RefScheduler::default();
+            let (mut new_log, mut old_log) = (Vec::new(), Vec::new());
+            let mut deadline = 0u64;
+            for op in ops {
+                match op {
+                    QOp::Add(first) => {
+                        let t = first.map(|t| SimTime::from_nanos(deadline + t));
+                        let (a, b) = match t {
+                            Some(t) => (new.add_actor(t), old.add_actor(t)),
+                            None => (new.add_idle_actor(), old.add_idle_actor()),
+                        };
+                        proptest::prop_assert_eq!(a, b);
+                    }
+                    QOp::Wake(a, t) if new.actor_count() > 0 => {
+                        let a = a % new.actor_count();
+                        new.wake(a, SimTime::from_nanos(deadline + t));
+                        old.wake(a, SimTime::from_nanos(deadline + t));
+                    }
+                    QOp::Wake(..) => {}
+                    QOp::Run(ns) => {
+                        deadline += ns;
+                        let actors = new.actor_count();
+                        let step = |log: &mut Vec<(usize, u64)>, id: usize, now: SimTime, ctx: &mut StepCtx| {
+                            let (reply, wakes) = &replies[log.len() % replies.len()];
+                            log.push((id, now.as_nanos()));
+                            for &(who, d) in wakes {
+                                ctx.wake(who % actors, now + SimDuration::from_nanos(d));
+                            }
+                            match *reply {
+                                Reply::WakeAfter(d) => StepOutcome::WakeAt(now + SimDuration::from_nanos(d)),
+                                Reply::Park => StepOutcome::WakeAt(SimTime::MAX),
+                                Reply::Idle => StepOutcome::Idle,
+                                Reply::Done => StepOutcome::Done,
+                            }
+                        };
+                        let at = SimTime::from_nanos(deadline);
+                        new.run_until_with(&mut new_log, at, step);
+                        old.run_until_with(&mut old_log, at, step);
+                        proptest::prop_assert_eq!(&new_log, &old_log, "deadline {}", deadline);
+                        proptest::prop_assert!(new_log.len() < 5_000, "runaway history");
+                    }
+                }
+            }
+        }
     }
 }

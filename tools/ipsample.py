@@ -185,16 +185,14 @@ def resolve(rip, maps, exe):
     return "?", rip, "?"
 
 
-def main():
-    if len(sys.argv) < 5 or sys.argv[3] != "--":
-        sys.exit(__doc__)
-    interval = float(sys.argv[1]) / 1000
-    limit = int(sys.argv[2])
-    cmd = sys.argv[4:]
+def sample(cmd, interval, limit, child=False, skip_s=0.0, stdout=subprocess.DEVNULL):
+    """Run `cmd`, sample its (or its first child's) rip every `interval` s
+    until `limit` samples or its exit, and resolve each one: a list of
+    (symbol name, file vaddr, mapped file path), plus the sampled pid."""
     exe = os.path.realpath(cmd[0])
-    parent = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    pid = first_child(parent) if os.environ.get("IPSAMPLE_CHILD") else parent.pid
-    time.sleep(float(os.environ.get("IPSAMPLE_SKIP_S", "0")))
+    parent = subprocess.Popen(cmd, stdout=stdout, stderr=subprocess.DEVNULL)
+    pid = first_child(parent) if child else parent.pid
+    time.sleep(skip_s)
     ptrace(PTRACE_SEIZE, pid)
     maps = executable_maps(pid)
     regs, rips = Regs(), []
@@ -216,18 +214,28 @@ def main():
         except ProcessLookupError:
             pass
     parent.wait()
-    where = [resolve(rip, maps, exe) for rip in rips]
+    return [resolve(rip, maps, exe) for rip in rips], pid
+
+
+def main():
+    if len(sys.argv) < 5 or sys.argv[3] != "--":
+        sys.exit(__doc__)
+    interval = float(sys.argv[1]) / 1000
+    limit = int(sys.argv[2])
+    where, pid = sample(sys.argv[4:], interval, limit,
+                        child=bool(os.environ.get("IPSAMPLE_CHILD")),
+                        skip_s=float(os.environ.get("IPSAMPLE_SKIP_S", "0")))
     hist = collections.Counter(name for name, _, _ in where)
-    print(f"{len(rips)} samples, {interval * 1000:g} ms apart, pid {pid}")
+    print(f"{len(where)} samples, {interval * 1000:g} ms apart, pid {pid}")
     for name, n in hist.most_common(40):
-        print(f"{100 * n / len(rips):6.2f}%  {n:5d}  {name}")
+        print(f"{100 * n / len(where):6.2f}%  {n:5d}  {name}")
     if os.environ.get("IPSAMPLE_GROUP") == "crate":
         layers = collections.Counter()
         for name, n in hist.items():
             layers[layer(name)] += n
         print("\nby layer:")
         for name, n in layers.most_common():
-            print(f"{100 * n / len(rips):6.2f}%  {n:5d}  {name}")
+            print(f"{100 * n / len(where):6.2f}%  {n:5d}  {name}")
     focus = [f for f in os.environ.get("IPSAMPLE_FOCUS", "").split(",") if f]
     for name, n in hist.most_common():
         if any(f in name for f in focus):
@@ -238,4 +246,5 @@ def main():
                 print(f"  {vaddr:#10x}  {k:5d}  {'#' * (60 * k // max(at.values()))}")
 
 
-main()
+if __name__ == "__main__":
+    main()
