@@ -29,9 +29,10 @@
 //!    dropped), and a duplicate `FinishMigration` delivery must degrade
 //!    to a `Rejected` no-op that leaves the state byte-identical.
 //!
-//! (Invariant 6 is the coherence sanitizer, compiled in with
-//! `--features sanitize`.) Everything is keyed off one seed, so a
-//! violation reproduces exactly.
+//! Invariant 6 is the coherence sanitizer, which every chaos pod runs
+//! (`PodBuilder::sanitize`): zero coherence errors, parked polling rounds
+//! included. Everything is keyed off one seed, so a violation reproduces
+//! exactly.
 
 use std::fmt::Write as _;
 
@@ -80,6 +81,8 @@ pub struct ChaosReport {
     pub probe: (u64, u64),
     /// Migration-storm tallies as `(started, committed, rolled back)`.
     pub migrations: (u64, u64, u64),
+    /// Empty polls charged to parked engines that the sanitizer checked.
+    pub charged_polls: u64,
 }
 
 impl ChaosReport {
@@ -382,8 +385,8 @@ pub fn run_chaos(seed: u64) -> ChaosReport {
 /// the process-wide `OASIS_SHARD_THREADS` setting), also returning the
 /// pod's final [`oasis_obs::MetricsSnapshot`] as JSON. The snapshot is the
 /// associative merge the observability exporter performs, so comparing the
-/// JSON across thread counts asserts the whole sanitize/obs stack — not
-/// just the invariant audit — is thread-count-invariant.
+/// JSON across thread counts asserts the whole sanitized stack — not just
+/// the invariant audit — is thread-count-invariant.
 pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, String) {
     let cfg = OasisConfig::default();
     let mut b = PodBuilder::new(cfg.clone());
@@ -392,7 +395,7 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
     let h2 = b.add_nic_host(); // serving NIC 0
     let h3 = b.add_nic_host(); // backup NIC 1
     b.add_ssd(h2, SsdConfig::default()); // pooled SSD 0
-    let mut pod = b.backup_nic_on(h3).build();
+    let mut pod = b.backup_nic_on(h3).sanitize().build();
     if let Some(n) = threads {
         pod.set_shard_threads(n);
     }
@@ -617,16 +620,17 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
         violations.push("no echo traffic after recovery (probe starved)".into());
     }
 
-    // 6. Coherence protocol (when the sanitizer is compiled in): the
-    // drivers' declared publish/acquire points must stay clean through
-    // every injected fault — crashes included.
-    #[cfg(feature = "sanitize")]
-    if pod.pool.san.error_count() > 0 {
-        violations.push(format!("coherence sanitizer: {}", pod.pool.san.summary()));
-        for r in pod.pool.san.reports().iter().take(10) {
+    // 6. Coherence protocol: the drivers' declared publish/acquire points
+    // and the parked engines' charged polls must stay clean through every
+    // injected fault — crashes included.
+    let san = pod.pool.sanitizer().expect("the chaos pod is sanitized");
+    if san.error_count() > 0 {
+        violations.push(format!("coherence sanitizer: {}", san.summary()));
+        for r in san.reports().iter().take(10) {
             violations.push(format!("  {r}"));
         }
     }
+    let charged_polls = san.charged_polls();
 
     // 7. Migration exactly-once: the seeded storm against the fleet state
     // machine, with crash-retry duplicate deliveries and a books audit
@@ -650,6 +654,7 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
         storage_replays_answered: snap.counter(m::STORAGE_BE_REPLAYS_ANSWERED, 0),
         probe,
         migrations,
+        charged_polls,
     };
     (report, snap.to_json())
 }

@@ -1,12 +1,12 @@
-//! Satellite check: the `sanitize` and `obs` feature layers under sharded
-//! execution.
+//! The sanitized chaos pod under sharded execution.
 //!
 //! A chaos run at `OASIS_SHARD_THREADS=2` must behave exactly like the
 //! single-shard run: zero coherence-sanitizer errors (the invariant audit
-//! folds sanitizer reports into `violations` when the feature is on), an
-//! identical invariant report, and an associatively-merged
-//! `MetricsSnapshot` whose JSON is byte-identical. The thread knob may only
-//! change wall-clock behavior, never a simulated observable.
+//! folds sanitizer reports into `violations`), an identical invariant
+//! report, and an associatively-merged `MetricsSnapshot` whose JSON is
+//! byte-identical. The thread knob may only change wall-clock behavior,
+//! never a simulated observable. The engines park under the sanitizer, and
+//! it checks the rounds they skip.
 
 use oasis_bench::chaos::run_chaos_sharded;
 
@@ -26,6 +26,10 @@ fn sanitized_chaos_smoke_is_identical_at_two_shard_threads() {
     assert_eq!(
         single, sharded,
         "chaos report must not depend on the shard thread count"
+    );
+    assert!(
+        single.charged_polls > 0,
+        "no parked round reached the sanitizer"
     );
     assert_eq!(
         single_snap, sharded_snap,

@@ -19,8 +19,8 @@
 //!    - **unchecked-epoch-arithmetic**: `+`/`*` on epoch/byte-integral
 //!      operands in allocator and stranding paths must be `checked_` /
 //!      `saturating_` or waived with the overflow bound.
-//!    - **cfg-pairing**: private `#[cfg(feature = "obs"/"sanitize")]` fns
-//!      pair with their `#[cfg(not(...))]` inline stubs, and vice versa.
+//!    - **cfg-pairing**: private `#[cfg(feature = "obs")]` fns pair with
+//!      their `#[cfg(not(...))]` inline stubs, and vice versa.
 //!    - **waiver**: a waiver names one of the rules above, gives a reason,
 //!      and still suppresses a finding.
 //!

@@ -29,8 +29,10 @@ pub fn is_epoch_ident(name: &str) -> bool {
         || name.contains("stamp")
 }
 
-/// Features whose gated items follow the paired-inline-stub convention.
-pub const PAIRED_FEATURES: &[&str] = &["obs", "sanitize"];
+/// Features whose gated items follow the paired-inline-stub convention
+/// (the one cargo feature left; the coherence sanitizer is a run-time
+/// choice).
+pub const PAIRED_FEATURES: &[&str] = &["obs"];
 
 /// Is `rel_path` inside any of the given policed fragments?
 pub fn policed(rel_path: &str, fragments: &[&str]) -> bool {

@@ -44,11 +44,11 @@ pub const REGISTRY: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "cfg-pairing",
-        summary: "every private #[cfg(feature = \"obs\"/\"sanitize\")] fn has its \
+        summary: "every private #[cfg(feature = \"obs\")] fn has its \
                   #[cfg(not(..))] inline stub, and vice versa",
-        rationale: "Optional features compile out by pairing each gated fn with an \
-                    empty #[inline(always)] stub so call sites never sprout their \
-                    own cfg forests. A gated fn without its stub breaks the \
+        rationale: "The optional `obs` feature compiles out by pairing each gated \
+                    fn with an empty #[inline(always)] stub so call sites never \
+                    sprout their own cfg forests. A gated fn without its stub breaks the \
                     no-feature build; an orphaned stub is dead code that hides a \
                     deleted implementation. Pub gated fns are exempt — they are \
                     caller-gated by convention.",

@@ -416,7 +416,8 @@ impl ControlActor {
     }
 
     /// §6 load balancing: migrate an instance off the hottest NIC when its
-    /// telemetry load dwarfs the coldest usable NIC's.
+    /// telemetry load dwarfs the coldest usable NIC's, and the move shrinks
+    /// the peak.
     fn rebalance(&self, now: SimTime) -> Option<Order> {
         let policy = self.rebalance.as_ref()?;
         if now.since(policy.last_migration) < policy.cooldown {
@@ -438,10 +439,17 @@ impl ControlActor {
             return None;
         }
         // Move the instance with the largest lease first (it most likely
-        // carries the load).
+        // carries the load). Its share of the hot NIC's load, estimated by
+        // lease, must leave both NICs below the hot one's load now: else
+        // the move only relocates the peak, and a lone hot instance would
+        // go back and forth every cooldown.
         let moves = self.books().instances_on(hot);
         let inst = moves.iter().max_by_key(|i| i.lease_mbps)?;
-        let fits = self.fits(cold, inst.lease_mbps);
+        let leases: u64 = moves.iter().map(|i| u64::from(i.lease_mbps)).sum();
+        let share = u128::from(hot_load).saturating_mul(u128::from(inst.lease_mbps));
+        let x = u64::try_from(share / u128::from(leases.max(1))).unwrap_or(hot_load);
+        let peak = hot_load.saturating_sub(x).max(cold_load.saturating_add(x));
+        let fits = peak < hot_load && self.fits(cold, inst.lease_mbps);
         fits.then(|| Order::new(inst, cold, OrderKind::Rebalance))
     }
 
@@ -672,6 +680,61 @@ mod tests {
         assert_eq!(s.devices.nics[0].as_ref().unwrap().allocated_mbps, 0);
         assert_eq!(s.devices.nics[1].as_ref().unwrap().allocated_mbps, 10_000);
         assert_eq!(s.devices.instances_on(1).len(), 1);
+    }
+
+    /// Rebalancer migrations in 20 polls (ratio 2, a cooldown of two
+    /// polls) with `n` equal instances on NIC 0 of two, moving 1 MB per
+    /// telemetry window together.
+    fn rebalance_two_nics(n: u32) -> u64 {
+        let cfg = OasisConfig::default();
+        let poll = cfg.allocator_poll;
+        let mut actor = ControlActor::new(cfg);
+        let register = |nic| FleetCommand::RegisterNic {
+            nic,
+            host: nic,
+            capacity_mbps: 100_000,
+            backup: false,
+        };
+        let place = |i| FleetCommand::Assign {
+            ip: Ipv4Addr::instance(i + 1),
+            host: 0,
+            nic: 0,
+            lease_mbps: 5_000,
+        };
+        for cmd in (0..2).map(register).chain((0..n).map(place)) {
+            actor.execute(SimTime::ZERO, &cmd);
+        }
+        actor.enable_rebalancing(RebalancePolicy::new(2.0, 1, poll * 2));
+        for i in 1..=20 {
+            let now = SimTime::ZERO + poll * i;
+            for nic in 0..2 {
+                let on = actor.books().instances_on(nic).len() as u64;
+                let load_bytes = on * (1 << 20) / u64::from(n);
+                actor.process(now, ControlInput::Telemetry { nic, load_bytes });
+            }
+            for order in actor
+                .process(now, ControlInput::Tick(Check::Rebalance))
+                .orders
+            {
+                actor.process(
+                    now,
+                    ControlInput::Accepted {
+                        order,
+                        sent_at: now,
+                    },
+                );
+            }
+        }
+        actor.rebalance_migrations
+    }
+
+    /// The flap repro: moving a lone hot instance only moves the hot spot,
+    /// so it stays (the rebalancer used to move it every cooldown: 10
+    /// migrations in 20 polls). Two instances do balance, once.
+    #[test]
+    fn rebalancer_moves_only_what_shrinks_the_peak() {
+        assert_eq!(rebalance_two_nics(1), 0, "a lone instance flaps");
+        assert_eq!(rebalance_two_nics(2), 1, "a pair balances once");
     }
 
     #[test]

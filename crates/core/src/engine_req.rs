@@ -378,7 +378,6 @@ pub struct ReqFrontend<C: ReqClass> {
     /// Testing knob for the sanitizer regression harness: skip the
     /// invalidation in [`Self::release`], reintroducing the stale-read bug
     /// the release flush fixed.
-    #[cfg(feature = "sanitize")]
     skip_release_invalidate: bool,
     /// Submit-to-completion latency, retries included (nanoseconds).
     #[cfg(feature = "obs")]
@@ -397,7 +396,6 @@ impl<C: ReqClass> ReqFrontend<C> {
             links: Vec::new(),
             data_area,
             done: Vec::new(),
-            #[cfg(feature = "sanitize")]
             skip_release_invalidate: false,
             #[cfg(feature = "obs")]
             service_ns: oasis_obs::ObsHistogram::new(),
@@ -406,8 +404,8 @@ impl<C: ReqClass> ReqFrontend<C> {
 
     /// Reintroduce the pre-fix buffer-release behaviour (no invalidation)
     /// so the sanitizer regression harness can prove it re-detects the
-    /// stale-read bug. Test-only; exists only with the `sanitize` feature.
-    #[cfg(feature = "sanitize")]
+    /// stale-read bug. A test mutant, not a configuration.
+    #[doc(hidden)]
     pub fn set_skip_release_invalidate(&mut self, skip: bool) {
         self.skip_release_invalidate = skip;
     }
@@ -500,10 +498,7 @@ impl<C: ReqClass> ReqFrontend<C> {
         cmd: &C::Command,
         readback: Option<(u64, u64)>,
     ) -> Option<Vec<u8>> {
-        #[cfg(feature = "sanitize")]
         let invalidate = !self.skip_release_invalidate;
-        #[cfg(not(feature = "sanitize"))]
-        let invalidate = true;
         let mut bufs = C::buffers(cmd).into_iter().flatten().peekable();
         let data = readback.map(|(addr, len)| {
             self.core.expect_fresh(pool, addr, len);

@@ -68,6 +68,7 @@ pub struct PodBuilder {
     /// (host, config) per accelerator.
     accels: Vec<(usize, AccelConfig)>,
     never_park: bool,
+    sanitize: bool,
 }
 
 impl PodBuilder {
@@ -82,6 +83,7 @@ impl PodBuilder {
             ssds: Vec::new(),
             accels: Vec::new(),
             never_park: false,
+            sanitize: false,
         }
     }
 
@@ -90,6 +92,15 @@ impl PodBuilder {
     #[doc(hidden)]
     pub fn never_park(mut self) -> Self {
         self.never_park = true;
+        self
+    }
+
+    /// Run the coherence sanitizer over the pod's pool
+    /// ([`CxlPool::sanitized`]): every access, parked polling rounds
+    /// included, is checked against the drivers' coherence discipline. A
+    /// pure observer: it costs wall time, never a simulated byte.
+    pub fn sanitize(mut self) -> Self {
+        self.sanitize = true;
         self
     }
 
@@ -157,6 +168,9 @@ impl PodBuilder {
     pub fn build(self) -> Pod {
         let n_hosts = self.hosts.len();
         let mut pool = CxlPool::new(self.pool_bytes, n_hosts);
+        if self.sanitize {
+            pool = pool.sanitized();
+        }
         let mut ra = RegionAllocator::new(&pool);
         let mut switch = Switch::new(0);
         let mut nics = Vec::new();

@@ -497,10 +497,7 @@ impl Pod {
                 // clock since this wake was queued.
                 return StepOutcome::WakeAt(nt);
             }
-            // The coherence sanitizer observes every access, so under it
-            // every round really runs.
-            let may_park = !*never_park && !cfg!(feature = "sanitize");
-            let idle = may_park
+            let idle = (!*never_park)
                 .then(|| engine.idle_round(pool, nics, instances))
                 .flatten();
             if let Some(round) = idle {

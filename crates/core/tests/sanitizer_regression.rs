@@ -5,7 +5,6 @@
 //! just DMA'd into the pool. The fix flushes the lines in `release_buf`;
 //! these tests prove the sanitizer re-detects the bug when that flush is
 //! reverted, and stays silent when it is in place.
-#![cfg(feature = "sanitize")]
 
 use oasis_core::config::OasisConfig;
 use oasis_core::instance::AppKind;
@@ -27,7 +26,7 @@ fn fixed_release_path_reports_no_stale_read() {
     let h0 = b.add_host();
     let dev = b.add_nic_host();
     b.add_ssd(dev, SsdConfig::default());
-    let mut pod = b.build();
+    let mut pod = b.sanitize().build();
     let inst = pod.launch_instance(h0, AppKind::None, 1_000);
     let vol = pod.create_volume(inst, 8).expect("capacity available");
 
@@ -41,12 +40,8 @@ fn fixed_release_path_reports_no_stale_read() {
         let done = pod.take_storage_completions(h0);
         assert_eq!(done[0].data.as_deref(), Some(&data[..]));
     }
-    assert_eq!(
-        pod.pool.san.count_of(ReportKind::StaleRead),
-        0,
-        "{}",
-        pod.pool.san.summary()
-    );
+    let san = pod.pool.sanitizer().expect("sanitized");
+    assert_eq!(san.count_of(ReportKind::StaleRead), 0, "{}", san.summary());
 }
 
 /// Reverting the release-time invalidation reintroduces the bug — and the
@@ -58,7 +53,7 @@ fn reverted_release_flush_redetects_stale_read() {
     let h0 = b.add_host();
     let dev = b.add_nic_host();
     b.add_ssd(dev, SsdConfig::default());
-    let mut pod = b.build();
+    let mut pod = b.sanitize().build();
     let inst = pod.launch_instance(h0, AppKind::None, 1_000);
     let vol = pod.create_volume(inst, 8).expect("capacity available");
 
@@ -102,7 +97,7 @@ fn reverted_release_flush_redetects_stale_read() {
     );
 
     // ...and the sanitizer caught it, with enough context to localize.
-    let san = &pod.pool.san;
+    let san = pod.pool.sanitizer().expect("sanitized");
     assert!(
         san.count_of(ReportKind::StaleRead) > 0,
         "sanitizer must re-detect the stale read: {}",

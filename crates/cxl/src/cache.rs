@@ -363,7 +363,7 @@ pub struct HostCache {
 
 /// A victim line evicted to make room; dirty victims must be written back by
 /// the caller.
-pub struct Evicted {
+pub(crate) struct Evicted {
     /// Line base address.
     pub addr: u64,
     /// The line, with `dirty` indicating whether a write-back is required.
@@ -404,7 +404,7 @@ impl HostCache {
     }
 
     /// Line capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -496,13 +496,13 @@ impl HostCache {
 
     /// Access a present line, refreshing its LRU position. Returns `None` on
     /// miss.
-    pub fn touch(&mut self, line_addr: u64) -> Option<&mut CacheLine> {
+    pub(crate) fn touch(&mut self, line_addr: u64) -> Option<&mut CacheLine> {
         let i = self.touch_slot(line_addr)?;
         Some(&mut self.lines[i as usize])
     }
 
     /// Look at a line without refreshing LRU (used by assertions/tests).
-    pub fn get(&self, line_addr: u64) -> Option<CacheLine> {
+    pub(crate) fn get(&self, line_addr: u64) -> Option<CacheLine> {
         let i = self.index.get(line_addr)?;
         Some(if i & UNREAD != 0 {
             self.unread_line(i & !UNREAD, line_addr)
@@ -521,7 +521,7 @@ impl HostCache {
     /// Insert (or replace) a line, evicting the LRU victim if at capacity:
     /// the least recently used line, the older of the recency list's head
     /// and the oldest unread line.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         line_addr: u64,
         data: [u8; LINE as usize],
@@ -651,7 +651,7 @@ impl HostCache {
 
     /// Remove a line (CLFLUSHOPT). Returns it so the caller can write back a
     /// dirty victim.
-    pub fn remove(&mut self, line_addr: u64) -> Option<CacheLine> {
+    pub(crate) fn remove(&mut self, line_addr: u64) -> Option<CacheLine> {
         let i = self.index.remove(line_addr)?;
         if i & UNREAD != 0 {
             let f = i & !UNREAD;
@@ -728,7 +728,7 @@ pub mod reference {
     }
 
     /// Reference LRU cache: exact LRU via a sorted `(tick, addr)` index.
-    pub struct RefCache {
+    pub(crate) struct RefCache {
         lines: DetMap<u64, RefLine>,
         lru: BTreeSet<(u64, u64)>,
         capacity: usize,
@@ -748,14 +748,6 @@ pub mod reference {
 
         pub fn len(&self) -> usize {
             self.lines.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.lines.is_empty()
-        }
-
-        pub fn contains(&self, line_addr: u64) -> bool {
-            self.lines.contains_key(&line_addr)
         }
 
         fn bump(tick: &mut u64, lru: &mut BTreeSet<(u64, u64)>, addr: u64, line: &mut RefLine) {

@@ -18,7 +18,12 @@ use oasis_sim::time::{SimDuration, SimTime};
 use crate::cache::{HostCache, FILL_LINES};
 use crate::cost::CostModel;
 use crate::pool::{CxlPool, PortId};
+use crate::sanitizer::Sanitizer;
 use crate::{line_base, lines_covering, LINE};
+
+/// A sanitizer check point fed one line: port, line, live cache state
+/// (`None`: absent; else dirty or not), clock.
+type Annotation = fn(&mut Sanitizer, PortId, u64, Option<bool>, SimTime);
 
 /// Counters of memory operations a host has performed (for assertions and
 /// overhead breakdowns).
@@ -111,8 +116,10 @@ impl HostCtx {
         }
     }
 
-    /// Enable the hardware next-line stream prefetcher.
-    pub fn set_hw_prefetch_depth(&mut self, depth: u64) {
+    /// Enable the hardware next-line stream prefetcher (nothing outside
+    /// this module's tests does).
+    #[cfg(test)]
+    pub(crate) fn set_hw_prefetch_depth(&mut self, depth: u64) {
         self.hw_prefetch_depth = depth;
     }
 
@@ -212,8 +219,7 @@ impl HostCtx {
                     self.clock += SimDuration::from_nanos(self.costs.cache_hit_ns);
                 }
                 out[off..off + n].copy_from_slice(&line.data[s..s + n]);
-                #[cfg(feature = "sanitize")]
-                pool.san.on_read_hit(self.port, la);
+                pool.observe(|s| s.on_read_hit(self.port, la));
             } else {
                 self.stats.misses += 1;
                 self.clock += SimDuration::from_nanos(self.costs.cxl_load_ns);
@@ -222,8 +228,7 @@ impl HostCtx {
                 if let Some(v) = self.cache.insert(la, data, false, self.clock) {
                     self.evict(pool, v);
                 }
-                #[cfg(feature = "sanitize")]
-                pool.san.on_fill(self.port, la);
+                pool.observe(|s| s.on_fill(self.port, la));
                 self.hw_prefetch(pool, la);
             }
             off += n;
@@ -269,8 +274,7 @@ impl HostCtx {
                 let n = (hi - lo) as usize;
                 let s = (lo - la) as usize;
                 out[off..off + n].copy_from_slice(&line.data[s..s + n]);
-                #[cfg(feature = "sanitize")]
-                pool.san.on_read_hit(self.port, la);
+                pool.observe(|s| s.on_read_hit(self.port, la));
                 off += n;
                 la += LINE;
                 continue;
@@ -307,8 +311,7 @@ impl HostCtx {
                 if let Some(v) = self.cache.insert(la + i * LINE, data, false, t_i) {
                     self.evict(pool, v);
                 }
-                #[cfg(feature = "sanitize")]
-                pool.san.on_fill(self.port, la + i * LINE);
+                pool.observe(|s| s.on_fill(self.port, la + i * LINE));
             }
             let lo = addr.max(la);
             let hi = end.min(run_end);
@@ -339,8 +342,7 @@ impl HostCtx {
                 line.data[(lo - la) as usize..(lo - la) as usize + n]
                     .copy_from_slice(&data[off..off + n]);
                 line.dirty = true;
-                #[cfg(feature = "sanitize")]
-                pool.san.on_write(self.port, la);
+                pool.observe(|s| s.on_write(self.port, la));
             } else if n as u64 == LINE {
                 // Full-line store: no read-for-ownership fetch needed.
                 self.stats.store_hits += 1;
@@ -350,8 +352,7 @@ impl HostCtx {
                 if let Some(v) = self.cache.insert(la, buf, true, self.clock) {
                     self.evict(pool, v);
                 }
-                #[cfg(feature = "sanitize")]
-                pool.san.on_write(self.port, la);
+                pool.observe(|s| s.on_write(self.port, la));
             } else {
                 // Partial-line write miss: read-for-ownership at CXL latency.
                 self.stats.store_misses += 1;
@@ -363,11 +364,10 @@ impl HostCtx {
                 if let Some(v) = self.cache.insert(la, buf, true, self.clock) {
                     self.evict(pool, v);
                 }
-                #[cfg(feature = "sanitize")]
-                {
-                    pool.san.on_fill(self.port, la);
-                    pool.san.on_write(self.port, la);
-                }
+                pool.observe(|s| {
+                    s.on_fill(self.port, la);
+                    s.on_write(self.port, la);
+                });
             }
             off += n;
         }
@@ -380,7 +380,7 @@ impl HostCtx {
 
     /// One line's `CLWB`; a dirty line is staged, not yet posted. Returns
     /// whether it was dirty.
-    #[inline]
+    #[inline(always)]
     fn clwb_line(&mut self, pool: &mut CxlPool, la: u64) -> bool {
         self.stats.writebacks += 1;
         self.clock += SimDuration::from_nanos(self.costs.clwb_ns);
@@ -392,14 +392,13 @@ impl HostCtx {
                 self.stage_writeback(pool, la, &data);
             }
         }
-        #[cfg(feature = "sanitize")]
-        pool.san.on_clwb(self.port, la, was_dirty, self.clock);
+        pool.observe(|s| s.on_clwb(self.port, la, was_dirty, self.clock));
         was_dirty
     }
 
     /// One line's `CLFLUSHOPT`; a dirty line is staged, not yet posted.
     /// Returns whether it was dirty.
-    #[inline]
+    #[inline(always)]
     fn clflushopt_line(&mut self, pool: &mut CxlPool, la: u64) -> bool {
         self.stats.flushes += 1;
         self.clock += SimDuration::from_nanos(self.costs.clflushopt_ns);
@@ -411,11 +410,7 @@ impl HostCtx {
                 self.stage_writeback(pool, la, &line.data);
             }
         }
-        #[cfg(feature = "sanitize")]
-        pool.san
-            .on_clflush(self.port, la, was_present, was_dirty, self.clock);
-        #[cfg(not(feature = "sanitize"))]
-        let _ = was_present;
+        pool.observe(|s| s.on_clflush(self.port, la, was_present, was_dirty, self.clock));
         was_dirty
     }
 
@@ -461,9 +456,7 @@ impl HostCtx {
         let first = line_base(addr);
         let n = (line_base(addr + len.max(1) - 1) - first) / LINE + 1;
         if self.cache.drop_unread(first, n) {
-            for la in lines_covering(addr, len) {
-                self.flush_unread_fill(pool, la);
-            }
+            self.flush_unread_fills(pool, first, n);
             return;
         }
         let step = self.costs.clflushopt_ns;
@@ -481,27 +474,26 @@ impl HostCtx {
     /// plus the fixed drain cost.
     pub fn mfence(&mut self, pool: &mut CxlPool) {
         self.stats.fences += 1;
-        #[cfg(feature = "sanitize")]
         let had_inflight = self.pending_visible > self.clock;
-        #[cfg(not(feature = "sanitize"))]
-        let _ = &pool;
         self.clock = self.clock.max(self.pending_visible);
         self.clock += SimDuration::from_nanos(self.costs.mfence_ns);
-        #[cfg(feature = "sanitize")]
-        pool.san.on_fence(self.port, had_inflight, self.clock);
+        pool.observe(|s| s.on_fence(self.port, had_inflight, self.clock));
     }
 
-    /// The `CLFLUSHOPT` of a line filled by a miss or a prefetch and
-    /// neither read again nor written since: present and clean, so it posts
-    /// nothing.
+    /// The `CLFLUSHOPT`s of the `n` lines from `first`, each filled by a
+    /// miss or a prefetch and neither read again nor written since: present
+    /// and clean, so they post nothing.
     #[inline]
-    fn flush_unread_fill(&mut self, pool: &mut CxlPool, la: u64) {
-        self.stats.flushes += 1;
-        self.clock += SimDuration::from_nanos(self.costs.clflushopt_ns);
-        #[cfg(feature = "sanitize")]
-        pool.san.on_clflush(self.port, la, true, false, self.clock);
-        #[cfg(not(feature = "sanitize"))]
-        let _ = (pool, la);
+    fn flush_unread_fills(&mut self, pool: &mut CxlPool, first: u64, n: u64) {
+        let (t0, step) = (self.clock, self.costs.clflushopt_ns);
+        self.stats.flushes += n;
+        self.clock += SimDuration::from_nanos(n * step);
+        pool.observe(|s| {
+            for i in 1..=n {
+                let at = t0 + SimDuration::from_nanos(i * step);
+                s.on_clflush(self.port, first + (i - 1) * LINE, true, false, at);
+            }
+        });
     }
 
     /// An empty poll of the line holding `addr`: a load whose bytes the
@@ -527,10 +519,9 @@ impl HostCtx {
         self.stats.misses += 1;
         self.clock += SimDuration::from_nanos(self.costs.cxl_load_ns);
         pool.charge_line_fetch(self.clock, self.port, la);
-        #[cfg(feature = "sanitize")]
-        pool.san.on_fill(self.port, la);
+        pool.observe(|s| s.on_fill(self.port, la));
         self.last_miss_line = la;
-        self.flush_unread_fill(pool, la);
+        self.flush_unread_fills(pool, la, 1);
         self.mfence(pool);
     }
 
@@ -584,15 +575,14 @@ impl HostCtx {
                 self.stream_buf = buf;
             }
             self.clock = t0 + SimDuration::from_nanos((n_lines - 1) * step);
-            #[cfg(feature = "sanitize")]
-            for i in 0..n_lines {
-                pool.san.on_fill(self.port, la + i * LINE);
-            }
+            pool.observe(|s| {
+                for i in 0..n_lines {
+                    s.on_fill(self.port, la + i * LINE);
+                }
+            });
             la = run_end;
         }
-        for la in lines_covering(addr, len) {
-            self.flush_unread_fill(pool, la);
-        }
+        self.flush_unread_fills(pool, line_base(addr), n);
     }
 
     /// Hardware stream prefetcher: fired on a demand miss; if the previous
@@ -613,7 +603,7 @@ impl HostCtx {
             }
             self.stats.prefetches += 1;
             let data = pool.fetch_line(self.clock, self.port, la);
-            self.prefetched(pool, la, Some(data));
+            self.prefetched(pool, la, data);
         }
     }
 
@@ -630,21 +620,17 @@ impl HostCtx {
         }
         self.stats.prefetches += 1;
         let data = pool.fetch_line(self.clock, self.port, la);
-        self.prefetched(pool, la, Some(data));
+        self.prefetched(pool, la, data);
     }
 
     /// The fill behind a prefetch issued now: cache `data`, ready
-    /// `cxl_load_ns` later (`None`: the caller has cached the line), and
-    /// tell the sanitizer.
-    fn prefetched(&mut self, pool: &mut CxlPool, la: u64, data: Option<[u8; LINE as usize]>) {
-        if let Some(data) = data {
-            let ready = self.clock + SimDuration::from_nanos(self.costs.cxl_load_ns);
-            if let Some(v) = self.cache.insert(la, data, false, ready) {
-                self.evict(pool, v);
-            }
+    /// `cxl_load_ns` later, and tell the sanitizer.
+    fn prefetched(&mut self, pool: &mut CxlPool, la: u64, data: [u8; LINE as usize]) {
+        let ready = self.clock + SimDuration::from_nanos(self.costs.cxl_load_ns);
+        if let Some(v) = self.cache.insert(la, data, false, ready) {
+            self.evict(pool, v);
         }
-        #[cfg(feature = "sanitize")]
-        pool.san.on_prefetch_fill(self.port, la);
+        pool.observe(|s| s.on_prefetch_fill(self.port, la));
     }
 
     /// `PREFETCHT0` of the `n` consecutive lines from the one holding
@@ -690,10 +676,12 @@ impl HostCtx {
                 .cache
                 .fill_unread(la, (run_end - la) / LINE, ready, step);
             pool.fetch_lines(t, step, self.port, la, lines);
-            for k in (la..run_end).step_by(LINE as usize) {
-                self.clock += SimDuration::from_nanos(step);
-                self.prefetched(pool, k, None);
-            }
+            self.clock += SimDuration::from_nanos((run_end - la) / LINE * step);
+            pool.observe(|s| {
+                for k in (la..run_end).step_by(LINE as usize) {
+                    s.on_prefetch_fill(self.port, k);
+                }
+            });
             la = run_end;
         }
     }
@@ -701,55 +689,42 @@ impl HostCtx {
     /// Sanitizer annotation: declare that `[addr, addr+len)` has just been
     /// *published* — flushed so that other hosts/devices can observe it. The
     /// sanitizer reports any line still dirty in this host's cache. Pure
-    /// observer; free when the `sanitize` feature is off.
-    #[cfg(feature = "sanitize")]
+    /// observer.
     pub fn publish(&mut self, pool: &mut CxlPool, addr: u64, len: u64) {
-        for la in lines_covering(addr, len) {
-            let dirty = self.cache.get(la).map(|l| l.dirty);
-            pool.san.on_publish(self.port, la, dirty, self.clock);
-        }
+        self.annotate(pool, addr, len, Sanitizer::on_publish);
     }
-
-    /// Sanitizer annotation (no-op: `sanitize` feature disabled).
-    #[cfg(not(feature = "sanitize"))]
-    #[inline(always)]
-    pub fn publish(&mut self, _pool: &mut CxlPool, _addr: u64, _len: u64) {}
 
     /// Sanitizer annotation: declare a *fenced* publish point (a doorbell
     /// another agent may act on immediately). In addition to the
     /// [`Self::publish`] dirty check, the sanitizer reports lines whose
-    /// last flush is not yet covered by an `mfence`. Pure observer; free
-    /// when the `sanitize` feature is off.
-    #[cfg(feature = "sanitize")]
+    /// last flush is not yet covered by an `mfence`. Pure observer.
     pub fn publish_fenced(&mut self, pool: &mut CxlPool, addr: u64, len: u64) {
-        for la in lines_covering(addr, len) {
-            let dirty = self.cache.get(la).map(|l| l.dirty);
-            pool.san.on_publish_fenced(self.port, la, dirty, self.clock);
-        }
+        self.annotate(pool, addr, len, Sanitizer::on_publish_fenced);
     }
-
-    /// Sanitizer annotation (no-op: `sanitize` feature disabled).
-    #[cfg(not(feature = "sanitize"))]
-    #[inline(always)]
-    pub fn publish_fenced(&mut self, _pool: &mut CxlPool, _addr: u64, _len: u64) {}
 
     /// Sanitizer annotation: declare that the next read of
     /// `[addr, addr+len)` must observe *current* pool bytes (an acquire
     /// point whose protocol guarantees freshness). The sanitizer reports
     /// stale cached snapshots and fetches torn by other hosts' in-flight
-    /// write-backs. Pure observer; free when the `sanitize` feature is off.
-    #[cfg(feature = "sanitize")]
+    /// write-backs. Pure observer.
     pub fn expect_fresh(&mut self, pool: &mut CxlPool, addr: u64, len: u64) {
-        for la in lines_covering(addr, len) {
-            let dirty = self.cache.get(la).map(|l| l.dirty);
-            pool.san.on_expect_fresh(self.port, la, dirty, self.clock);
-        }
+        self.annotate(pool, addr, len, Sanitizer::on_expect_fresh);
     }
 
-    /// Sanitizer annotation (no-op: `sanitize` feature disabled).
-    #[cfg(not(feature = "sanitize"))]
-    #[inline(always)]
-    pub fn expect_fresh(&mut self, _pool: &mut CxlPool, _addr: u64, _len: u64) {}
+    /// Run `check` on each line of `[addr, addr+len)`.
+    fn annotate(&self, pool: &mut CxlPool, addr: u64, len: u64, check: Annotation) {
+        pool.observe(|s| {
+            for la in lines_covering(addr, len) {
+                check(
+                    s,
+                    self.port,
+                    la,
+                    self.cache.get(la).map(|l| l.dirty),
+                    self.clock,
+                );
+            }
+        });
+    }
 
     /// Size of the host's private DRAM.
     pub fn local_size(&self) -> u64 {

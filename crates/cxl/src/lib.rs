@@ -45,7 +45,6 @@ pub mod metrics;
 pub mod obs;
 pub mod pool;
 pub mod region;
-#[cfg(feature = "sanitize")]
 pub mod sanitizer;
 pub mod topology;
 
@@ -55,7 +54,6 @@ pub use dma::{DmaMemory, MemRef};
 pub use host::HostCtx;
 pub use pool::{CxlPool, LinkMeter, PortId, TrafficClass};
 pub use region::{Region, RegionAllocator};
-#[cfg(feature = "sanitize")]
 pub use sanitizer::{Report, ReportKind, Sanitizer, Severity};
 pub use topology::{CrossPodLink, FleetTopology, PodTopology};
 

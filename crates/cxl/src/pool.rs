@@ -15,6 +15,7 @@
 
 use oasis_sim::time::{SimDuration, SimTime};
 
+use crate::sanitizer::Sanitizer;
 use crate::LINE;
 
 /// Identifies a host's port on the multi-headed CXL device.
@@ -86,7 +87,7 @@ impl LinkMeter {
     }
 
     /// Reset all counters (used to delimit measurement windows).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.read_bytes = [0; TrafficClass::COUNT];
         self.write_bytes = [0; TrafficClass::COUNT];
     }
@@ -240,10 +241,11 @@ pub struct CxlPool {
     watches: Vec<(u64, u64, u32)>,
     /// Watchers a post has reached since the last [`Self::pop_woken`].
     woken: Vec<u32>,
-    /// Coherence sanitizer shadow state (pure observer; never affects
-    /// timing, metering, or memory contents).
-    #[cfg(feature = "sanitize")]
-    pub san: crate::sanitizer::Sanitizer,
+    /// Coherence sanitizer shadow state, when one was asked for
+    /// ([`Self::sanitized`]). A pure observer: it never affects timing,
+    /// metering, or memory contents, and when absent every hook is one
+    /// untaken branch.
+    san: Option<Box<Sanitizer>>,
     /// Per-port bytes-on-the-wire timelines (pure observer, like the
     /// sanitizer: never affects timing, metering, or memory contents).
     #[cfg(feature = "obs")]
@@ -268,8 +270,7 @@ impl CxlPool {
             last_class: std::cell::Cell::new((0, 0, TrafficClass::Unclassified)),
             watches: Vec::new(),
             woken: Vec::new(),
-            #[cfg(feature = "sanitize")]
-            san: crate::sanitizer::Sanitizer::new(ports),
+            san: None,
             #[cfg(feature = "obs")]
             tl_xfer: vec![oasis_obs::Timeline::default(); ports],
         }
@@ -291,32 +292,36 @@ impl CxlPool {
     #[inline(always)]
     fn note_xfer(&mut self, _at: SimTime, _port: PortId, _bytes: u64) {}
 
-    /// Register a region name for sanitizer diagnostics. No-op unless the
-    /// `sanitize` feature is enabled.
-    #[cfg(feature = "sanitize")]
-    pub fn note_region(&mut self, base: u64, end: u64, name: &str) {
-        self.san.note_region(base, end, name);
+    /// This pool with a coherence sanitizer watching every access from
+    /// now on ([`crate::sanitizer`]).
+    pub fn sanitized(mut self) -> Self {
+        self.san = Some(Box::new(Sanitizer::new(self.ports())));
+        self
     }
 
-    /// Register a region name for sanitizer diagnostics. No-op unless the
-    /// `sanitize` feature is enabled.
-    #[cfg(not(feature = "sanitize"))]
+    /// The coherence sanitizer, if this pool has one.
+    pub fn sanitizer(&self) -> Option<&Sanitizer> {
+        self.san.as_deref()
+    }
+
+    /// Run `hook` on the sanitizer, if there is one.
     #[inline(always)]
-    pub fn note_region(&mut self, _base: u64, _end: u64, _name: &str) {}
+    pub(crate) fn observe(&mut self, hook: impl FnOnce(&mut Sanitizer)) {
+        if let Some(s) = self.san.as_deref_mut() {
+            observed(s, hook);
+        }
+    }
+
+    /// Register a region name for sanitizer diagnostics.
+    pub(crate) fn note_region(&mut self, base: u64, end: u64, name: &str) {
+        self.observe(|s| s.note_region(base, end, name));
+    }
 
     /// Tell the sanitizer a host's CPU cache was dropped wholesale (crash):
-    /// its shadow snapshots are invalidated. No-op unless the `sanitize`
-    /// feature is enabled.
-    #[cfg(feature = "sanitize")]
+    /// its shadow snapshots are invalidated.
     pub fn san_host_reset(&mut self, port: PortId) {
-        self.san.on_host_reset(port);
+        self.observe(|s| s.on_host_reset(port));
     }
-
-    /// Tell the sanitizer a host's CPU cache was dropped wholesale (crash).
-    /// No-op unless the `sanitize` feature is enabled.
-    #[cfg(not(feature = "sanitize"))]
-    #[inline(always)]
-    pub fn san_host_reset(&mut self, _port: PortId) {}
 
     /// Pool capacity in bytes.
     pub fn size(&self) -> u64 {
@@ -432,17 +437,22 @@ impl CxlPool {
         self.woken.pop()
     }
 
-    /// A write-back into `[start, end)` was posted: wake its watchers.
+    /// `port` posted a write-back into `[start, end)`: wake its watchers.
     #[inline]
-    fn wake_watchers(&mut self, start: u64, end: u64) {
+    fn wake_watchers(&mut self, port: PortId, start: u64, end: u64) {
         // Sorted and disjoint: the first range ending past `start` is the
         // only place an overlap can begin.
         let first = self.watches.partition_point(|&(_, e, _)| e <= start);
         let hit = |&&(s, _, _): &&(u64, u64, u32)| s < end;
         let fired = self.woken.len();
-        for &(_, _, w) in self.watches[first..].iter().take_while(hit) {
+        for &(s, e, w) in self.watches[first..].iter().take_while(hit) {
             if !self.woken[fired..].contains(&w) {
                 self.woken.push(w);
+            }
+            if let Some(san) = self.san.as_deref_mut() {
+                observed(san, |san| {
+                    san.on_watched_post(port, s.max(start), e.min(end))
+                });
             }
         }
         if self.woken.len() > fired {
@@ -467,7 +477,10 @@ impl CxlPool {
     /// calls. The caller has shown that each would have returned the bytes
     /// memory holds now and that no write-back of the line is in flight;
     /// the landing the calls would also have done is the caller's to repeat
-    /// ([`Self::apply_pending`] at the latest of their instants).
+    /// ([`Self::apply_pending`] at the latest of their instants). The
+    /// sanitizer, if any, checks that claim on its own shadow state
+    /// ([`Sanitizer::on_charged_polls`]).
+    #[inline]
     pub fn charge_line_fetches(
         &mut self,
         port: PortId,
@@ -479,6 +492,7 @@ impl CxlPool {
         let class = self.classify(line_addr);
         self.meters[port.0].read_bytes[class.index()] += n * LINE;
         self.note_line_xfers(port, n, first_at, every_ns);
+        self.observe(|s| s.on_charged_polls(port, line_addr, n, first_at, every_ns));
     }
 
     /// Bin `n` line transfers on `port` at `first_at`, `first_at +
@@ -551,9 +565,12 @@ impl CxlPool {
             }
             let (base, len) = (d.start as usize, (d.end - d.start) as usize);
             self.mem[base..base + len].copy_from_slice(&r.data[r.off..r.off + len]);
-            #[cfg(feature = "sanitize")]
-            for la in (d.start..d.end).step_by(LINE as usize) {
-                self.san.on_apply_writeback(r.port, la);
+            if let Some(s) = self.san.as_deref_mut() {
+                observed(s, |s| {
+                    for la in (d.start..d.end).step_by(LINE as usize) {
+                        s.on_apply_writeback(r.port, la);
+                    }
+                });
             }
         }
         order.sort_unstable();
@@ -561,8 +578,9 @@ impl CxlPool {
             let r = &self.runs[run];
             let base = la as usize;
             self.mem[base..base + LINE as usize].copy_from_slice(r.line(la));
-            #[cfg(feature = "sanitize")]
-            self.san.on_apply_writeback(r.port, la);
+            if let Some(s) = self.san.as_deref_mut() {
+                observed(s, |s| s.on_apply_writeback(r.port, la));
+            }
         }
         self.land_order = order;
         for d in due.drain(..) {
@@ -709,16 +727,13 @@ impl CxlPool {
     /// timelines, sanitizer shadow). [`crate::HostCtx`] calls this once per
     /// line, at the point a per-line flush would have posted it, so both
     /// observers see the same events in the same order whether the line
-    /// then travels alone or inside a run. Free when neither is compiled in.
+    /// then travels alone or inside a run.
     #[inline]
     pub(crate) fn note_posted_line(&mut self, port: PortId, line_addr: u64, visible_at: SimTime) {
         // Timeline-binned at visibility time — the instant the line is on
         // the wire toward pool memory (posting time is not plumbed here).
         self.note_xfer(visible_at, port, LINE);
-        #[cfg(feature = "sanitize")]
-        self.san.on_post_writeback(port, line_addr, visible_at);
-        #[cfg(not(feature = "sanitize"))]
-        let _ = line_addr;
+        self.observe(|s| s.on_post_writeback(port, line_addr, visible_at));
     }
 
     /// Post a run of consecutive line write-backs from a CPU cache: line
@@ -739,7 +754,7 @@ impl CxlPool {
     ) {
         debug_assert!(first_line.is_multiple_of(LINE));
         debug_assert!(data.len().is_multiple_of(LINE as usize));
-        self.wake_watchers(first_line, first_line + data.len() as u64);
+        self.wake_watchers(port, first_line, first_line + data.len() as u64);
         let (mut la, mut visible, mut rest) = (first_line, visible0, data);
         while !rest.is_empty() {
             // Lines whose *base* lies in `la`'s class span (classification
@@ -777,8 +792,7 @@ impl CxlPool {
     /// off).
     pub fn dma_read(&mut self, now: SimTime, port: PortId, addr: u64, out: &mut [u8]) {
         self.apply_pending(now);
-        #[cfg(feature = "sanitize")]
-        self.san.on_dma_read(port, addr, out.len() as u64, now);
+        self.observe(|s| s.on_dma_read(port, addr, out.len() as u64, now));
         let class = self.classify(addr);
         self.meters[port.0].read_bytes[class.index()] += out.len() as u64;
         self.note_xfer(now, port, out.len() as u64);
@@ -791,8 +805,7 @@ impl CxlPool {
     /// their latency is charged by the device's own timing model).
     pub fn dma_write(&mut self, now: SimTime, port: PortId, addr: u64, data: &[u8]) {
         self.apply_pending(now);
-        #[cfg(feature = "sanitize")]
-        self.san.on_dma_write(port, addr, data.len() as u64);
+        self.observe(|s| s.on_dma_write(port, addr, data.len() as u64));
         let class = self.classify(addr);
         self.meters[port.0].write_bytes[class.index()] += data.len() as u64;
         self.note_xfer(now, port, data.len() as u64);
@@ -816,6 +829,15 @@ impl CxlPool {
     pub fn pending_writebacks(&self) -> usize {
         self.pending_lines
     }
+}
+
+/// A sanitizer hook, out of line and cold: when a pool runs no sanitizer,
+/// the hot paths it would observe keep their shape, one untaken branch
+/// each.
+#[cold]
+#[inline(never)]
+fn observed(s: &mut Sanitizer, hook: impl FnOnce(&mut Sanitizer)) {
+    hook(s);
 }
 
 #[cfg(test)]

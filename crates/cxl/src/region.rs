@@ -36,22 +36,6 @@ impl Region {
     pub fn contains(&self, addr: u64) -> bool {
         (self.base..self.end()).contains(&addr)
     }
-
-    /// Split off a line-aligned sub-region (for carving per-instance buffer
-    /// areas out of a frontend's TX area).
-    pub fn sub(&self, name: impl Into<String>, offset: u64, size: u64) -> Region {
-        assert!(
-            offset.is_multiple_of(LINE),
-            "sub-region offset must be line-aligned"
-        );
-        assert!(offset + size <= self.size, "sub-region escapes parent");
-        Region {
-            name: name.into(),
-            base: self.base + offset,
-            size,
-            class: self.class,
-        }
-    }
 }
 
 /// Bump allocator over the pool address space, with a free list for the
@@ -75,11 +59,6 @@ impl RegionAllocator {
             free_list: Vec::new(),
             outstanding: 0,
         }
-    }
-
-    /// Bytes not yet allocated (freed ranges are counted as available).
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.next + self.free_list.iter().map(|&(_, s, _)| s).sum::<u64>()
     }
 
     /// Bytes currently allocated (the chaos harness asserts this returns
@@ -222,26 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_region_within_parent() {
-        let mut pool = CxlPool::new(4096, 1);
-        let mut ra = RegionAllocator::new(&pool);
-        let area = ra.alloc(&mut pool, "tx", 1024, TrafficClass::Payload);
-        let sub = area.sub("tx.inst0", 256, 128);
-        assert_eq!(sub.base, area.base + 256);
-        assert!(area.contains(sub.base) && area.contains(sub.end() - 1));
-        assert_eq!(sub.class, TrafficClass::Payload);
-    }
-
-    #[test]
-    #[should_panic(expected = "escapes")]
-    fn sub_region_escape_panics() {
-        let mut pool = CxlPool::new(4096, 1);
-        let mut ra = RegionAllocator::new(&pool);
-        let area = ra.alloc(&mut pool, "tx", 256, TrafficClass::Payload);
-        area.sub("oops", 192, 128);
-    }
-
-    #[test]
     fn free_then_realloc_reuses_range() {
         let mut pool = CxlPool::new(4096, 1);
         let mut ra = RegionAllocator::new(&pool);
@@ -300,14 +259,5 @@ mod tests {
         // The coalesced 256-byte range satisfies a larger request.
         let big = ra.alloc(&mut pool, "big", 256, TrafficClass::Payload);
         assert_eq!(big.base, a.base);
-    }
-
-    #[test]
-    fn remaining_decreases() {
-        let mut pool = CxlPool::new(4096, 1);
-        let mut ra = RegionAllocator::new(&pool);
-        let before = ra.remaining();
-        ra.alloc(&mut pool, "a", 64, TrafficClass::Control);
-        assert_eq!(ra.remaining(), before - 64);
     }
 }

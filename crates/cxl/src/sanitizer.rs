@@ -7,13 +7,15 @@
 //! such bug (PR 2: reused DMA buffers keeping clean cached lines) — by
 //! chance. This module catches that class of bug systematically.
 //!
-//! Compiled only under the `sanitize` cargo feature. When enabled, the
-//! [`Sanitizer`] lives inside [`crate::CxlPool`] and observes every
-//! [`crate::HostCtx`] operation (read/write/clwb/clflushopt/mfence/
-//! prefetch), every posted write-back, and every DMA transfer. It is a
-//! **pure observer**: it never touches host clocks, link meters, or pool
-//! memory, so simulation results are bit-identical with the feature on or
-//! off — only wall-clock time changes.
+//! A pool runs one when it is built with [`crate::CxlPool::sanitized`]
+//! (a pod asks for it with `PodBuilder::sanitize`). The [`Sanitizer`] then
+//! lives inside [`crate::CxlPool`] and observes every [`crate::HostCtx`]
+//! operation (read/write/clwb/clflushopt/mfence/prefetch), every posted
+//! write-back, every DMA transfer, and every polling round a parked engine
+//! is charged in closed form instead of running. It is a **pure
+//! observer**: it never touches host clocks, link meters, or pool memory,
+//! so simulation results are bit-identical with it on or off — only
+//! wall-clock time changes. Off, each hook is one untaken branch.
 //!
 //! ## Shadow state
 //!
@@ -39,6 +41,11 @@
 //! bit) are *not* annotated — reading a stale line and retrying is the
 //! protocol working as designed, so only declared acquire points are
 //! checked for staleness.
+//!
+//! Parked polling rounds are the one exception: nobody runs them, so the
+//! sanitizer checks the parking proof's claim (DESIGN.md §7.3) that they
+//! would have found the line as the poller last fetched it
+//! ([`Sanitizer::on_charged_polls`]).
 
 use oasis_sim::detmap::DetMap;
 use oasis_sim::time::SimTime;
@@ -71,11 +78,16 @@ pub enum ReportKind {
     /// An `mfence` with no flush issued since the last fence and no own
     /// write-backs in flight — wasted CPU.
     NoopFence,
+    /// A parked poller was charged empty polls of a line that changed
+    /// since it last fetched it, by a post that did not wake it: a real
+    /// poll would have read the new bytes, so the engine slept through its
+    /// input.
+    ParkedMissedWrite,
 }
 
 impl ReportKind {
     /// Stable label used in rendered reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ReportKind::StaleRead => "stale-read",
             ReportKind::TornRead => "torn-read",
@@ -84,17 +96,19 @@ impl ReportKind {
             ReportKind::MissingFence => "missing-fence",
             ReportKind::DoubleFlush => "double-flush",
             ReportKind::NoopFence => "noop-fence",
+            ReportKind::ParkedMissedWrite => "parked-missed-write",
         }
     }
 
     /// Errors are coherence-protocol violations; warnings are wasted work.
-    pub fn severity(self) -> Severity {
+    pub(crate) fn severity(self) -> Severity {
         match self {
             ReportKind::StaleRead
             | ReportKind::TornRead
             | ReportKind::TornDmaRead
             | ReportKind::UnflushedPublish
-            | ReportKind::MissingFence => Severity::Error,
+            | ReportKind::MissingFence
+            | ReportKind::ParkedMissedWrite => Severity::Error,
             ReportKind::DoubleFlush | ReportKind::NoopFence => Severity::Warning,
         }
     }
@@ -190,16 +204,23 @@ struct PortSnap {
     last_op: LastOp,
     /// Host op-sequence number of the last flush of this line.
     flush_op: u64,
+    /// Line version the host last fetched, whatever became of the copy
+    /// since: what its pollers know the line holds. Survives a crash.
+    seen: u64,
 }
 
 /// Per-line shadow state.
 struct LineShadow {
     /// Version of the bytes currently visible in pool memory.
     ver: u64,
+    /// Whether their post woke the line's watcher
+    /// ([`Sanitizer::on_watched_post`]).
+    announced: bool,
     /// Who produced them.
     writer: Writer,
-    /// Posted write-backs not yet visible: (posting port, visible_at).
-    pending: Vec<(PortId, SimTime)>,
+    /// Posted write-backs not yet visible: (posting port, visible_at,
+    /// announced).
+    pending: Vec<(PortId, SimTime, bool)>,
     /// Per-port snapshot info, indexed by port number.
     snaps: Vec<PortSnap>,
 }
@@ -208,6 +229,7 @@ impl LineShadow {
     fn new(ports: usize) -> Self {
         LineShadow {
             ver: 0,
+            announced: false,
             writer: Writer::Init,
             pending: Vec::new(),
             snaps: vec![PortSnap::default(); ports],
@@ -233,8 +255,8 @@ struct HostShadow {
 /// and anything past the cap are counted but not stored.
 const MAX_REPORTS: usize = 1024;
 
-/// The shadow-state tracker. Owned by [`crate::CxlPool`] when the
-/// `sanitize` feature is enabled.
+/// The shadow-state tracker. Owned by a [`crate::CxlPool`] built
+/// [`crate::CxlPool::sanitized`].
 pub struct Sanitizer {
     ports: usize,
     lines: DetMap<u64, LineShadow>,
@@ -250,6 +272,8 @@ pub struct Sanitizer {
     warnings: u64,
     /// Reports dropped past [`MAX_REPORTS`] (still counted above).
     dropped: u64,
+    /// Empty polls charged to parked engines and checked.
+    charged_polls: u64,
 }
 
 impl Sanitizer {
@@ -266,6 +290,7 @@ impl Sanitizer {
             errors: 0,
             warnings: 0,
             dropped: 0,
+            charged_polls: 0,
         }
     }
 
@@ -273,7 +298,7 @@ impl Sanitizer {
 
     /// Record a region name for diagnostics (called on region allocation;
     /// reused ranges are re-registered under their new name).
-    pub fn note_region(&mut self, base: u64, end: u64, name: &str) {
+    pub(crate) fn note_region(&mut self, base: u64, end: u64, name: &str) {
         // Drop anything overlapping the new range (reuse renames it).
         self.regions.retain(|&(b, e, _)| e <= base || b >= end);
         let idx = self.regions.partition_point(|&(b, _, _)| b < base);
@@ -317,11 +342,6 @@ impl Sanitizer {
         &self.reports
     }
 
-    /// Take the stored reports, leaving counters intact.
-    pub fn take_reports(&mut self) -> Vec<Report> {
-        std::mem::take(&mut self.reports)
-    }
-
     /// Total error-severity findings (including deduplicated repeats).
     pub fn error_count(&self) -> u64 {
         self.errors
@@ -330,6 +350,12 @@ impl Sanitizer {
     /// Total warning-severity findings (including deduplicated repeats).
     pub fn warning_count(&self) -> u64 {
         self.warnings
+    }
+
+    /// Empty polls charged to parked engines and checked so far
+    /// ([`Self::on_charged_polls`]).
+    pub fn charged_polls(&self) -> u64 {
+        self.charged_polls
     }
 
     /// Findings of one kind stored so far.
@@ -368,6 +394,7 @@ impl Sanitizer {
         if s.gen != hosts[port.0].gen {
             *s = PortSnap {
                 gen: hosts[port.0].gen,
+                seen: s.seen,
                 ..PortSnap::default()
             };
         }
@@ -384,6 +411,7 @@ impl Sanitizer {
         let ver = sh.ver;
         let s = Self::snap_mut(sh, &hosts, port);
         s.snap = ver;
+        s.seen = ver;
         s.last_op = LastOp::Fill;
         self.hosts = hosts;
     }
@@ -395,6 +423,7 @@ impl Sanitizer {
         let ver = sh.ver;
         let s = Self::snap_mut(sh, &hosts, port);
         s.snap = ver;
+        s.seen = ver;
         s.last_op = LastOp::Prefetch;
         self.hosts = hosts;
     }
@@ -490,7 +519,21 @@ impl Sanitizer {
 
     /// A write-back was posted (clwb/clflushopt/eviction).
     pub(crate) fn on_post_writeback(&mut self, port: PortId, la: u64, visible_at: SimTime) {
-        self.line_mut(la).pending.push((port, visible_at));
+        self.line_mut(la).pending.push((port, visible_at, false));
+    }
+
+    /// `port`'s write-back just posted into `[start, end)` woke the range's
+    /// watcher, a parked poller ([`crate::CxlPool::watch`]): the versions
+    /// it lands are announced to the poller.
+    pub(crate) fn on_watched_post(&mut self, port: PortId, start: u64, end: u64) {
+        for la in crate::lines_covering(start, end - start) {
+            let Some(sh) = self.lines.get_mut(&la) else {
+                continue;
+            };
+            if let Some(p) = sh.pending.iter_mut().rev().find(|p| p.0 == port) {
+                p.2 = true;
+            }
+        }
     }
 
     /// A posted write-back reached visibility and was applied to memory.
@@ -499,14 +542,17 @@ impl Sanitizer {
         let ver = self.next_ver;
         let hosts = std::mem::take(&mut self.hosts);
         let sh = self.line_mut(la);
-        if let Some(i) = sh.pending.iter().position(|&(p, _)| p == port) {
-            sh.pending.remove(i);
-        }
+        sh.announced = match sh.pending.iter().position(|&(p, _, _)| p == port) {
+            Some(i) => sh.pending.remove(i).2,
+            None => false,
+        };
         sh.ver = ver;
         sh.writer = Writer::Host(port);
         // The applied bytes are the poster's own: its cached copy (if it
         // still holds one) now matches pool memory.
-        Self::snap_mut(sh, &hosts, port).snap = ver;
+        let s = Self::snap_mut(sh, &hosts, port);
+        s.snap = ver;
+        s.seen = ver;
         self.hosts = hosts;
     }
 
@@ -517,7 +563,40 @@ impl Sanitizer {
             let ver = self.next_ver;
             let sh = self.line_mut(la);
             sh.ver = ver;
+            sh.announced = false;
             sh.writer = Writer::Dma(port);
+        }
+    }
+
+    /// `n` empty polls of line `la` by `port`, fetching at `first_at`,
+    /// `first_at + every_ns`, …, charged to a parked engine instead of run.
+    /// They read what the port last fetched unless the line changed since;
+    /// a change is reported unless its post woke the poller, whose charged
+    /// rounds then end where the post was made. Versions decide, not
+    /// instants: a landing is visible to every later fetch in dispatch
+    /// order, whatever that fetch's clock says (DESIGN.md §7.3 *(c)*).
+    pub(crate) fn on_charged_polls(
+        &mut self,
+        port: PortId,
+        la: u64,
+        n: u64,
+        first_at: SimTime,
+        every_ns: u64,
+    ) {
+        self.charged_polls += n;
+        let Some(sh) = self.lines.get(&la) else {
+            return; // never written
+        };
+        let seen = sh.snaps[port.0].seen;
+        if n > 0 && sh.ver != seen && !sh.announced {
+            let detail = format!(
+                "{n} empty poll(s) from {}ns every {every_ns}ns, but v{} ({}) replaced the \
+                 v{seen} last fetched without waking the poller",
+                first_at.as_nanos(),
+                sh.ver,
+                writer_str(sh.writer),
+            );
+            self.report(ReportKind::ParkedMissedWrite, port, la, first_at, detail);
         }
     }
 
@@ -532,7 +611,7 @@ impl Sanitizer {
             let Some(sh) = self.lines.get(&la) else {
                 continue;
             };
-            if let Some(&(wport, at)) = sh.pending.iter().find(|&&(_, at)| at > now) {
+            if let Some(&(wport, at, _)) = sh.pending.iter().find(|&&(_, at, _)| at > now) {
                 let detail = format!(
                     "DMA read observes line before host{}'s write-back lands at {}ns",
                     wport.0,
@@ -642,8 +721,8 @@ impl Sanitizer {
             None => {
                 // Absent: the read fetches from the pool. Another host's
                 // in-flight write-back means the fetched bytes are torn.
-                if let Some(&(wport, at)) =
-                    sh.pending.iter().find(|&&(p, at)| p != port && at > now)
+                if let Some(&(wport, at, _)) =
+                    sh.pending.iter().find(|&&(p, at, _)| p != port && at > now)
                 {
                     let detail = format!(
                         "fetch observes line before host{}'s write-back lands at {}ns",

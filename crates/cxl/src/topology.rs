@@ -16,10 +16,10 @@
 use oasis_sim::time::SimDuration;
 
 /// Per-lane CXL 2.0 / PCIe 5.0 bandwidth in each direction, bytes/second.
-pub const LANE_BW: f64 = 4e9;
+pub(crate) const LANE_BW: f64 = 4e9;
 
 /// Link efficiency the paper measures for 64 B random accesses (92 %).
-pub const LINK_EFFICIENCY: f64 = 0.92;
+pub(crate) const LINK_EFFICIENCY: f64 = 0.92;
 
 /// Static description of a CXL pod.
 #[derive(Clone, Debug)]
@@ -119,16 +119,9 @@ impl FleetTopology {
         }
     }
 
-    /// The minimum cross-pod link latency — the conservative lookahead for
-    /// sharded execution. `None` for an unlinked (single-pod or fully
-    /// disconnected) fleet, where the lookahead is unbounded.
-    pub fn min_uplink_latency(&self) -> Option<SimDuration> {
-        self.links.iter().map(|l| l.latency).min()
-    }
-
     /// Pods adjacent to `pod`, with the one-way latency of the joining link
     /// (both link directions count; parallel links keep the cheapest).
-    pub fn neighbors(&self, pod: usize) -> Vec<(usize, SimDuration)> {
+    pub(crate) fn neighbors(&self, pod: usize) -> Vec<(usize, SimDuration)> {
         let mut out: Vec<(usize, SimDuration)> = Vec::new();
         for l in &self.links {
             let peer = if l.a == pod {
@@ -267,7 +260,6 @@ mod tests {
     #[test]
     fn single_pod_fleet_has_unbounded_lookahead_and_no_spill() {
         let topo = FleetTopology::ring(1, PodTopology::production(4, 0), UPLINK_LATENCY);
-        assert_eq!(topo.min_uplink_latency(), None);
         assert!(topo.spill_order(0).is_empty());
         assert!(topo.neighbors(0).is_empty());
     }
@@ -281,7 +273,6 @@ mod tests {
         assert_eq!(from0, vec![1], "pod 2 is unreachable from pod 0");
         assert!(topo.spill_order(2).is_empty(), "pod 2 spills nowhere");
         // Lookahead still comes from the one real link.
-        assert_eq!(topo.min_uplink_latency(), Some(UPLINK_LATENCY));
     }
 
     #[test]
@@ -315,7 +306,6 @@ mod tests {
             .collect();
         // Latency beats index (2 and 3 before 1); index breaks the 2-vs-3 tie.
         assert_eq!(order, vec![(2, 1), (3, 1), (1, 1)]);
-        assert_eq!(topo.min_uplink_latency(), Some(SimDuration::from_micros(2)));
     }
 
     #[test]

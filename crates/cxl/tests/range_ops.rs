@@ -14,7 +14,7 @@
 //! differ: clocks, every counter, the fence stall, what reads return,
 //! cache contents and recency, per-class meters, the number of lines in
 //! flight, and pool memory at every instant a write-back becomes visible.
-//! With the `sanitize` feature on, the sanitizer must also have been told
+//! Both pools run the coherence sanitizer, which must also have been told
 //! the same story.
 
 #![expect(
@@ -46,7 +46,7 @@ fn costs(slow_writebacks: bool) -> CostModel {
 }
 
 fn twin(cache_lines: usize, costs: CostModel) -> Twin {
-    let mut pool = CxlPool::new(POOL, 2);
+    let mut pool = CxlPool::new(POOL, 2).sanitized();
     // Class spans that end mid-line, touch each other, and leave
     // unregistered holes: a flushed range can straddle any of these edges.
     pool.register_class(0, 1000, TrafficClass::Payload);
@@ -66,7 +66,7 @@ const SEAM: u64 = 1024;
 /// A pool whose first 2 KiB are `Payload` — two regions allocated back to
 /// back, or one region registered whole — followed by a `Message` ring.
 fn seam_twin(two_regions: bool) -> Twin {
-    let mut pool = CxlPool::new(POOL, 2);
+    let mut pool = CxlPool::new(POOL, 2).sanitized();
     let mut ra = RegionAllocator::new(&pool);
     if two_regions {
         let a = ra.alloc(&mut pool, "inst0.tx", SEAM, TrafficClass::Payload);
@@ -210,25 +210,22 @@ fn memory(pool: &CxlPool) -> Vec<u8> {
     mem
 }
 
-/// Everything observable without disturbing the twins.
+/// Everything observable without disturbing the twins, and what the
+/// sanitizer was told.
 fn observe(tw: &Twin) -> String {
     let hosts: Vec<String> = tw
         .hosts
         .iter()
         .map(|h| format!("clock {:?} cached {} {:?}", h.clock, h.cache.len(), h.stats))
         .collect();
+    let san = tw.pool.sanitizer().expect("twins are sanitized");
+    let story: Vec<String> = san.reports().iter().map(|r| r.to_string()).collect();
     format!(
-        "{hosts:?} meters {:?} in flight {}",
+        "{hosts:?} meters {:?} in flight {} {} {story:?}",
         meters(&tw.pool),
-        tw.pool.pending_writebacks()
+        tw.pool.pending_writebacks(),
+        san.summary()
     )
-}
-
-#[cfg(feature = "sanitize")]
-fn sanitizer_story(pool: &CxlPool) -> Vec<String> {
-    let mut story: Vec<String> = pool.san.reports().iter().map(|r| r.to_string()).collect();
-    story.push(pool.san.summary());
-    story
 }
 
 /// Two touching regions of one class are one class span: a range op that
@@ -338,8 +335,6 @@ proptest! {
             };
             prop_assert_eq!(lines(&mut ranged), lines(&mut walked), "host {} cache", h);
         }
-
-        #[cfg(feature = "sanitize")]
-        prop_assert_eq!(sanitizer_story(&ranged.pool), sanitizer_story(&walked.pool));
+        prop_assert_eq!(observe(&ranged), observe(&walked));
     }
 }

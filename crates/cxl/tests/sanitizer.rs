@@ -1,20 +1,23 @@
 //! Unit tests for the coherence sanitizer: one per detector class, plus
 //! good-path checks that the declared protocols report nothing.
-#![cfg(feature = "sanitize")]
 
 use oasis_cxl::pool::{PortId, TrafficClass};
-use oasis_cxl::{CxlPool, HostCtx, RegionAllocator, ReportKind, Severity};
+use oasis_cxl::{CxlPool, HostCtx, RegionAllocator, ReportKind, Sanitizer, Severity};
 use oasis_sim::time::SimTime;
 
 const ADDR: u64 = 0;
 
 fn setup() -> (CxlPool, HostCtx, HostCtx) {
-    let mut pool = CxlPool::new(1 << 16, 2);
+    let mut pool = CxlPool::new(1 << 16, 2).sanitized();
     let mut ra = RegionAllocator::new(&pool);
     ra.alloc(&mut pool, "mailbox", 4096, TrafficClass::Payload);
     let h0 = HostCtx::with_cache(PortId(0), 0, 4096, oasis_cxl::CostModel::default());
     let h1 = HostCtx::with_cache(PortId(1), 0, 4096, oasis_cxl::CostModel::default());
     (pool, h0, h1)
+}
+
+fn san(pool: &CxlPool) -> &Sanitizer {
+    pool.sanitizer().expect("the pool is sanitized")
 }
 
 /// Write + clwb + mfence + drain: the canonical publish sequence.
@@ -39,8 +42,8 @@ fn stale_read_detected_with_context() {
     publish_line(&mut pool, &mut h0, ADDR, 2);
     h1.expect_fresh(&mut pool, ADDR, 64);
 
-    assert_eq!(pool.san.count_of(ReportKind::StaleRead), 1);
-    let r = &pool.san.reports()[0];
+    assert_eq!(san(&pool).count_of(ReportKind::StaleRead), 1);
+    let r = &san(&pool).reports()[0];
     assert_eq!(r.kind, ReportKind::StaleRead);
     assert_eq!(r.severity, Severity::Error);
     assert_eq!(r.port, PortId(1), "report names the reading host");
@@ -57,7 +60,11 @@ fn stale_read_detected_with_context() {
     h1.mfence(&mut pool);
     h1.read(&mut pool, ADDR, &mut out);
     h1.expect_fresh(&mut pool, ADDR, 64);
-    assert_eq!(pool.san.count_of(ReportKind::StaleRead), 1, "no new report");
+    assert_eq!(
+        san(&pool).count_of(ReportKind::StaleRead),
+        1,
+        "no new report"
+    );
 }
 
 #[test]
@@ -68,13 +75,13 @@ fn missing_fence_before_doorbell_detected() {
     // Doorbell rung with the flush not yet fenced: the doorbell write-back
     // can overtake the payload's.
     h0.publish_fenced(&mut pool, ADDR, 64);
-    assert_eq!(pool.san.count_of(ReportKind::MissingFence), 1);
-    assert_eq!(pool.san.reports()[0].port, PortId(0));
+    assert_eq!(san(&pool).count_of(ReportKind::MissingFence), 1);
+    assert_eq!(san(&pool).reports()[0].port, PortId(0));
 
     // With the fence in place the same doorbell is clean.
     h0.mfence(&mut pool);
     h0.publish_fenced(&mut pool, ADDR, 64);
-    assert_eq!(pool.san.count_of(ReportKind::MissingFence), 1);
+    assert_eq!(san(&pool).count_of(ReportKind::MissingFence), 1);
 }
 
 #[test]
@@ -83,13 +90,13 @@ fn unflushed_publish_detected() {
     h0.write(&mut pool, ADDR, &[3u8; 64]);
     // Published while still dirty: no reader or device can see the bytes.
     h0.publish(&mut pool, ADDR, 64);
-    assert_eq!(pool.san.count_of(ReportKind::UnflushedPublish), 1);
-    assert_eq!(pool.san.error_count(), 1);
+    assert_eq!(san(&pool).count_of(ReportKind::UnflushedPublish), 1);
+    assert_eq!(san(&pool).error_count(), 1);
 
     h0.clwb(&mut pool, ADDR);
     h0.publish(&mut pool, ADDR, 64);
     assert_eq!(
-        pool.san.count_of(ReportKind::UnflushedPublish),
+        san(&pool).count_of(ReportKind::UnflushedPublish),
         1,
         "flushed publish is clean"
     );
@@ -104,8 +111,8 @@ fn torn_read_of_inflight_writeback_detected() {
     // 0, line not cached) declares a fresh read — the fetched bytes are
     // about to change underneath it.
     h1.expect_fresh(&mut pool, ADDR, 64);
-    assert_eq!(pool.san.count_of(ReportKind::TornRead), 1);
-    assert_eq!(pool.san.reports()[0].port, PortId(1));
+    assert_eq!(san(&pool).count_of(ReportKind::TornRead), 1);
+    assert_eq!(san(&pool).reports()[0].port, PortId(1));
 }
 
 #[test]
@@ -116,11 +123,11 @@ fn torn_dma_read_detected() {
     // Device DMA-reads the line before the CPU write-back lands.
     let mut buf = [0u8; 64];
     pool.dma_read(SimTime::ZERO, PortId(1), ADDR, &mut buf);
-    assert_eq!(pool.san.count_of(ReportKind::TornDmaRead), 1);
+    assert_eq!(san(&pool).count_of(ReportKind::TornDmaRead), 1);
 
     // After visibility, the same DMA read is clean.
     pool.dma_read(SimTime::MAX, PortId(1), ADDR, &mut buf);
-    assert_eq!(pool.san.count_of(ReportKind::TornDmaRead), 1);
+    assert_eq!(san(&pool).count_of(ReportKind::TornDmaRead), 1);
     assert_eq!(buf, [4u8; 64]);
 }
 
@@ -131,14 +138,14 @@ fn double_flush_is_a_warning() {
     h0.clwb(&mut pool, ADDR);
     // Second clwb of the already-clean line with no access in between.
     h0.clwb(&mut pool, ADDR);
-    assert_eq!(pool.san.count_of(ReportKind::DoubleFlush), 1);
-    assert_eq!(pool.san.warning_count(), 1);
+    assert_eq!(san(&pool).count_of(ReportKind::DoubleFlush), 1);
+    assert_eq!(san(&pool).warning_count(), 1);
     assert_eq!(
-        pool.san.error_count(),
+        san(&pool).error_count(),
         0,
         "wasted work is not a coherence error"
     );
-    assert_eq!(pool.san.reports()[0].severity, Severity::Warning);
+    assert_eq!(san(&pool).reports()[0].severity, Severity::Warning);
 }
 
 #[test]
@@ -146,14 +153,14 @@ fn noop_fence_is_a_warning() {
     let (mut pool, mut h0, _h1) = setup();
     // Fence with nothing to order.
     h0.mfence(&mut pool);
-    assert_eq!(pool.san.count_of(ReportKind::NoopFence), 1);
-    assert_eq!(pool.san.warning_count(), 1);
+    assert_eq!(san(&pool).count_of(ReportKind::NoopFence), 1);
+    assert_eq!(san(&pool).warning_count(), 1);
 
     // A fence that actually covers a flush is not flagged.
     h0.write(&mut pool, ADDR, &[2u8; 64]);
     h0.clwb(&mut pool, ADDR);
     h0.mfence(&mut pool);
-    assert_eq!(pool.san.count_of(ReportKind::NoopFence), 1);
+    assert_eq!(san(&pool).count_of(ReportKind::NoopFence), 1);
 }
 
 #[test]
@@ -170,8 +177,8 @@ fn clean_publish_consume_protocol_reports_nothing() {
     h1.read(&mut pool, ADDR, &mut out);
     h1.expect_fresh(&mut pool, ADDR, 64);
     assert_eq!(out, [0xAA; 64]);
-    assert_eq!(pool.san.error_count(), 0, "{}", pool.san.summary());
-    assert_eq!(pool.san.warning_count(), 0, "{}", pool.san.summary());
+    assert_eq!(san(&pool).error_count(), 0, "{}", san(&pool).summary());
+    assert_eq!(san(&pool).warning_count(), 0, "{}", san(&pool).summary());
 }
 
 #[test]
@@ -191,7 +198,7 @@ fn host_reset_invalidates_shadow_snapshots() {
     h1.read(&mut pool, ADDR, &mut out);
     h1.expect_fresh(&mut pool, ADDR, 64);
     assert_eq!(out, [2u8; 64]);
-    assert_eq!(pool.san.error_count(), 0, "{}", pool.san.summary());
+    assert_eq!(san(&pool).error_count(), 0, "{}", san(&pool).summary());
 }
 
 /// A staged payload: `BUF_LINES` lines at `ADDR`, all dirty except one
@@ -243,14 +250,43 @@ fn range_flush_tells_the_sanitizer_what_the_line_walk_tells_it() {
     let ranged = flush_mistakes(true);
     let walked = flush_mistakes(false);
     let story =
-        |p: &CxlPool| -> Vec<String> { p.san.reports().iter().map(|r| r.to_string()).collect() };
+        |p: &CxlPool| -> Vec<String> { san(p).reports().iter().map(|r| r.to_string()).collect() };
     assert_eq!(story(&ranged), story(&walked));
-    assert_eq!(ranged.san.summary(), walked.san.summary());
+    assert_eq!(san(&ranged).summary(), san(&walked).summary());
     // Seven lines were in flight under the DMA read and unfenced at the
     // doorbell (the clean one was never posted, but its clwb is unfenced
     // too); the second clwb and the second clflushopt found all eight
     // clean.
-    assert_eq!(ranged.san.count_of(ReportKind::TornDmaRead), 7);
-    assert_eq!(ranged.san.count_of(ReportKind::MissingFence), 8);
-    assert_eq!(ranged.san.count_of(ReportKind::DoubleFlush), 16);
+    assert_eq!(san(&ranged).count_of(ReportKind::TornDmaRead), 7);
+    assert_eq!(san(&ranged).count_of(ReportKind::MissingFence), 8);
+    assert_eq!(san(&ranged).count_of(ReportKind::DoubleFlush), 16);
+}
+
+/// Polls charged to a parked engine in closed form are checked against
+/// the version the poller last fetched: a change since then is an error,
+/// unless its post woke the poller through a watch on the line.
+#[test]
+fn charged_polls_after_an_unannounced_write_are_reported() {
+    let (mut pool, mut h0, mut h1) = setup();
+    publish_line(&mut pool, &mut h0, ADDR, 1);
+    // h1 polls the line empty (and drops it), then parks on it.
+    h1.empty_poll(&mut pool, ADDR);
+    let at = h1.clock;
+    pool.charge_line_fetches(PortId(1), ADDR, 3, at, 500);
+    assert_eq!(san(&pool).error_count(), 0, "{}", san(&pool).summary());
+
+    // A post that wakes h1's watch announces the change.
+    pool.watch(ADDR, ADDR + 64, 1);
+    publish_line(&mut pool, &mut h0, ADDR, 2);
+    assert_eq!(pool.pop_woken(), Some(1));
+    pool.charge_line_fetches(PortId(1), ADDR, 2, at, 500);
+    assert_eq!(san(&pool).error_count(), 0, "{}", san(&pool).summary());
+
+    // h1 reads version 2, parks again, and this time nobody watches.
+    h1.empty_poll(&mut pool, ADDR);
+    publish_line(&mut pool, &mut h0, ADDR, 3);
+    pool.charge_line_fetches(PortId(1), ADDR, 4, h1.clock, 500);
+    assert_eq!(san(&pool).count_of(ReportKind::ParkedMissedWrite), 1);
+    assert_eq!(san(&pool).reports()[0].port, PortId(1));
+    assert_eq!(san(&pool).charged_polls(), 9);
 }

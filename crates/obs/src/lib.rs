@@ -23,8 +23,7 @@
 //!   is cheap enough for measurement paths that are compiled in
 //!   unconditionally. Ambient hot-loop instrumentation (per-dispatch
 //!   scheduler stats, per-line pool timelines) stays behind the `obs`
-//!   cargo feature in the crates that own those loops, mirroring the
-//!   `sanitize` pattern.
+//!   cargo feature in the crates that own those loops.
 
 pub mod hist;
 pub mod sink;
